@@ -1,4 +1,5 @@
-"""Shared single-interval integrators for rollouts and the baseline model.
+"""Shared single-interval integrators for rollouts, the baseline model and
+the synthetic generator.
 
 Two modes: an adaptive embedded Runge-Kutta pair (scipy's RK45) for
 accuracy, and a classic fixed-step RK4 for bit-reproducible runs.  Both

@@ -109,8 +109,8 @@ def _load_processed(path, smooth_window=0):
     return process_dataset(dataset, smooth_window=smooth_window)
 
 
-def _rollout_config(args):
-    kwargs = {}
+def _rollout_config(args, dataset):
+    kwargs = {"step_rate": 1.0 / dataset.meta.dt}
     if getattr(args, "reset_interval", None) is not None:
         kwargs["reset_interval"] = args.reset_interval
     if getattr(args, "integrator", None):
@@ -231,7 +231,7 @@ def cmd_eval(args):
     manifest.add_input("model", args.model)
     model = pipeline.load_model(args.model)
     dataset = _load_processed(args.dataset)
-    config = _rollout_config(args)
+    config = _rollout_config(args, dataset)
     test_ids = dataset.indices("test")
     if not test_ids:
         raise ValidationError("dataset has no test split")
@@ -271,7 +271,7 @@ def cmd_baseline(args):
     )
     dataset = _load_processed(args.dataset)
     model = pipeline.load_model(args.model) if args.model else None
-    config = _rollout_config(args)
+    config = _rollout_config(args, dataset)
     m = dataset.meta.m
     com_cols = slice(m, m + 3)
 

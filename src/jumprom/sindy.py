@@ -11,6 +11,7 @@ through the decoder, so the fit runs on the vectorized joint system.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -114,49 +115,61 @@ class FunctionLibrarySpec:
             raise ValidationError(f"term {name!r} not in library (l={latent_dim})") from None
 
 
+@functools.lru_cache(maxsize=None)
+def _library_plan(spec, latent_dim):
+    """Gather indices over the stacked (state, velocity) vector, built once
+    per (spec, l): one (terms, degree) monomial index array per degree
+    2..poly_degree, then the indices of the sine terms."""
+    monomials = tuple(
+        np.array(list(group))
+        for _, group in itertools.groupby(spec._monomials(latent_dim), key=len)
+    )
+    sines = []
+    if spec.include_sin_states:
+        sines.extend(range(latent_dim))
+    if spec.include_sin_velocities:
+        sines.extend(range(latent_dim, 2 * latent_dim))
+    return monomials, np.array(sines, dtype=int)
+
+
 def build_library(spec, xi, dxi, nu=None):
     """Evaluate every enabled candidate function on a batch of samples.
 
-    xi, dxi, nu: (N, l) arrays (nu may be omitted when the library has no
-    input terms).  Returns the (N, p) design matrix in canonical order.
+    xi, dxi, nu: (N, l) arrays, or (l,) vectors for one sample (nu may be
+    omitted when the library has no input terms).  Returns the (N, p)
+    design matrix, or the (p,) row, in canonical order.  The evaluation
+    plan is cached per (spec, l): the monomials of each degree are one
+    gather of the stacked (state, velocity) columns and one product over
+    the gathered factors, the sine terms one gather and one sin.
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    dxi = np.atleast_2d(np.asarray(dxi, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    dxi = np.asarray(dxi, dtype=float)
     if xi.shape != dxi.shape:
         raise ValidationError(f"state/velocity shapes differ: {xi.shape} vs {dxi.shape}")
-    n, l = xi.shape
     if spec.include_inputs:
         if nu is None:
             raise ValidationError("library includes input terms but no inputs were given")
-        nu = np.atleast_2d(np.asarray(nu, dtype=float))
-        if nu.shape != (n, l):
-            raise ValidationError(f"inputs must have shape {(n, l)}, got {nu.shape}")
-    stacked = np.concatenate([xi, dxi], axis=1)
+        nu = np.asarray(nu, dtype=float)
+        if nu.shape != xi.shape:
+            raise ValidationError(f"inputs must have shape {xi.shape}, got {nu.shape}")
+    monomials, sines = _library_plan(spec, xi.shape[-1])
+    stacked = np.concatenate([xi, dxi], axis=-1)
     cols = []
     if spec.include_constant:
-        cols.append(np.ones((n, 1)))
+        cols.append(np.ones(xi.shape[:-1] + (1,)))
     if spec.poly_degree >= 1:
         cols.append(stacked)
-    for combo in spec._monomials(l):
-        cols.append(np.prod(stacked[:, list(combo)], axis=1, keepdims=True))
-    if spec.include_sin_states:
-        cols.append(np.sin(xi))
-    if spec.include_sin_velocities:
-        cols.append(np.sin(dxi))
+    cols.extend(np.prod(stacked[..., idx], axis=-1) for idx in monomials)
+    if sines.size:
+        cols.append(np.sin(stacked[..., sines]))
     if spec.include_inputs:
         cols.append(nu)
-    return np.concatenate(cols, axis=1)
+    return np.concatenate(cols, axis=-1)
 
 
 def build_library_row(spec, xi, dxi, nu=None):
     """Single-sample version of build_library; returns a (p,) vector."""
-    row = build_library(
-        spec,
-        np.asarray(xi, dtype=float)[None, :],
-        np.asarray(dxi, dtype=float)[None, :],
-        None if nu is None else np.asarray(nu, dtype=float)[None, :],
-    )
-    return row[0]
+    return build_library(spec, xi, dxi, nu)
 
 
 @dataclass(frozen=True)
@@ -190,15 +203,7 @@ def predict_latent_accel(coeffs, xi, dxi, nu=None):
     """Latent acceleration(s) predicted by a coefficient matrix."""
     if coeffs.library is None:
         raise ValidationError("coefficients carry no library spec")
-    single = np.asarray(xi).ndim == 1
-    theta = build_library(
-        coeffs.library,
-        np.atleast_2d(xi),
-        np.atleast_2d(dxi),
-        None if nu is None else np.atleast_2d(nu),
-    )
-    out = theta @ coeffs.Xi
-    return out[0] if single else out
+    return build_library(coeffs.library, xi, dxi, nu) @ coeffs.Xi
 
 
 def _lstsq(A, b):
@@ -324,15 +329,16 @@ def fit_phase_model(
     theta = build_library(spec, data.xi, data.dxi, data.nu if spec.include_inputs else None)
     n, p = theta.shape
     l = data.ddxi.shape[1]
-    if n < p:
-        warnings.warn(
-            f"underdetermined sparse regression: {n} samples for {p} candidate functions",
-            stacklevel=2,
-        )
 
     if decoded_weight == 0.0:
+        # stlsq reports an underdetermined system itself
         coeffs = stlsq(theta, data.ddxi, threshold, ridge, max_iters, init_support)
     else:
+        if n < p:
+            warnings.warn(
+                f"underdetermined sparse regression: {n} samples for {p} candidate functions",
+                stacklevel=2,
+            )
         if data.ddq is None:
             raise ValidationError("decoded-acceleration residual enabled but ddq targets missing")
         W_d = params.W_dec

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import _integrators
 from .errors import ValidationError
 from .sindy import FunctionLibrarySpec, build_library_row
 from .trajectory_data import (
@@ -273,18 +274,6 @@ def _realize_forces(wrench, flags, feet, com):
     return forces
 
 
-def _rk4_latent(f, y, t, h, substeps=2):
-    step = h / substeps
-    for _ in range(substeps):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = f(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = f(t + step, y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += step
-    return y
-
-
 def _simulate_jump(spec, rng):
     """One jump in latent coordinates: states, velocities, inputs, flags."""
     l = spec.l_true
@@ -318,7 +307,7 @@ def _simulate_jump(spec, rng):
             dxi[cursor + i] = state[l:]
             nu[cursor + i] = nu_fn(t)
             flags[cursor + i] = _CONTACT_FLAGS[phase]
-            state = _rk4_latent(rhs, state, t, spec.dt)
+            state = _integrators.rk4_interval(rhs, t, state, spec.dt, substeps=2)
         cursor += steps
     return xi, dxi, nu, flags
 

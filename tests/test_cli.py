@@ -143,6 +143,40 @@ class TestBaseline:
         assert len(lines) == 1 + 2 * 2  # 2 test jumps x (aslip, learned)
 
 
+@pytest.fixture(scope="module")
+def fast_rate_dirs(tmp_path_factory):
+    """A dataset recorded at 1000 Hz instead of the default 500 Hz, and a model."""
+    out = tmp_path_factory.mktemp("fast_rate")
+    config = out / "gen.json"
+    config.write_text(json.dumps({"n_jumps": 6, "split_counts": [4, 1, 1], "dt": 0.001}))
+    assert main(["gen", "--config", str(config), "--out", str(out / "data")]) == 0
+    assert main(["train", "--dataset", str(out / "data"), "--out", str(out / "model"),
+                 "--latent-dim", "2", "--seed", "0"]) == 0
+    return out / "data", out / "model" / "model.txt"
+
+
+class TestNonDefaultRate:
+    """eval and baseline take their step rate from the dataset's dt."""
+
+    def test_eval(self, fast_rate_dirs, tmp_path):
+        data, model = fast_rate_dirs
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(data), "--model", str(model),
+                     "--out", str(out), "--integrator", "fixed_rk4"])
+        assert code == 0
+        lines = (out / "metrics.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 1  # one test jump, full rollout only
+
+    def test_baseline(self, fast_rate_dirs, tmp_path):
+        data, model = fast_rate_dirs
+        out = tmp_path / "baseline"
+        code = main(["baseline", "--dataset", str(data), "--model", str(model),
+                     "--out", str(out), "--integrator", "fixed_rk4"])
+        assert code == 0
+        lines = (out / "comparison.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 2  # one test jump x (aslip, learned)
+
+
 class TestFinetune:
     def test_finetune_writes_model(self, gen_dir, trained_dir, tmp_path):
         out = tmp_path / "tuned"

@@ -1,9 +1,13 @@
 """Candidate libraries, STLSQ, phase fitting, and symbolic printing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jumprom.autoencoder import AutoencoderParams
 from jumprom.errors import ValidationError
@@ -58,6 +62,23 @@ def _reference_2d_models():
     return _coeffs(contact, DEFAULT), _coeffs(flight, DEFAULT)
 
 
+@st.composite
+def _library_samples(draw):
+    """Any valid library spec, l in 1..6, and a few finite sample rows."""
+    degree = draw(st.integers(0, 3))
+    flags = draw(st.fixed_dictionaries({
+        name: st.booleans() for name in (
+            "include_constant", "include_sin_states", "include_sin_velocities",
+            "include_inputs")
+    }))
+    assume(degree >= 1 or any(flags.values()))
+    spec = FunctionLibrarySpec(poly_degree=degree, **flags)
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    xi, dxi, nu = (draw(arrays(np.float64, shape, elements=finite)) for _ in range(3))
+    return spec, xi, dxi, nu
+
+
 class TestLibrary:
     def test_minimal_spec_row(self):
         row = build_library_row(MINIMAL, [2.0], [3.0])
@@ -80,13 +101,28 @@ class TestLibrary:
                 assert spec.term_count(l) == expected
                 assert len(spec.term_names(l)) == spec.term_count(l)
 
-    def test_row_determinism_and_batch_consistency(self):
-        rng = np.random.default_rng(0)
-        xi, dxi, nu = rng.normal(size=(3, 4, 2))
-        theta = build_library(DEFAULT, xi, dxi, nu)
-        for k in range(4):
-            row = build_library_row(DEFAULT, xi[k], dxi[k], nu[k])
-            assert np.array_equal(row, theta[k])
+    @settings(deadline=None)
+    @given(_library_samples())
+    def test_row_determinism_and_batch_consistency(self, sample):
+        spec, xi, dxi, nu = sample
+        n, l = xi.shape
+        with np.errstate(over="ignore", invalid="ignore"):  # products of huge draws
+            theta = build_library(spec, xi, dxi, nu)
+            rows = [build_library_row(spec, xi[k], dxi[k], nu[k]) for k in range(n)]
+            again = [build_library_row(spec, xi[k], dxi[k], nu[k]) for k in range(n)]
+        assert theta.shape == (n, spec.term_count(l))
+        for k in range(n):
+            assert rows[k].tobytes() == theta[k].tobytes()
+            assert rows[k].tobytes() == again[k].tobytes()
+
+    @pytest.mark.parametrize("xi, dxi, nu, message", [
+        ([0.0, 0.0], [0.0, 0.0], None, "no inputs were given"),
+        ([0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0], "inputs must have shape"),
+        ([0.0, 0.0], [0.0], [0.0, 0.0], "shapes differ"),
+    ])
+    def test_row_rejects_bad_inputs(self, xi, dxi, nu, message):
+        with pytest.raises(ValidationError, match=message):
+            build_library_row(DEFAULT, xi, dxi, nu)
 
     def test_needs_one_term_class(self):
         with pytest.raises(ValidationError):
@@ -187,9 +223,21 @@ class TestStlsq:
 
     def test_underdetermined_warns(self):
         rng = np.random.default_rng(5)
-        theta = rng.normal(size=(4, 8))
-        with pytest.warns(UserWarning, match="underdetermined"):
-            stlsq(theta, rng.normal(size=(4, 1)), threshold=0.0)
+        params = _orthonormal_autoencoder()
+        xi, dxi, nu, ddxi = rng.normal(size=(4, 3, 2))
+        data = LatentPhaseData(xi=xi, dxi=dxi, nu=nu, ddxi=ddxi, ddq=ddxi @ params.W_dec.T)
+
+        def count_warnings(fit):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit()
+            return sum("underdetermined" in str(w.message) for w in caught)
+
+        assert count_warnings(lambda: stlsq(rng.normal(size=(4, 8)), rng.normal(size=(4, 1)),
+                                            threshold=0.0)) == 1
+        for weight in (0.0, 1.0):
+            assert count_warnings(lambda: fit_phase_model(
+                params, DEFAULT, data, 0.0, decoded_weight=weight)) == 1
 
 
 def _orthonormal_autoencoder(d=10, l=2, seed=6):
