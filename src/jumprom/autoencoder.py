@@ -50,12 +50,6 @@ class AutoencoderParams:
         return self.W_enc.shape[1]
 
 
-@dataclass(frozen=True)
-class TrainingHistory:
-    train_loss: np.ndarray
-    val_loss: np.ndarray | None = None
-
-
 def _check_order(order):
     if order not in (0, 1, 2):
         raise ValidationError(f"derivative order must be 0, 1, or 2, got {order}")
@@ -154,24 +148,25 @@ def train_autoencoder(
     seed=0,
     init="pca",
     init_params=None,
-    val_data=None,
     standardize=False,
 ):
     """Fit the autoencoder on a batch of configurations.
 
-    Full-batch gradient descent with momentum on the mean squared
-    reconstruction error.  The default initialization places the encoder
-    on the principal directions of the data (the optimum of a linear
-    autoencoder spans the principal subspace), with the bias centering the
-    data; ``init="random"`` uses seeded Gaussian weights instead, and
-    ``init_params`` resumes from existing weights.
+    The default ``init="pca"`` returns the principal-subspace solution in
+    closed form: the encoder rows are the leading principal directions,
+    the decoder is their transpose, and the biases center the data.
+    ``init="random"`` starts from seeded Gaussian weights and
+    ``init_params`` resumes from existing weights; both then run
+    full-batch gradient descent with momentum on the mean squared
+    reconstruction error.  ``epochs``, ``learning_rate`` and ``momentum``
+    apply only to those two descent paths.
 
-    With ``standardize`` the optimization runs on per-column standardized
-    data and the scaling is folded back into the returned weights, which
-    therefore always act on raw physical units.
+    With ``standardize`` the fit runs on per-column standardized data and
+    the scaling is folded back into the returned weights, which therefore
+    always act on raw physical units.
 
-    Returns (params, history).  Raises TrainingDivergedError if the loss
-    becomes non-finite.
+    Returns the fitted AutoencoderParams.  Raises TrainingDivergedError if
+    the descent loss becomes non-finite.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[0] == 0:
@@ -183,17 +178,20 @@ def train_autoencoder(
     col_scale = None
     if standardize:
         col_scale = data.std(axis=0)
-        col_scale[col_scale == 0] = 1.0
+        col_scale[np.ptp(data, axis=0) == 0] = 1.0  # constant columns stay unscaled
         data = data / col_scale
-        if val_data is not None:
-            val_data = np.asarray(val_data, dtype=float) / col_scale
 
     if init_params is not None:
         params = init_params
         if standardize:
             params = _scale_params(params, col_scale, invert=True)
     elif init == "pca":
+        # The PCA point is a stationary point and the global minimum of the
+        # linear-autoencoder loss (Eckart-Young; Baldi & Hornik 1989), so
+        # descent from it can only add rounding, or diverge once
+        # learning_rate * curvature is too large.
         params = _pca_init(data, latent_dim)
+        return _scale_params(params, col_scale) if standardize else params
     elif init == "random":
         params = _random_init(full_dim, latent_dim, np.random.default_rng(seed))
     else:
@@ -205,8 +203,6 @@ def train_autoencoder(
     b_d = params.b_dec.copy()
     v = [np.zeros_like(a) for a in (W_e, b_e, W_d, b_d)]
     n = data.shape[0]
-    train_curve = np.empty(epochs)
-    val_curve = np.empty(epochs) if val_data is not None else None
 
     for epoch in range(epochs):
         Z = data @ W_e.T + b_e
@@ -215,11 +211,6 @@ def train_autoencoder(
             loss = float(np.mean(np.sum(R * R, axis=1)))
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"reconstruction loss diverged at epoch {epoch}", epoch)
-        train_curve[epoch] = loss
-        if val_curve is not None:
-            Zv = val_data @ W_e.T + b_e
-            Rv = Zv @ W_d.T + b_d - val_data
-            val_curve[epoch] = float(np.mean(np.sum(Rv * Rv, axis=1)))
         grads = (
             (2.0 / n) * (R @ W_d).T @ data,
             (2.0 / n) * (R @ W_d).sum(axis=0),
@@ -234,8 +225,7 @@ def train_autoencoder(
     trained = AutoencoderParams(W_enc=W_e, b_enc=b_e, W_dec=W_d, b_dec=b_d)
     if standardize:
         trained = _scale_params(trained, col_scale)
-    history = TrainingHistory(train_loss=train_curve, val_loss=val_curve)
-    return trained, history
+    return trained
 
 
 def _scale_params(params, col_scale, invert=False):

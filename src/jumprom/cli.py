@@ -334,8 +334,9 @@ def cmd_finetune(args):
     manifest = _ManifestWriter("finetune", args, out)
     manifest.add_input("dataset", args.dataset)
     manifest.add_input("model", args.model)
-    config = _training_config(args)
     model = pipeline.load_model(args.model)
+    # the latent dimension is the model's; record the config that runs
+    config = replace(_training_config(args), latent_dim=model.autoencoder.latent_dim)
     dataset = _load_processed(args.dataset, config.smooth_window)
     tuned = pipeline.fine_tune(model, dataset, config)
     model_path = out / "model.txt"
@@ -405,7 +406,6 @@ def build_parser():
 
     p = sub.add_parser("finetune", help="fine-tune an existing model on a new dataset")
     common(p, dataset=True, model=True)
-    p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=cmd_finetune)
     return parser

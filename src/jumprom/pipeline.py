@@ -3,10 +3,13 @@
 Stage 1 fits the autoencoder on the configurations of the seed phase (full
 contact by default).  Stage 2 freezes the encoder and refits the decoder
 on every phase in closed form.  Stage 3 freezes the whole autoencoder and
-sparse-regresses the latent dynamics of each phase separately.  The model
-selection scan repeats the pipeline over latent dimensions and seeds and
-scores each cell with an AIC-style combination of test reconstruction
-error and symbolic complexity.
+sparse-regresses the latent dynamics of each phase separately.  One
+driver, ``_fit_stages``, runs the three stages for both ``run_pipeline``
+and ``fine_tune``; fine-tuning changes only where stage 1 starts and which
+supports stage 3 warm-starts from.  The model selection scan repeats the
+pipeline over latent dimensions and seeds and scores each cell with an
+AIC-style combination of test reconstruction error and symbolic
+complexity.
 """
 
 from __future__ import annotations
@@ -55,7 +58,12 @@ PHASE_ORDER = (Phase.CONTACT, Phase.PARTIAL_CONTACT, Phase.FLIGHT)
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Hyperparameters of one pipeline run."""
+    """Hyperparameters of one pipeline run.
+
+    ``epochs``, ``learning_rate`` and ``momentum`` drive stage-1 gradient
+    descent, which runs only for ``encoder_init="random"`` and in
+    ``fine_tune``; the default PCA init is solved in closed form.
+    """
 
     latent_dim: int = 2
     seed: int = 0
@@ -224,43 +232,43 @@ def _phases_present(jumps):
 # pipeline
 
 
-def run_pipeline(dataset, config, record_steps=False):
-    """Run the three sequential training stages on the train split.
+def _fit_stages(dataset, config, parent=None):
+    """Run stages 1 -> 2 -> 3 on the train split; shared by training and fine-tuning.
 
-    Returns a MultiPhaseModel (and, with ``record_steps``, a
-    StepSnapshots capturing the autoencoder after stages 1 and 2, for
-    frozen-weight audits).  Deterministic given (dataset, config).
+    Without ``parent`` stage 1 fits the autoencoder from
+    ``config.encoder_init``.  With a parent model stage 1 resumes descent
+    from its weights at ``fine_tune_lr_scale`` times the learning rate, and
+    stage 3 warm-starts each phase from the parent's support.  Returns the
+    StepSnapshots after stages 1 and 2 and the tuple of phase models.
     """
-    dataset = _ensure_processed(dataset, config)
-    train_jumps = dataset.jumps_in("train")
+    train_jumps = _ensure_processed(dataset, config).jumps_in("train")
     if not train_jumps:
         raise ValidationError("dataset has no train split")
-    val_jumps = dataset.jumps_in("val")
 
     # stage 1: autoencoder on the seed phase configurations
     seed_rows = _phase_rows(train_jumps, config.seed_phase, trim=0)
     q_seed = _gather(train_jumps, seed_rows, "q")
     if q_seed is None:
-        raise ValidationError(f"no {config.seed_phase} data to seed the autoencoder")
-    val_rows = _phase_rows(val_jumps, config.seed_phase, trim=0)
-    q_val = _gather(val_jumps, val_rows, "q")
+        verb = "seed" if parent is None else "resume"
+        raise ValidationError(f"no {config.seed_phase} data to {verb} the autoencoder")
+    learning_rate = config.learning_rate
+    if parent is not None:
+        learning_rate *= config.fine_tune_lr_scale
     try:
-        ae1, history = train_autoencoder(
+        ae1 = train_autoencoder(
             q_seed,
             config.latent_dim,
             epochs=config.epochs,
-            learning_rate=config.learning_rate,
+            learning_rate=learning_rate,
             momentum=config.momentum,
             seed=config.seed,
             init=config.encoder_init,
-            val_data=q_val,
+            init_params=None if parent is None else parent.autoencoder,
             standardize=config.standardize,
         )
     except JumpromError as e:
         raise PipelineStepError(1, e) from e
-    if history.train_loss.size:
-        log.info("stage 1: reconstruction loss %.3e -> %.3e over %d epochs",
-                 history.train_loss[0], history.train_loss[-1], config.epochs)
+    log.info("stage 1: seed-phase reconstruction loss %.3e", recon_loss(ae1, q_seed))
 
     # stage 2: decoder refit on all phases, encoder frozen
     q_all = np.concatenate([j.q for j in train_jumps], axis=0)
@@ -271,9 +279,11 @@ def run_pipeline(dataset, config, record_steps=False):
     log.info("stage 2: all-phase reconstruction loss %.3e", recon_loss(ae2, q_all))
 
     # stage 3: sparse dynamics per phase, autoencoder frozen
-    phases = _phases_present(train_jumps)
+    supports = {} if parent is None else {
+        pm.phase: pm.coefficients.active_mask for pm in parent.phases
+    }
     phase_models = []
-    for phase in phases:
+    for phase in _phases_present(train_jumps):
         data = _latent_phase_data(ae2, train_jumps, phase, config)
         try:
             pm = fit_phase_model(
@@ -285,13 +295,24 @@ def run_pipeline(dataset, config, record_steps=False):
                 latent_weight=config.latent_accel_weight,
                 decoded_weight=config.decoded_accel_weight,
                 max_iters=config.stlsq_max_iters,
+                init_support=supports.get(phase),
                 phase=phase,
             )
         except JumpromError as e:
             raise PipelineStepError(3, e) from e
         log.info("stage 3 [%s]: %d active terms", phase, count_active(pm.coefficients))
         phase_models.append(pm)
+    return StepSnapshots(after_stage1=ae1, after_stage2=ae2), tuple(phase_models)
 
+
+def run_pipeline(dataset, config, record_steps=False):
+    """Run the three sequential training stages on the train split.
+
+    Returns a MultiPhaseModel (and, with ``record_steps``, a
+    StepSnapshots capturing the autoencoder after stages 1 and 2, for
+    frozen-weight audits).  Deterministic given (dataset, config).
+    """
+    steps, phase_models = _fit_stages(dataset, config)
     provenance = {
         "dataset": {
             "robot": dataset.meta.robot,
@@ -306,10 +327,9 @@ def run_pipeline(dataset, config, record_steps=False):
         "config_hash": config.hash(),
         "package_version": __about__.__version__,
     }
-    model = MultiPhaseModel(autoencoder=ae2, phases=tuple(phase_models), provenance=provenance)
-    if record_steps:
-        return model, StepSnapshots(after_stage1=ae1, after_stage2=ae2)
-    return model
+    model = MultiPhaseModel(autoencoder=steps.after_stage2, phases=phase_models,
+                            provenance=provenance)
+    return (model, steps) if record_steps else model
 
 
 def _latent_phase_data(params, jumps, phase, config, trim=None):
@@ -396,73 +416,27 @@ def fine_tune(model, dataset, config):
     Stage 1 restarts gradient descent from the existing weights at a
     reduced learning rate; stage 2 re-solves the decoder in closed form;
     stage 3 warm-starts the sparse regression from the existing support of
-    each phase (new phases start cold).  Provenance records the hash of
-    the parent model.
+    each phase (new phases start cold).  The latent dimension is the
+    model's, whatever ``config.latent_dim`` says, and the recorded config
+    hash is of the config that ran.  Provenance records the hash of the
+    parent model.
     """
-    dataset = _ensure_processed(dataset, config)
-    train_jumps = dataset.jumps_in("train")
-    if not train_jumps:
-        raise ValidationError("dataset has no train split")
     full_dim = dataset.meta.m + 6
     if model.autoencoder.full_dim != full_dim:
         raise ValidationError(
             f"model dimension {model.autoencoder.full_dim} does not match dataset ({full_dim})"
         )
-    parent_hash = model_hash(model)
-
-    seed_rows = _phase_rows(train_jumps, config.seed_phase, trim=0)
-    q_seed = _gather(train_jumps, seed_rows, "q")
-    if q_seed is None:
-        raise ValidationError(f"no {config.seed_phase} data to resume the autoencoder")
-    try:
-        ae1, _ = train_autoencoder(
-            q_seed,
-            model.autoencoder.latent_dim,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate * config.fine_tune_lr_scale,
-            momentum=config.momentum,
-            seed=config.seed,
-            init_params=model.autoencoder,
-            standardize=config.standardize,
-        )
-    except JumpromError as e:
-        raise PipelineStepError(1, e) from e
-
-    q_all = np.concatenate([j.q for j in train_jumps], axis=0)
-    try:
-        ae2 = finetune_decoder(ae1, q_all, ridge=config.decoder_ridge)
-    except JumpromError as e:
-        raise PipelineStepError(2, e) from e
-
-    old_supports = {pm.phase: pm.coefficients.active_mask for pm in model.phases}
-    phase_models = []
-    for phase in _phases_present(train_jumps):
-        data = _latent_phase_data(ae2, train_jumps, phase, config)
-        try:
-            pm = fit_phase_model(
-                ae2,
-                config.library,
-                data,
-                config.stlsq_threshold,
-                config.stlsq_ridge,
-                latent_weight=config.latent_accel_weight,
-                decoded_weight=config.decoded_accel_weight,
-                max_iters=config.stlsq_max_iters,
-                init_support=old_supports.get(phase),
-                phase=phase,
-            )
-        except JumpromError as e:
-            raise PipelineStepError(3, e) from e
-        phase_models.append(pm)
-
+    config = replace(config, latent_dim=model.autoencoder.latent_dim)
+    steps, phase_models = _fit_stages(dataset, config, parent=model)
     provenance = dict(model.provenance)
     provenance.update({
-        "parent_hash": parent_hash,
+        "parent_hash": model_hash(model),
         "fine_tuned_on": dataset.meta.robot,
         "seed": config.seed,
         "config_hash": config.hash(),
     })
-    return MultiPhaseModel(autoencoder=ae2, phases=tuple(phase_models), provenance=provenance)
+    return MultiPhaseModel(autoencoder=steps.after_stage2, phases=phase_models,
+                           provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -362,56 +362,6 @@ def fit_phase_model(
     return PhaseModel(phase=phase, coefficients=coeffs)
 
 
-def fit_phase_model_l1(
-    params,
-    spec,
-    data,
-    l1_weight=1e-3,
-    *,
-    latent_weight=1.0,
-    decoded_weight=1.0,
-    step_size=None,
-    max_iters=5000,
-    tol=1e-10,
-    phase=Phase.CONTACT,
-):
-    """Proximal-gradient (ISTA) alternative that optimizes the L1 penalty
-    directly instead of hard thresholding.  Kept for comparison runs; the
-    primary solver is fit_phase_model.
-    """
-    if data.n_samples == 0:
-        raise ValidationError(f"no data for phase {phase}")
-    theta = build_library(spec, data.xi, data.dxi, data.nu if spec.include_inputs else None)
-    l = data.ddxi.shape[1]
-    gram = theta.T @ theta
-    M = latent_weight * np.eye(l)
-    rhs = latent_weight * theta.T @ data.ddxi
-    if decoded_weight > 0.0:
-        if data.ddq is None:
-            raise ValidationError("decoded-acceleration residual enabled but ddq targets missing")
-        M = M + decoded_weight * params.W_dec.T @ params.W_dec
-        rhs = rhs + decoded_weight * theta.T @ (data.ddq @ params.W_dec)
-    lip = np.linalg.eigvalsh(gram)[-1] * np.linalg.eigvalsh(M)[-1]
-    if step_size is None:
-        step_size = 1.0 / (2.0 * lip)
-    Xi = np.zeros((theta.shape[1], l))
-    for _ in range(max_iters):
-        grad = 2.0 * (gram @ Xi @ M - rhs)
-        nxt = Xi - step_size * grad
-        nxt = np.sign(nxt) * np.maximum(np.abs(nxt) - step_size * l1_weight, 0.0)
-        if np.max(np.abs(nxt - Xi)) < tol:
-            Xi = nxt
-            break
-        Xi = nxt
-    coeffs = SparseCoefficients(Xi=Xi, active_mask=Xi != 0.0, threshold=0.0, library=spec)
-    return PhaseModel(phase=phase, coefficients=coeffs)
-
-
-def l1_penalty(coeffs):
-    """Monitored sparsity metric: entrywise L1 norm of the coefficients."""
-    return float(np.abs(coeffs.Xi).sum())
-
-
 def print_symbolic(model, precision=2):
     """Render one human-readable equation per latent dimension.
 

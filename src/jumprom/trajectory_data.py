@@ -139,14 +139,6 @@ class Dataset:
         return len(self.jumps)
 
 
-@dataclass(frozen=True)
-class DatasetSchema:
-    """Expected column layout; built from the manifest unless overridden."""
-
-    m: int
-    dt: float
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -477,7 +469,7 @@ def _format_float(x):
     return repr(float(x))
 
 
-def load_dataset(path, schema=None):
+def load_dataset(path):
     """Read a dataset directory; derived fields are left unfilled.
 
     Raises DatasetLoadError naming the offending file and column for any
@@ -494,12 +486,11 @@ def load_dataset(path, schema=None):
     for key in ("robot", "m", "dt", "jumps"):
         if key not in manifest:
             raise DatasetLoadError(f"{manifest_path.name}: missing manifest key {key!r}")
-    m = int(manifest["m"]) if schema is None else schema.m
-    dt = float(manifest["dt"]) if schema is None else schema.dt
+    m = int(manifest["m"])
     meta = DatasetMeta(
         robot=str(manifest["robot"]),
         m=m,
-        dt=dt,
+        dt=float(manifest["dt"]),
         noise_sigma=float(manifest.get("noise_sigma", 0.0)),
     )
 

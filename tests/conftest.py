@@ -4,11 +4,16 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from jumprom import pipeline, synthetic
 from jumprom.trajectory_data import process_dataset
 
 NOISE = {"q": 1e-3, "dq": 1e-3}
+
+# every run draws the same examples, and no example is failed for its speed
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jumprom.autoencoder import (
     AutoencoderParams,
@@ -114,7 +116,7 @@ class TestReconstruct:
 
     def test_trained_subspace_reconstruction(self):
         data, _ = _subspace_data()
-        params, _ = train_autoencoder(data, 2, epochs=50)
+        params = train_autoencoder(data, 2)
         assert np.max(np.abs(reconstruct(params, data) - data)) < 1e-6
 
 
@@ -140,21 +142,20 @@ class TestReconLoss:
 class TestTraining:
     def test_exact_subspace_low_loss(self):
         data, _ = _subspace_data(n=500)
-        val, _ = _subspace_data(n=100, seed=1)
-        params, history = train_autoencoder(data, 2, epochs=100, val_data=None)
+        params = train_autoencoder(data, 2)
         assert recon_loss(params, data) < 1e-8
 
     def test_full_dimension_identity_achievable(self):
         rng = np.random.default_rng(9)
         data = rng.normal(size=(200, D))
-        params, _ = train_autoencoder(data, D, epochs=50)
+        params = train_autoencoder(data, D)
         assert recon_loss(params, data) < 1e-8
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         data = rng.normal(size=(100, D))
-        a, _ = train_autoencoder(data, 3, epochs=30, seed=5, init="random")
-        b, _ = train_autoencoder(data, 3, epochs=30, seed=5, init="random")
+        a = train_autoencoder(data, 3, epochs=30, seed=5, init="random")
+        b = train_autoencoder(data, 3, epochs=30, seed=5, init="random")
         for name in ("W_enc", "b_enc", "W_dec", "b_dec"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -168,14 +169,59 @@ class TestTraining:
     def test_standardize_returns_raw_unit_params(self):
         data, _ = _subspace_data(n=300)
         data = data * np.linspace(1.0, 50.0, D)  # wildly different column scales
-        params, _ = train_autoencoder(data, 2, epochs=100, standardize=True)
+        params = train_autoencoder(data, 2, standardize=True)
         assert recon_loss(params, data) / np.mean(data**2) < 1e-6
+
+    def test_standardize_leaves_constant_column_unscaled(self):
+        data, _ = _subspace_data(n=17)
+        data[:, 3] = 1.8835341365461846  # a joint that never moves
+        assert data[:, 3].std() > 0  # the mean of equal values rounds
+        pca = train_autoencoder(data, 2, standardize=True)
+        resumed = train_autoencoder(data, 2, init_params=pca, standardize=True)
+        assert np.max(np.abs(resumed.W_enc - pca.W_enc)) <= 1e-12
+
+
+@st.composite
+def _scaled_offset_data(draw):
+    """(data, latent_dim): n > d samples with column scales and offsets up to 3.
+
+    A scale is 0 (a constant column) or at least 0.5, which keeps the
+    standardized offsets, and so the curvature, inside the stable step size
+    of descent at the default learning rate.
+    """
+    d = draw(st.integers(2, 18))
+    n = draw(st.integers(d + 1, 3 * d + 10))
+    latent_dim = draw(st.integers(1, d))
+    scale = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.5, 3.0)), min_size=d, max_size=d))
+    offset = draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(n, d)) * np.array(scale) + np.array(offset), latent_dim
+
+
+class TestClosedFormPca:
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_runs_no_epoch(self, standardize):
+        data, _ = _subspace_data(n=300)
+        expected = train_autoencoder(data, 2, epochs=0, standardize=standardize)
+        # one epoch at this step size would diverge; a billion would not finish
+        params = train_autoencoder(data, 2, epochs=10**9, learning_rate=1e9,
+                                   standardize=standardize)
+        for name in ("W_enc", "b_enc", "W_dec", "b_dec"):
+            assert np.array_equal(getattr(params, name), getattr(expected, name))
+
+    @given(_scaled_offset_data(), st.booleans())
+    def test_descent_from_pca_does_not_move_encoder(self, sample, standardize):
+        data, l = sample
+        pca = train_autoencoder(data, l, standardize=standardize)
+        resumed = train_autoencoder(data, l, init_params=pca, standardize=standardize)
+        assert np.max(np.abs(resumed.W_enc - pca.W_enc)) <= 1e-12
+        assert np.max(np.abs(resumed.b_enc - pca.b_enc)) <= 1e-12
 
 
 class TestFinetuneDecoder:
     def test_encoder_bit_identical(self):
         data, _ = _subspace_data()
-        params, _ = train_autoencoder(data, 2, epochs=20)
+        params = train_autoencoder(data, 2)
         tuned = finetune_decoder(params, np.random.default_rng(0).normal(size=(50, D)))
         assert tuned.W_enc.tobytes() == params.W_enc.tobytes()
         assert tuned.b_enc.tobytes() == params.b_enc.tobytes()
@@ -183,7 +229,7 @@ class TestFinetuneDecoder:
     def test_same_subspace_no_loss_increase(self):
         data, _ = _subspace_data(n=300)
         more, _ = _subspace_data(n=200, seed=0)  # same basis/offset stream
-        params, _ = train_autoencoder(data, 2, epochs=50)
+        params = train_autoencoder(data, 2)
         before = recon_loss(params, data)
         tuned = finetune_decoder(params, data)
         assert recon_loss(tuned, data) <= before + 1e-12
@@ -194,7 +240,7 @@ class TestFinetuneDecoder:
         basis, _ = np.linalg.qr(rng.normal(size=(D, 3)))
         stage1 = rng.normal(size=(300, 2)) @ basis[:, :2].T
         mixed = rng.normal(size=(300, 3)) @ basis.T
-        params, _ = train_autoencoder(stage1, 3, epochs=50)
+        params = train_autoencoder(stage1, 3)
         before = recon_loss(params, mixed)
         tuned = finetune_decoder(params, mixed)
         after = recon_loss(tuned, mixed)

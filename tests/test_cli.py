@@ -188,6 +188,27 @@ class TestFinetune:
         tuned = pipeline.load_model(out / "model.txt")
         assert "parent_hash" in tuned.provenance
 
+    def test_latent_dim_flag_rejected(self, gen_dir, trained_dir, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["finetune", "--dataset", str(gen_dir), "--model",
+                  str(trained_dir / "model.txt"), "--out", str(tmp_path / "tuned"),
+                  "--latent-dim", "5"])
+        assert err.value.code == 2
+
+    def test_manifest_records_model_latent_dim(self, gen_dir, trained_dir, tmp_path):
+        config = tmp_path / "finetune.json"
+        config.write_text(json.dumps({"latent_dim": 5}))
+        out = tmp_path / "tuned"
+        code = main(["finetune", "--dataset", str(gen_dir), "--model",
+                     str(trained_dir / "model.txt"), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 0
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved_config"]
+        assert resolved["latent_dim"] == 2
+        tuned = pipeline.load_model(out / "model.txt")
+        assert tuned.autoencoder.latent_dim == 2
+        assert tuned.provenance["config_hash"] == pipeline.config_from_dict(resolved).hash()
+
 
 class TestOutRoot:
     def test_env_var_fallback(self, gen_dir, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Sequential training, model selection, fine-tuning, and the model format."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,21 @@ class TestRunPipeline:
         config = TrainingConfig(latent_dim=2, seed_phase=Phase.PARTIAL_CONTACT)
         with pytest.raises(ValidationError, match="partial_contact"):
             run_pipeline(clean_bundle.dataset, config)
+
+    @pytest.mark.parametrize("shift", [50.0, 1000.0])
+    def test_base_x_offset_does_not_change_dynamics(self, clean_bundle, shift):
+        # stage 1 centres the data, so a constant base-x offset is absorbed
+        # by the encoder bias and the fitted dynamics must not move
+        dataset = clean_bundle.dataset
+        offset = np.zeros(dataset.meta.m + 6)
+        offset[dataset.meta.m] = shift
+        shifted = replace(dataset, jumps=tuple(replace(j, q=j.q + offset)
+                                               for j in dataset.jumps))
+        model = run_pipeline(shifted, TrainingConfig(latent_dim=2))
+        assert model.phase_labels == clean_bundle.model.phase_labels
+        for pm, ref in zip(model.phases, clean_bundle.model.phases):
+            assert np.array_equal(pm.coefficients.active_mask, ref.coefficients.active_mask)
+            assert np.max(np.abs(pm.coefficients.Xi - ref.coefficients.Xi)) <= 1e-9
 
     def test_deterministic_serialization(self, clean_bundle):
         config = TrainingConfig(latent_dim=2, seed=0)
