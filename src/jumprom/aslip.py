@@ -130,7 +130,7 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     return b_out, db_out
 
 
-def aslip_inputs_from_trajectory(traj, m):
+def aslip_inputs_from_trajectory(traj):
     """Derive baseline inputs from a processed jump recording.
 
     Phase schedule comes from the recorded contact flags (partial contact

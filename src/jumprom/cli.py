@@ -110,11 +110,15 @@ def _load_processed(path, smooth_window=0):
 
 
 def _rollout_config(args, dataset):
+    """Defaults < config file < explicit flags; the step rate is the dataset's."""
+    payload = _load_config(args.config)
     kwargs = {"step_rate": 1.0 / dataset.meta.dt}
-    if getattr(args, "reset_interval", None) is not None:
-        kwargs["reset_interval"] = args.reset_interval
-    if getattr(args, "integrator", None):
-        kwargs["integrator"] = args.integrator
+    for key in ("reset_interval", "integrator"):
+        value = getattr(args, key)
+        if value is None:
+            value = payload.get(key)
+        if value is not None:
+            kwargs[key] = value
     return rollout.RolloutConfig(**kwargs)
 
 
@@ -137,7 +141,7 @@ def cmd_gen(args):
     out.mkdir(parents=True, exist_ok=True)
     manifest = _ManifestWriter("gen", args, out)
     payload = _load_config(args.config)
-    preset = payload.get("preset", args.preset)
+    preset = args.preset or payload.get("preset") or "two_phase"
     kwargs = {}
     for key in ("n_jumps", "lift_seed", "noise_sigma", "dt"):
         if key in payload:
@@ -284,7 +288,7 @@ def cmd_baseline(args):
         for idx in test_ids:
             jump = dataset.jumps[idx]
             dt = float(np.median(np.diff(jump.timestamps)))
-            schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump, m)
+            schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
             com_true = jump.com_positions if jump.com_positions is not None else jump.q[:, com_cols]
             state0 = aslip.AslipState(
                 b=com_true[0].copy(),
@@ -374,7 +378,8 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     common(p)
-    p.add_argument("--preset", default="two_phase", choices=["two_phase", "three_phase"])
+    p.add_argument("--preset", default=None, choices=["two_phase", "three_phase"],
+                   help="dataset preset (default: two_phase)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="run the three-stage training pipeline")

@@ -42,8 +42,9 @@ class RolloutConfig:
     def __post_init__(self):
         if self.step_rate <= 0:
             raise ValidationError(f"step_rate must be > 0, got {self.step_rate}")
-        if self.reset_interval < 0:
-            raise ValidationError(f"reset_interval must be >= 0, got {self.reset_interval}")
+        if not isinstance(self.reset_interval, int) or self.reset_interval < 0:
+            raise ValidationError(
+                f"reset_interval must be an integer >= 0, got {self.reset_interval!r}")
         if self.integrator not in ("adaptive", "fixed_rk4"):
             raise ValidationError(f"unknown integrator {self.integrator!r}")
         if self.rk4_substeps < 1:

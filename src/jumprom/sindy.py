@@ -4,9 +4,11 @@ The latent acceleration of each phase is modeled as a sparse linear
 combination of candidate functions of the latent state, latent velocity,
 and transformed input.  Sparsity comes from sequentially thresholded least
 squares (STLSQ): alternate ridge fits with hard elimination of small
-coefficients until the support stabilizes.  When the decoded-acceleration
-residual is enabled the two quadratic terms couple the coefficient columns
-through the decoder, so the fit runs on the vectorized joint system.
+coefficients until the support stabilizes.  The decoded-acceleration
+residual couples the coefficient columns through the decoder, so every
+fit runs on the vectorized joint system (M x Gram) vec(Xi) = vec(R); plain
+column-wise STLSQ is the case M = I.  Each refit assembles only the block
+of that system on the current support, never the whole Kronecker product.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,77 +208,88 @@ def predict_latent_accel(coeffs, xi, dxi, nu=None):
     return build_library(coeffs.library, xi, dxi, nu) @ coeffs.Xi
 
 
-def _lstsq(A, b):
-    return np.linalg.lstsq(A, b, rcond=None)[0]
+def _support_block(M, gram, idx, ridge):
+    """Rows and columns ``idx`` of kron(M, gram) + ridge*I, without the kron.
 
-
-def _solve_support(gram, rhs, support, ridge):
-    """Ridge solution of the normal equations restricted to a support set."""
-    idx = np.flatnonzero(support)
-    G = gram[np.ix_(idx, idx)]
-    if ridge > 0:
-        G = G + ridge * np.eye(idx.size)
-        return np.linalg.solve(G, rhs[idx]), idx
-    return _lstsq(G, rhs[idx]), idx
-
-
-def _stlsq_vector(gram, rhs, threshold, ridge, max_iters, init_support=None):
-    """STLSQ on one normal-equations system; returns the full-length vector.
-
-    Elimination is strict: entries with |coef| < threshold are dropped,
-    entries exactly at the threshold are kept.  Stops when the support is
-    stable or after max_iters refits.
+    idx holds sorted column-major positions in the (p, l) coefficient
+    matrix, so the entries of one latent column are contiguous and each
+    (a, b) block of the gathered Gram entries is one slice, scaled by
+    M[a, b] in place.  The ridge is added only when positive.
     """
-    p = rhs.shape[0]
-    support = np.ones(p, dtype=bool) if init_support is None else init_support.copy()
-    w = np.zeros(p)
-    if not support.any():
-        return w
-    sol, idx = _solve_support(gram, rhs, support, ridge)
-    w[idx] = sol
-    for _ in range(max_iters):
-        small = support & (np.abs(w) < threshold)
+    p, l = gram.shape[0], M.shape[0]
+    rows = idx % p
+    block = gram[np.ix_(rows, rows)]
+    cuts = np.searchsorted(idx, p * np.arange(l + 1))
+    for a, b in itertools.product(range(l), repeat=2):
+        block[cuts[a]:cuts[a + 1], cuts[b]:cuts[b + 1]] *= M[a, b]
+    if ridge > 0:
+        block.flat[:: idx.size + 1] += ridge
+    return block
+
+
+def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
+    """STLSQ on the normal equations (M x Gram) vec(Xi) = vec(Theta^T target).
+
+    theta: (N, p) design matrix; target: (N, l); M: (l, l) coupling of the
+    coefficient columns.  Elimination is strict: entries with
+    |coef| < threshold are dropped, entries exactly at the threshold are
+    kept.  Stops when the support is stable or after max_iters refits.
+    Each refit solves only the support block of the system: a ridge solve
+    when ridge > 0, least squares otherwise.  Columns whose support empties
+    out are returned as all-zero with a warning (constant-zero dynamics).
+    """
+    if threshold < 0:
+        raise ValidationError(f"threshold must be >= 0, got {threshold}")
+    n, p = theta.shape
+    l = target.shape[1]
+    if n < p:
+        warnings.warn(
+            f"underdetermined sparse regression: {n} samples for {p} candidate functions",
+            stacklevel=3,
+        )
+    gram = theta.T @ theta
+    rhs = (theta.T @ target).flatten(order="F")
+    support = (np.ones(p * l, dtype=bool) if init_support is None
+               else np.asarray(init_support, dtype=bool).flatten(order="F"))
+    x = np.zeros(p * l)
+    for _ in range(max_iters + 1):
+        x[:] = 0.0
+        if not support.any():
+            break
+        idx = np.flatnonzero(support)
+        block = _support_block(M, gram, idx, ridge)
+        if ridge > 0:
+            x[idx] = np.linalg.solve(block, rhs[idx])
+        else:
+            x[idx] = np.linalg.lstsq(block, rhs[idx], rcond=None)[0]
+        del block  # so it is freed before the next refit builds its own
+        small = support & (np.abs(x) < threshold)
         if not small.any():
             break
         support &= ~small
-        w[:] = 0.0
-        if not support.any():
-            break
-        sol, idx = _solve_support(gram, rhs, support, ridge)
-        w[idx] = sol
-    return w
+    Xi = x.reshape(p, l, order="F")
+    zero = [str(j + 1) for j in range(l) if not Xi[:, j].any()]
+    if zero:
+        warnings.warn(f"all coefficients of column(s) {', '.join(zero)} eliminated "
+                      "(constant-zero dynamics)", stacklevel=3)
+    return SparseCoefficients(Xi=Xi, active_mask=Xi != 0.0, threshold=float(threshold))
 
 
 def stlsq(theta, targets, threshold=0.1, ridge=1e-9, max_iters=20, init_support=None):
-    """Sequentially thresholded (ridge) least squares, column by column.
+    """Sequentially thresholded (ridge) least squares on independent columns.
 
-    theta: (N, p) design matrix; targets: (N,) or (N, l).  Each target
-    column is fit independently.  threshold=0 degenerates to the dense
-    ridge solution.  Columns whose support empties out are returned as
-    all-zero with a warning (constant-zero dynamics).
+    theta: (N, p) design matrix; targets: (N,) or (N, l).  The target
+    columns are uncoupled (M = I): the joint system is block diagonal.
+    threshold=0 degenerates to the dense ridge solution.  Columns whose
+    support empties out are returned as all-zero with a warning
+    (constant-zero dynamics).
     """
     theta = np.asarray(theta, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 1:
         targets = targets[:, None]
-    n, p = theta.shape
-    if threshold < 0:
-        raise ValidationError(f"threshold must be >= 0, got {threshold}")
-    if n < p:
-        warnings.warn(
-            f"underdetermined sparse regression: {n} samples for {p} candidate functions",
-            stacklevel=2,
-        )
-    gram = theta.T @ theta
-    Xi = np.zeros((p, targets.shape[1]))
-    for j in range(targets.shape[1]):
-        rhs = theta.T @ targets[:, j]
-        sup = None if init_support is None else np.asarray(init_support)[:, j]
-        Xi[:, j] = _stlsq_vector(gram, rhs, threshold, ridge, max_iters, sup)
-        if not np.any(Xi[:, j]):
-            warnings.warn(f"all coefficients of target column {j} eliminated "
-                          "(constant-zero dynamics)", stacklevel=2)
-    return SparseCoefficients(Xi=Xi, active_mask=Xi != 0.0, threshold=float(threshold))
+    return _stlsq(theta, targets, np.eye(targets.shape[1]), threshold, ridge, max_iters,
+                  init_support)
 
 
 @dataclass(frozen=True)
@@ -322,44 +335,20 @@ def fit_phase_model(
     in Xi; because the decoder couples the columns, the joint system is
     vectorized and the normal equations take the Kronecker form
     (M x Gram) with M = latent_weight I + decoded_weight W_dec^T W_dec.
-    With decoded_weight=0 the columns decouple and plain stlsq is used.
+    ddq may be None only when decoded_weight is 0.
     """
     if data.n_samples == 0:
         raise ValidationError(f"no data for phase {phase}")
     theta = build_library(spec, data.xi, data.dxi, data.nu if spec.include_inputs else None)
-    n, p = theta.shape
-    l = data.ddxi.shape[1]
-
-    if decoded_weight == 0.0:
-        # stlsq reports an underdetermined system itself
-        coeffs = stlsq(theta, data.ddxi, threshold, ridge, max_iters, init_support)
-    else:
-        if n < p:
-            warnings.warn(
-                f"underdetermined sparse regression: {n} samples for {p} candidate functions",
-                stacklevel=2,
-            )
+    W_d = params.W_dec
+    M = latent_weight * np.eye(data.ddxi.shape[1]) + decoded_weight * W_d.T @ W_d
+    target = latent_weight * data.ddxi
+    if decoded_weight != 0.0:
         if data.ddq is None:
             raise ValidationError("decoded-acceleration residual enabled but ddq targets missing")
-        W_d = params.W_dec
-        gram = theta.T @ theta
-        M = latent_weight * np.eye(l) + decoded_weight * W_d.T @ W_d
-        H = np.kron(M, gram)
-        rhs_mat = theta.T @ (latent_weight * data.ddxi + decoded_weight * data.ddq @ W_d)
-        rhs = rhs_mat.flatten(order="F")
-        sup = None if init_support is None else np.asarray(init_support).flatten(order="F")
-        x = _stlsq_vector(H, rhs, threshold, ridge, max_iters, sup)
-        Xi = x.reshape(p, l, order="F")
-        for j in range(l):
-            if not np.any(Xi[:, j]):
-                warnings.warn(f"all coefficients of latent dimension {j + 1} eliminated "
-                              "(constant-zero dynamics)", stacklevel=2)
-        coeffs = SparseCoefficients(Xi=Xi, active_mask=Xi != 0.0, threshold=float(threshold))
-
-    coeffs = SparseCoefficients(
-        Xi=coeffs.Xi, active_mask=coeffs.active_mask, threshold=coeffs.threshold, library=spec
-    )
-    return PhaseModel(phase=phase, coefficients=coeffs)
+        target = target + decoded_weight * data.ddq @ W_d
+    coeffs = _stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
+    return PhaseModel(phase=phase, coefficients=replace(coeffs, library=spec))
 
 
 def print_symbolic(model, precision=2):

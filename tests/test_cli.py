@@ -6,6 +6,7 @@ import pytest
 
 from jumprom import pipeline
 from jumprom.cli import main
+from jumprom.trajectory_data import load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,17 @@ class TestGen:
                      "--out", str(tmp_path / "y")])
         assert code == 1
         assert "ERROR E_VALIDATE" in capsys.readouterr().err
+
+    def test_preset_flag_beats_config(self, tmp_path):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"preset": "three_phase", "n_jumps": 3,
+                                      "split_counts": [1, 1, 1]}))
+        out = tmp_path / "data"
+        code = main(["gen", "--preset", "two_phase", "--config", str(config), "--out", str(out)])
+        assert code == 0
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved_config"]
+        assert resolved["preset"] == "two_phase"
+        assert load_dataset(out).meta.robot == "synthetic-contact-flight"
 
 
 class TestTrain:
@@ -96,6 +108,27 @@ class TestEval:
         assert header[0] == "t" and header[-1] == "err"
         n_rows = len(series[0].read_text().strip().split("\n")) - 1
         assert n_rows == 500
+
+    def test_config_file_sets_reset_and_integrator(self, gen_dir, trained_dir, tmp_path):
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"reset_interval": 50, "integrator": "fixed_rk4"}))
+        common = ["eval", "--dataset", str(gen_dir), "--model", str(trained_dir / "model.txt")]
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        assert main(common + ["--config", str(config), "--out", str(from_file)]) == 0
+        assert main(common + ["--reset-interval", "50", "--integrator", "fixed_rk4",
+                              "--out", str(from_flags)]) == 0
+        metrics = (from_file / "metrics.csv").read_bytes()
+        assert b",reset," in metrics
+        assert metrics == (from_flags / "metrics.csv").read_bytes()
+
+    def test_config_file_reset_interval_must_be_integer(self, gen_dir, trained_dir, tmp_path,
+                                                        capsys):
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"reset_interval": "50"}))
+        code = main(["eval", "--dataset", str(gen_dir), "--model", str(trained_dir / "model.txt"),
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "reset_interval must be an integer" in capsys.readouterr().err
 
     def test_missing_phase_exits_nonzero(self, gen_dir, trained_dir, tmp_path, capsys):
         model = pipeline.load_model(trained_dir / "model.txt")

@@ -16,6 +16,8 @@ from jumprom.sindy import (
     LatentPhaseData,
     PhaseModel,
     SparseCoefficients,
+    _stlsq,
+    _support_block,
     build_library,
     build_library_row,
     count_active,
@@ -238,6 +240,73 @@ class TestStlsq:
                 params, DEFAULT, data, 0.0, decoded_weight=weight)) == 1
 
 
+def _kron_stlsq(theta, target, M, threshold, ridge, max_iters, init_support):
+    """Reference STLSQ on the explicit Kronecker system: form kron(M, Gram)
+    whole and slice the support out of it on every refit."""
+    p, l = theta.shape[1], target.shape[1]
+    H = np.kron(M, theta.T @ theta)
+    rhs = (theta.T @ target).flatten(order="F")
+    support = (np.ones(p * l, dtype=bool) if init_support is None
+               else init_support.flatten(order="F"))
+    w = np.zeros(p * l)
+
+    def refit():
+        idx = np.flatnonzero(support)
+        G = H[np.ix_(idx, idx)]
+        if ridge > 0:
+            w[idx] = np.linalg.solve(G + ridge * np.eye(idx.size), rhs[idx])
+        else:
+            w[idx] = np.linalg.lstsq(G, rhs[idx], rcond=None)[0]
+
+    if support.any():
+        refit()
+        for _ in range(max_iters):
+            small = support & (np.abs(w) < threshold)
+            if not small.any():
+                break
+            support &= ~small
+            w[:] = 0.0
+            if not support.any():
+                break
+            refit()
+    return w.reshape(p, l, order="F")
+
+
+@st.composite
+def _kron_systems(draw):
+    """A design matrix with some all-zero columns, targets, a coupling M
+    (decoded weight 0 or random), a threshold, a ridge and maybe a support."""
+    n, p, l = draw(st.integers(1, 30)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    theta[:, draw(arrays(bool, p))] = 0.0
+    target = rng.normal(size=(n, l))
+    W = rng.normal(size=(draw(st.integers(1, 5)), l))
+    dw = draw(st.just(0.0) | st.floats(0.01, 3.0))
+    M = draw(st.floats(0.1, 3.0)) * np.eye(l) + dw * W.T @ W
+    threshold = draw(st.just(0.0) | st.floats(0.01, 2.0))
+    ridge = draw(st.sampled_from([0.0, 1e-9]) | st.floats(1e-12, 1.0))
+    init_support = draw(st.none() | arrays(bool, (p, l)))
+    return theta, target, M, threshold, ridge, draw(st.integers(0, 20)), init_support
+
+
+class TestStlsqCore:
+    @given(_kron_systems())
+    def test_matches_explicit_kronecker(self, system):
+        theta, target, M, threshold, ridge, max_iters, init_support = system
+        gram = theta.T @ theta
+        idx = np.flatnonzero(np.ones(gram.shape[0] * M.shape[0], dtype=bool)
+                             if init_support is None else init_support.flatten(order="F"))
+        assert np.array_equal(_support_block(M, gram, idx, ridge),
+                              np.kron(M, gram)[np.ix_(idx, idx)] + ridge * np.eye(idx.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = _kron_stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
+            coeffs = _stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
+        assert np.array_equal(coeffs.Xi, expected)
+        assert np.array_equal(coeffs.active_mask, expected != 0.0)
+
+
 def _orthonormal_autoencoder(d=10, l=2, seed=6):
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.normal(size=(d, l)))
@@ -283,6 +352,13 @@ class TestFitPhaseModel:
         theta = build_library(DEFAULT, data.xi, data.dxi, data.nu)
         residual = data.ddxi - theta @ model.coefficients.Xi
         assert np.mean(residual**2) < 1e-10
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_negative_threshold_rejected(self, weight):
+        params = _orthonormal_autoencoder()
+        with pytest.raises(ValidationError, match="threshold must be >= 0"):
+            fit_phase_model(params, DEFAULT, _phase_samples(params, n=50), threshold=-0.5,
+                            decoded_weight=weight)
 
     def test_empty_phase_errors(self):
         params = _orthonormal_autoencoder()
