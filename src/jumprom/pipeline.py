@@ -18,7 +18,9 @@ import hashlib
 import io
 import json
 import logging
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -87,12 +89,20 @@ class TrainingConfig:
     fine_tune_lr_scale: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation string (postponed annotations)
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                      or not math.isfinite(value)):
+                raise ValidationError(f"{f.name} must be a finite real number, got {value!r}")
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
         for name in ("learning_rate", "momentum", "epochs", "stlsq_threshold",
-                     "stlsq_ridge", "decoder_ridge", "selection_lambda"):
-            if getattr(self, name) < 0 or not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite and >= 0")
+                     "stlsq_ridge", "stlsq_max_iters", "decoder_ridge", "selection_lambda"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
 
     def hash(self):
         payload = json.dumps(config_to_dict(self), sort_keys=True)
@@ -108,10 +118,13 @@ def config_to_dict(config):
 
 def config_from_dict(payload):
     payload = dict(payload)
-    if "library" in payload:
-        payload["library"] = FunctionLibrarySpec(**payload["library"])
-    if "seed_phase" in payload:
-        payload["seed_phase"] = Phase(payload["seed_phase"])
+    try:
+        if "library" in payload:
+            payload["library"] = FunctionLibrarySpec(**payload["library"])
+        if "seed_phase" in payload:
+            payload["seed_phase"] = Phase(payload["seed_phase"])
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"invalid library or seed_phase in config: {e}") from e
     return TrainingConfig(**payload)
 
 

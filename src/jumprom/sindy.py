@@ -7,18 +7,26 @@ squares (STLSQ): alternate ridge fits with hard elimination of small
 coefficients until the support stabilizes.  The decoded-acceleration
 residual couples the coefficient columns through the decoder, so every
 fit runs on the vectorized joint system (M x Gram) vec(Xi) = vec(R); plain
-column-wise STLSQ is the case M = I.  Each refit assembles only the block
-of that system on the current support, never the whole Kronecker product.
+column-wise STLSQ is the case M = I.  The whole Kronecker product is
+never formed.  A ridge refit on the full support (the first one of every
+cold fit) is decoupled through the eigenvectors of the small l x l M into
+l Cholesky solves of size p; a ridge refit on any smaller support
+assembles only the block of the system on that support and factors it by
+Cholesky in place.  A support system that is not numerically positive
+definite (a rank-deficient Gram far larger than ridge/eps) is solved by
+LU on its block instead, with one warning per fit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ValidationError
 from .trajectory_data import Phase
@@ -47,8 +55,9 @@ class FunctionLibrarySpec:
     include_inputs: bool = True
 
     def __post_init__(self):
-        if self.poly_degree < 0:
-            raise ValidationError(f"poly_degree must be >= 0, got {self.poly_degree}")
+        if (isinstance(self.poly_degree, bool) or not isinstance(self.poly_degree, numbers.Integral)
+                or self.poly_degree < 0):
+            raise ValidationError(f"poly_degree must be an integer >= 0, got {self.poly_degree!r}")
         if not (
             self.include_constant
             or self.poly_degree >= 1
@@ -227,16 +236,57 @@ def _support_block(M, gram, idx, ridge):
     return block
 
 
+def _cholesky_solve(a, b):
+    """Solve a x = b for a symmetric positive definite a, destroying a.
+
+    a is C-contiguous, so a.T is its F-contiguous view and LAPACK factors
+    it in place; the upper triangle of a.T is the lower one of a, which
+    equals its upper one.  Raises LinAlgError when a is not numerically
+    positive definite.
+    """
+    factor = scipy.linalg.cho_factor(a.T, lower=False, overwrite_a=True, check_finite=False)
+    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+
+
+def _full_support_solve(M, gram, R, ridge):
+    """Solve Gram X M + ridge X = R, the full-support system, for X (p, l).
+
+    M = V diag(lam) V^T turns it into l independent p x p systems
+    (lam_j Gram + ridge I) y_j = (R V)_j with X = Y V^T, each solved by
+    Cholesky, so memory is O(p^2 + l^2).  Gram itself is not
+    diagonalised: the rounding of its near-zero eigenvalues is about
+    eps*||Gram||, as large as a typical ridge, and would move the support.
+    """
+    lam, V = np.linalg.eigh(M)
+    Y = R @ V
+    stride = gram.shape[0] + 1
+    for j in range(M.shape[0]):
+        a = lam[j] * gram
+        a.flat[::stride] += ridge
+        Y[:, j] = _cholesky_solve(a, Y[:, j])
+    return Y @ V.T
+
+
 def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
     """STLSQ on the normal equations (M x Gram) vec(Xi) = vec(Theta^T target).
 
-    theta: (N, p) design matrix; target: (N, l); M: (l, l) coupling of the
-    coefficient columns.  Elimination is strict: entries with
-    |coef| < threshold are dropped, entries exactly at the threshold are
-    kept.  Stops when the support is stable or after max_iters refits.
-    Each refit solves only the support block of the system: a ridge solve
-    when ridge > 0, least squares otherwise.  Columns whose support empties
-    out are returned as all-zero with a warning (constant-zero dynamics).
+    theta: (N, p) design matrix; target: (N, l); M: (l, l) symmetric
+    coupling of the coefficient columns.  Elimination is strict: entries
+    with |coef| < threshold are dropped, entries exactly at the threshold
+    are kept.  Stops when the support is stable or after max_iters refits.
+    Each refit solves only the support block of the system:
+
+    - full support, ridge > 0: decoupled through the eigenvectors of M
+      (``_full_support_solve``), so the (p*l)^2 block is never built;
+    - any other support, ridge > 0: the support block by Cholesky, in
+      place;
+    - either of those not numerically positive definite (a rank-deficient
+      Gram much larger than ridge/eps): the support block by LU, with one
+      warning per fit;
+    - ridge <= 0: the support block by least squares.
+
+    Columns whose support empties out are returned as all-zero with a
+    warning (constant-zero dynamics).
     """
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
@@ -248,21 +298,33 @@ def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
             stacklevel=3,
         )
     gram = theta.T @ theta
-    rhs = (theta.T @ target).flatten(order="F")
+    R = theta.T @ target
+    rhs = R.flatten(order="F")
     support = (np.ones(p * l, dtype=bool) if init_support is None
                else np.asarray(init_support, dtype=bool).flatten(order="F"))
     x = np.zeros(p * l)
+    warned = False
     for _ in range(max_iters + 1):
         x[:] = 0.0
         if not support.any():
             break
         idx = np.flatnonzero(support)
-        block = _support_block(M, gram, idx, ridge)
-        if ridge > 0:
-            x[idx] = np.linalg.solve(block, rhs[idx])
+        if ridge <= 0:
+            x[idx] = np.linalg.lstsq(_support_block(M, gram, idx, ridge), rhs[idx],
+                                     rcond=None)[0]
         else:
-            x[idx] = np.linalg.lstsq(block, rhs[idx], rcond=None)[0]
-        del block  # so it is freed before the next refit builds its own
+            try:
+                if idx.size == p * l:
+                    x[:] = _full_support_solve(M, gram, R, ridge).flatten(order="F")
+                else:
+                    x[idx] = _cholesky_solve(_support_block(M, gram, idx, ridge), rhs[idx])
+            except np.linalg.LinAlgError:
+                if not warned:
+                    warnings.warn(
+                        f"support system of size {idx.size} with ridge {ridge:g} is not "
+                        "numerically positive definite; solved by LU", stacklevel=3)
+                    warned = True
+                x[idx] = np.linalg.solve(_support_block(M, gram, idx, ridge), rhs[idx])
         small = support & (np.abs(x) < threshold)
         if not small.any():
             break
@@ -335,7 +397,11 @@ def fit_phase_model(
     in Xi; because the decoder couples the columns, the joint system is
     vectorized and the normal equations take the Kronecker form
     (M x Gram) with M = latent_weight I + decoded_weight W_dec^T W_dec.
-    ddq may be None only when decoded_weight is 0.
+    With ridge > 0 the first, full-support refit is decoupled through the
+    eigenvectors of M and later refits factor their support block by
+    Cholesky, falling back to LU with a warning when that block is not
+    numerically positive definite (see ``_stlsq``).  ddq may be None only
+    when decoded_weight is 0.
     """
     if data.n_samples == 0:
         raise ValidationError(f"no data for phase {phase}")

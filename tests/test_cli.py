@@ -71,6 +71,18 @@ class TestTrain:
             assert code == 0
         assert (a / "model.txt").read_bytes() == (b / "model.txt").read_bytes()
 
+    @pytest.mark.parametrize("payload", [{"stlsq_threshold": "0.1"}, {"latent_dim": 2.5},
+                                         {"stlsq_max_iters": "3"},
+                                         {"library": {"poly_degree": "2"}},
+                                         {"library": {"degree": 2}}, {"seed_phase": "bogus"}])
+    def test_config_value_types_validated(self, gen_dir, tmp_path, capsys, payload):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(payload))
+        code = main(["train", "--dataset", str(gen_dir), "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "ERROR E_VALIDATE" in capsys.readouterr().err
+
 
 class TestScan:
     def test_row_count_is_cartesian(self, gen_dir, tmp_path):

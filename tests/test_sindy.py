@@ -290,6 +290,12 @@ def _kron_systems(draw):
     return theta, target, M, threshold, ridge, draw(st.integers(0, 20)), init_support
 
 
+def _kron_cond(theta, M, ridge):
+    """Condition number of the whole system kron(M, Gram) + ridge*I."""
+    n = theta.shape[1] * M.shape[0]
+    return np.linalg.cond(np.kron(M, theta.T @ theta) + ridge * np.eye(n))
+
+
 class TestStlsqCore:
     @given(_kron_systems())
     def test_matches_explicit_kronecker(self, system):
@@ -303,8 +309,41 @@ class TestStlsqCore:
             warnings.simplefilter("ignore")
             expected = _kron_stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
             coeffs = _stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
-        assert np.array_equal(coeffs.Xi, expected)
         assert np.array_equal(coeffs.active_mask, expected != 0.0)
+        # two backward-stable solvers may differ by about cond * eps
+        if _kron_cond(theta, M, ridge) <= 1e7:
+            assert np.max(np.abs(coeffs.Xi - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    @given(_kron_systems())
+    def test_full_support_solve_matches_dense(self, system):
+        theta, target, M, _, ridge, _, _ = system
+        if ridge <= 0 or _kron_cond(theta, M, ridge) > 1e5:
+            return
+        H = np.kron(M, theta.T @ theta) + ridge * np.eye(theta.shape[1] * M.shape[0])
+        dense = np.linalg.solve(H, (theta.T @ target).flatten(order="F"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            coeffs = _stlsq(theta, target, M, 0.0, ridge, max_iters=0)
+        Xi = coeffs.Xi.flatten(order="F")
+        assert np.max(np.abs(Xi - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_not_positive_definite_falls_back_to_lu(self):
+        # a duplicated column scaled far above ridge/eps: Gram + ridge*I is
+        # singular to working precision, so every Cholesky refit fails
+        rng = np.random.default_rng(2)
+        theta = rng.normal(size=(5, 12))
+        theta[:, 11] = theta[:, 0]
+        theta *= 1e4
+        target = 1e4 * rng.normal(size=(5, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coeffs = stlsq(theta, target, threshold=0.1, ridge=1e-9)
+        messages = [str(w.message) for w in caught if "positive definite" in str(w.message)]
+        assert messages == ["support system of size 12 with ridge 1e-09 is not "
+                            "numerically positive definite; solved by LU"]
+        assert coeffs.active_mask.sum() < 12  # more than one refit ran
+        expected = _kron_stlsq(theta, target, np.eye(1), 0.1, 1e-9, 20, None)
+        assert np.array_equal(coeffs.Xi, expected)
 
 
 def _orthonormal_autoencoder(d=10, l=2, seed=6):
@@ -352,6 +391,20 @@ class TestFitPhaseModel:
         theta = build_library(DEFAULT, data.xi, data.dxi, data.nu)
         residual = data.ddxi - theta @ model.coefficients.Xi
         assert np.mean(residual**2) < 1e-10
+
+    def test_full_support_block_never_built(self, monkeypatch):
+        params = _orthonormal_autoencoder()
+        data = _phase_samples(params)
+        sizes = []
+
+        def recording_block(M, gram, idx, ridge):
+            sizes.append(idx.size)
+            return _support_block(M, gram, idx, ridge)
+
+        monkeypatch.setattr("jumprom.sindy._support_block", recording_block)
+        fit_phase_model(params, DEFAULT, data, threshold=0.1, ridge=1e-10)
+        full = DEFAULT.term_count(2) * 2
+        assert sizes and max(sizes) < full
 
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_negative_threshold_rejected(self, weight):
