@@ -58,6 +58,14 @@ _MODEL_MAGIC = "jumprom-model"
 PHASE_ORDER = (Phase.CONTACT, Phase.PARTIAL_CONTACT, Phase.FLIGHT)
 
 
+def _isfinite(value):
+    """math.isfinite that is False, not OverflowError, for an int beyond float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Hyperparameters of one pipeline run.
@@ -95,7 +103,7 @@ class TrainingConfig:
                                     or not isinstance(value, numbers.Integral)):
                 raise ValidationError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                                      or not math.isfinite(value)):
+                                      or not _isfinite(value)):
                 raise ValidationError(f"{f.name} must be a finite real number, got {value!r}")
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
@@ -589,7 +597,7 @@ def parse_model(text):
         line, offset = reader.next_line(expect="library")
         try:
             lib = FunctionLibrarySpec(**json.loads(line[len("library "):]))
-        except (json.JSONDecodeError, TypeError) as e:
+        except (json.JSONDecodeError, TypeError, ValidationError) as e:
             raise ModelFormatError(f"bad library JSON: {e}", offset) from e
         line, offset = reader.next_line(expect="threshold")
         threshold = float(line.split()[1])

@@ -72,7 +72,7 @@ class TestTrain:
         assert (a / "model.txt").read_bytes() == (b / "model.txt").read_bytes()
 
     @pytest.mark.parametrize("payload", [{"stlsq_threshold": "0.1"}, {"latent_dim": 2.5},
-                                         {"stlsq_max_iters": "3"},
+                                         {"stlsq_max_iters": "3"}, {"stlsq_threshold": 10**400},
                                          {"library": {"poly_degree": "2"}},
                                          {"library": {"degree": 2}}, {"seed_phase": "bogus"}])
     def test_config_value_types_validated(self, gen_dir, tmp_path, capsys, payload):

@@ -139,6 +139,13 @@ class TestModelFormat:
         with pytest.raises(UnsupportedModelVersionError):
             parse_model(bumped)
 
+    @pytest.mark.parametrize("degree", ['"2"', "-1"])
+    def test_bad_library_degree_is_format_error(self, clean_bundle, degree):
+        text = serialize_model(clean_bundle.model)
+        assert '"poly_degree": 2' in text
+        with pytest.raises(ModelFormatError):
+            parse_model(text.replace('"poly_degree": 2', f'"poly_degree": {degree}', 1))
+
     def test_garbage_rejected(self):
         with pytest.raises(ModelFormatError):
             parse_model("definitely not a model\n")
