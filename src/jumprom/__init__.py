@@ -42,7 +42,6 @@ from .sindy import (
     build_library_row,
     count_active,
     fit_phase_model,
-    predict_latent_accel,
     print_symbolic,
     stlsq,
 )

@@ -1,16 +1,24 @@
-"""Shared single-interval integrators for rollouts, the baseline model and
-the synthetic generator.
+"""One interval driver, ``integrate_intervals``, for rollouts, the baseline
+model and the synthetic generator.
 
 Two modes: an adaptive embedded Runge-Kutta pair (scipy's RK45) for
-accuracy, and a classic fixed-step RK4 for bit-reproducible runs.  Both
-advance one output interval at a time so callers can switch dynamics and
+accuracy, and a classic fixed-step RK4 for bit-reproducible runs, which
+also steps a stack of independent systems in lockstep.  The driver
+advances one output interval at a time so callers can switch dynamics and
 hold inputs constant between samples.
 """
 
 from __future__ import annotations
 
+import functools
+import warnings
+
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from .errors import DivergenceError, ValidationError
+
+INTEGRATORS = ("adaptive", "fixed_rk4")
 
 # Adaptive intervals that need more right-hand-side evaluations than this
 # are treated as a stiffness hint (reported, never auto-switched).
@@ -37,3 +45,42 @@ def adaptive_interval(f, t0, y0, h, rtol, atol):
     sol = solve_ivp(f, (t0, t0 + h), np.asarray(y0, dtype=float),
                     method="RK45", rtol=rtol, atol=atol)
     return sol.y[:, -1], sol.nfev
+
+
+def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, rtol=1e-8,
+                        atol=1e-10, reset=None):
+    """States at the sample times k*h, k < n_samples, row 0 being y0.
+
+    Interval k uses the right-hand side f(k, t, y).  integrator: "fixed_rk4"
+    (substeps RK4 steps per interval) or "adaptive" (RK45 at rtol/atol, 1-D
+    state only).  A non-None reset(k) replaces the state at sample k.
+    Warns once when an adaptive interval needs more than
+    STIFF_NFEV_PER_INTERVAL evaluations; raises DivergenceError at the first
+    non-finite state.
+    """
+    if integrator not in INTEGRATORS:
+        raise ValidationError(f"unknown integrator {integrator!r}")
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((n_samples,) + y.shape)
+    stiff_warned = False
+    for k in range(n_samples):
+        if reset is not None and (state := reset(k)) is not None:
+            y = state
+        out[k] = y
+        if k == n_samples - 1:
+            break
+        t = k * h
+        if integrator == "fixed_rk4":
+            y = rk4_interval(functools.partial(f, k), t, y, h, substeps)
+        else:
+            y, nfev = adaptive_interval(functools.partial(f, k), t, y, h, rtol, atol)
+            if not stiff_warned and nfev > STIFF_NFEV_PER_INTERVAL:
+                warnings.warn(
+                    f"adaptive integrator needed {nfev} evaluations in one output "
+                    f"interval near t={t:.4f}s; dynamics may be stiff",
+                    stacklevel=3,
+                )
+                stiff_warned = True
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(f"state became non-finite at t={t + h:.4f}s", t + h)
+    return out

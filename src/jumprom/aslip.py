@@ -9,7 +9,6 @@ CoM trajectory prediction.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +80,11 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     label at index k); u_of_t: (horizon, 3) driving accelerations held
     constant per interval, or None.  foot_positions: (horizon, 3) stance
     foot per step, defaulting to the initial state's foot throughout.
+    Runs on the shared interval driver, ``_integrators.integrate_intervals``.
 
-    Returns (b, db): two (horizon, 3) arrays sampled at dt.
+    Returns (b, db): two (horizon, 3) arrays sampled at dt.  Raises
+    DivergenceError when the state leaves the finite range; warns once
+    when an adaptive interval looks stiff.
     """
     schedule = tuple(contact_schedule)
     if len(schedule) < horizon:
@@ -100,34 +102,18 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     else:
         foot_positions = np.asarray(foot_positions, dtype=float)
 
-    y = np.concatenate([np.asarray(initial_state.b, dtype=float),
-                        np.asarray(initial_state.db, dtype=float)])
-    b_out = np.empty((horizon, 3))
-    db_out = np.empty((horizon, 3))
-    stiff_warned = False
-    for k in range(horizon):
-        b_out[k] = y[:3]
-        db_out[k] = y[3:]
-        if k == horizon - 1:
-            break
-        phase = Phase.CONTACT if schedule[k] in (Phase.CONTACT, Phase.PARTIAL_CONTACT) else Phase.FLIGHT
-        foot_k = foot_positions[k]
-        u_k = u_of_t[k]
+    stance = [Phase.CONTACT if ph in (Phase.CONTACT, Phase.PARTIAL_CONTACT) else Phase.FLIGHT
+              for ph in schedule]
 
-        def rhs(t, state):
-            s = AslipState(b=state[:3], db=state[3:], foot=foot_k, phase=phase)
-            return np.concatenate([state[3:], aslip_accel(s, params, u_k)])
+    def rhs(k, t, y):
+        s = AslipState(b=y[:3], db=y[3:], foot=foot_positions[k], phase=stance[k])
+        return np.concatenate([y[3:], aslip_accel(s, params, u_of_t[k])])
 
-        if integrator == "fixed_rk4":
-            y = _integrators.rk4_interval(rhs, k * dt, y, dt, rk4_substeps)
-        elif integrator == "adaptive":
-            y, nfev = _integrators.adaptive_interval(rhs, k * dt, y, dt, rtol, atol)
-            if not stiff_warned and nfev > _integrators.STIFF_NFEV_PER_INTERVAL:
-                warnings.warn("aSLIP dynamics appear stiff for the configured step", stacklevel=2)
-                stiff_warned = True
-        else:
-            raise ValidationError(f"unknown integrator {integrator!r}")
-    return b_out, db_out
+    y0 = np.concatenate([np.asarray(initial_state.b, dtype=float),
+                         np.asarray(initial_state.db, dtype=float)])
+    out = _integrators.integrate_intervals(rhs, y0, horizon, dt, integrator,
+                                           substeps=rk4_substeps, rtol=rtol, atol=atol)
+    return out[:, :3], out[:, 3:]
 
 
 def aslip_inputs_from_trajectory(traj):

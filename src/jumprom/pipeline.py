@@ -107,8 +107,9 @@ class TrainingConfig:
                 raise ValidationError(f"{f.name} must be a finite real number, got {value!r}")
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
-        for name in ("learning_rate", "momentum", "epochs", "stlsq_threshold",
-                     "stlsq_ridge", "stlsq_max_iters", "decoder_ridge", "selection_lambda"):
+        for name in ("learning_rate", "momentum", "epochs", "stlsq_threshold", "stlsq_ridge",
+                     "stlsq_max_iters", "decoder_ridge", "selection_lambda", "boundary_trim",
+                     "smooth_window"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
@@ -619,20 +620,3 @@ def load_model(path):
     with open(path, "r") as fh:
         return parse_model(fh.read())
 
-
-def models_equal(a, b):
-    """Bitwise equality of autoencoder weights and phase coefficients."""
-    ae_a, ae_b = a.autoencoder, b.autoencoder
-    if not all(
-        np.array_equal(getattr(ae_a, n), getattr(ae_b, n))
-        for n in ("W_enc", "b_enc", "W_dec", "b_dec")
-    ):
-        return False
-    if a.phase_labels != b.phase_labels:
-        return False
-    for pa, pb in zip(a.phases, b.phases):
-        if not np.array_equal(pa.coefficients.Xi, pb.coefficients.Xi):
-            return False
-        if pa.coefficients.library != pb.coefficients.library:
-            return False
-    return True

@@ -11,14 +11,13 @@ accumulation, emulating medium-horizon prediction inside a planning loop.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _integrators
 from .autoencoder import decode, encode, transform_input
-from .errors import DivergenceError, MissingPhaseError, ValidationError
+from .errors import MissingPhaseError, ValidationError
 from .sindy import build_library_row
 from .trajectory_data import Phase
 
@@ -45,7 +44,7 @@ class RolloutConfig:
         if not isinstance(self.reset_interval, int) or self.reset_interval < 0:
             raise ValidationError(
                 f"reset_interval must be an integer >= 0, got {self.reset_interval!r}")
-        if self.integrator not in ("adaptive", "fixed_rk4"):
+        if self.integrator not in _integrators.INTEGRATORS:
             raise ValidationError(f"unknown integrator {self.integrator!r}")
         if self.rk4_substeps < 1:
             raise ValidationError("rk4_substeps must be >= 1")
@@ -84,15 +83,18 @@ def _phase_table(model, schedule):
 def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=None):
     """Integrate the latent dynamics over a sampled horizon.
 
-    nu_seq: (T, l) inputs sampled at the output rate, held constant over
-    each interval (zero-order), or None for zero input.  phase_schedule:
+    Runs on the shared interval driver, ``_integrators.integrate_intervals``,
+    with one library row per right-hand-side evaluation.  nu_seq: (T, l)
+    inputs sampled at the output rate, held constant over each interval
+    (zero-order), or None for zero input.  phase_schedule:
     length-T phase labels; interval k uses the label and input at index k.
     reset_states: optional (T, 2l) states to overwrite the integrated
     state with at every config.reset_interval-th step.
 
     Returns a (T, 2l) array of latent states at 1/step_rate spacing, row 0
     being the initial condition.  Raises DivergenceError when the state
-    leaves the finite range and MissingPhaseError for unscheduled phases.
+    leaves the finite range and MissingPhaseError for unscheduled phases;
+    warns once when an adaptive interval looks stiff.
     """
     schedule = tuple(phase_schedule)
     n_steps = len(schedule)
@@ -109,42 +111,21 @@ def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=Non
         if nu_seq.shape != (n_steps, l):
             raise ValidationError(f"inputs must have shape {(n_steps, l)}, got {nu_seq.shape}")
 
-    h = 1.0 / config.step_rate
-    out = np.empty((n_steps, 2 * l))
-    y = np.concatenate([xi0, dxi0])
-    interval = config.reset_interval
-    nfev_total = 0
-    stiff_warned = False
-
-    for k in range(n_steps):
-        if reset_states is not None and interval > 0 and k > 0 and k % interval == 0:
-            y = reset_states[k].copy()
-        out[k] = y
-        if k == n_steps - 1:
-            break
+    def rhs(k, t, state):
         coeffs = table[schedule[k]]
-        nu_k = nu_seq[k]
+        row = build_library_row(coeffs.library, state[:l], state[l:], nu_seq[k])
+        return np.concatenate([state[l:], row @ coeffs.Xi])
 
-        def rhs(t, state):
-            row = build_library_row(coeffs.library, state[:l], state[l:], nu_k)
-            return np.concatenate([state[l:], row @ coeffs.Xi])
+    interval = config.reset_interval
 
-        t_k = k * h
-        if config.integrator == "fixed_rk4":
-            y = _integrators.rk4_interval(rhs, t_k, y, h, config.rk4_substeps)
-        else:
-            y, nfev = _integrators.adaptive_interval(rhs, t_k, y, h, config.rtol, config.atol)
-            nfev_total += nfev
-            if not stiff_warned and nfev > _integrators.STIFF_NFEV_PER_INTERVAL:
-                warnings.warn(
-                    f"adaptive integrator needed {nfev} evaluations in one output "
-                    f"interval near t={t_k:.4f}s; dynamics may be stiff",
-                    stacklevel=2,
-                )
-                stiff_warned = True
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"latent state became non-finite at t={t_k + h:.4f}s", t_k + h)
-    return out
+    def reset(k):
+        due = reset_states is not None and interval > 0 and k > 0 and k % interval == 0
+        return reset_states[k] if due else None
+
+    return _integrators.integrate_intervals(
+        rhs, np.concatenate([xi0, dxi0]), n_steps, 1.0 / config.step_rate,
+        config.integrator, substeps=config.rk4_substeps, rtol=config.rtol,
+        atol=config.atol, reset=reset)
 
 
 def _check_horizon(traj, config):

@@ -210,13 +210,6 @@ def count_active(coeffs):
     return int(coeffs.active_mask.sum())
 
 
-def predict_latent_accel(coeffs, xi, dxi, nu=None):
-    """Latent acceleration(s) predicted by a coefficient matrix."""
-    if coeffs.library is None:
-        raise ValidationError("coefficients carry no library spec")
-    return build_library(coeffs.library, xi, dxi, nu) @ coeffs.Xi
-
-
 def _support_block(M, gram, idx, ridge):
     """Rows and columns ``idx`` of kron(M, gram) + ridge*I, without the kron.
 

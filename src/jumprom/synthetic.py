@@ -1,8 +1,9 @@
 """Synthetic datasets with known latent dynamics, lifted to full dimension.
 
 Ground truth is a low-dimensional second-order ODE written as sparse
-coefficients over a declared candidate-function library.  Latent
-trajectories are simulated per phase with a fixed small-step RK4, lifted
+coefficients over a declared candidate-function library.  The latent
+trajectories of all jumps are stepped in lockstep as one stacked state
+(fixed small-step RK4, dynamics switched per phase), then lifted
 through a seeded orthonormal matrix plus offset (so the embedding is
 well-conditioned but not axis aligned), and written in the standard
 dataset format.  Inputs are chosen as smooth random splines in latent
@@ -219,15 +220,6 @@ def _draw_lift(rng, full_dim, l_true):
     )
 
 
-def _input_spline(rng, spec, t_start, t_end):
-    """Smooth random latent input over [t_start, t_end]: mean plus spline."""
-    mean = np.asarray(spec.input_mean, dtype=float)
-    knots_t = np.linspace(t_start, t_end, max(spec.input_knots, 2))
-    knots_v = rng.normal(0.0, spec.input_amplitude, size=(knots_t.size, spec.l_true))
-    spline = CubicSpline(knots_t, knots_v)
-    return lambda t: mean + spline(np.clip(t, t_start, t_end))
-
-
 def _foot_layout(rng):
     base = np.array([
         [+0.25, +0.18, 0.0],
@@ -274,42 +266,49 @@ def _realize_forces(wrench, flags, feet, com):
     return forces
 
 
-def _simulate_jump(spec, rng):
-    """One jump in latent coordinates: states, velocities, inputs, flags."""
-    l = spec.l_true
-    total = sum(steps for _, steps in spec.phase_durations)
-    xi = np.empty((total, l))
-    dxi = np.empty((total, l))
-    nu = np.zeros((total, l))
-    flags = np.empty((total, 4))
+def _simulate_jumps(spec, rng):
+    """Every jump in latent coordinates, stepped in lockstep.
 
-    state = np.concatenate([
-        np.asarray(spec.ic_center, dtype=float) + rng.uniform(-spec.ic_spread, spec.ic_spread, l),
-        rng.uniform(-spec.velocity_spread, spec.velocity_spread, l),
-    ])
-    cursor = 0
-    for phase, steps in spec.phase_durations:
-        coeffs = spec.dynamics_for(phase)
-        t0 = cursor * spec.dt
-        t1 = (cursor + steps) * spec.dt
-        if phase in spec.input_phases and (spec.input_amplitude > 0 or any(spec.input_mean)):
-            nu_fn = _input_spline(rng, spec, t0, t1)
-        else:
-            nu_fn = lambda t: np.zeros(l)
+    Each jump's randomness is drawn in turn: initial state, spline knots
+    for each driven phase, foot layout.  All jumps share the knot times, so
+    each driven phase has one spline over the stacked knots.  Returns
+    (n_jumps, T, l) states, velocities and inputs, and the foot layouts.
+    """
+    l, n = spec.l_true, spec.n_jumps
+    starts = np.cumsum([0] + [steps for _, steps in spec.phase_durations])
+    spans = [(a * spec.dt, b * spec.dt) for a, b in zip(starts[:-1], starts[1:])]
+    n_knots = max(spec.input_knots, 2)
+    knots = {i: np.empty((n_knots, n, l)) for i, (phase, _) in enumerate(spec.phase_durations)
+             if phase in spec.input_phases and (spec.input_amplitude > 0 or any(spec.input_mean))}
+    y0 = np.empty((n, 2 * l))
+    layouts = []
+    for j in range(n):
+        y0[j, :l] = spec.ic_center + rng.uniform(-spec.ic_spread, spec.ic_spread, l)
+        y0[j, l:] = rng.uniform(-spec.velocity_spread, spec.velocity_spread, l)
+        for values in knots.values():
+            values[:, j] = rng.normal(0.0, spec.input_amplitude, size=(n_knots, l))
+        layouts.append(_foot_layout(rng))
 
-        def rhs(t, y):
-            accel = build_library_row(spec.library, y[:l], y[l:], nu_fn(t)) @ coeffs
-            return np.concatenate([y[l:], accel])
+    splines = {i: CubicSpline(np.linspace(*spans[i], n_knots), v) for i, v in knots.items()}
+    phase_of = np.repeat(np.arange(len(spans)), np.diff(starts))
+    coeffs = [spec.dynamics_for(phase) for phase, _ in spec.phase_durations]
 
-        for i in range(steps):
-            t = (cursor + i) * spec.dt
-            xi[cursor + i] = state[:l]
-            dxi[cursor + i] = state[l:]
-            nu[cursor + i] = nu_fn(t)
-            flags[cursor + i] = _CONTACT_FLAGS[phase]
-            state = _integrators.rk4_interval(rhs, t, state, spec.dt, substeps=2)
-        cursor += steps
-    return xi, dxi, nu, flags
+    def inputs(k, t):
+        i = phase_of[k]
+        if i not in splines:
+            return np.zeros((n, l))
+        return spec.input_mean + splines[i](np.clip(t, *spans[i]))
+
+    def rhs(k, t, y):
+        rows = build_library_row(spec.library, y[:, :l], y[:, l:], inputs(k, t))
+        # the stacked matmul gives each jump the bits of its own row @ Xi
+        accel = (rows[:, None, :] @ coeffs[phase_of[k]])[:, 0, :]
+        return np.concatenate([y[:, l:], accel], axis=1)
+
+    states = _integrators.integrate_intervals(rhs, y0, starts[-1], spec.dt, "fixed_rk4",
+                                              substeps=2).swapaxes(0, 1)
+    nu = np.stack([inputs(k, k * spec.dt) for k in range(starts[-1])], axis=1)
+    return states[..., :l], states[..., l:], nu, layouts
 
 
 def generate(spec, out_dir=None):
@@ -329,13 +328,13 @@ def generate(spec, out_dir=None):
     lift = _draw_lift(lift_rng, spec.full_dim, spec.l_true)
     offset = lift_rng.normal(0.0, 0.5, spec.full_dim)
 
+    flags = np.concatenate([np.tile(_CONTACT_FLAGS[phase], (steps, 1))
+                            for phase, steps in spec.phase_durations])
     jumps = []
-    for _ in range(spec.n_jumps):
-        xi, dxi, nu, flags = _simulate_jump(spec, data_rng)
+    for xi, dxi, nu, (feet, com) in zip(*_simulate_jumps(spec, data_rng)):
         T = xi.shape[0]
         u = nu @ lift.T
         wrench = u[:, m:]
-        feet, com = _foot_layout(data_rng)
         cursor = 0
         forces = np.zeros((T, 12))
         for phase, steps in spec.phase_durations:
@@ -348,7 +347,7 @@ def generate(spec, out_dir=None):
             q=offset + xi @ lift.T,
             dq=dxi @ lift.T,
             tau=u[:, :m],
-            contact=flags,
+            contact=flags.copy(),
             foot_forces=forces,
             foot_positions=np.tile(feet.reshape(-1), (T, 1)),
             com_positions=np.tile(com, (T, 1)),

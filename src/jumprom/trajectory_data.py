@@ -286,14 +286,6 @@ def assemble_input(tau, wrench):
     return np.concatenate([tau, wrench], axis=-1)
 
 
-def split_input(u, m):
-    """Inverse of assemble_input: (tau, wrench)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != m + 6:
-        raise ValidationError(f"input has {u.shape[-1]} components, expected {m + 6}")
-    return u[..., :m], u[..., m:]
-
-
 def segment_phases(contact):
     """Label each sample and list the maximal contiguous phase segments.
 

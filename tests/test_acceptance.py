@@ -17,7 +17,6 @@ from jumprom.pipeline import (
     TrainingConfig,
     load_model,
     model_selection_scan,
-    models_equal,
     parse_model,
     save_model,
     selection_loss,
@@ -34,6 +33,8 @@ from jumprom.sindy import (
 )
 from jumprom.synthetic import affine_coefficients, coefficients_in_basis
 from jumprom.trajectory_data import Phase, load_dataset, save_dataset
+
+from helpers import models_equal
 
 RUNTIME_BUDGET_S = 120.0
 

@@ -1,10 +1,12 @@
 """Actuated-SLIP baseline: acceleration formulas, simulation, energy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from jumprom.aslip import AslipParams, AslipState, aslip_accel, simulate_aslip
-from jumprom.errors import ValidationError
+from jumprom.errors import DivergenceError, ValidationError
 from jumprom.trajectory_data import Phase
 
 PARAMS = AslipParams(k_s=1000.0, m=10.0, l0=np.array([0.0, 0.0, 0.3]))
@@ -146,3 +148,19 @@ class TestSimulate:
         b_contact, _ = simulate_aslip(PARAMS, s, None, (Phase.CONTACT,) * n, n,
                                       1.0 / 500.0, integrator="fixed_rk4")
         assert np.array_equal(b_partial, b_contact)
+
+    def test_divergence_raises(self):
+        # k_s = 1e9 puts the contact oscillation far outside RK4's stability region
+        stiff = AslipParams(k_s=1e9, m=10.0, l0=np.array([0.0, 0.0, 0.3]))
+        with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
+            simulate_aslip(stiff, _state([0.0, 0.0, 0.27]), None, (Phase.CONTACT,) * 300, 300,
+                           1.0 / 500.0, integrator="fixed_rk4")
+
+    def test_stiff_warns_once_per_call(self):
+        stiff = AslipParams(k_s=1e9, m=10.0, l0=np.array([0.0, 0.0, 0.3]))
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                simulate_aslip(stiff, _state([0.0, 0.0, 0.27]), None, (Phase.CONTACT,) * 4, 4,
+                               1.0 / 500.0)
+            assert [str(w.message).endswith("dynamics may be stiff") for w in caught] == [True]

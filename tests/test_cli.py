@@ -74,7 +74,8 @@ class TestTrain:
     @pytest.mark.parametrize("payload", [{"stlsq_threshold": "0.1"}, {"latent_dim": 2.5},
                                          {"stlsq_max_iters": "3"}, {"stlsq_threshold": 10**400},
                                          {"library": {"poly_degree": "2"}},
-                                         {"library": {"degree": 2}}, {"seed_phase": "bogus"}])
+                                         {"library": {"degree": 2}}, {"seed_phase": "bogus"},
+                                         {"boundary_trim": -3}, {"smooth_window": -1}])
     def test_config_value_types_validated(self, gen_dir, tmp_path, capsys, payload):
         config = tmp_path / "train.json"
         config.write_text(json.dumps(payload))
@@ -186,6 +187,14 @@ class TestBaseline:
         lines = (out / "comparison.csv").read_text().strip().split("\n")
         assert lines[0] == "jump,model,rmse_x,rmse_y,rmse_z"
         assert len(lines) == 1 + 2 * 2  # 2 test jumps x (aslip, learned)
+
+    def test_divergence_exits_with_blowup(self, gen_dir, tmp_path, capsys):
+        config = tmp_path / "stiff.json"
+        config.write_text(json.dumps({"k_s": 1e9}))
+        code = main(["baseline", "--dataset", str(gen_dir), "--config", str(config),
+                     "--out", str(tmp_path / "baseline"), "--integrator", "fixed_rk4"])
+        assert code == 1
+        assert "ERROR E_BLOWUP" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ from jumprom.pipeline import (
     load_model,
     model_hash,
     model_selection_scan,
-    models_equal,
     parse_model,
     run_pipeline,
     save_model,
@@ -30,6 +29,8 @@ from jumprom.pipeline import (
     config_to_dict,
 )
 from jumprom.trajectory_data import Phase, process_dataset
+
+from helpers import models_equal
 
 
 class TestRunPipeline:

@@ -1,5 +1,7 @@
 """Latent integration, rollouts against recordings, resets, comparisons."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,17 @@ class TestIntegrate:
             with np.errstate(over="ignore", invalid="ignore"):
                 integrate(model, [1.0], [0.0], None, (Phase.FLIGHT,) * 600,
                           RolloutConfig(integrator="fixed_rk4"))
+
+    def test_stiff_warns_once_per_call(self):
+        # damping rate 1e6 /s: RK45 needs thousands of evaluations per 2 ms interval
+        Xi = affine_coefficients(LINEAR, 1, velocity_gain=[[-1e6]])
+        model = _model({Phase.FLIGHT: Xi}, LINEAR)
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                integrate(model, [1.0], [1.0], None, (Phase.FLIGHT,) * 3,
+                          RolloutConfig(integrator="adaptive"))
+            assert [str(w.message).endswith("dynamics may be stiff") for w in caught] == [True]
 
     def test_phase_switch_noop_is_bitwise(self):
         # identical dynamics under two labels: switching schedules must not

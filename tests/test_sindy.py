@@ -22,7 +22,6 @@ from jumprom.sindy import (
     build_library_row,
     count_active,
     fit_phase_model,
-    predict_latent_accel,
     print_symbolic,
     stlsq,
 )
@@ -134,31 +133,27 @@ class TestLibrary:
 
 class TestPredict:
     def test_zero_coefficients(self):
-        coeffs = _coeffs(np.zeros((DEFAULT.term_count(2), 2)), DEFAULT)
-        assert np.array_equal(predict_latent_accel(coeffs, [1.0, 2.0], [3.0, 4.0], [0.0, 0.0]),
+        Xi = np.zeros((DEFAULT.term_count(2), 2))
+        assert np.array_equal(build_library(DEFAULT, [1.0, 2.0], [3.0, 4.0], [0.0, 0.0]) @ Xi,
                               [0.0, 0.0])
 
     def test_constant_slot(self):
         Xi = np.zeros((MINIMAL.term_count(1), 1))
         Xi[0, 0] = -9.81
-        coeffs = _coeffs(Xi, MINIMAL)
         for xi in (-5.0, 0.0, 12.0):
-            assert predict_latent_accel(coeffs, [xi], [2 * xi]) == pytest.approx([-9.81])
+            assert build_library(MINIMAL, [xi], [2 * xi]) @ Xi == pytest.approx([-9.81])
 
     def test_contact_row_at_rest(self):
         contact, _ = _reference_2d_models()
-        accel = predict_latent_accel(contact, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        accel = build_library(DEFAULT, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]) @ contact.Xi
         assert accel[0] == pytest.approx(0.36)
 
     def test_linear_in_coefficients(self):
         contact, _ = _reference_2d_models()
         rng = np.random.default_rng(1)
         xi, dxi, nu = rng.normal(size=(3, 2))
-        scaled = _coeffs(3.0 * contact.Xi, DEFAULT)
-        assert np.allclose(
-            predict_latent_accel(scaled, xi, dxi, nu),
-            3.0 * predict_latent_accel(contact, xi, dxi, nu),
-        )
+        row = build_library(DEFAULT, xi, dxi, nu)
+        assert np.allclose(row @ (3.0 * contact.Xi), 3.0 * (row @ contact.Xi))
 
 
 class TestCountActive:

@@ -1,16 +1,24 @@
-"""Synthetic generator: schema round trip, subspace purity, determinism."""
+"""Synthetic generator: schema round trip, subspace purity, determinism,
+lockstep stepping."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+from jumprom._integrators import rk4_interval
 from jumprom.autoencoder import AutoencoderParams
 from jumprom.sindy import build_library
 from jumprom.synthetic import (
     SyntheticSpec,
+    _foot_layout,
+    _simulate_jumps,
     affine_coefficients,
     coefficients_in_basis,
     generate,
     load_truth,
+    three_phase_spec,
     two_phase_spec,
 )
 from jumprom.trajectory_data import Phase, load_dataset, segment_phases
@@ -131,3 +139,66 @@ def test_coefficients_in_basis_rejects_nonaffine():
     )
     with pytest.raises(ValidationError, match="non-affine"):
         coefficients_in_basis(truth, encoder)
+
+
+def _reference_jump(spec, rng):
+    """One jump on its own: per-sample rk4_interval on a single state, one
+    library row per right-hand-side evaluation."""
+    l = spec.l_true
+    total = sum(steps for _, steps in spec.phase_durations)
+    xi, dxi, nu = np.empty((total, l)), np.empty((total, l)), np.empty((total, l))
+    state = np.concatenate([
+        np.asarray(spec.ic_center, dtype=float) + rng.uniform(-spec.ic_spread, spec.ic_spread, l),
+        rng.uniform(-spec.velocity_spread, spec.velocity_spread, l),
+    ])
+    cursor = 0
+    for phase, steps in spec.phase_durations:
+        Xi = spec.dynamics_for(phase)
+        t0, t1 = cursor * spec.dt, (cursor + steps) * spec.dt
+        spline = None
+        if phase in spec.input_phases and (spec.input_amplitude > 0 or any(spec.input_mean)):
+            n_knots = max(spec.input_knots, 2)
+            knots = rng.normal(0.0, spec.input_amplitude, size=(n_knots, l))
+            spline = CubicSpline(np.linspace(t0, t1, n_knots), knots)
+
+        def input_at(t):
+            if spline is None:
+                return np.zeros(l)
+            return np.asarray(spec.input_mean, dtype=float) + spline(np.clip(t, t0, t1))
+
+        def rhs(t, y):
+            row = build_library(spec.library, y[:l], y[l:], input_at(t))
+            return np.concatenate([y[l:], row @ Xi])
+
+        for i in range(steps):
+            t = (cursor + i) * spec.dt
+            xi[cursor + i], dxi[cursor + i], nu[cursor + i] = state[:l], state[l:], input_at(t)
+            state = rk4_interval(rhs, t, state, spec.dt, substeps=2)
+        cursor += steps
+    return xi, dxi, nu, _foot_layout(rng)
+
+
+@pytest.mark.parametrize("spec", [two_phase_spec(n_jumps=3, split_counts=(1, 1, 1)),
+                                  three_phase_spec(n_jumps=3, split_counts=(1, 1, 1))],
+                         ids=["two_phase", "three_phase"])
+def test_lockstep_matches_per_jump_reference(spec):
+    xi, dxi, nu, layouts = _simulate_jumps(spec, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    for j in range(spec.n_jumps):
+        ref_xi, ref_dxi, ref_nu, (ref_feet, ref_com) = _reference_jump(spec, rng)
+        assert np.array_equal(xi[j], ref_xi)
+        assert np.array_equal(dxi[j], ref_dxi)
+        assert np.array_equal(nu[j], ref_nu)
+        assert np.array_equal(layouts[j][0], ref_feet) and np.array_equal(layouts[j][1], ref_com)
+
+
+@given(p=st.integers(1, 261), l=st.integers(1, 10), n=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_matmul_matches_per_row(p, l, n, seed):
+    # the lockstep generator relies on this to reproduce per-jump bits;
+    # plain rows @ Xi and einsum do not give it on every BLAS
+    rng = np.random.default_rng(seed)
+    rows, Xi = rng.normal(size=(n, p)), rng.normal(size=(p, l))
+    stacked = (rows[:, None, :] @ Xi)[:, 0, :]
+    for row, got in zip(rows, stacked):
+        assert np.array_equal(got, row @ Xi)

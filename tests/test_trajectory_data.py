@@ -24,7 +24,6 @@ from jumprom.trajectory_data import (
     save_dataset,
     segment_phases,
     split_dataset,
-    split_input,
 )
 
 M = 4  # smallest legal joint count
@@ -238,8 +237,8 @@ class TestAssembleInput:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         tau, w = rng.normal(size=12), rng.normal(size=6)
-        tau2, w2 = split_input(assemble_input(tau, w), 12)
-        assert np.array_equal(tau, tau2) and np.array_equal(w, w2)
+        u = assemble_input(tau, w)
+        assert np.array_equal(u[:12], tau) and np.array_equal(u[12:], w)
 
 
 class TestSegmentPhases:
