@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _integrators
 from .errors import ValidationError
-from .trajectory_data import Phase
+from .trajectory_data import Phase, segment_phases
 
 
 @dataclass(frozen=True)
@@ -117,34 +117,27 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
 
 
 def aslip_inputs_from_trajectory(traj):
-    """Derive baseline inputs from a processed jump recording.
+    """Derive baseline inputs from a jump recording.
 
-    Phase schedule comes from the recorded contact flags (partial contact
-    counts as stance).  The stance foot is the segment-average of the
-    in-contact foot positions, held fixed per contact segment.  The
-    driving acceleration is the summed recorded ground reaction force per
-    unit of the configured body mass, divided out later by the caller via
-    params.m; here it is returned as the raw force sum.
+    Phase schedule and segments come from the recorded contact flags, by
+    ``segment_phases`` (partial contact counts as stance).  The stance foot
+    is the segment-average of the in-contact foot positions, held fixed per
+    stance segment, and zero in flight.  The driving acceleration is the
+    summed recorded ground reaction force per unit of the configured body
+    mass, divided out later by the caller via params.m; here it is returned
+    as the raw force sum.
     """
-    if traj.phase_labels is None:
-        raise ValidationError("trajectory has no phase labels; preprocess the dataset first")
     T = traj.n_samples
-    labels = traj.phase_labels
+    labels, segments = segment_phases(traj.contact)
     force_sum = np.zeros((T, 3))
     if traj.foot_forces is not None:
         force_sum = traj.foot_forces.reshape(T, 4, 3).sum(axis=1)
-    feet = None
+    foot_per_step = np.zeros((T, 3))
     if traj.foot_positions is not None:
         feet = traj.foot_positions.reshape(T, 4, 3)
-    foot_per_step = np.zeros((T, 3))
-    start = 0
-    for i in range(1, T + 1):
-        if i == T or labels[i] != labels[start]:
-            if labels[start] is not Phase.FLIGHT and feet is not None:
-                seg_contact = traj.contact[start:i].astype(bool)
-                seg_feet = feet[start:i]
-                picked = seg_feet[seg_contact]
-                if picked.size:
-                    foot_per_step[start:i] = picked.mean(axis=0)
-            start = i
-    return tuple(labels), foot_per_step, force_sum
+        for seg in segments:  # a flight segment has no foot down and keeps zero
+            rows = slice(seg.start, seg.end + 1)
+            picked = feet[rows][traj.contact[rows].astype(bool)]
+            if picked.size:
+                foot_per_step[rows] = picked.mean(axis=0)
+    return labels, foot_per_step, force_sum

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __about__, aslip, pipeline, rollout, synthetic
+from . import __about__, _integrators, aslip, pipeline, rollout, synthetic
 from .errors import JumpromError, ValidationError
 from .pipeline import TrainingConfig, config_from_dict
 from .sindy import print_symbolic
@@ -114,7 +114,7 @@ def _rollout_config(args, dataset):
     payload = _load_config(args.config)
     kwargs = {"step_rate": 1.0 / dataset.meta.dt}
     for key in ("reset_interval", "integrator"):
-        value = getattr(args, key)
+        value = getattr(args, key, None)  # baseline has no --reset-interval
         if value is None:
             value = payload.get(key)
         if value is not None:
@@ -240,22 +240,24 @@ def cmd_eval(args):
     if not test_ids:
         raise ValidationError("dataset has no test split")
 
+    # every rollout runs before any file is written, so a failing one leaves no partial table
+    results = []
+    for idx in test_ids:
+        jump = dataset.jumps[idx]
+        results.append((idx, "full", rollout.rollout_full(model, jump, config)))
+        if config.reset_interval > 0:
+            results.append((idx, "reset", rollout.rollout_with_reset(model, jump, config)))
+
     metrics_path = out / "metrics.csv"
     with open(metrics_path, "w") as fh:
         fh.write("jump,mode,mean_rmse\n")
-        for idx in test_ids:
-            jump = dataset.jumps[idx]
-            res = rollout.rollout_full(model, jump, config)
-            results = [("full", res)]
-            if config.reset_interval > 0:
-                results.append(("reset", rollout.rollout_with_reset(model, jump, config)))
-            for mode, r in results:
-                series_path = out / f"rollout_{idx:03d}_{mode}.csv"
-                err = np.linalg.norm(r.q_pred - r.q_true, axis=1)
-                _write_series(series_path, r.timestamps, r.q_pred, r.q_true, err)
-                manifest.add_output(series_path)
-                fh.write(f"{idx},{mode},{float(r.rmse.mean())!r}\n")
-                print(f"jump {idx} [{mode}]: mean RMSE {float(r.rmse.mean()):.6g}")
+        for idx, mode, r in results:
+            series_path = out / f"rollout_{idx:03d}_{mode}.csv"
+            err = np.linalg.norm(r.q_pred - r.q_true, axis=1)
+            _write_series(series_path, r.timestamps, r.q_pred, r.q_true, err)
+            manifest.add_output(series_path)
+            fh.write(f"{idx},{mode},{float(r.rmse.mean())!r}\n")
+            print(f"jump {idx} [{mode}]: mean RMSE {float(r.rmse.mean()):.6g}")
     manifest.add_output(metrics_path)
     manifest.finish(seeds=[])
     return 0
@@ -282,30 +284,34 @@ def cmd_baseline(args):
     test_ids = dataset.indices("test")
     if not test_ids:
         raise ValidationError("dataset has no test split")
+    # every rollout runs before any file is written, so a failing one leaves no partial table
+    compared = []
+    for idx in test_ids:
+        jump = dataset.jumps[idx]
+        dt = float(np.median(np.diff(jump.timestamps)))
+        schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
+        com_true = jump.com_positions if jump.com_positions is not None else jump.q[:, com_cols]
+        state0 = aslip.AslipState(
+            b=com_true[0].copy(),
+            db=jump.dq[0, com_cols].copy(),
+            foot=feet[0],
+            phase=Phase.CONTACT if schedule[0] is not Phase.FLIGHT else Phase.FLIGHT,
+        )
+        b_pred, _ = aslip.simulate_aslip(
+            params, state0, force_sum / params.m, schedule, jump.n_samples, dt,
+            integrator=config.integrator, foot_positions=feet,
+        )
+        named = [("aslip", _com_result(jump.timestamps, b_pred, com_true, schedule))]
+        if model is not None:
+            res = rollout.rollout_full(model, jump, config)
+            named.append(("learned", _com_result(
+                jump.timestamps, res.q_pred[:, com_cols], com_true, schedule)))
+        compared.append((idx, named, rollout.compare_models(named)))
+
     table_path = out / "comparison.csv"
     with open(table_path, "w") as fh:
         fh.write("jump,model,rmse_x,rmse_y,rmse_z\n")
-        for idx in test_ids:
-            jump = dataset.jumps[idx]
-            dt = float(np.median(np.diff(jump.timestamps)))
-            schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
-            com_true = jump.com_positions if jump.com_positions is not None else jump.q[:, com_cols]
-            state0 = aslip.AslipState(
-                b=com_true[0].copy(),
-                db=jump.dq[0, com_cols].copy(),
-                foot=feet[0],
-                phase=Phase.CONTACT if schedule[0] is not Phase.FLIGHT else Phase.FLIGHT,
-            )
-            b_pred, _ = aslip.simulate_aslip(
-                params, state0, force_sum / params.m, schedule, jump.n_samples, dt,
-                integrator=config.integrator, foot_positions=feet,
-            )
-            named = [("aslip", _com_result(jump.timestamps, b_pred, com_true, schedule))]
-            if model is not None:
-                res = rollout.rollout_full(model, jump, config)
-                named.append(("learned", _com_result(
-                    jump.timestamps, res.q_pred[:, com_cols], com_true, schedule)))
-            table = rollout.compare_models(named)
+        for idx, named, table in compared:
             for name, rmse in table.rows():
                 fh.write(f"{idx},{name}," + ",".join(repr(float(x)) for x in rmse) + "\n")
             for i, name in enumerate(table.names):
@@ -399,14 +405,13 @@ def build_parser():
     p = sub.add_parser("eval", help="roll out a model against recorded test jumps")
     common(p, dataset=True, model=True)
     p.add_argument("--reset-interval", type=int, default=None)
-    p.add_argument("--integrator", choices=["adaptive", "fixed_rk4"], default=None)
+    p.add_argument("--integrator", choices=_integrators.INTEGRATORS, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("baseline", help="compare against the actuated-SLIP baseline")
     common(p, dataset=True)
     p.add_argument("--model", default=None, help="optional learned model to include")
-    p.add_argument("--reset-interval", type=int, default=None)
-    p.add_argument("--integrator", choices=["adaptive", "fixed_rk4"], default=None)
+    p.add_argument("--integrator", choices=_integrators.INTEGRATORS, default=None)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("finetune", help="fine-tune an existing model on a new dataset")

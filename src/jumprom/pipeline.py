@@ -3,7 +3,10 @@
 Stage 1 fits the autoencoder on the configurations of the seed phase (full
 contact by default).  Stage 2 freezes the encoder and refits the decoder
 on every phase in closed form.  Stage 3 freezes the whole autoencoder and
-sparse-regresses the latent dynamics of each phase separately.  One
+sparse-regresses the latent dynamics of each phase separately.  Each train
+jump is segmented once; a sample's depth is its distance to the nearer end
+of its phase segment, and stage 3 keeps a phase's rows at depth >=
+``boundary_trim``, clear of the dynamics switch.  One
 driver, ``_fit_stages``, runs the three stages for both ``run_pipeline``
 and ``fine_tune``; fine-tuning changes only where stage 1 starts and which
 supports stage 3 warm-starts from.  The model selection scan repeats the
@@ -216,38 +219,22 @@ def _ensure_processed(dataset, config):
     return process_dataset(dataset, smooth_window=config.smooth_window)
 
 
-def _phase_rows(jumps, phase, trim):
-    """Indices of samples belonging to a phase, with segment edges trimmed.
+def _phase_depth(jumps):
+    """Phase and depth of every sample of ``jumps``, concatenated in jump order.
 
-    Finite-difference accelerations straddle the dynamics switch at phase
-    boundaries, so ``trim`` samples at each end of every contiguous
-    segment are excluded from the regression data.
+    Each jump is segmented once.  Depth is the distance in samples to the
+    nearer end of the sample's segment; finite-difference accelerations
+    straddle the switch at segment ends, so stage 3 keeps a phase's rows at
+    depth >= ``boundary_trim`` (``seg.start + trim .. seg.end - trim``).
     """
-    rows = []
-    for j, jump in enumerate(jumps):
-        _, segments = segment_phases(jump.contact)
-        for seg in segments:
-            if seg.phase != phase:
-                continue
-            lo = seg.start + trim
-            hi = seg.end - trim
-            if hi >= lo:
-                rows.append((j, lo, hi))
-    return rows
-
-
-def _gather(jumps, rows, attr):
-    parts = [getattr(jumps[j], attr)[lo : hi + 1] for j, lo, hi in rows]
-    return np.concatenate(parts, axis=0) if parts else None
-
-
-def _phases_present(jumps):
-    present = []
+    labels, depth = [], []
     for jump in jumps:
-        for ph in jump.phase_labels:
-            if ph not in present:
-                present.append(ph)
-    return tuple(sorted(present, key=PHASE_ORDER.index))
+        jump_labels, segments = segment_phases(jump.contact)
+        labels += jump_labels
+        for seg in segments:
+            k = np.arange(len(seg))
+            depth.append(np.minimum(k, k[::-1]))
+    return np.array(labels, dtype=object), np.concatenate(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +254,12 @@ def _fit_stages(dataset, config, parent=None):
     if not train_jumps:
         raise ValidationError("dataset has no train split")
 
+    labels, depth = _phase_depth(train_jumps)
+    q_all = np.concatenate([j.q for j in train_jumps], axis=0)
+
     # stage 1: autoencoder on the seed phase configurations
-    seed_rows = _phase_rows(train_jumps, config.seed_phase, trim=0)
-    q_seed = _gather(train_jumps, seed_rows, "q")
-    if q_seed is None:
+    q_seed = q_all[labels == config.seed_phase]
+    if not len(q_seed):
         verb = "seed" if parent is None else "resume"
         raise ValidationError(f"no {config.seed_phase} data to {verb} the autoencoder")
     learning_rate = config.learning_rate
@@ -293,7 +282,6 @@ def _fit_stages(dataset, config, parent=None):
     log.info("stage 1: seed-phase reconstruction loss %.3e", recon_loss(ae1, q_seed))
 
     # stage 2: decoder refit on all phases, encoder frozen
-    q_all = np.concatenate([j.q for j in train_jumps], axis=0)
     try:
         ae2 = finetune_decoder(ae1, q_all, ridge=config.decoder_ridge)
     except JumpromError as e:
@@ -304,9 +292,16 @@ def _fit_stages(dataset, config, parent=None):
     supports = {} if parent is None else {
         pm.phase: pm.coefficients.active_mask for pm in parent.phases
     }
+    jump_ends = np.cumsum([j.n_samples for j in train_jumps])[:-1]
     phase_models = []
-    for phase in _phases_present(train_jumps):
-        data = _latent_phase_data(ae2, train_jumps, phase, config)
+    for phase in PHASE_ORDER:
+        in_phase = labels == phase
+        if not in_phase.any():
+            continue
+        rows = in_phase & (depth >= config.boundary_trim)
+        if not rows.any():
+            raise ValidationError(f"no data for phase {phase}")
+        data = _latent_phase_data(ae2, train_jumps, np.split(rows, jump_ends))
         try:
             pm = fit_phase_model(
                 ae2,
@@ -354,19 +349,19 @@ def run_pipeline(dataset, config, record_steps=False):
     return (model, steps) if record_steps else model
 
 
-def _latent_phase_data(params, jumps, phase, config, trim=None):
-    trim = config.boundary_trim if trim is None else trim
-    rows = _phase_rows(jumps, phase, trim)
-    q = _gather(jumps, rows, "q")
-    if q is None:
-        raise ValidationError(f"no data for phase {phase}")
-    dq = _gather(jumps, rows, "dq")
-    ddq = _gather(jumps, rows, "ddq")
-    u = _gather(jumps, rows, "u")
+def _latent_phase_data(params, jumps, rows):
+    """Encoded regression data of one phase; ``rows`` holds one sample mask per jump.
+
+    The gathered q, dq and u die here, not held while the phase is fitted.
+    """
+    def gather(attr):
+        return np.concatenate([getattr(j, attr)[r] for j, r in zip(jumps, rows)], axis=0)
+
+    ddq = gather("ddq")
     return LatentPhaseData(
-        xi=encode(params, q, 0),
-        dxi=encode(params, dq, 1),
-        nu=transform_input(params, u),
+        xi=encode(params, gather("q"), 0),
+        dxi=encode(params, gather("dq"), 1),
+        nu=transform_input(params, gather("u")),
         ddxi=encode(params, ddq, 2),
         ddq=ddq,
     )

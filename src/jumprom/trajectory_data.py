@@ -286,26 +286,28 @@ def assemble_input(tau, wrench):
     return np.concatenate([tau, wrench], axis=-1)
 
 
+# phase code by number of feet down (0..4), and the phase of each code
+_FEET_DOWN_CODE = np.array([0, 1, 1, 1, 2])
+_CODE_PHASE = np.array([Phase.FLIGHT, Phase.PARTIAL_CONTACT, Phase.CONTACT], dtype=object)
+
+
 def segment_phases(contact):
     """Label each sample and list the maximal contiguous phase segments.
 
     All four feet down -> Contact, none down -> Flight, anything else ->
-    PartialContact.  Segment bounds are inclusive and partition [0, T).
+    PartialContact.  Segment bounds are inclusive and partition [0, T)
+    (T = 0 gives ``((), [])``); the pipeline keeps a phase's regression rows
+    at depth >= ``boundary_trim`` inside them.
     """
     c = np.asarray(contact)
     if c.ndim != 2 or c.shape[1] != 4:
         raise ValidationError(f"contact matrix must be (T, 4), got {c.shape}")
-    down = c != 0
-    n_down = down.sum(axis=1)
-    full = {4: Phase.CONTACT, 0: Phase.FLIGHT}
-    labels = tuple(full.get(int(n), Phase.PARTIAL_CONTACT) for n in n_down)
-    segments = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            segments.append(PhaseSegment(labels[start], start, i - 1))
-            start = i
-    return labels, segments
+    code = _FEET_DOWN_CODE[np.count_nonzero(c, axis=1)]
+    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    ends = np.append(starts[1:], code.size) - 1
+    labels = _CODE_PHASE[code]
+    segments = [PhaseSegment(labels[s], int(s), int(e)) for s, e in zip(starts, ends)]
+    return tuple(labels), segments
 
 
 # ---------------------------------------------------------------------------

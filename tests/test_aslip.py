@@ -5,9 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from jumprom.aslip import AslipParams, AslipState, aslip_accel, simulate_aslip
+from jumprom.aslip import (
+    AslipParams,
+    AslipState,
+    aslip_accel,
+    aslip_inputs_from_trajectory,
+    simulate_aslip,
+)
 from jumprom.errors import DivergenceError, ValidationError
-from jumprom.trajectory_data import Phase
+from jumprom.trajectory_data import Phase, Trajectory
 
 PARAMS = AslipParams(k_s=1000.0, m=10.0, l0=np.array([0.0, 0.0, 0.3]))
 
@@ -164,3 +170,22 @@ class TestSimulate:
                 simulate_aslip(stiff, _state([0.0, 0.0, 0.27]), None, (Phase.CONTACT,) * 4, 4,
                                1.0 / 500.0)
             assert [str(w.message).endswith("dynamics may be stiff") for w in caught] == [True]
+
+
+class TestInputsFromTrajectory:
+    def test_contact_partial_flight_jump(self):
+        contact = np.array([[1, 1, 1, 1]] * 3 + [[0, 0, 1, 1], [1, 0, 0, 0], [0, 1, 1, 1]]
+                           + [[0, 0, 0, 0]] * 3)
+        T = contact.shape[0]
+        rng = np.random.default_rng(5)
+        positions, forces = rng.normal(size=(T, 12)), rng.normal(size=(T, 12))
+        traj = Trajectory(timestamps=np.arange(T) * 0.002, q=np.zeros((T, 10)),
+                          dq=np.zeros((T, 10)), tau=np.zeros((T, 4)), contact=contact,
+                          foot_forces=forces, foot_positions=positions)
+        schedule, feet, force_sum = aslip_inputs_from_trajectory(traj)
+        assert schedule == (Phase.CONTACT,) * 3 + (Phase.PARTIAL_CONTACT,) * 3 + (Phase.FLIGHT,) * 3
+        P = positions.reshape(T, 4, 3)
+        stance = P[:3].reshape(-1, 3).mean(axis=0)
+        partial = np.array([P[3, 2], P[3, 3], P[4, 0], P[5, 1], P[5, 2], P[5, 3]]).mean(axis=0)
+        assert np.array_equal(feet, np.array([stance] * 3 + [partial] * 3 + [np.zeros(3)] * 3))
+        assert np.array_equal(force_sum, forces.reshape(T, 4, 3).sum(axis=1))

@@ -144,14 +144,7 @@ class TestEval:
         assert "reset_interval must be an integer" in capsys.readouterr().err
 
     def test_missing_phase_exits_nonzero(self, gen_dir, trained_dir, tmp_path, capsys):
-        model = pipeline.load_model(trained_dir / "model.txt")
-        crippled = pipeline.MultiPhaseModel(
-            autoencoder=model.autoencoder,
-            phases=tuple(pm for pm in model.phases if pm.phase.value != "flight"),
-            provenance=model.provenance,
-        )
-        path = tmp_path / "crippled.txt"
-        pipeline.save_model(crippled, path)
+        path = _save_without_flight(trained_dir / "model.txt", tmp_path / "crippled.txt")
         code = main([
             "eval", "--dataset", str(gen_dir), "--model", str(path),
             "--out", str(tmp_path / "out"), "--integrator", "fixed_rk4",
@@ -159,6 +152,14 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "E_PHASE" in err and "flight" in err
+
+    def test_failed_rollout_leaves_no_metrics(self, gen_dir, trained_dir, tmp_path):
+        path = _save_without_flight(trained_dir / "model.txt", tmp_path / "crippled.txt")
+        out = tmp_path / "out"
+        code = main(["eval", "--dataset", str(gen_dir), "--model", str(path), "--out", str(out),
+                     "--integrator", "fixed_rk4", "--reset-interval", "50"])
+        assert code == 1
+        assert list(out.iterdir()) == []
 
     def test_eval_reproducible(self, gen_dir, trained_dir, tmp_path):
         outs = []
@@ -195,6 +196,33 @@ class TestBaseline:
                      "--out", str(tmp_path / "baseline"), "--integrator", "fixed_rk4"])
         assert code == 1
         assert "ERROR E_BLOWUP" in capsys.readouterr().err
+
+    def test_divergence_leaves_no_table(self, gen_dir, tmp_path):
+        config = tmp_path / "stiff.json"
+        config.write_text(json.dumps({"k_s": 1e9}))
+        out = tmp_path / "baseline"
+        code = main(["baseline", "--dataset", str(gen_dir), "--config", str(config),
+                     "--out", str(out), "--integrator", "fixed_rk4"])
+        assert code == 1
+        assert list(out.iterdir()) == []
+
+    def test_reset_interval_flag_rejected(self, gen_dir, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["baseline", "--dataset", str(gen_dir), "--out", str(tmp_path / "baseline"),
+                  "--reset-interval", "7"])
+        assert err.value.code == 2
+
+
+def _save_without_flight(model_path, path):
+    """Save a copy of a model with its flight phase removed; return its path."""
+    model = pipeline.load_model(model_path)
+    crippled = pipeline.MultiPhaseModel(
+        autoencoder=model.autoencoder,
+        phases=tuple(pm for pm in model.phases if pm.phase.value != "flight"),
+        provenance=model.provenance,
+    )
+    pipeline.save_model(crippled, path)
+    return path
 
 
 @pytest.fixture(scope="module")

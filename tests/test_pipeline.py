@@ -1,12 +1,13 @@
 """Sequential training, model selection, fine-tuning, and the model format."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from jumprom import synthetic
+from jumprom import pipeline, synthetic
+from jumprom.autoencoder import encode, transform_input
 from jumprom.errors import (
     ModelFormatError,
     UnsupportedModelVersionError,
@@ -28,7 +29,8 @@ from jumprom.pipeline import (
     write_selection_report,
     config_to_dict,
 )
-from jumprom.trajectory_data import Phase, process_dataset
+from jumprom.sindy import LatentPhaseData
+from jumprom.trajectory_data import Phase, process_dataset, segment_phases
 
 from helpers import models_equal
 
@@ -77,6 +79,49 @@ class TestRunPipeline:
         config = TrainingConfig(latent_dim=2, seed=0)
         again = run_pipeline(clean_bundle.dataset, config)
         assert serialize_model(again) == serialize_model(clean_bundle.model)
+
+    @pytest.mark.parametrize("trim", [0, 2, 5])
+    def test_stage3_rows_match_segment_slicing(self, three_phase_bundle, monkeypatch, trim):
+        dataset, _ = three_phase_bundle
+        fit = pipeline.fit_phase_model
+        seen = []
+
+        def record(params, library, data, *args, **kwargs):
+            seen.append((kwargs["phase"], params, data))
+            return fit(params, library, data, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_phase_model", record)
+        run_pipeline(dataset, TrainingConfig(latent_dim=2, boundary_trim=trim))
+        assert [phase for phase, _, _ in seen] == [
+            Phase.CONTACT, Phase.PARTIAL_CONTACT, Phase.FLIGHT,
+        ]
+        for phase, params, data in seen:
+            ref = _sliced_phase_data(params, dataset.jumps_in("train"), phase, trim)
+            for f in fields(LatentPhaseData):
+                assert np.array_equal(getattr(data, f.name), getattr(ref, f.name)), f.name
+
+    def test_trim_that_empties_a_phase_errors(self, three_phase_bundle):
+        dataset, _ = three_phase_bundle
+        longest = max(len(seg) for jump in dataset.jumps_in("train")
+                      for seg in segment_phases(jump.contact)[1]
+                      if seg.phase is Phase.PARTIAL_CONTACT)
+        # trimming (n + 1) // 2 samples off both ends leaves nothing of an n-sample segment
+        config = TrainingConfig(latent_dim=2, boundary_trim=(longest + 1) // 2)
+        with pytest.raises(ValidationError, match="no data for phase partial_contact"):
+            run_pipeline(dataset, config)
+
+
+def _sliced_phase_data(params, jumps, phase, trim):
+    """Reference stage-3 data: seg.start + trim .. seg.end - trim of each segment of the phase."""
+    parts = {name: [] for name in ("q", "dq", "ddq", "u")}
+    for jump in jumps:
+        for seg in segment_phases(jump.contact)[1]:
+            if seg.phase is phase and seg.end - trim >= seg.start + trim:
+                for name, part in parts.items():
+                    part.append(getattr(jump, name)[seg.start + trim : seg.end - trim + 1])
+    q, dq, ddq, u = (np.concatenate(parts[name]) for name in ("q", "dq", "ddq", "u"))
+    return LatentPhaseData(xi=encode(params, q, 0), dxi=encode(params, dq, 1),
+                           nu=transform_input(params, u), ddxi=encode(params, ddq, 2), ddq=ddq)
 
 
 class TestSelection:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jumprom.errors import (
     DatasetLoadError,
@@ -13,6 +16,7 @@ from jumprom.trajectory_data import (
     Dataset,
     DatasetMeta,
     Phase,
+    PhaseSegment,
     ProcessedTrajectory,
     add_noise,
     assemble_input,
@@ -258,17 +262,31 @@ class TestSegmentPhases:
             (Phase.FLIGHT, 3, 4),
         ]
 
-    def test_partition_property(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            contact = rng.integers(0, 2, size=(rng.integers(1, 60), 4))
-            labels, segments = segment_phases(contact)
-            assert sum(len(s) for s in segments) == contact.shape[0]
-            cursor = 0
-            for seg in segments:
-                assert seg.start == cursor
-                assert all(labels[i] == seg.phase for i in range(seg.start, seg.end + 1))
-                cursor = seg.end + 1
+    @given(st.integers(0, 80).flatmap(
+        lambda T: arrays(np.int8, (T, 4), elements=st.integers(0, 1))))
+    @example(np.zeros((0, 4), dtype=np.int8))
+    def test_partition_property(self, contact):
+        labels, segments = segment_phases(contact)
+        assert (labels, segments) == _run_length_segments(contact)
+        cursor = 0
+        for seg in segments:
+            assert seg.start == cursor and seg.end >= seg.start
+            assert all(labels[i] == seg.phase for i in range(seg.start, seg.end + 1))
+            cursor = seg.end + 1
+        assert cursor == contact.shape[0]
+
+
+def _run_length_segments(contact):
+    """Per-sample labelling and run-length loop, the reference for segment_phases."""
+    full = {4: Phase.CONTACT, 0: Phase.FLIGHT}
+    labels = tuple(full.get(int(n), Phase.PARTIAL_CONTACT) for n in (contact != 0).sum(axis=1))
+    segments = []
+    start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[start]:
+            segments.append(PhaseSegment(labels[start], start, i - 1))
+            start = i
+    return labels, segments
 
 
 def _in_memory_dataset(n_jumps, T=5):
