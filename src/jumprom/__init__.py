@@ -48,7 +48,6 @@ from .sindy import (
 from .trajectory_data import (
     Dataset,
     Phase,
-    ProcessedTrajectory,
     Trajectory,
     add_noise,
     assemble_input,

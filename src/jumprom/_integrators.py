@@ -41,9 +41,17 @@ def rk4_interval(f, t0, y0, h, substeps=1):
 
 
 def adaptive_interval(f, t0, y0, h, rtol, atol):
-    """Adaptive embedded RK over one interval; returns (y_end, nfev)."""
+    """Adaptive embedded RK over one interval; returns (y_end, nfev).
+
+    Raises DivergenceError at the time the solver stopped when it cannot
+    reach t0 + h (say, its step size fell below the spacing of floats).
+    """
     sol = solve_ivp(f, (t0, t0 + h), np.asarray(y0, dtype=float),
                     method="RK45", rtol=rtol, atol=atol)
+    if sol.status != 0:
+        t_fail = float(sol.t[-1])
+        raise DivergenceError(
+            f"adaptive integrator stopped at t={t_fail:.4f}s: {sol.message}", t_fail)
     return sol.y[:, -1], sol.nfev
 
 
@@ -56,31 +64,34 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, rtol=1e-
     state only).  A non-None reset(k) replaces the state at sample k.
     Warns once when an adaptive interval needs more than
     STIFF_NFEV_PER_INTERVAL evaluations; raises DivergenceError at the first
-    non-finite state.
+    non-finite state or failed adaptive interval.  numpy's overflow and
+    invalid-value warnings are silenced while stepping: a non-finite stage
+    always reaches the interval's end state, where this check reports it.
     """
     if integrator not in INTEGRATORS:
         raise ValidationError(f"unknown integrator {integrator!r}")
     y = np.asarray(y0, dtype=float)
     out = np.empty((n_samples,) + y.shape)
     stiff_warned = False
-    for k in range(n_samples):
-        if reset is not None and (state := reset(k)) is not None:
-            y = state
-        out[k] = y
-        if k == n_samples - 1:
-            break
-        t = k * h
-        if integrator == "fixed_rk4":
-            y = rk4_interval(functools.partial(f, k), t, y, h, substeps)
-        else:
-            y, nfev = adaptive_interval(functools.partial(f, k), t, y, h, rtol, atol)
-            if not stiff_warned and nfev > STIFF_NFEV_PER_INTERVAL:
-                warnings.warn(
-                    f"adaptive integrator needed {nfev} evaluations in one output "
-                    f"interval near t={t:.4f}s; dynamics may be stiff",
-                    stacklevel=3,
-                )
-                stiff_warned = True
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"state became non-finite at t={t + h:.4f}s", t + h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_samples):
+            if reset is not None and (state := reset(k)) is not None:
+                y = state
+            out[k] = y
+            if k == n_samples - 1:
+                break
+            t = k * h
+            if integrator == "fixed_rk4":
+                y = rk4_interval(functools.partial(f, k), t, y, h, substeps)
+            else:
+                y, nfev = adaptive_interval(functools.partial(f, k), t, y, h, rtol, atol)
+                if not stiff_warned and nfev > STIFF_NFEV_PER_INTERVAL:
+                    warnings.warn(
+                        f"adaptive integrator needed {nfev} evaluations in one output "
+                        f"interval near t={t:.4f}s; dynamics may be stiff",
+                        stacklevel=3,
+                    )
+                    stiff_warned = True
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError(f"state became non-finite at t={t + h:.4f}s", t + h)
     return out

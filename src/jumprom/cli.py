@@ -253,8 +253,7 @@ def cmd_eval(args):
         fh.write("jump,mode,mean_rmse\n")
         for idx, mode, r in results:
             series_path = out / f"rollout_{idx:03d}_{mode}.csv"
-            err = np.linalg.norm(r.q_pred - r.q_true, axis=1)
-            _write_series(series_path, r.timestamps, r.q_pred, r.q_true, err)
+            _write_series(series_path, r.timestamps, r.q_pred, r.q_true, r.error_norm)
             manifest.add_output(series_path)
             fh.write(f"{idx},{mode},{float(r.rmse.mean())!r}\n")
             print(f"jump {idx} [{mode}]: mean RMSE {float(r.rmse.mean()):.6g}")
@@ -327,13 +326,11 @@ def cmd_baseline(args):
 
 
 def _com_result(timestamps, pred, true, schedule):
-    err = pred - true
     return rollout.RolloutResult(
         timestamps=timestamps,
         latent_pred=np.zeros((pred.shape[0], 0)),
         q_pred=pred,
         q_true=np.asarray(true),
-        rmse=np.sqrt(np.mean(err * err, axis=0)),
         phase_schedule=tuple(schedule),
     )
 

@@ -524,12 +524,6 @@ class _LineReader:
                 raise ModelFormatError(f"expected {expect!r}, found {line.split(' ')[0]!r}", offset)
             return line, offset
 
-    def peek(self):
-        i = self.index
-        while i < len(self.lines) and self.lines[i].strip() == "":
-            i += 1
-        return self.lines[i] if i < len(self.lines) else None
-
 
 def _read_matrix(reader, name, want_shape=None):
     header, offset = reader.next_line(expect=name)
@@ -603,9 +597,7 @@ def parse_model(text):
         if terms != expected_terms:
             raise ModelFormatError("term list does not match the library spec", offset)
         Xi = _read_matrix(reader, "coefficients", (len(expected_terms), l))
-        coeffs = SparseCoefficients(
-            Xi=Xi, active_mask=Xi != 0.0, threshold=threshold, library=lib
-        )
+        coeffs = SparseCoefficients(Xi=Xi, threshold=threshold, library=lib)
         phase_models.append(PhaseModel(phase=phase, coefficients=coeffs))
 
     return MultiPhaseModel(autoencoder=ae, phases=tuple(phase_models), provenance=provenance)

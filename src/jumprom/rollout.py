@@ -19,7 +19,7 @@ from . import _integrators
 from .autoencoder import decode, encode, transform_input
 from .errors import MissingPhaseError, ValidationError
 from .sindy import build_library_row
-from .trajectory_data import Phase
+from .trajectory_data import Phase, segment_phases
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,31 @@ class RolloutConfig:
 
 @dataclass(frozen=True)
 class RolloutResult:
-    """Predicted trajectories plus per-dimension errors.
+    """Predicted trajectories and the recording they are scored against.
 
     latent_pred: (T, 2l) predicted (state, velocity); q_pred: (T, d)
-    decoded configurations; q_true: recorded configurations the RMSE was
-    computed against; rmse: (d,).
+    decoded configurations; q_true: (T, d) recorded configurations.  The
+    errors are derived from q_pred - q_true: ``rmse`` (d,) per dimension
+    and ``error_norm`` (T,) per step.
     """
 
     timestamps: np.ndarray
     latent_pred: np.ndarray
     q_pred: np.ndarray
     q_true: np.ndarray
-    rmse: np.ndarray
     phase_schedule: tuple[Phase, ...]
     reset_indices: tuple[int, ...] = ()
+
+    @property
+    def rmse(self):
+        """Root-mean-square error over the horizon, per dimension."""
+        err = self.q_pred - self.q_true
+        return np.sqrt(np.mean(err * err, axis=0))
+
+    @property
+    def error_norm(self):
+        """Euclidean error over dimensions at each step."""
+        return np.linalg.norm(self.q_pred - self.q_true, axis=1)
 
 
 def _phase_table(model, schedule):
@@ -141,8 +152,6 @@ def _check_horizon(traj, config):
 def _prepare(model, traj, config, horizon):
     if traj.u is None:
         raise ValidationError("trajectory has no input columns u; preprocess the dataset first")
-    if traj.phase_labels is None:
-        raise ValidationError("trajectory has no phase labels; preprocess the dataset first")
     n = traj.n_samples if horizon is None else min(horizon, traj.n_samples)
     if n < 1:
         raise ValidationError("empty rollout horizon")
@@ -150,23 +159,18 @@ def _prepare(model, traj, config, horizon):
         _check_horizon(traj, config)
     ae = model.autoencoder
     nu = transform_input(ae, traj.u[:n])
-    schedule = tuple(traj.phase_labels[:n])
+    schedule = segment_phases(traj.contact[:n])[0]
     return n, nu, schedule
 
 
 def _finish(model, traj, latent, schedule, reset_indices, n):
     ae = model.autoencoder
     l = ae.latent_dim
-    q_pred = decode(ae, latent[:, :l], 0)
-    q_true = traj.q[:n]
-    err = q_pred - q_true
-    rmse = np.sqrt(np.mean(err * err, axis=0))
     return RolloutResult(
         timestamps=traj.timestamps[:n],
         latent_pred=latent,
-        q_pred=q_pred,
-        q_true=q_true,
-        rmse=rmse,
+        q_pred=decode(ae, latent[:, :l], 0),
+        q_true=traj.q[:n],
         phase_schedule=schedule,
         reset_indices=tuple(reset_indices),
     )
@@ -233,8 +237,7 @@ def compare_models(named_results):
             )
         names.append(name)
         rmses.append(res.rmse)
-        err = res.q_pred - res.q_true
-        series.append(np.linalg.norm(err, axis=1))
+        series.append(res.error_norm)
     return ComparisonTable(
         names=tuple(names),
         rmse=np.stack(rmses),

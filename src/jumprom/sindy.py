@@ -185,18 +185,16 @@ def build_library_row(spec, xi, dxi, nu=None):
 
 @dataclass(frozen=True)
 class SparseCoefficients:
-    """Sparse (p, l) coefficient matrix with its active-entry mask."""
+    """Sparse (p, l) coefficient matrix; its support is the nonzero pattern."""
 
     Xi: np.ndarray
-    active_mask: np.ndarray
     threshold: float
     library: FunctionLibrarySpec | None = None
 
-    def __post_init__(self):
-        if self.Xi.shape != self.active_mask.shape:
-            raise ValidationError("coefficient and mask shapes differ")
-        if np.any(self.Xi[~self.active_mask] != 0.0):
-            raise ValidationError("coefficients must be zero outside the active mask")
+    @property
+    def active_mask(self):
+        """(p, l) boolean support, ``Xi != 0``."""
+        return self.Xi != 0.0
 
 
 @dataclass(frozen=True)
@@ -327,7 +325,7 @@ def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
     if zero:
         warnings.warn(f"all coefficients of column(s) {', '.join(zero)} eliminated "
                       "(constant-zero dynamics)", stacklevel=3)
-    return SparseCoefficients(Xi=Xi, active_mask=Xi != 0.0, threshold=float(threshold))
+    return SparseCoefficients(Xi=Xi, threshold=float(threshold))
 
 
 def stlsq(theta, targets, threshold=0.1, ridge=1e-9, max_iters=20, init_support=None):
@@ -421,11 +419,12 @@ def print_symbolic(model, precision=2):
         raise ValidationError("coefficients carry no library spec")
     p, l = coeffs.Xi.shape
     names = coeffs.library.term_names(l, unicode_symbols=True)
+    active = coeffs.active_mask
     lines = []
     for j in range(l):
         parts = []
         for i in range(p):
-            if not coeffs.active_mask[i, j]:
+            if not active[i, j]:
                 continue
             c = coeffs.Xi[i, j]
             mag = f"{abs(c):.{precision}f}"

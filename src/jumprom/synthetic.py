@@ -17,7 +17,7 @@ any trained encoder basis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .trajectory_data import (
     Dataset,
     DatasetMeta,
     Phase,
-    ProcessedTrajectory,
+    Trajectory,
     add_noise,
     save_dataset,
     split_dataset,
@@ -342,7 +342,7 @@ def generate(spec, out_dir=None):
             forces[seg] = _realize_forces(wrench[seg], _CONTACT_FLAGS[phase], feet, com)
             cursor += steps
         # derived fields stay unfilled, mirroring what load_dataset returns
-        jumps.append(ProcessedTrajectory(
+        jumps.append(Trajectory(
             timestamps=np.arange(T) * spec.dt,
             q=offset + xi @ lift.T,
             dq=dxi @ lift.T,
@@ -367,18 +367,8 @@ def generate(spec, out_dir=None):
     if spec.noise_sigma:
         dataset = add_noise(dataset, spec.noise_sigma, seed=noise_seq.generate_state(1)[0])
         # noise variant keeps the raw-file schema: strip derived fields again
-        dataset = Dataset(
-            jumps=tuple(
-                ProcessedTrajectory(
-                    timestamps=j.timestamps, q=j.q, dq=j.dq, tau=j.tau, contact=j.contact,
-                    foot_forces=j.foot_forces, foot_positions=j.foot_positions,
-                    com_positions=j.com_positions,
-                )
-                for j in dataset.jumps
-            ),
-            split=dataset.split,
-            meta=dataset.meta,
-        )
+        dataset = replace(dataset, jumps=tuple(replace(j, ddq=None, u=None)
+                                                for j in dataset.jumps))
 
     truth = SyntheticTruth(
         lift=lift,

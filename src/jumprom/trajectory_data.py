@@ -64,10 +64,15 @@ class PhaseSegment:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One recorded jump.
+    """One recorded jump, optionally with its derived tensors.
 
     Shapes: timestamps (T,), q and dq (T, m+6), tau (T, m), contact (T, 4).
     Optional: foot_forces (T, 12), foot_positions (T, 12), com_positions (T, 3).
+    Derived by ``process_trajectory`` (None until then): ddq (T, m+6)
+    accelerations and u (T, m+6), the joint torques stacked with the
+    6-component CoM wrench (linear momentum rate first, then angular
+    momentum rate).  Phases are not stored: ``segment_phases`` reads them
+    from the contact flags.
     """
 
     timestamps: np.ndarray
@@ -78,28 +83,12 @@ class Trajectory:
     foot_forces: np.ndarray | None = None
     foot_positions: np.ndarray | None = None
     com_positions: np.ndarray | None = None
+    ddq: np.ndarray | None = None
+    u: np.ndarray | None = None
 
     @property
     def n_samples(self):
         return self.q.shape[0]
-
-    @property
-    def n_joints(self):
-        return self.tau.shape[1]
-
-
-@dataclass(frozen=True)
-class ProcessedTrajectory(Trajectory):
-    """Trajectory plus derived tensors: accelerations, stacked input, phases.
-
-    ``u`` stacks the joint torques and the 6-component CoM wrench (linear
-    momentum rate first, then angular momentum rate).  Any of the derived
-    fields may be None while a dataset is only partially processed.
-    """
-
-    ddq: np.ndarray | None = None
-    u: np.ndarray | None = None
-    phase_labels: tuple[Phase, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -114,7 +103,7 @@ class DatasetMeta:
 class Dataset:
     """Immutable collection of jumps with a disjoint train/val/test split."""
 
-    jumps: tuple[ProcessedTrajectory, ...]
+    jumps: tuple[Trajectory, ...]
     split: tuple[str, ...]
     meta: DatasetMeta
 
@@ -311,11 +300,11 @@ def segment_phases(contact):
 
 
 # ---------------------------------------------------------------------------
-# derivation of ProcessedTrajectory fields
+# derivation of the Trajectory fields ddq and u
 
 
 def process_trajectory(traj, m, *, smooth_window=0, jacobians=None):
-    """Fill ddq, u, and phase labels for one jump.
+    """Return the jump with its derived fields ddq and u filled.
 
     The CoM wrench is built from recorded foot forces when present (forces
     of non-contact feet are zeroed first).  Otherwise per-sample leg
@@ -359,21 +348,7 @@ def process_trajectory(traj, m, *, smooth_window=0, jacobians=None):
     com = traj.com_positions if traj.com_positions is not None else traj.q[:, m : m + 3]
 
     wrench = compute_com_wrench(F, P, com)
-    u = assemble_input(traj.tau, wrench)
-    labels, _ = segment_phases(traj.contact)
-    return ProcessedTrajectory(
-        timestamps=traj.timestamps,
-        q=traj.q,
-        dq=traj.dq,
-        tau=traj.tau,
-        contact=traj.contact,
-        foot_forces=traj.foot_forces,
-        foot_positions=traj.foot_positions,
-        com_positions=traj.com_positions,
-        ddq=ddq,
-        u=u,
-        phase_labels=labels,
-    )
+    return replace(traj, ddq=ddq, u=assemble_input(traj.tau, wrench))
 
 
 def process_dataset(dataset, *, smooth_window=0, jacobians=None):
@@ -386,7 +361,7 @@ def process_dataset(dataset, *, smooth_window=0, jacobians=None):
 
 
 def is_processed(dataset):
-    return all(j.ddq is not None and j.u is not None and j.phase_labels is not None for j in dataset.jumps)
+    return all(j.ddq is not None and j.u is not None for j in dataset.jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +414,7 @@ def add_noise(dataset, sigma, seed, *, smooth_window=0):
             if sig[name] > 0:
                 arr = arr + rng.normal(0.0, sig[name], size=arr.shape)
             fields[name] = arr
-        noisy = Trajectory(
-            timestamps=jump.timestamps,
-            q=fields["q"],
-            dq=fields["dq"],
-            tau=fields["tau"],
-            contact=jump.contact,
-            foot_forces=jump.foot_forces,
-            foot_positions=jump.foot_positions,
-            com_positions=jump.com_positions,
-        )
+        noisy = replace(jump, **fields)
         jumps.append(process_trajectory(noisy, dataset.meta.m, smooth_window=smooth_window))
     total = max(sig.values())
     meta = replace(dataset.meta, noise_sigma=float(np.hypot(dataset.meta.noise_sigma, total)))
@@ -543,7 +509,7 @@ def _load_jump_file(path, m):
     ff = take(12) if with_forces else None
     fp = take(12) if with_positions else None
     com = take(3) if with_com else None
-    traj = ProcessedTrajectory(
+    traj = Trajectory(
         timestamps=t, q=q, dq=dq, tau=tau, contact=contact,
         foot_forces=ff, foot_positions=fp, com_positions=com,
     )

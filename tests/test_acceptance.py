@@ -116,7 +116,7 @@ def test_criterion_05_integration_accuracy():
         W[0, 0] = 1.0
         ae = AutoencoderParams(W_enc=W, b_enc=np.zeros(1), W_dec=W.T.copy(),
                                b_dec=np.zeros(18))
-        coeffs = SparseCoefficients(Xi=Xi, active_mask=Xi != 0.0, threshold=0.0,
+        coeffs = SparseCoefficients(Xi=Xi, threshold=0.0,
                                     library=linear)
         return MultiPhaseModel(autoencoder=ae,
                                phases=(PhaseModel(Phase.FLIGHT, coeffs),),
@@ -267,7 +267,7 @@ def test_criterion_10_symbolic_printing_golden():
     Xi[names.index("nu_1"), 0] = 51.05
     Xi[names.index("dxi_1"), 1] = 0.42
     Xi[names.index("sin(dxi_1)"), 1] = 0.52
-    coeffs = SparseCoefficients(Xi=Xi, active_mask=Xi != 0.0, threshold=0.1,
+    coeffs = SparseCoefficients(Xi=Xi, threshold=0.1,
                                 library=lib)
     lines = print_symbolic(PhaseModel(Phase.FLIGHT, coeffs), precision=2)
     golden = ("ξ̈_2 = 0.42·ξ̇_1"

@@ -162,6 +162,14 @@ class TestSimulate:
             simulate_aslip(stiff, _state([0.0, 0.0, 0.27]), None, (Phase.CONTACT,) * 300, 300,
                            1.0 / 500.0, integrator="fixed_rk4")
 
+    def test_divergence_raises_without_runtime_warning(self):
+        stiff = AslipParams(k_s=1e9, m=10.0, l0=np.array([0.0, 0.0, 0.3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError):
+                simulate_aslip(stiff, _state([0.0, 0.0, 0.27]), None, (Phase.CONTACT,) * 300,
+                               300, 1.0 / 500.0, integrator="fixed_rk4")
+
     def test_stiff_warns_once_per_call(self):
         stiff = AslipParams(k_s=1e9, m=10.0, l0=np.array([0.0, 0.0, 0.3]))
         for _ in range(2):

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows in temporary directories."""
 
 import json
+import warnings
 
 import pytest
 
@@ -196,6 +197,21 @@ class TestBaseline:
                      "--out", str(tmp_path / "baseline"), "--integrator", "fixed_rk4"])
         assert code == 1
         assert "ERROR E_BLOWUP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
+    def test_divergence_blowup_without_runtime_warning(self, gen_dir, tmp_path, capsys,
+                                                       integrator):
+        # adaptive: RK45 stops early on the stiff spring, which is a blow-up too
+        config = tmp_path / "stiff.json"
+        config.write_text(json.dumps({"k_s": 1e9}))
+        out = tmp_path / "baseline"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["baseline", "--dataset", str(gen_dir), "--config", str(config),
+                         "--out", str(out), "--integrator", integrator])
+        assert code == 1
+        assert "ERROR E_BLOWUP" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
 
     def test_divergence_leaves_no_table(self, gen_dir, tmp_path):
         config = tmp_path / "stiff.json"

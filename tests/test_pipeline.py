@@ -5,15 +5,19 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jumprom import pipeline, synthetic
-from jumprom.autoencoder import encode, transform_input
+from jumprom.autoencoder import AutoencoderParams, encode, transform_input
 from jumprom.errors import (
     ModelFormatError,
     UnsupportedModelVersionError,
     ValidationError,
 )
 from jumprom.pipeline import (
+    MultiPhaseModel,
     TrainingConfig,
     config_from_dict,
     decoder_test_error,
@@ -29,7 +33,7 @@ from jumprom.pipeline import (
     write_selection_report,
     config_to_dict,
 )
-from jumprom.sindy import LatentPhaseData
+from jumprom.sindy import FunctionLibrarySpec, LatentPhaseData, PhaseModel, SparseCoefficients
 from jumprom.trajectory_data import Phase, process_dataset, segment_phases
 
 from helpers import models_equal
@@ -195,6 +199,39 @@ class TestModelFormat:
     def test_garbage_rejected(self):
         with pytest.raises(ModelFormatError):
             parse_model("definitely not a model\n")
+
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # random library flags, l and sparsity; Xi may hold -0.0, kept bit for bit
+        draw = data.draw
+        l = draw(st.integers(1, 3))
+        d = draw(st.integers(l, l + 3))
+        weights = lambda shape: draw(arrays(np.float64, shape, elements=st.floats(-10, 10)))
+        ae = AutoencoderParams(W_enc=weights((l, d)), b_enc=weights((l,)),
+                               W_dec=weights((d, l)), b_dec=weights((d,)))
+        phases = []
+        for phase in draw(st.lists(st.sampled_from(list(Phase)), min_size=1, max_size=3,
+                                   unique=True)):
+            flags = draw(st.tuples(*[st.booleans()] * 4))
+            degree = draw(st.integers(0, 2))
+            assume(degree > 0 or any(flags))
+            lib = FunctionLibrarySpec(degree, *flags)
+            shape = (lib.term_count(l), l)
+            values = draw(arrays(np.float64, shape,
+                                 elements=st.floats(allow_nan=False, allow_infinity=False)))
+            keep = draw(arrays(np.bool_, shape))
+            coeffs = SparseCoefficients(Xi=np.where(keep, values, 0.0),
+                                        threshold=draw(st.floats(0.0, 1.0)), library=lib)
+            phases.append(PhaseModel(phase, coeffs))
+        model = MultiPhaseModel(autoencoder=ae, phases=tuple(phases), provenance={})
+        parsed = parse_model(serialize_model(model))
+        assert models_equal(model, parsed)
+        for name in ("W_enc", "b_enc", "W_dec", "b_dec"):
+            assert getattr(parsed.autoencoder, name).tobytes() == getattr(ae, name).tobytes()
+        for a, b in zip(model.phases, parsed.phases):
+            assert b.coefficients.Xi.tobytes() == a.coefficients.Xi.tobytes()
+            assert np.array_equal(b.coefficients.active_mask, a.coefficients.active_mask)
+            assert b.coefficients.threshold == a.coefficients.threshold
 
     def testconfig_to_dict_round_trip(self):
         config = TrainingConfig(latent_dim=3, stlsq_threshold=0.2)

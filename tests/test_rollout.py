@@ -1,10 +1,12 @@
 """Latent integration, rollouts against recordings, resets, comparisons."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from jumprom import _integrators
 from jumprom.autoencoder import AutoencoderParams, decode, encode
 from jumprom.errors import DivergenceError, MissingPhaseError, ValidationError
 from jumprom.pipeline import MultiPhaseModel
@@ -17,7 +19,7 @@ from jumprom.rollout import (
 )
 from jumprom.sindy import FunctionLibrarySpec, PhaseModel, SparseCoefficients
 from jumprom.synthetic import affine_coefficients
-from jumprom.trajectory_data import Phase, ProcessedTrajectory
+from jumprom.trajectory_data import Phase, Trajectory
 
 D = 18
 LINEAR = FunctionLibrarySpec(
@@ -38,7 +40,7 @@ def _model(phase_to_Xi, library, l=1):
     phases = []
     for phase, Xi in phase_to_Xi.items():
         coeffs = SparseCoefficients(
-            Xi=np.asarray(Xi, dtype=float), active_mask=np.asarray(Xi) != 0.0,
+            Xi=np.asarray(Xi, dtype=float),
             threshold=0.0, library=library,
         )
         phases.append(PhaseModel(phase=phase, coefficients=coeffs))
@@ -105,6 +107,23 @@ class TestIntegrate:
                 integrate(model, [1.0], [0.0], None, (Phase.FLIGHT,) * 600,
                           RolloutConfig(integrator="fixed_rk4"))
 
+    def test_divergence_raises_without_runtime_warning(self):
+        Xi = affine_coefficients(LINEAR, 1, state_gain=[[1e6]])
+        model = _model({Phase.FLIGHT: Xi}, LINEAR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError):
+                integrate(model, [1.0], [0.0], None, (Phase.FLIGHT,) * 600,
+                          RolloutConfig(integrator="fixed_rk4"))
+
+    def test_failed_adaptive_interval_raises(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1, inside the second interval;
+        # RK45 stops there instead of reaching t = 1.2
+        with pytest.raises(DivergenceError, match="adaptive integrator stopped") as err:
+            _integrators.integrate_intervals(lambda k, t, y: y * y, np.array([1.0]), 3, 0.6,
+                                             "adaptive")
+        assert err.value.time == pytest.approx(1.0, abs=1e-6)
+
     def test_stiff_warns_once_per_call(self):
         # damping rate 1e6 /s: RK45 needs thousands of evaluations per 2 ms interval
         Xi = affine_coefficients(LINEAR, 1, velocity_gain=[[-1e6]])
@@ -143,11 +162,11 @@ def _recorded_from_model(model, n=400, l=2, with_input=True):
     q = decode(ae, latent[:, :l], 0)
     dq = decode(ae, latent[:, l:], 1)
     u = nu @ ae.W_enc  # right-inverse of the input transform (orthonormal rows)
-    return ProcessedTrajectory(
+    return Trajectory(
         timestamps=np.arange(n) / 500.0,
         q=q, dq=dq,
         tau=u[:, : D - 6], contact=np.ones((n, 4)),
-        ddq=None, u=u, phase_labels=(Phase.CONTACT,) * n,
+        ddq=None, u=u,
     )
 
 
@@ -178,12 +197,21 @@ class TestRollouts:
     def test_missing_inputs_precondition(self):
         model = _damped_driven_model()
         traj = _recorded_from_model(model)
-        bare = ProcessedTrajectory(
+        bare = Trajectory(
             timestamps=traj.timestamps, q=traj.q, dq=traj.dq, tau=traj.tau,
-            contact=traj.contact, ddq=None, u=None, phase_labels=traj.phase_labels,
+            contact=traj.contact, ddq=None, u=None,
         )
         with pytest.raises(ValidationError, match="input columns"):
             rollout_full(model, bare, RolloutConfig(integrator="fixed_rk4"))
+
+    def test_schedule_read_from_contact_flags(self):
+        model = _damped_driven_model()
+        traj = _recorded_from_model(model)
+        res = rollout_full(model, traj, RolloutConfig(step_rate=500, integrator="fixed_rk4"))
+        assert res.phase_schedule == (Phase.CONTACT,) * traj.n_samples
+        lifted = replace(traj, contact=np.zeros_like(traj.contact))
+        with pytest.raises(MissingPhaseError, match="flight"):
+            rollout_full(model, lifted, RolloutConfig(step_rate=500, integrator="fixed_rk4"))
 
     def test_rate_mismatch_rejected(self):
         model = _damped_driven_model()

@@ -35,7 +35,7 @@ DEFAULT = FunctionLibrarySpec()
 
 def _coeffs(Xi, library, threshold=0.1):
     Xi = np.asarray(Xi, dtype=float)
-    return SparseCoefficients(Xi=Xi, active_mask=Xi != 0.0, threshold=threshold, library=library)
+    return SparseCoefficients(Xi=Xi, threshold=threshold, library=library)
 
 
 def _reference_2d_models():

@@ -1,5 +1,7 @@
 """Dataset loading, preprocessing primitives, and phase segmentation."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -17,7 +19,8 @@ from jumprom.trajectory_data import (
     DatasetMeta,
     Phase,
     PhaseSegment,
-    ProcessedTrajectory,
+    SPLITS,
+    Trajectory,
     add_noise,
     assemble_input,
     compute_com_wrench,
@@ -35,7 +38,7 @@ M = 4  # smallest legal joint count
 
 def _tiny_jump(T=5, dt=0.1, contact_value=1.0):
     rng = np.random.default_rng(0)
-    return ProcessedTrajectory(
+    return Trajectory(
         timestamps=np.arange(T) * dt,
         q=rng.normal(size=(T, M + 6)),
         dq=rng.normal(size=(T, M + 6)),
@@ -126,7 +129,7 @@ class TestDifferentiateVelocity:
     def test_linear_ramp(self):
         traj = _tiny_jump(T=3, dt=0.1)
         dq = np.tile(np.array([[0.0], [1.0], [2.0]]), (1, M + 6))
-        traj = ProcessedTrajectory(
+        traj = Trajectory(
             timestamps=traj.timestamps, q=traj.q, dq=dq, tau=traj.tau, contact=traj.contact
         )
         ddq = differentiate_velocity(traj)
@@ -134,7 +137,7 @@ class TestDifferentiateVelocity:
 
     def test_constant_velocity(self):
         traj = _tiny_jump(T=7)
-        traj = ProcessedTrajectory(
+        traj = Trajectory(
             timestamps=traj.timestamps, q=traj.q, dq=np.ones((7, M + 6)),
             tau=traj.tau, contact=traj.contact,
         )
@@ -144,7 +147,7 @@ class TestDifferentiateVelocity:
         # dq = sin(2 pi t) at 500 Hz; expect ddq ~ 2 pi cos(2 pi t)
         t = np.arange(500) / 500.0
         dq = np.tile(np.sin(2 * np.pi * t)[:, None], (1, M + 6))
-        traj = ProcessedTrajectory(
+        traj = Trajectory(
             timestamps=t, q=np.zeros((500, M + 6)), dq=dq,
             tau=np.zeros((500, M)), contact=np.ones((500, 4)),
         )
@@ -157,7 +160,7 @@ class TestDifferentiateVelocity:
         t = np.arange(50) * 0.01
         slope, icept = rng.normal(size=(M + 6,)), rng.normal(size=(M + 6,))
         dq = t[:, None] * slope + icept
-        traj = ProcessedTrajectory(
+        traj = Trajectory(
             timestamps=t, q=np.zeros((50, M + 6)), dq=dq,
             tau=np.zeros((50, M)), contact=np.ones((50, 4)),
         )
@@ -165,7 +168,7 @@ class TestDifferentiateVelocity:
 
     def test_nonuniform_dt_rejected(self):
         t = np.array([0.0, 0.1, 0.25, 0.3])
-        traj = ProcessedTrajectory(
+        traj = Trajectory(
             timestamps=t, q=np.zeros((4, M + 6)), dq=np.zeros((4, M + 6)),
             tau=np.zeros((4, M)), contact=np.ones((4, 4)),
         )
@@ -321,7 +324,7 @@ class TestAddNoise:
         # airborne flags: the wrench is identically zero, no forces needed
         jumps = tuple(
             process_trajectory(
-                ProcessedTrajectory(
+                Trajectory(
                     timestamps=j.timestamps, q=j.q, dq=j.dq, tau=j.tau,
                     contact=np.zeros_like(j.contact),
                 ),
@@ -363,7 +366,7 @@ class TestProcessTrajectory:
     def _jump(self, with_forces):
         rng = np.random.default_rng(21)
         T = 8
-        traj = ProcessedTrajectory(
+        traj = Trajectory(
             timestamps=np.arange(T) * 0.01,
             q=rng.normal(size=(T, self.M12 + 6)),
             dq=rng.normal(size=(T, self.M12 + 6)),
@@ -417,3 +420,40 @@ class TestDatasetRoundTrip:
         save_dataset(loaded, second)
         for f in sorted(p.name for p in first.iterdir()):
             assert (first / f).read_bytes() == (second / f).read_bytes()
+
+    @given(st.data())
+    def test_save_load_property(self, data):
+        # every stored column, bit for bit (sign of zero included), over m,
+        # T and each optional block on or off
+        draw = data.draw
+        m = draw(st.sampled_from([4, 8]))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        jumps = []
+        for _ in range(draw(st.integers(1, 2))):
+            T = draw(st.integers(3, 8))
+            block = lambda width, elements=finite: draw(arrays(np.float64, (T, width),
+                                                               elements=elements))
+            optional = lambda width: block(width) if draw(st.booleans()) else None
+            times = draw(st.lists(st.floats(-1e9, 1e9), min_size=T, max_size=T, unique=True))
+            jumps.append(Trajectory(
+                timestamps=np.array(sorted(times)), q=block(m + 6), dq=block(m + 6),
+                tau=block(m), contact=block(4, st.sampled_from([0.0, -0.0, 1.0])),
+                foot_forces=optional(12), foot_positions=optional(12),
+                com_positions=optional(3),
+            ))
+        split = tuple(draw(st.sampled_from(SPLITS)) for _ in jumps)
+        meta = DatasetMeta(robot="prop", m=m, dt=draw(st.floats(1e-6, 1.0)),
+                           noise_sigma=draw(st.floats(0.0, 1.0)))
+        dataset = Dataset(jumps=tuple(jumps), split=split, meta=meta)
+        with tempfile.TemporaryDirectory() as root:
+            save_dataset(dataset, root)
+            loaded = load_dataset(root)
+        assert loaded.split == split and loaded.meta == meta
+        for a, b in zip(dataset.jumps, loaded.jumps):
+            for name in ("timestamps", "q", "dq", "tau", "contact",
+                         "foot_forces", "foot_positions", "com_positions"):
+                va, vb = getattr(a, name), getattr(b, name)
+                assert (va is None) == (vb is None), name
+                if va is not None:
+                    assert vb.shape == va.shape and vb.tobytes() == va.tobytes(), name
+            assert b.ddq is None and b.u is None
