@@ -158,8 +158,9 @@ def train_autoencoder(
     ``init="random"`` starts from seeded Gaussian weights and
     ``init_params`` resumes from existing weights; both then run
     full-batch gradient descent with momentum on the mean squared
-    reconstruction error.  ``epochs``, ``learning_rate`` and ``momentum``
-    apply only to those two descent paths.
+    reconstruction error, centred on the data mean (see ``_descend``).
+    ``epochs``, ``learning_rate`` and ``momentum`` apply only to those two
+    descent paths.
 
     With ``standardize`` the fit runs on per-column standardized data and
     the scaling is folded back into the returned weights, which therefore
@@ -197,10 +198,25 @@ def train_autoencoder(
     else:
         raise ValidationError(f"unknown init {init!r}")
 
+    if epochs:
+        params = _descend(data, params, epochs, learning_rate, momentum)
+    return _scale_params(params, col_scale) if standardize else params
+
+
+def _descend(data, params, epochs, learning_rate, momentum):
+    """Full-batch gradient descent with momentum on the reconstruction error.
+
+    The descent runs on the centred data, with the mean folded into the
+    biases on the way in and back out on the way out, so the step size
+    that keeps it stable does not depend on where the data sit: an offset
+    c adds about |c|^2 to the curvature of the uncentred loss.
+    """
+    mean = data.mean(axis=0)
+    data = data - mean
     W_e = params.W_enc.copy()
-    b_e = params.b_enc.copy()
+    b_e = params.b_enc + W_e @ mean
     W_d = params.W_dec.copy()
-    b_d = params.b_dec.copy()
+    b_d = params.b_dec - mean
     v = [np.zeros_like(a) for a in (W_e, b_e, W_d, b_d)]
     n = data.shape[0]
 
@@ -222,10 +238,7 @@ def train_autoencoder(
             vel -= learning_rate * g
             buf += vel
 
-    trained = AutoencoderParams(W_enc=W_e, b_enc=b_e, W_dec=W_d, b_dec=b_d)
-    if standardize:
-        trained = _scale_params(trained, col_scale)
-    return trained
+    return AutoencoderParams(W_enc=W_e, b_enc=b_e - W_e @ mean, W_dec=W_d, b_dec=b_d + mean)
 
 
 def _scale_params(params, col_scale, invert=False):

@@ -8,13 +8,16 @@ coefficients until the support stabilizes.  The decoded-acceleration
 residual couples the coefficient columns through the decoder, so every
 fit runs on the vectorized joint system (M x Gram) vec(Xi) = vec(R); plain
 column-wise STLSQ is the case M = I.  The whole Kronecker product is
-never formed.  A ridge refit on the full support (the first one of every
-cold fit) is decoupled through the eigenvectors of the small l x l M into
-l Cholesky solves of size p; a ridge refit on any smaller support
-assembles only the block of the system on that support and factors it by
-Cholesky in place.  A support system that is not numerically positive
-definite (a rank-deficient Gram far larger than ridge/eps) is solved by
-LU on its block instead, with one warning per fit.
+never formed.  With a ridge, the system is factored once per fit, as l
+Cholesky factors of size p decoupled through the eigenvectors of the small
+l x l M.  A refit that keeps more than half the entries is a bordered
+(KKT) solve on those factors, whose only dense system is the Schur matrix
+of the eliminated entries; a refit that keeps at most half assembles the
+block of the system on its support and factors it by Cholesky in place.
+So no dense matrix larger than half the unknowns is factored.  A system
+that is not numerically positive definite (a rank-deficient Gram far
+larger than ridge/eps) is solved by LU on its support block instead, with
+one warning per fit.
 """
 
 from __future__ import annotations
@@ -239,23 +242,73 @@ def _cholesky_solve(a, b):
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
-def _full_support_solve(M, gram, R, ridge):
-    """Solve Gram X M + ridge X = R, the full-support system, for X (p, l).
+def _inverse_from_cholesky(c):
+    """The symmetric inverse of u^T u from the upper factor u of
+    ``cho_factor(..., lower=False)``, overwriting c."""
+    inv, info = scipy.linalg.lapack.dpotri(c, lower=False, overwrite_c=True)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
+    inv = np.triu(inv)
+    return inv + np.triu(inv, 1).T
 
-    M = V diag(lam) V^T turns it into l independent p x p systems
-    (lam_j Gram + ridge I) y_j = (R V)_j with X = Y V^T, each solved by
-    Cholesky, so memory is O(p^2 + l^2).  Gram itself is not
-    diagonalised: the rounding of its near-zero eigenvalues is about
-    eps*||Gram||, as large as a typical ridge, and would move the support.
+
+class _DecoupledSystem:
+    """A = kron(M, Gram) + ridge I, factored once per fit, and its refits.
+
+    M = V diag(lam) V^T turns A into l independent p x p blocks
+    lam_j Gram + ridge I, each factored by Cholesky, so memory is
+    O(l p^2).  Gram itself is not diagonalised: the rounding of its
+    near-zero eigenvalues is about eps*||Gram||, as large as a typical
+    ridge, and would move the support.  ``x0`` is the full-support
+    solution A^{-1} vec(R).
     """
-    lam, V = np.linalg.eigh(M)
-    Y = R @ V
-    stride = gram.shape[0] + 1
-    for j in range(M.shape[0]):
-        a = lam[j] * gram
-        a.flat[::stride] += ridge
-        Y[:, j] = _cholesky_solve(a, Y[:, j])
-    return Y @ V.T
+
+    def __init__(self, M, gram, R, ridge):
+        lam, self.V = np.linalg.eigh(M)
+        Y = R @ self.V
+        stride = gram.shape[0] + 1
+        self.factors = []
+        for j in range(M.shape[0]):
+            a = lam[j] * gram
+            a.flat[::stride] += ridge
+            factor = scipy.linalg.cho_factor(a.T, lower=False, overwrite_a=True,
+                                             check_finite=False)
+            Y[:, j] = scipy.linalg.cho_solve(factor, Y[:, j], check_finite=False)
+            self.factors.append(factor)
+        self.x0 = (Y @ self.V.T).flatten(order="F")
+        self.inverses = None
+
+    def solve(self, support):
+        """A_SS^{-1} b_S on the support S, zero on the eliminated set E.
+
+        Solves the bordered (KKT) system of the equality-constrained
+        quadratic: x = x0 - C (P_E^T C)^{-1} x0_E with C = A^{-1} P_E.
+        The Schur matrix P_E^T C is SPD of size |E| and is factored by
+        Cholesky.  The inverses of the l blocks are formed at the first
+        refit with E non-empty, so every refit gathers its columns of C
+        instead of solving for them, and a refit's result depends on its
+        support alone.  Raises LinAlgError when the Schur matrix is not
+        numerically positive definite.
+        """
+        elim = np.flatnonzero(~support)
+        if not elim.size:
+            return self.x0.copy()
+        if self.inverses is None:
+            self.inverses = [_inverse_from_cholesky(c) for c, _ in self.factors]
+            self.factors = None
+        p = self.inverses[0].shape[0]
+        rows, W = elim % p, self.V[elim // p]
+        schur = np.zeros((elim.size, elim.size))
+        for w, inv in zip(W.T, self.inverses):
+            entries = inv[np.ix_(rows, rows)]
+            entries *= w[:, None]
+            entries *= w
+            schur += entries
+        mu = _cholesky_solve(schur, self.x0[elim])
+        Z = np.stack([inv[:, rows] @ (w * mu) for w, inv in zip(W.T, self.inverses)], axis=1)
+        x = self.x0 - (Z @ self.V.T).flatten(order="F")
+        x[elim] = 0.0
+        return x
 
 
 def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
@@ -265,16 +318,21 @@ def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
     coupling of the coefficient columns.  Elimination is strict: entries
     with |coef| < threshold are dropped, entries exactly at the threshold
     are kept.  Stops when the support is stable or after max_iters refits.
-    Each refit solves only the support block of the system:
+    Each refit solves the system restricted to its support S, with E the
+    eliminated entries:
 
-    - full support, ridge > 0: decoupled through the eigenvectors of M
-      (``_full_support_solve``), so the (p*l)^2 block is never built;
-    - any other support, ridge > 0: the support block by Cholesky, in
-      place;
+    - ridge > 0 and |S| > |E| (every full-support refit among them): the
+      bordered solve of ``_DecoupledSystem``, on the decoupled Cholesky
+      factors computed once per fit; the full support is their direct
+      solution, and a smaller one needs only the |E| x |E| Schur matrix;
+    - ridge > 0 and |S| <= |E|: the support block by Cholesky, in place;
     - either of those not numerically positive definite (a rank-deficient
       Gram much larger than ridge/eps): the support block by LU, with one
       warning per fit;
     - ridge <= 0: the support block by least squares.
+
+    The largest dense matrix factored by Cholesky is therefore
+    max(p, min(|S|, |E|)) <= max(p, p*l/2).
 
     Columns whose support empties out are returned as all-zero with a
     warning (constant-zero dynamics).
@@ -294,6 +352,7 @@ def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
     support = (np.ones(p * l, dtype=bool) if init_support is None
                else np.asarray(init_support, dtype=bool).flatten(order="F"))
     x = np.zeros(p * l)
+    system = None  # built at the first refit that needs it, then reused
     warned = False
     for _ in range(max_iters + 1):
         x[:] = 0.0
@@ -305,10 +364,12 @@ def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
                                      rcond=None)[0]
         else:
             try:
-                if idx.size == p * l:
-                    x[:] = _full_support_solve(M, gram, R, ridge).flatten(order="F")
-                else:
+                if 2 * idx.size <= p * l:
                     x[idx] = _cholesky_solve(_support_block(M, gram, idx, ridge), rhs[idx])
+                else:
+                    if system is None:
+                        system = _DecoupledSystem(M, gram, R, ridge)
+                    x[:] = system.solve(support)
             except np.linalg.LinAlgError:
                 if not warned:
                     warnings.warn(
@@ -388,9 +449,11 @@ def fit_phase_model(
     in Xi; because the decoder couples the columns, the joint system is
     vectorized and the normal equations take the Kronecker form
     (M x Gram) with M = latent_weight I + decoded_weight W_dec^T W_dec.
-    With ridge > 0 the first, full-support refit is decoupled through the
-    eigenvectors of M and later refits factor their support block by
-    Cholesky, falling back to LU with a warning when that block is not
+    With ridge > 0 the system is factored once per fit, decoupled through
+    the eigenvectors of M; a refit that keeps more than half the entries
+    is a bordered (KKT) solve on those factors, and one that keeps at most
+    half factors its support block by Cholesky.  Either falls back to LU
+    on the support block, with a warning, when its system is not
     numerically positive definite (see ``_stlsq``).  ddq may be None only
     when decoded_weight is 0.
     """

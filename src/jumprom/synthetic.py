@@ -17,7 +17,7 @@ any trained encoder basis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -366,9 +366,6 @@ def generate(spec, out_dir=None):
 
     if spec.noise_sigma:
         dataset = add_noise(dataset, spec.noise_sigma, seed=noise_seq.generate_state(1)[0])
-        # noise variant keeps the raw-file schema: strip derived fields again
-        dataset = replace(dataset, jumps=tuple(replace(j, ddq=None, u=None)
-                                                for j in dataset.jumps))
 
     truth = SyntheticTruth(
         lift=lift,

@@ -397,12 +397,14 @@ def _sigma_map(sigma):
     return out
 
 
-def add_noise(dataset, sigma, seed, *, smooth_window=0):
-    """Additive i.i.d. Gaussian noise on q, dq, tau; derived fields recomputed.
+def add_noise(dataset, sigma, seed):
+    """Additive i.i.d. Gaussian noise on q, dq, tau of the raw record.
 
     ``sigma`` is a scalar applied to all three signals or a mapping with
     keys among {"q", "dq", "tau"}.  Recorded foot forces and positions are
-    left untouched.
+    left untouched.  The derived fields ddq and u are left unfilled, as
+    ``load_dataset`` leaves them: derive them with ``process_dataset``,
+    with the leg Jacobians the clean record needed, if any.
     """
     sig = _sigma_map(sigma)
     rng = np.random.default_rng(seed)
@@ -414,8 +416,7 @@ def add_noise(dataset, sigma, seed, *, smooth_window=0):
             if sig[name] > 0:
                 arr = arr + rng.normal(0.0, sig[name], size=arr.shape)
             fields[name] = arr
-        noisy = replace(jump, **fields)
-        jumps.append(process_trajectory(noisy, dataset.meta.m, smooth_window=smooth_window))
+        jumps.append(replace(jump, ddq=None, u=None, **fields))
     total = max(sig.values())
     meta = replace(dataset.meta, noise_sigma=float(np.hypot(dataset.meta.noise_sigma, total)))
     return Dataset(jumps=tuple(jumps), split=dataset.split, meta=meta)

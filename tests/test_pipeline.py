@@ -244,6 +244,18 @@ class TestFineTune:
         tuned = fine_tune(clean_bundle.model, clean_bundle.dataset, config)
         assert models_equal(tuned, clean_bundle.model)
 
+    def test_far_offset_fine_tunes(self, clean_bundle):
+        # a base-x shift of 50 m: descent on uncentred data diverged here
+        m = clean_bundle.dataset.meta.m
+        shift = np.zeros(m + 6)
+        shift[m] = 50.0
+        shifted = replace(clean_bundle.dataset, jumps=tuple(
+            replace(j, q=j.q + shift) for j in clean_bundle.dataset.jumps))
+        config = TrainingConfig(latent_dim=2, seed=0)
+        tuned = fine_tune(clean_bundle.model, shifted, config)
+        before = decoder_test_error(clean_bundle.model, shifted)
+        assert decoder_test_error(tuned, shifted) < before
+
     def test_parent_hash_recorded(self, clean_bundle):
         config = TrainingConfig(latent_dim=2, epochs=0)
         tuned = fine_tune(clean_bundle.model, clean_bundle.dataset, config)

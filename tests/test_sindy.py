@@ -347,6 +347,94 @@ class TestStlsqCore:
         assert np.array_equal(coeffs.Xi, expected)
 
 
+@st.composite
+def _sparse_systems(draw):
+    """A larger well-sampled system whose true coefficients span four
+    decades, so a threshold inside that range eliminates over several
+    refits, with a coupling M, a ridge and maybe a starting support."""
+    p, l = draw(st.integers(10, 40)), draw(st.integers(1, 6))
+    n = draw(st.integers(p, 3 * p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.normal(size=(n, p)) * rng.uniform(0.3, 3.0, size=p)
+    Xi = rng.choice([-1.0, 1.0], size=(p, l)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(p, l))
+    target = theta @ Xi + 0.01 * rng.normal(size=(n, l))
+    W = rng.normal(size=(draw(st.integers(1, 8)), l))
+    M = draw(st.floats(0.1, 3.0)) * np.eye(l) + draw(st.floats(0.0, 3.0)) * W.T @ W
+    threshold = draw(st.floats(0.01, 1.0))
+    ridge = draw(st.sampled_from([1e-9]) | st.floats(1e-12, 1e-3))
+    init_support = draw(st.none() | arrays(bool, (p, l)))
+    return theta, target, M, threshold, ridge, 20, init_support
+
+
+def _recording(monkeypatch, name, sizes):
+    """Record the size of the matrix each call of sindy.<name> receives."""
+    import jumprom.sindy as sindy
+
+    original = getattr(sindy, name)
+
+    def recorded(*args):
+        out = original(*args)
+        sizes.append(args[0].shape[0] if name == "_cholesky_solve" else args[2].size)
+        return out
+
+    monkeypatch.setattr(sindy, name, recorded)
+
+
+class TestBorderedRefits:
+    @given(_sparse_systems())
+    def test_matches_explicit_kronecker_at_scale(self, system):
+        theta, target, M, threshold, ridge, max_iters, init_support = system
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = _kron_stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
+            coeffs = _stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
+        assert np.array_equal(coeffs.active_mask, expected != 0.0)
+        cond = _kron_cond(theta, M, ridge)
+        tol = 1e-9 if cond <= 1e7 else 1e-15 * cond
+        assert np.max(np.abs(coeffs.Xi - expected)) <= tol * np.max(np.abs(expected))
+
+    def test_no_dense_matrix_above_half_the_unknowns(self, monkeypatch):
+        # a mostly dense law: every refit keeps more than half the entries,
+        # so each is a bordered solve whose Schur system is the eliminated set
+        rng = np.random.default_rng(0)
+        n, p, l = 300, 30, 4
+        theta = rng.normal(size=(n, p))
+        Xi = rng.choice([-1.0, 1.0], size=(p, l)) * 10.0 ** rng.uniform(-2.0, 1.0, size=(p, l))
+        target = theta @ Xi + 0.01 * rng.normal(size=(n, l))
+        W = rng.normal(size=(6, l))
+        M = np.eye(l) + W.T @ W
+        blocks, factored = [], []
+        _recording(monkeypatch, "_support_block", blocks)
+        _recording(monkeypatch, "_cholesky_solve", factored)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = _stlsq(theta, target, M, 0.1, 1e-9, 20)
+        assert count_active(coeffs) > p * l / 2
+        assert len(factored) >= 2  # eliminated over several refits
+        assert blocks == []
+        assert max(factored) <= p * l / 2
+        expected = _kron_stlsq(theta, target, M, 0.1, 1e-9, 20, None)
+        assert np.array_equal(coeffs.active_mask, expected != 0.0)
+
+    def test_schur_failure_falls_back_to_lu(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        theta = rng.normal(size=(60, 12))
+        target = theta @ (10.0 ** rng.uniform(-2.0, 1.0, size=(12, 2))) + rng.normal(size=(60, 2))
+
+        def not_positive_definite(a, b):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr("jumprom.sindy._cholesky_solve", not_positive_definite)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coeffs = _stlsq(theta, target, np.eye(2), 0.1, 1e-9, 20)
+        messages = [str(w.message) for w in caught if "positive definite" in str(w.message)]
+        assert len(messages) == 1
+        assert 12 < count_active(coeffs) < 24  # the last refit was bordered
+        expected = _kron_stlsq(theta, target, np.eye(2), 0.1, 1e-9, 20, None)
+        assert np.array_equal(coeffs.Xi, expected)
+
+
 def _orthonormal_autoencoder(d=10, l=2, seed=6):
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.normal(size=(d, l)))

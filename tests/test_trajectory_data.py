@@ -27,6 +27,7 @@ from jumprom.trajectory_data import (
     compute_foot_force,
     differentiate_velocity,
     load_dataset,
+    process_dataset,
     process_trajectory,
     save_dataset,
     segment_phases,
@@ -336,7 +337,7 @@ class TestAddNoise:
 
     def test_zero_sigma_bitwise(self):
         ds = self._processed()
-        out = add_noise(ds, 0.0, seed=0)
+        out = process_dataset(add_noise(ds, 0.0, seed=0))
         for a, b in zip(ds.jumps, out.jumps):
             for name in ("q", "dq", "tau", "ddq", "u"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -344,7 +345,7 @@ class TestAddNoise:
     def test_half_normal_mean(self):
         ds = self._processed(n=8, T=256)
         sigma = 0.01
-        out = add_noise(ds, {"q": sigma}, seed=1)
+        out = process_dataset(add_noise(ds, {"q": sigma}, seed=1))
         deltas = np.concatenate(
             [np.abs(a.q - b.q).ravel() for a, b in zip(ds.jumps, out.jumps)]
         )
@@ -353,11 +354,39 @@ class TestAddNoise:
 
     def test_deterministic(self):
         ds = self._processed()
-        a = add_noise(ds, 0.05, seed=9)
-        b = add_noise(ds, 0.05, seed=9)
+        a = process_dataset(add_noise(ds, 0.05, seed=9))
+        b = process_dataset(add_noise(ds, 0.05, seed=9))
         for ja, jb in zip(a.jumps, b.jumps):
             assert np.array_equal(ja.q, jb.q)
             assert np.array_equal(ja.ddq, jb.ddq)
+
+    def test_returns_raw_record(self):
+        out = add_noise(self._processed(), 0.05, seed=3)
+        assert all(j.ddq is None and j.u is None for j in out.jumps)
+
+    def test_jacobian_processed_dataset(self):
+        # a wrench recovered from torques through leg Jacobians: the noised
+        # record is processed again with the same Jacobians
+        m, T = 12, 6
+        rng = np.random.default_rng(8)
+        jump = Trajectory(
+            timestamps=np.arange(T) * 0.01,
+            q=rng.normal(size=(T, m + 6)),
+            dq=rng.normal(size=(T, m + 6)),
+            tau=rng.normal(size=(T, m)),
+            contact=np.ones((T, 4)),
+            foot_positions=rng.normal(size=(T, 12)),
+        )
+        jac = [np.tile(np.eye(3), (T, 4, 1, 1))]
+        clean = process_dataset(
+            Dataset(jumps=(jump,), split=("train",), meta=DatasetMeta(robot="test", m=m, dt=0.01)),
+            jacobians=jac,
+        )
+        noisy = process_dataset(add_noise(clean, {"tau": 0.1}, seed=0), jacobians=jac)
+        (before,), (after,) = clean.jumps, noisy.jumps
+        assert np.array_equal(after.q, before.q)
+        assert np.array_equal(after.ddq, before.ddq)
+        assert np.all(after.u != before.u)
 
 
 class TestProcessTrajectory:
