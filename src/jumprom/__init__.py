@@ -30,7 +30,6 @@ from .pipeline import (
 from .rollout import (
     RolloutConfig,
     RolloutResult,
-    compare_models,
     integrate,
     rollout_full,
     rollout_with_reset,

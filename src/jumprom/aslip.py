@@ -14,13 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrators
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_real
 from .trajectory_data import Phase, segment_phases
 
 
 @dataclass(frozen=True)
 class AslipParams:
-    """spring constant (N/m), body mass (kg), rest-length vector (m), gravity (m/s^2)."""
+    """spring constant (N/m), body mass (kg), rest-length vector (m), gravity (m/s^2).
+
+    The scalars are stored as floats and ``l0`` as a float 3-vector.
+    """
 
     k_s: float
     m: float
@@ -28,8 +31,15 @@ class AslipParams:
     g: float = 9.81
 
     def __post_init__(self):
-        if self.k_s <= 0 or self.m <= 0 or self.g <= 0:
-            raise ValidationError("k_s, m, and g must all be positive")
+        for name in ("k_s", "m", "g"):
+            value = getattr(self, name)
+            if not is_finite_real(value) or value <= 0:
+                raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        l0 = np.asarray(self.l0)
+        if l0.shape != (3,) or l0.dtype.kind not in "iuf" or not np.all(np.isfinite(l0)):
+            raise ValidationError(f"l0 must be a finite 3-vector, got {self.l0!r}")
+        object.__setattr__(self, "l0", l0.astype(float))
         if float(np.linalg.norm(self.l0)) <= 0:
             raise ValidationError("rest length must be nonzero")
 

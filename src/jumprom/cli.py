@@ -1,11 +1,16 @@
 """Command-line front door for dataset generation, training, and evaluation.
 
-Every command takes an optional JSON config file whose keys mirror the
-command-line flags one to one (flags win).  Each run writes exactly one
-``run_manifest.json`` next to its outputs recording the resolved config,
-seeds, input/output paths, artifact hashes, and wall-clock timings.
-Outputs are plain delimited text plus the structured model format, so
-results diff cleanly under version control.
+Every command takes an optional JSON config file.  ``_settings`` resolves
+the settings of each command the same way, defaults < config file < flags:
+it keeps the config keys the command reads (``KEYS``; other keys are
+ignored, so one file can serve several commands) and lets each flag given
+on the command line override its key (``FLAGS``).  The settings go
+straight into the typed records (``TrainingConfig``, ``RolloutConfig``,
+``AslipParams``, the synthetic presets), which check them.  Each run
+writes exactly one ``run_manifest.json`` next to its outputs recording the
+resolved config, seeds, input/output paths, artifact hashes, and
+wall-clock timings.  Outputs are plain delimited text plus the structured
+model format, so results diff cleanly under version control.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,39 +35,58 @@ from .trajectory_data import Phase, load_dataset, process_dataset
 
 OUT_ROOT_ENV = "JUMPROM_OUT_ROOT"
 
+PRESETS = {"two_phase": synthetic.two_phase_spec, "three_phase": synthetic.three_phase_spec}
 
-def _resolve_out(args, command):
-    if args.out:
-        return Path(args.out)
-    root = os.environ.get(OUT_ROOT_ENV)
-    if not root:
-        raise ValidationError(f"no --out given and {OUT_ROOT_ENV} is not set")
-    return Path(root) / command
+_TRAINING_KEYS = tuple(f.name for f in fields(TrainingConfig))
+
+# The config keys each command reads.
+KEYS = {
+    "gen": ("preset", "n_jumps", "lift_seed", "noise_sigma", "dt", "split_counts"),
+    "train": _TRAINING_KEYS,
+    # the grid sets each cell's latent dimension and seed
+    "scan": tuple(k for k in _TRAINING_KEYS if k not in ("latent_dim", "seed"))
+    + ("l_values", "seeds"),
+    "eval": ("reset_interval", "integrator"),
+    "baseline": ("integrator", "k_s", "mass", "l0", "g"),
+    # the latent dimension is the model's
+    "finetune": tuple(k for k in _TRAINING_KEYS if k != "latent_dim"),
+}
+
+# The flag that overrides each config key, for the commands that read the key.
+FLAGS = {
+    "preset": "--preset",
+    "lift_seed": "--seed",
+    "seed": "--seed",
+    "latent_dim": "--latent-dim",
+    "stlsq_threshold": "--threshold",
+    "l_values": "--l-values",
+    "seeds": "--seeds",
+    "reset_interval": "--reset-interval",
+    "integrator": "--integrator",
+}
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValidationError(f"cannot read config {path}: {e}") from e
+def _settings(args):
+    """The settings of ``args.command``: its config keys, each overridden by its flag.
 
-
-def _training_config(args):
-    """Defaults < config file < explicit flags."""
-    payload = _load_config(args.config)
-    training_keys = {k for k in vars(TrainingConfig())}
-    payload = {k: v for k, v in payload.items() if k in training_keys}
-    config = config_from_dict(payload)
-    overrides = {}
-    if getattr(args, "latent_dim", None) is not None:
-        overrides["latent_dim"] = args.latent_dim
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "threshold", None) is not None:
-        overrides["stlsq_threshold"] = args.threshold
-    return replace(config, **overrides) if overrides else config
+    Reads ``--config`` once and keeps only the keys the command reads.  A
+    key left unset takes its default from the record it goes into.
+    """
+    keys = KEYS[args.command]
+    payload = {}
+    if args.config is not None:
+        try:
+            payload = json.loads(Path(args.config).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ValidationError(f"cannot read config {args.config}: {e}") from e
+        if not isinstance(payload, dict):
+            raise ValidationError(f"config {args.config} must hold a JSON object")
+    settings = {k: payload[k] for k in keys if k in payload}
+    for key, flag in FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if key in keys and value is not None:
+            settings[key] = value
+    return settings
 
 
 def _sha256(path):
@@ -74,34 +98,42 @@ def _sha256(path):
 
 
 class _ManifestWriter:
-    def __init__(self, command, args, out_dir):
-        self.command = command
-        self.out_dir = Path(out_dir)
+    def __init__(self, args, out_dir, inputs):
+        self.out_dir = out_dir
         self.started = time.time()
         self.record = {
-            "command": command,
+            "command": args.command,
             "config_file": args.config,
-            "inputs": {},
+            "inputs": {name: str(getattr(args, name)) for name in inputs},
             "outputs": {},
-            "seeds": [],
         }
-
-    def add_input(self, name, path):
-        self.record["inputs"][name] = str(path)
 
     def add_output(self, path):
         path = Path(path)
         self.record["outputs"][str(path.relative_to(self.out_dir))] = _sha256(path)
 
-    def finish(self, resolved_config=None, seeds=None):
+    def finish(self, resolved_config=None, seeds=()):
         if resolved_config is not None:
             self.record["resolved_config"] = resolved_config
-        if seeds is not None:
-            self.record["seeds"] = list(seeds)
+        self.record["seeds"] = list(seeds)
         self.record["wall_clock_s"] = time.time() - self.started
         path = self.out_dir / "run_manifest.json"
         path.write_text(json.dumps(self.record, indent=2, sort_keys=True) + "\n")
-        return path
+
+
+def _start(args, *inputs):
+    """Create the run's output directory; return it and the run's manifest.
+
+    ``inputs`` names the path arguments the manifest records as inputs.
+    """
+    if args.out:
+        out = Path(args.out)
+    elif os.environ.get(OUT_ROOT_ENV):
+        out = Path(os.environ[OUT_ROOT_ENV]) / args.command
+    else:
+        raise ValidationError(f"no --out given and {OUT_ROOT_ENV} is not set")
+    out.mkdir(parents=True, exist_ok=True)
+    return out, _ManifestWriter(args, out, inputs)
 
 
 def _load_processed(path, smooth_window=0):
@@ -109,27 +141,30 @@ def _load_processed(path, smooth_window=0):
     return process_dataset(dataset, smooth_window=smooth_window)
 
 
-def _rollout_config(args, dataset):
-    """Defaults < config file < explicit flags; the step rate is the dataset's."""
-    payload = _load_config(args.config)
-    kwargs = {"step_rate": 1.0 / dataset.meta.dt}
-    for key in ("reset_interval", "integrator"):
-        value = getattr(args, key, None)  # baseline has no --reset-interval
-        if value is None:
-            value = payload.get(key)
-        if value is not None:
-            kwargs[key] = value
-    return rollout.RolloutConfig(**kwargs)
-
-
-def _write_series(path, timestamps, q_pred, q_true, err):
+def _write_series(path, result):
+    """One rollout, a row per sample: t, q_pred, q_true and the error norm."""
+    d = result.q_pred.shape[1]
+    header = ["t"] + [f"q_pred_{i}" for i in range(d)] + [f"q_true_{i}" for i in range(d)] + ["err"]
+    rows = np.column_stack([result.timestamps, result.q_pred, result.q_true, result.error_norm])
     with open(path, "w") as fh:
-        d = q_pred.shape[1]
-        header = ["t"] + [f"q_pred_{i}" for i in range(d)] + [f"q_true_{i}" for i in range(d)] + ["err"]
         fh.write(",".join(header) + "\n")
-        for k in range(q_pred.shape[0]):
-            row = [timestamps[k], *q_pred[k], *q_true[k], err[k]]
+        for row in rows:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def _write_results(out, manifest, table, header, series_prefix, results, columns):
+    """Write each (jump, label, RolloutResult) of ``results`` as a series file
+    and as one row ``jump,label,columns(result)`` of the table."""
+    table_path = out / table
+    with open(table_path, "w") as fh:
+        fh.write(header + "\n")
+        for idx, label, result in results:
+            series_path = out / f"{series_prefix}_{idx:03d}_{label}.csv"
+            _write_series(series_path, result)
+            manifest.add_output(series_path)
+            fh.write(f"{idx},{label}," + ",".join(repr(float(x)) for x in columns(result)) + "\n")
+    manifest.add_output(table_path)
+    return table_path
 
 
 # ---------------------------------------------------------------------------
@@ -137,40 +172,24 @@ def _write_series(path, timestamps, q_pred, q_true, err):
 
 
 def cmd_gen(args):
-    out = _resolve_out(args, "gen")
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _ManifestWriter("gen", args, out)
-    payload = _load_config(args.config)
-    preset = args.preset or payload.get("preset") or "two_phase"
-    kwargs = {}
-    for key in ("n_jumps", "lift_seed", "noise_sigma", "dt"):
-        if key in payload:
-            kwargs[key] = payload[key]
-    if args.seed is not None:
-        kwargs["lift_seed"] = args.seed
-    if "split_counts" in payload:
-        kwargs["split_counts"] = tuple(payload["split_counts"])
-    if preset == "two_phase":
-        spec = synthetic.two_phase_spec(**kwargs)
-    elif preset == "three_phase":
-        spec = synthetic.three_phase_spec(**kwargs)
-    else:
+    settings = _settings(args)
+    preset = settings.pop("preset", "two_phase")
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r}")
+    spec = PRESETS[preset](**settings)
+    out, manifest = _start(args)
     dataset, _ = synthetic.generate(spec, out_dir=out)
     for f in sorted(out.iterdir()):
         if f.name != "run_manifest.json":
             manifest.add_output(f)
-    manifest.finish(resolved_config={"preset": preset, **kwargs}, seeds=[spec.lift_seed])
+    manifest.finish(resolved_config={"preset": preset, **settings}, seeds=[spec.lift_seed])
     print(f"wrote {dataset.n_jumps} jumps to {out}")
     return 0
 
 
 def cmd_train(args):
-    out = _resolve_out(args, "train")
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _ManifestWriter("train", args, out)
-    manifest.add_input("dataset", args.dataset)
-    config = _training_config(args)
+    config = config_from_dict(_settings(args))
+    out, manifest = _start(args, "dataset")
     dataset = _load_processed(args.dataset, config.smooth_window)
     model = pipeline.run_pipeline(dataset, config)
     for pm in model.phases:
@@ -186,14 +205,13 @@ def cmd_train(args):
 
 
 def cmd_scan(args):
-    out = _resolve_out(args, "scan")
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _ManifestWriter("scan", args, out)
-    manifest.add_input("dataset", args.dataset)
-    config = _training_config(args)
-    payload = _load_config(args.config)
-    l_values = args.l_values or payload.get("l_values") or [1, 2, 3, 4, 5, 6, 7, 8]
-    seeds = args.seeds or payload.get("seeds") or [0, 1, 2, 3, 4]
+    if args.parallel < 1:
+        raise ValidationError(f"--parallel must be >= 1, got {args.parallel}")
+    settings = _settings(args)
+    l_values = settings.pop("l_values", [1, 2, 3, 4, 5, 6, 7, 8])
+    seeds = settings.pop("seeds", [0, 1, 2, 3, 4])
+    config = config_from_dict(settings)
+    out, manifest = _start(args, "dataset")
     dataset = _load_processed(args.dataset, config.smooth_window)
 
     if args.parallel > 1:
@@ -203,7 +221,7 @@ def cmd_scan(args):
     report_path = out / "report.csv"
     pipeline.write_selection_report(report, report_path)
     manifest.add_output(report_path)
-    manifest.finish(resolved_config=pipeline.config_to_dict(config), seeds=list(seeds))
+    manifest.finish(resolved_config=pipeline.config_to_dict(config), seeds=seeds)
     for l, mean, std in report.aggregates():
         print(f"l={l}: L_mod = {mean:.6f} +/- {std:.6f}")
     print(f"report written to {report_path}")
@@ -218,6 +236,7 @@ def _scan_cell(payload):
 def _parallel_scan(dataset, l_values, seeds, config, workers):
     from concurrent.futures import ProcessPoolExecutor
 
+    l_values, seeds = pipeline.scan_grid(dataset, l_values, seeds)  # before any worker starts
     cells = [(dataset, l_values, seed, config) for seed in seeds]
     rows = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -228,14 +247,11 @@ def _parallel_scan(dataset, l_values, seeds, config, workers):
 
 
 def cmd_eval(args):
-    out = _resolve_out(args, "eval")
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _ManifestWriter("eval", args, out)
-    manifest.add_input("dataset", args.dataset)
-    manifest.add_input("model", args.model)
+    settings = _settings(args)
+    out, manifest = _start(args, "dataset", "model")
     model = pipeline.load_model(args.model)
     dataset = _load_processed(args.dataset)
-    config = _rollout_config(args, dataset)
+    config = rollout.RolloutConfig(step_rate=1.0 / dataset.meta.dt, **settings)
     test_ids = dataset.indices("test")
     if not test_ids:
         raise ValidationError("dataset has no test split")
@@ -248,35 +264,22 @@ def cmd_eval(args):
         if config.reset_interval > 0:
             results.append((idx, "reset", rollout.rollout_with_reset(model, jump, config)))
 
-    metrics_path = out / "metrics.csv"
-    with open(metrics_path, "w") as fh:
-        fh.write("jump,mode,mean_rmse\n")
-        for idx, mode, r in results:
-            series_path = out / f"rollout_{idx:03d}_{mode}.csv"
-            _write_series(series_path, r.timestamps, r.q_pred, r.q_true, r.error_norm)
-            manifest.add_output(series_path)
-            fh.write(f"{idx},{mode},{float(r.rmse.mean())!r}\n")
-            print(f"jump {idx} [{mode}]: mean RMSE {float(r.rmse.mean()):.6g}")
-    manifest.add_output(metrics_path)
-    manifest.finish(seeds=[])
+    _write_results(out, manifest, "metrics.csv", "jump,mode,mean_rmse", "rollout", results,
+                   lambda r: [r.rmse.mean()])
+    manifest.finish()
+    for idx, mode, r in results:
+        print(f"jump {idx} [{mode}]: mean RMSE {float(r.rmse.mean()):.6g}")
     return 0
 
 
 def cmd_baseline(args):
-    out = _resolve_out(args, "baseline")
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _ManifestWriter("baseline", args, out)
-    manifest.add_input("dataset", args.dataset)
-    payload = _load_config(args.config)
-    params = aslip.AslipParams(
-        k_s=float(payload.get("k_s", 2500.0)),
-        m=float(payload.get("mass", 12.0)),
-        l0=np.asarray(payload.get("l0", [0.0, 0.0, 0.3]), dtype=float),
-        g=float(payload.get("g", 9.81)),
-    )
+    settings = _settings(args)
+    params = aslip.AslipParams(k_s=settings.pop("k_s", 2500.0), m=settings.pop("mass", 12.0),
+                               l0=settings.pop("l0", (0.0, 0.0, 0.3)), g=settings.pop("g", 9.81))
+    out, manifest = _start(args, "dataset")
     dataset = _load_processed(args.dataset)
     model = pipeline.load_model(args.model) if args.model else None
-    config = _rollout_config(args, dataset)
+    config = rollout.RolloutConfig(step_rate=1.0 / dataset.meta.dt, **settings)
     m = dataset.meta.m
     com_cols = slice(m, m + 3)
 
@@ -300,50 +303,30 @@ def cmd_baseline(args):
             params, state0, force_sum / params.m, schedule, jump.n_samples, dt,
             integrator=config.integrator, foot_positions=feet,
         )
-        named = [("aslip", _com_result(jump.timestamps, b_pred, com_true, schedule))]
+        compared.append((idx, "aslip", _com_result(jump.timestamps, b_pred, com_true, schedule)))
         if model is not None:
             res = rollout.rollout_full(model, jump, config)
-            named.append(("learned", _com_result(
+            compared.append((idx, "learned", _com_result(
                 jump.timestamps, res.q_pred[:, com_cols], com_true, schedule)))
-        compared.append((idx, named, rollout.compare_models(named)))
 
-    table_path = out / "comparison.csv"
-    with open(table_path, "w") as fh:
-        fh.write("jump,model,rmse_x,rmse_y,rmse_z\n")
-        for idx, named, table in compared:
-            for name, rmse in table.rows():
-                fh.write(f"{idx},{name}," + ",".join(repr(float(x)) for x in rmse) + "\n")
-            for i, name in enumerate(table.names):
-                series_path = out / f"baseline_{idx:03d}_{name}.csv"
-                res = named[i][1]
-                _write_series(series_path, res.timestamps, res.q_pred, res.q_true,
-                              table.error_series[i])
-                manifest.add_output(series_path)
-    manifest.add_output(table_path)
-    manifest.finish(seeds=[])
+    table_path = _write_results(out, manifest, "comparison.csv", "jump,model,rmse_x,rmse_y,rmse_z",
+                                "baseline", compared, lambda r: r.rmse)
+    manifest.finish()
     print(f"comparison written to {table_path}")
     return 0
 
 
 def _com_result(timestamps, pred, true, schedule):
-    return rollout.RolloutResult(
-        timestamps=timestamps,
-        latent_pred=np.zeros((pred.shape[0], 0)),
-        q_pred=pred,
-        q_true=np.asarray(true),
-        phase_schedule=tuple(schedule),
-    )
+    return rollout.RolloutResult(timestamps=timestamps, latent_pred=np.zeros((len(pred), 0)),
+                                 q_pred=pred, q_true=np.asarray(true),
+                                 phase_schedule=tuple(schedule))
 
 
 def cmd_finetune(args):
-    out = _resolve_out(args, "finetune")
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _ManifestWriter("finetune", args, out)
-    manifest.add_input("dataset", args.dataset)
-    manifest.add_input("model", args.model)
+    settings = _settings(args)
+    out, manifest = _start(args, "dataset", "model")
     model = pipeline.load_model(args.model)
-    # the latent dimension is the model's; record the config that runs
-    config = replace(_training_config(args), latent_dim=model.autoencoder.latent_dim)
+    config = config_from_dict({**settings, "latent_dim": model.autoencoder.latent_dim})
     dataset = _load_processed(args.dataset, config.smooth_window)
     tuned = pipeline.fine_tune(model, dataset, config)
     model_path = out / "model.txt"
@@ -352,7 +335,6 @@ def cmd_finetune(args):
     manifest.finish(resolved_config=pipeline.config_to_dict(config), seeds=[config.seed])
     print(f"fine-tuned model written to {model_path}")
     return 0
-
 
 # ---------------------------------------------------------------------------
 # argument parsing
@@ -370,51 +352,45 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__about__.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=False, model=False):
-        p.add_argument("--config", help="JSON config file; keys mirror the flags")
+    def command(name, func, help, dataset=True, model=False, seed=None):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file; a flag given overrides its key")
         p.add_argument("--out", help=f"output directory (default: ${OUT_ROOT_ENV}/<command>)")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help=seed)
         if dataset:
             p.add_argument("--dataset", required=True, help="dataset directory")
         if model:
             p.add_argument("--model", required=True, help="model file")
+        return p
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    common(p)
-    p.add_argument("--preset", default=None, choices=["two_phase", "three_phase"],
+    p = command("gen", cmd_gen, "generate a synthetic dataset", dataset=False,
+                seed="lift seed of the generated data")
+    p.add_argument("--preset", default=None, choices=list(PRESETS),
                    help="dataset preset (default: two_phase)")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="run the three-stage training pipeline")
-    common(p, dataset=True)
+    p = command("train", cmd_train, "run the three-stage training pipeline", seed="training seed")
     p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("scan", help="model-selection scan over latent dimensions")
-    common(p, dataset=True)
+    p = command("scan", cmd_scan, "model-selection scan over latent dimensions")
     p.add_argument("--l-values", type=_int_list, default=None, help="comma-separated latent dims")
     p.add_argument("--seeds", type=_int_list, default=None, help="comma-separated seeds")
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--parallel", type=int, default=1)
-    p.set_defaults(func=cmd_scan)
+    p.add_argument("--parallel", type=int, default=1, help="worker processes (default: 1)")
 
-    p = sub.add_parser("eval", help="roll out a model against recorded test jumps")
-    common(p, dataset=True, model=True)
+    p = command("eval", cmd_eval, "roll out a model against recorded test jumps", model=True)
     p.add_argument("--reset-interval", type=int, default=None)
     p.add_argument("--integrator", choices=_integrators.INTEGRATORS, default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baseline", help="compare against the actuated-SLIP baseline")
-    common(p, dataset=True)
+    p = command("baseline", cmd_baseline, "compare against the actuated-SLIP baseline")
     p.add_argument("--model", default=None, help="optional learned model to include")
     p.add_argument("--integrator", choices=_integrators.INTEGRATORS, default=None)
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("finetune", help="fine-tune an existing model on a new dataset")
-    common(p, dataset=True, model=True)
+    p = command("finetune", cmd_finetune, "fine-tune an existing model on a new dataset",
+                model=True, seed="training seed")
     p.add_argument("--threshold", type=float, default=None)
-    p.set_defaults(func=cmd_finetune)
     return parser
 
 

@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
 Every error carries a short machine-parsable ``code`` so the CLI can emit
-one-line diagnostics of the form ``ERROR <code>: <message>``.
+one-line diagnostics of the form ``ERROR <code>: <message>``.  The typed
+records check their fields with the two predicates at the end.
 """
+
+import math
+import numbers
 
 
 class JumpromError(Exception):
@@ -103,3 +107,18 @@ class DivergenceError(JumpromError):
     def __init__(self, message, time):
         super().__init__(message)
         self.time = time
+
+
+def is_integer(value):
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value):
+    """True for a finite real number that is not a bool (nor an int beyond float range)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

@@ -21,8 +21,7 @@ import hashlib
 import io
 import json
 import logging
-import math
-import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -42,6 +41,8 @@ from .errors import (
     PipelineStepError,
     UnsupportedModelVersionError,
     ValidationError,
+    is_finite_real,
+    is_integer,
 )
 from .sindy import (
     FunctionLibrarySpec,
@@ -59,14 +60,6 @@ MODEL_FORMAT_VERSION = 1
 _MODEL_MAGIC = "jumprom-model"
 
 PHASE_ORDER = (Phase.CONTACT, Phase.PARTIAL_CONTACT, Phase.FLIGHT)
-
-
-def _isfinite(value):
-    """math.isfinite that is False, not OverflowError, for an int beyond float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -102,11 +95,9 @@ class TrainingConfig:
     def __post_init__(self):
         for f in fields(self):  # f.type is the annotation string (postponed annotations)
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, numbers.Integral)):
+            if f.type == "int" and not is_integer(value):
                 raise ValidationError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                                      or not _isfinite(value)):
+            if f.type == "float" and not is_finite_real(value):
                 raise ValidationError(f"{f.name} must be a finite real number, got {value!r}")
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
@@ -380,6 +371,29 @@ def total_active(model):
     return sum(count_active(pm.coefficients) for pm in model.phases)
 
 
+def _scan_axis(values, what, low, high=None):
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValidationError(f"scan {what} must be a list of integers, got {values!r}")
+    values = list(values)
+    if not values:
+        raise ValidationError(f"no {what} to scan")
+    for v in values:
+        if not is_integer(v) or v < low or (high is not None and v > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValidationError(f"scan {what} must be integers {bounds}, got {v!r}")
+    return values
+
+
+def scan_grid(dataset, l_values, seeds):
+    """Check the cells of a scan and return its latent dims and seeds as lists.
+
+    Latent dims are integers in [1, m+6]; seeds are integers >= 0, since each
+    one seeds a split reshuffle.  Neither list may be empty.
+    """
+    return (_scan_axis(l_values, "latent dimensions", 1, dataset.meta.m + 6),
+            _scan_axis(seeds, "seeds", 0))
+
+
 def model_selection_scan(dataset, l_values, seeds, config):
     """Run the pipeline over every (latent dim, seed) cell and score it.
 
@@ -388,14 +402,8 @@ def model_selection_scan(dataset, l_values, seeds, config):
     seeds perturb an otherwise deterministic procedure.  Returns rows
     sorted by latent dim then seed.
     """
-    l_values = list(l_values)
-    if not l_values:
-        raise ValidationError("no latent dimensions to scan")
+    l_values, seeds = scan_grid(dataset, l_values, seeds)
     dataset = _ensure_processed(dataset, config)
-    full_dim = dataset.meta.m + 6
-    for l in l_values:
-        if not (1 <= l <= full_dim):
-            raise ValidationError(f"scan latent dim {l} outside [1, {full_dim}]")
     rows = []
     for seed in seeds:
         cell_dataset = dataset

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _integrators
 from .autoencoder import decode, encode, transform_input
-from .errors import MissingPhaseError, ValidationError
+from .errors import MissingPhaseError, ValidationError, is_integer
 from .sindy import build_library_row
 from .trajectory_data import Phase, segment_phases
 
@@ -41,7 +41,7 @@ class RolloutConfig:
     def __post_init__(self):
         if self.step_rate <= 0:
             raise ValidationError(f"step_rate must be > 0, got {self.step_rate}")
-        if not isinstance(self.reset_interval, int) or self.reset_interval < 0:
+        if not is_integer(self.reset_interval) or self.reset_interval < 0:
             raise ValidationError(
                 f"reset_interval must be an integer >= 0, got {self.reset_interval!r}")
         if self.integrator not in _integrators.INTEGRATORS:
@@ -203,44 +203,3 @@ def rollout_with_reset(model, traj, config, horizon=None):
     latent = integrate(model, enc_q[0], enc_dq[0], nu, schedule, config, reset_states=reset_states)
     reset_indices = [k for k in range(n) if k > 0 and k % config.reset_interval == 0]
     return _finish(model, traj, latent, schedule, reset_indices, n)
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Aligned per-dimension RMSE of several named rollouts."""
-
-    names: tuple[str, ...]
-    rmse: np.ndarray              # (n_models, d)
-    error_series: np.ndarray      # (n_models, T) per-step error norms
-    timestamps: np.ndarray
-
-    def rows(self):
-        return [(name, self.rmse[i]) for i, name in enumerate(self.names)]
-
-
-def compare_models(named_results):
-    """Tabulate named RolloutResults for side-by-side comparison.
-
-    All results must share the same horizon and dimension layout.  The
-    per-step series is the Euclidean error norm over dimensions, ready for
-    plotting.
-    """
-    named_results = list(named_results)
-    if not named_results:
-        raise ValidationError("nothing to compare")
-    horizon = named_results[0][1].q_pred.shape
-    names, rmses, series = [], [], []
-    for name, res in named_results:
-        if res.q_pred.shape != horizon:
-            raise ValidationError(
-                f"result {name!r} has shape {res.q_pred.shape}, expected {horizon}"
-            )
-        names.append(name)
-        rmses.append(res.rmse)
-        series.append(res.error_norm)
-    return ComparisonTable(
-        names=tuple(names),
-        rmse=np.stack(rmses),
-        error_series=np.stack(series),
-        timestamps=named_results[0][1].timestamps,
-    )

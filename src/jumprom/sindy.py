@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .trajectory_data import Phase
 
 XI = "ξ"                 # latent symbol for pretty printing
@@ -58,8 +57,7 @@ class FunctionLibrarySpec:
     include_inputs: bool = True
 
     def __post_init__(self):
-        if (isinstance(self.poly_degree, bool) or not isinstance(self.poly_degree, numbers.Integral)
-                or self.poly_degree < 0):
+        if not is_integer(self.poly_degree) or self.poly_degree < 0:
             raise ValidationError(f"poly_degree must be an integer >= 0, got {self.poly_degree!r}")
         if not (
             self.include_constant

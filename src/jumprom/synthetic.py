@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import _integrators
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_real, is_integer
 from .sindy import FunctionLibrarySpec, build_library_row
 from .trajectory_data import (
     Dataset,
@@ -69,6 +69,12 @@ class SyntheticSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        if not is_integer(self.n_jumps) or self.n_jumps < 1:
+            raise ValidationError(f"n_jumps must be an integer >= 1, got {self.n_jumps!r}")
+        if not is_finite_real(self.dt) or self.dt <= 0:
+            raise ValidationError(f"dt must be a finite number > 0, got {self.dt!r}")
+        if not is_integer(self.lift_seed) or self.lift_seed < 0:
+            raise ValidationError(f"lift_seed must be an integer >= 0, got {self.lift_seed!r}")
         if self.full_dim - 6 <= 0 or (self.full_dim - 6) % 4 != 0:
             raise ValidationError(
                 f"full_dim must be m+6 with m divisible by 4, got {self.full_dim}"

@@ -32,6 +32,8 @@ from .errors import (
     NonUniformTimestepError,
     SingularJacobianError,
     ValidationError,
+    is_finite_real,
+    is_integer,
 )
 
 SPLITS = ("train", "val", "test")
@@ -371,9 +373,11 @@ def is_processed(dataset):
 def split_dataset(dataset, counts, seed):
     """Reassign jumps to train/val/test with a seeded shuffle."""
     n = dataset.n_jumps
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != 3 or sum(counts) != n:
-        raise ValidationError(f"split counts {counts} do not sum to the jump count {n}")
+    if (not isinstance(counts, (list, tuple)) or len(counts) != 3
+            or not all(is_integer(c) and c >= 0 for c in counts) or sum(counts) != n):
+        raise ValidationError(
+            f"split counts must be three integers >= 0 summing to the jump count {n}, "
+            f"got {counts!r}")
     order = np.random.default_rng(seed).permutation(n)
     split = [""] * n
     cursor = 0
@@ -389,12 +393,13 @@ def _sigma_map(sigma):
         unknown = set(sigma) - {"q", "dq", "tau"}
         if unknown:
             raise ValidationError(f"unknown noise keys {sorted(unknown)}")
-        out = {k: float(sigma.get(k, 0.0)) for k in ("q", "dq", "tau")}
+        out = {k: sigma.get(k, 0.0) for k in ("q", "dq", "tau")}
     else:
-        out = {k: float(sigma) for k in ("q", "dq", "tau")}
-    if any(v < 0 for v in out.values()):
-        raise ValidationError("noise standard deviations must be >= 0")
-    return out
+        out = {k: sigma for k in ("q", "dq", "tau")}
+    if not all(is_finite_real(v) and v >= 0 for v in out.values()):
+        raise ValidationError(
+            f"noise standard deviations must be finite numbers >= 0, got {sigma!r}")
+    return {k: float(v) for k, v in out.items()}
 
 
 def add_noise(dataset, sigma, seed):

@@ -77,6 +77,40 @@ class TestEncodeDecode:
         )
 
 
+@st.composite
+def _params_and_trajectory(draw):
+    """(params, q, dt): random autoencoder weights and biases, and a smooth
+    (n, d) trajectory, a sum of sinusoids about an offset, sampled every dt."""
+    d = draw(st.integers(1, 18))
+    l = draw(st.integers(1, d))
+    n = draw(st.integers(2, 300))
+    dt = draw(st.floats(1e-4, 0.1))
+    bias_scale, offset_scale = draw(st.floats(0.0, 100.0)), draw(st.floats(0.0, 100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = AutoencoderParams(W_enc=rng.normal(size=(l, d)), b_enc=bias_scale * rng.normal(size=l),
+                               W_dec=rng.normal(size=(d, l)), b_dec=rng.normal(size=d))
+    t = np.arange(n)[:, None, None] * dt
+    omega = rng.uniform(0.1, 0.5, size=(3, d)) / (n * dt)  # under a period per horizon
+    waves = rng.normal(size=(3, d)) * np.sin(omega * t + rng.uniform(0, 2 * np.pi, size=(3, d)))
+    return params, offset_scale * rng.normal(size=d) + waves.sum(axis=1), dt
+
+
+class TestDifferentiationCommutes:
+    """The bias enters only at order 0, so encoding commutes with differentiation."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @given(sample=_params_and_trajectory())
+    def test_encode_of_derivative_is_derivative_of_encode(self, order, sample):
+        params, q, dt = sample
+        dq, dxi = q, encode(params, q, 0)
+        for _ in range(order):
+            dq, dxi = np.gradient(dq, dt, axis=0), np.gradient(dxi, dt, axis=0)
+        # rounding in W q + b, amplified by 1/dt per difference
+        scale = np.abs(params.W_enc).sum(axis=1) * np.abs(q).max() + np.abs(params.b_enc)
+        bound = 8 * q.shape[1] * np.finfo(float).eps * scale / dt**order
+        assert np.all(np.abs(encode(params, dq, order) - dxi) <= bound)
+
+
 class TestTransformInput:
     def test_scalar_inverse_transpose(self):
         p = _params(2.0 * np.eye(D))

@@ -1,13 +1,20 @@
 """End-to-end command-line workflows in temporary directories."""
 
+import argparse
 import json
+import re
+import shlex
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from jumprom import pipeline
-from jumprom.cli import main
+from jumprom.cli import FLAGS, KEYS, build_parser, main
 from jumprom.trajectory_data import load_dataset
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,34 @@ class TestGen:
         assert resolved["preset"] == "two_phase"
         assert load_dataset(out).meta.robot == "synthetic-contact-flight"
 
+    def test_seed_flag_beats_lift_seed_and_other_keys_ignored(self, tmp_path):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"n_jumps": 3, "split_counts": [1, 1, 1], "lift_seed": 5,
+                                      "seed": "train's key", "k_s": None, "l_values": "x"}))
+        out = tmp_path / "data"
+        assert main(["gen", "--seed", "7", "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["resolved_config"] == {"preset": "two_phase", "n_jumps": 3,
+                                               "split_counts": [1, 1, 1], "lift_seed": 7}
+        assert manifest["seeds"] == [7]
+
+    @pytest.mark.parametrize("payload", [
+        {"n_jumps": "3"}, {"n_jumps": 0}, {"n_jumps": 2.0}, {"n_jumps": None},
+        {"dt": -1}, {"dt": 0}, {"dt": "x"}, {"dt": float("inf")}, {"dt": float("nan")},
+        {"lift_seed": "x"}, {"lift_seed": -1},
+        {"n_jumps": 3, "split_counts": 5}, {"n_jumps": 3, "split_counts": ["a", 1, 1]},
+        {"n_jumps": 3, "split_counts": [1, 1, 1], "noise_sigma": "x"},
+        {"n_jumps": 3, "split_counts": [1, 1, 1], "noise_sigma": {"q": -1.0}},
+        {"preset": ["two_phase"]}, [1, 2]])
+    def test_config_value_types_validated(self, tmp_path, capsys, payload):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code = main(["gen", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "ERROR E_VALIDATE" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestTrain:
     def test_writes_model_and_prints_equations(self, trained_dir, capsys):
@@ -85,6 +120,16 @@ class TestTrain:
         assert code == 1
         assert "ERROR E_VALIDATE" in capsys.readouterr().err
 
+    def test_flags_beat_config_and_other_keys_ignored(self, gen_dir, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"stlsq_threshold": 0.5, "seed": 3, "latent_dim": 1,
+                                      "l_values": "scan's key", "k_s": None, "lift_seed": -1}))
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", str(gen_dir), "--config", str(config),
+                     "--threshold", "0.2", "--latent-dim", "2", "--out", str(out)]) == 0
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved_config"]
+        assert (resolved["stlsq_threshold"], resolved["seed"], resolved["latent_dim"]) == (0.2, 3, 2)
+
 
 class TestScan:
     def test_row_count_is_cartesian(self, gen_dir, tmp_path):
@@ -106,6 +151,20 @@ class TestScan:
             ])
             assert code == 0
         assert (serial / "report.csv").read_bytes() == (parallel / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_parallel_below_one_rejected(self, gen_dir, tmp_path, capsys, workers):
+        code = main(["scan", "--dataset", str(gen_dir), "--out", str(tmp_path / "scan"),
+                     "--l-values", "1", "--seeds", "0", "--parallel", workers])
+        assert code == 1
+        assert "ERROR E_VALIDATE: --parallel must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_empty_seed_list_rejected(self, gen_dir, tmp_path, capsys, workers):
+        code = main(["scan", "--dataset", str(gen_dir), "--out", str(tmp_path / "scan"),
+                     "--l-values", "1", "--seeds", "", "--parallel", workers])
+        assert code == 1
+        assert "ERROR E_VALIDATE: no seeds to scan" in capsys.readouterr().err
 
 
 class TestEval:
@@ -222,6 +281,18 @@ class TestBaseline:
         assert code == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("payload", [
+        {"k_s": "a"}, {"l0": "x"}, {"k_s": None}, {"l0": [0, 0.3]}, {"l0": [0, 0, "0.3"]},
+        {"l0": [0, 0, 0]}, {"l0": [0, 0, float("inf")]}, {"mass": "x"}, {"mass": 0},
+        {"g": None}, {"g": True}, {"integrator": 5}])
+    def test_config_value_types_validated(self, gen_dir, tmp_path, capsys, payload):
+        config = tmp_path / "baseline.json"
+        config.write_text(json.dumps(payload))
+        code = main(["baseline", "--dataset", str(gen_dir), "--config", str(config),
+                     "--out", str(tmp_path / "baseline")])
+        assert code == 1
+        assert "ERROR E_VALIDATE" in capsys.readouterr().err
+
     def test_reset_interval_flag_rejected(self, gen_dir, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["baseline", "--dataset", str(gen_dir), "--out", str(tmp_path / "baseline"),
@@ -320,3 +391,70 @@ class TestOutRoot:
         code = main(["train", "--dataset", str(gen_dir), "--latent-dim", "2"])
         assert code == 1
         assert "E_VALIDATE" in capsys.readouterr().err
+
+
+class TestSettings:
+    """One resolver serves every command: defaults < config file < flags."""
+
+    @pytest.mark.parametrize("command", ["gen", "train", "scan", "eval", "baseline", "finetune"])
+    def test_config_read_once(self, gen_dir, trained_dir, tmp_path, monkeypatch, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_jumps": 3, "split_counts": [1, 1, 1], "l_values": [1],
+                                      "seeds": [0], "integrator": "fixed_rk4"}))
+        reads = []
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads.append(path == config)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command != "gen":
+            argv += ["--dataset", str(gen_dir)]
+        if command in ("eval", "finetune"):
+            argv += ["--model", str(trained_dir / "model.txt")]
+        assert main(argv) == 0
+        assert sum(reads) == 1
+
+    @pytest.mark.parametrize("command", ["scan", "eval", "baseline"])
+    def test_seed_flag_rejected(self, gen_dir, trained_dir, tmp_path, command):
+        argv = [command, "--dataset", str(gen_dir), "--out", str(tmp_path / "out"),
+                "--seed", "7"]
+        if command == "eval":
+            argv += ["--model", str(trained_dir / "model.txt")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestReadme:
+    def test_quick_start_commands_parse(self):
+        block = README.read_text().split("## Quick start", 1)[1].split("```bash", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("jumprom ")]
+        assert {argv[0] for argv in commands} == set(KEYS)
+        for argv in commands:
+            build_parser().parse_args(argv)  # a stale flag exits with code 2
+
+    def test_config_table_lists_keys_and_flags(self):
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", README.read_text(), re.M))
+        training = {f.name for f in fields(pipeline.TrainingConfig)}
+        parsers = _subparsers()
+        assert set(rows) == set(KEYS)
+        for command, keys in KEYS.items():
+            options = parsers[command]._option_string_actions
+            for key in keys:
+                flag = FLAGS.get(key)
+                if flag is not None:
+                    assert flag in options, (command, flag)
+                    assert f"`{key}` (`{flag}`" in rows[command], (command, key)
+                elif key not in training:
+                    assert f"`{key}`" in rows[command], (command, key)

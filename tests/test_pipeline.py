@@ -164,6 +164,14 @@ class TestSelection:
         with pytest.raises(ValidationError):
             model_selection_scan(clean_bundle.dataset, [99], [0], TrainingConfig())
 
+    @pytest.mark.parametrize("l_values, seeds, message", [
+        ([2], [], "no seeds to scan"), ([], [0], "no latent dimensions to scan"),
+        ([2], [-1], "seeds must be integers >= 0"), ([2], "0", "must be a list of integers"),
+        ([2.0], [0], "latent dimensions must be integers")])
+    def test_scan_rejects_bad_grid(self, clean_bundle, l_values, seeds, message):
+        with pytest.raises(ValidationError, match=message):
+            model_selection_scan(clean_bundle.dataset, l_values, seeds, TrainingConfig())
+
 
 class TestModelFormat:
     def test_round_trip_bit_exact(self, clean_bundle, tmp_path):

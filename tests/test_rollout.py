@@ -12,7 +12,6 @@ from jumprom.errors import DivergenceError, MissingPhaseError, ValidationError
 from jumprom.pipeline import MultiPhaseModel
 from jumprom.rollout import (
     RolloutConfig,
-    compare_models,
     integrate,
     rollout_full,
     rollout_with_reset,
@@ -269,22 +268,3 @@ class TestResets:
         model, traj = self._noisy_recording()
         with pytest.raises(ValidationError):
             rollout_with_reset(model, traj, RolloutConfig(integrator="fixed_rk4"))
-
-
-class TestCompareModels:
-    def test_identical_results_zero_difference(self):
-        model = _damped_driven_model()
-        traj = _recorded_from_model(model)
-        cfg = RolloutConfig(step_rate=500, integrator="fixed_rk4")
-        res = rollout_full(model, traj, cfg)
-        table = compare_models([("a", res), ("b", res)])
-        assert np.array_equal(table.rmse[0], table.rmse[1])
-
-    def test_two_rows_and_series_length(self):
-        model = _damped_driven_model()
-        traj = _recorded_from_model(model)
-        cfg = RolloutConfig(step_rate=500, integrator="fixed_rk4")
-        res = rollout_full(model, traj, cfg)
-        table = compare_models([("full", res), ("again", res)])
-        assert len(table.rows()) == 2
-        assert table.error_series.shape == (2, traj.n_samples)
