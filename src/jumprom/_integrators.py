@@ -24,6 +24,10 @@ INTEGRATORS = ("adaptive", "fixed_rk4")
 # are treated as a stiffness hint (reported, never auto-switched).
 STIFF_NFEV_PER_INTERVAL = 500
 
+# Relative and absolute error tolerances of the adaptive integrator.
+RTOL = 1e-8
+ATOL = 1e-10
+
 
 def rk4_interval(f, t0, y0, h, substeps=1):
     """Classic fourth-order Runge-Kutta over one interval of length h."""
@@ -40,14 +44,14 @@ def rk4_interval(f, t0, y0, h, substeps=1):
     return y
 
 
-def adaptive_interval(f, t0, y0, h, rtol, atol):
-    """Adaptive embedded RK over one interval; returns (y_end, nfev).
+def adaptive_interval(f, t0, y0, h):
+    """Adaptive embedded RK at RTOL/ATOL over one interval; returns (y_end, nfev).
 
     Raises DivergenceError at the time the solver stopped when it cannot
     reach t0 + h (say, its step size fell below the spacing of floats).
     """
     sol = solve_ivp(f, (t0, t0 + h), np.asarray(y0, dtype=float),
-                    method="RK45", rtol=rtol, atol=atol)
+                    method="RK45", rtol=RTOL, atol=ATOL)
     if sol.status != 0:
         t_fail = float(sol.t[-1])
         raise DivergenceError(
@@ -55,12 +59,11 @@ def adaptive_interval(f, t0, y0, h, rtol, atol):
     return sol.y[:, -1], sol.nfev
 
 
-def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, rtol=1e-8,
-                        atol=1e-10, reset=None):
+def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=None):
     """States at the sample times k*h, k < n_samples, row 0 being y0.
 
     Interval k uses the right-hand side f(k, t, y).  integrator: "fixed_rk4"
-    (substeps RK4 steps per interval) or "adaptive" (RK45 at rtol/atol, 1-D
+    (substeps RK4 steps per interval) or "adaptive" (RK45 at RTOL/ATOL, 1-D
     state only).  A non-None reset(k) replaces the state at sample k.
     Warns once when an adaptive interval needs more than
     STIFF_NFEV_PER_INTERVAL evaluations; raises DivergenceError at the first
@@ -84,7 +87,7 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, rtol=1e-
             if integrator == "fixed_rk4":
                 y = rk4_interval(functools.partial(f, k), t, y, h, substeps)
             else:
-                y, nfev = adaptive_interval(functools.partial(f, k), t, y, h, rtol, atol)
+                y, nfev = adaptive_interval(functools.partial(f, k), t, y, h)
                 if not stiff_warned and nfev > STIFF_NFEV_PER_INTERVAL:
                     warnings.warn(
                         f"adaptive integrator needed {nfev} evaluations in one output "

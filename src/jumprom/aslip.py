@@ -4,7 +4,7 @@ Point-mass CoM on a massless spring leg: in flight the CoM is ballistic;
 in contact the spring pushes the CoM away from the stance foot with a
 force proportional to the scalar leg compression, plus gravity and an
 additive per-unit-mass actuation.  Used as the comparison baseline for
-CoM trajectory prediction.
+base-position trajectory prediction.
 """
 
 from __future__ import annotations
@@ -82,8 +82,7 @@ def aslip_accel(state, params, u=None):
 
 
 def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
-                   *, integrator="adaptive", rtol=1e-8, atol=1e-10, rk4_substeps=1,
-                   foot_positions=None):
+                   *, integrator="adaptive", rk4_substeps=1, foot_positions=None):
     """Integrate the aSLIP CoM over a sampled horizon.
 
     contact_schedule: length-``horizon`` phase labels (interval k uses the
@@ -122,7 +121,7 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     y0 = np.concatenate([np.asarray(initial_state.b, dtype=float),
                          np.asarray(initial_state.db, dtype=float)])
     out = _integrators.integrate_intervals(rhs, y0, horizon, dt, integrator,
-                                           substeps=rk4_substeps, rtol=rtol, atol=atol)
+                                           substeps=rk4_substeps)
     return out[:, :3], out[:, 3:]
 
 

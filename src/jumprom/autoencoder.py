@@ -209,19 +209,22 @@ def _descend(data, params, epochs, learning_rate, momentum):
     The descent runs on the centred data, with the mean folded into the
     biases on the way in and back out on the way out, so the step size
     that keeps it stable does not depend on where the data sit: an offset
-    c adds about |c|^2 to the curvature of the uncentred loss.
+    c adds about |c|^2 to the curvature of the uncentred loss.  The encoder
+    bias is a gauge freedom (W_dec b_enc can sit in b_dec instead), so it is
+    fixed at zero on the centred data: it moves into the decoder bias on
+    the way in, which leaves the reconstruction unchanged, and the returned
+    b_enc = -W_enc mean centres the latent state, as the PCA seed does.
     """
     mean = data.mean(axis=0)
     data = data - mean
     W_e = params.W_enc.copy()
-    b_e = params.b_enc + W_e @ mean
     W_d = params.W_dec.copy()
-    b_d = params.b_dec - mean
-    v = [np.zeros_like(a) for a in (W_e, b_e, W_d, b_d)]
+    b_d = params.b_dec - mean + W_d @ (params.b_enc + W_e @ mean)
+    v = [np.zeros_like(a) for a in (W_e, W_d, b_d)]
     n = data.shape[0]
 
     for epoch in range(epochs):
-        Z = data @ W_e.T + b_e
+        Z = data @ W_e.T
         R = Z @ W_d.T + b_d - data
         with np.errstate(over="ignore", invalid="ignore"):
             loss = float(np.mean(np.sum(R * R, axis=1)))
@@ -229,16 +232,15 @@ def _descend(data, params, epochs, learning_rate, momentum):
             raise TrainingDivergedError(f"reconstruction loss diverged at epoch {epoch}", epoch)
         grads = (
             (2.0 / n) * (R @ W_d).T @ data,
-            (2.0 / n) * (R @ W_d).sum(axis=0),
             (2.0 / n) * R.T @ Z,
             (2.0 / n) * R.sum(axis=0),
         )
-        for buf, (vel, g) in zip((W_e, b_e, W_d, b_d), zip(v, grads)):
+        for buf, (vel, g) in zip((W_e, W_d, b_d), zip(v, grads)):
             vel *= momentum
             vel -= learning_rate * g
             buf += vel
 
-    return AutoencoderParams(W_enc=W_e, b_enc=b_e - W_e @ mean, W_dec=W_d, b_dec=b_d + mean)
+    return AutoencoderParams(W_enc=W_e, b_enc=-W_e @ mean, W_dec=W_d, b_dec=b_d + mean)
 
 
 def _scale_params(params, col_scale, invert=False):

@@ -276,12 +276,12 @@ def cmd_baseline(args):
     settings = _settings(args)
     params = aslip.AslipParams(k_s=settings.pop("k_s", 2500.0), m=settings.pop("mass", 12.0),
                                l0=settings.pop("l0", (0.0, 0.0, 0.3)), g=settings.pop("g", 9.81))
-    out, manifest = _start(args, "dataset")
+    out, manifest = _start(args, "dataset", *(("model",) if args.model else ()))
     dataset = _load_processed(args.dataset)
     model = pipeline.load_model(args.model) if args.model else None
     config = rollout.RolloutConfig(step_rate=1.0 / dataset.meta.dt, **settings)
     m = dataset.meta.m
-    com_cols = slice(m, m + 3)
+    base = slice(m, m + 3)   # base position in q, base velocity in dq
 
     test_ids = dataset.indices("test")
     if not test_ids:
@@ -292,10 +292,10 @@ def cmd_baseline(args):
         jump = dataset.jumps[idx]
         dt = float(np.median(np.diff(jump.timestamps)))
         schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
-        com_true = jump.com_positions if jump.com_positions is not None else jump.q[:, com_cols]
+        base_true = jump.q[:, base]
         state0 = aslip.AslipState(
-            b=com_true[0].copy(),
-            db=jump.dq[0, com_cols].copy(),
+            b=base_true[0].copy(),
+            db=jump.dq[0, base].copy(),
             foot=feet[0],
             phase=Phase.CONTACT if schedule[0] is not Phase.FLIGHT else Phase.FLIGHT,
         )
@@ -303,11 +303,11 @@ def cmd_baseline(args):
             params, state0, force_sum / params.m, schedule, jump.n_samples, dt,
             integrator=config.integrator, foot_positions=feet,
         )
-        compared.append((idx, "aslip", _com_result(jump.timestamps, b_pred, com_true, schedule)))
+        compared.append((idx, "aslip", _base_result(jump.timestamps, b_pred, base_true, schedule)))
         if model is not None:
             res = rollout.rollout_full(model, jump, config)
-            compared.append((idx, "learned", _com_result(
-                jump.timestamps, res.q_pred[:, com_cols], com_true, schedule)))
+            compared.append((idx, "learned", _base_result(
+                jump.timestamps, res.q_pred[:, base], base_true, schedule)))
 
     table_path = _write_results(out, manifest, "comparison.csv", "jump,model,rmse_x,rmse_y,rmse_z",
                                 "baseline", compared, lambda r: r.rmse)
@@ -316,10 +316,9 @@ def cmd_baseline(args):
     return 0
 
 
-def _com_result(timestamps, pred, true, schedule):
+def _base_result(timestamps, pred, true, schedule):
     return rollout.RolloutResult(timestamps=timestamps, latent_pred=np.zeros((len(pred), 0)),
-                                 q_pred=pred, q_true=np.asarray(true),
-                                 phase_schedule=tuple(schedule))
+                                 q_pred=pred, q_true=true, phase_schedule=tuple(schedule))
 
 
 def cmd_finetune(args):
@@ -370,7 +369,8 @@ def build_parser():
     p.add_argument("--preset", default=None, choices=list(PRESETS),
                    help="dataset preset (default: two_phase)")
 
-    p = command("train", cmd_train, "run the three-stage training pipeline", seed="training seed")
+    p = command("train", cmd_train, "run the three-stage training pipeline",
+                seed='training seed; it seeds only encoder_init "random" (PCA needs none)')
     p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
 
@@ -389,7 +389,7 @@ def build_parser():
     p.add_argument("--integrator", choices=_integrators.INTEGRATORS, default=None)
 
     p = command("finetune", cmd_finetune, "fine-tune an existing model on a new dataset",
-                model=True, seed="training seed")
+                model=True, seed="recorded only: fine-tuning resumes from the model's weights")
     p.add_argument("--threshold", type=float, default=None)
     return parser
 

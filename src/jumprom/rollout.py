@@ -34,8 +34,6 @@ class RolloutConfig:
     step_rate: float = 500.0
     reset_interval: int = 0
     integrator: str = "adaptive"
-    rtol: float = 1e-8
-    atol: float = 1e-10
     rk4_substeps: int = 1
 
     def __post_init__(self):
@@ -135,8 +133,7 @@ def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=Non
 
     return _integrators.integrate_intervals(
         rhs, np.concatenate([xi0, dxi0]), n_steps, 1.0 / config.step_rate,
-        config.integrator, substeps=config.rk4_substeps, rtol=config.rtol,
-        atol=config.atol, reset=reset)
+        config.integrator, substeps=config.rk4_substeps, reset=reset)
 
 
 def _check_horizon(traj, config):

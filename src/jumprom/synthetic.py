@@ -1,17 +1,25 @@
 """Synthetic datasets with known latent dynamics, lifted to full dimension.
 
 Ground truth is a low-dimensional second-order ODE written as sparse
-coefficients over a declared candidate-function library.  The latent
-trajectories of all jumps are stepped in lockstep as one stacked state
-(fixed small-step RK4, dynamics switched per phase), then lifted
-through a seeded orthonormal matrix plus offset (so the embedding is
-well-conditioned but not axis aligned), and written in the standard
+coefficients over a declared candidate-function library; the standard
+fixtures use affine-linear dynamics per phase, placed into the library's
+constant, ``xi_i``, ``dxi_i`` and ``nu_i`` slots by ``affine_coefficients``.
+The latent trajectories of all jumps are stepped in lockstep as one
+stacked state (fixed small-step RK4, dynamics switched per phase), then
+lifted through a seeded orthonormal matrix plus offset (so the embedding
+is well-conditioned but not axis aligned), and written in the standard
 dataset format.  Inputs are chosen as smooth random splines in latent
 space and mapped to configuration space as u = lift @ nu, which the
 transposed-pseudoinverse input transform inverts exactly because the lift
 has orthonormal columns.  The hidden truth is returned alongside for test
 harness use, including a helper that re-expresses the true coefficients in
 any trained encoder basis.
+
+The two presets, ``two_phase_spec`` and ``three_phase_spec``, differ only
+in their phase schedule and default train/val/test split, which each
+derives from its jump count.  A ``SyntheticSpec`` checks its shape
+settings and its split when it is built, so a bad split fails before any
+jump is simulated.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .trajectory_data import (
     Phase,
     Trajectory,
     add_noise,
+    check_split_counts,
     save_dataset,
     split_dataset,
 )
@@ -42,7 +51,6 @@ _CONTACT_FLAGS = {
     Phase.FLIGHT: (0.0, 0.0, 0.0, 0.0),
 }
 
-MAX_LIFT_CONDITION = 1e4
 GROUND_TRUTH_NAME = "ground_truth.json"
 
 
@@ -56,6 +64,7 @@ class SyntheticSpec:
     library: FunctionLibrarySpec
     phase_dynamics: tuple[tuple[Phase, np.ndarray], ...]   # (phase, Xi_true) pairs
     phase_durations: tuple[tuple[Phase, int], ...]         # schedule order, steps per phase
+    split_counts: tuple[int, int, int]                     # train, val, test jumps
     n_jumps: int = 20
     dt: float = 0.002
     input_phases: tuple[Phase, ...] = (Phase.CONTACT,)
@@ -65,12 +74,12 @@ class SyntheticSpec:
     ic_center: tuple[float, ...] = (0.0, 0.0)
     ic_spread: float = 1.0
     velocity_spread: float = 1.0
-    split_counts: tuple[int, int, int] | None = None
     noise_sigma: float = 0.0
 
     def __post_init__(self):
         if not is_integer(self.n_jumps) or self.n_jumps < 1:
             raise ValidationError(f"n_jumps must be an integer >= 1, got {self.n_jumps!r}")
+        check_split_counts(self.split_counts, self.n_jumps)
         if not is_finite_real(self.dt) or self.dt <= 0:
             raise ValidationError(f"dt must be a finite number > 0, got {self.dt!r}")
         if not is_integer(self.lift_seed) or self.lift_seed < 0:
@@ -114,6 +123,23 @@ class SyntheticTruth:
         raise ValidationError(f"no ground-truth dynamics for phase {phase}")
 
 
+_AFFINE_BLOCKS = ("constant", "linear state", "linear velocity", "input")
+
+
+def _affine_slots(library, l):
+    """The library rows of each affine block, in ``_AFFINE_BLOCKS`` order:
+    ``1``, ``xi_i``, ``dxi_i`` and ``nu_i`` (i = 1..l), each None where the
+    library lacks that term class."""
+    names = library.term_names(l)
+    linear = library.poly_degree >= 1
+    table = ((library.include_constant, ["1"]),
+             (linear, [f"xi_{i + 1}" for i in range(l)]),
+             (linear, [f"dxi_{i + 1}" for i in range(l)]),
+             (library.include_inputs, [f"nu_{i + 1}" for i in range(l)]))
+    return tuple([names.index(t) for t in terms] if present else None
+                 for present, terms in table)
+
+
 def affine_coefficients(library, l, constant=None, state_gain=None,
                         velocity_gain=None, input_gain=None):
     """Build a coefficient matrix from affine-linear blocks.
@@ -122,60 +148,36 @@ def affine_coefficients(library, l, constant=None, state_gain=None,
     velocity_gain @ velocity + input_gain @ input,  placed into the
     canonical slots of ``library``.
     """
-    p = library.term_count(l)
-    Xi = np.zeros((p, l))
-    names = library.term_names(l)
-    if constant is not None:
-        if not library.include_constant:
-            raise ValidationError("library has no constant term")
-        Xi[names.index("1"), :] = np.asarray(constant, dtype=float)
-    if state_gain is not None:
-        if library.poly_degree < 1:
-            raise ValidationError("library has no linear state terms")
-        K = np.asarray(state_gain, dtype=float)
-        for i in range(l):
-            Xi[names.index(f"xi_{i + 1}"), :] = K[:, i]
-    if velocity_gain is not None:
-        if library.poly_degree < 1:
-            raise ValidationError("library has no linear velocity terms")
-        C = np.asarray(velocity_gain, dtype=float)
-        for i in range(l):
-            Xi[names.index(f"dxi_{i + 1}"), :] = C[:, i]
-    if input_gain is not None:
-        if not library.include_inputs:
-            raise ValidationError("library has no input terms")
-        N = np.asarray(input_gain, dtype=float)
-        for i in range(l):
-            Xi[names.index(f"nu_{i + 1}"), :] = N[:, i]
+    Xi = np.zeros((library.term_count(l), l))
+    blocks = (constant, state_gain, velocity_gain, input_gain)
+    for kind, rows, block in zip(_AFFINE_BLOCKS, _affine_slots(library, l), blocks):
+        if block is None:
+            continue
+        if rows is None:
+            raise ValidationError(f"library has no {kind} terms")
+        # column i of a gain acts on variable i, which is row i of the slots
+        Xi[rows] = np.atleast_2d(np.asarray(block, dtype=float).T)
     return Xi
 
 
 def _decompose_affine(library, Xi):
-    """Split a coefficient matrix back into (k0, K, C, N); raise if any
-    active entry sits outside the affine-linear slots."""
-    p, l = Xi.shape
-    names = library.term_names(l)
-    k0 = np.zeros(l)
-    K = np.zeros((l, l))
-    C = np.zeros((l, l))
-    N = np.zeros((l, l))
-    for idx, name in enumerate(names):
-        row = Xi[idx]
-        if not np.any(row):
-            continue
-        if name == "1":
-            k0 = row.copy()
-        elif name.startswith("xi_") and "*" not in name and "^" not in name:
-            K[:, int(name[3:]) - 1] = row
-        elif name.startswith("dxi_") and "*" not in name and "^" not in name:
-            C[:, int(name[4:]) - 1] = row
-        elif name.startswith("nu_"):
-            N[:, int(name[3:]) - 1] = row
-        else:
-            raise ValidationError(
-                f"truth uses non-affine term {name!r}; basis transform is undefined"
-            )
-    return k0, K, C, N
+    """Split a coefficient matrix back into (k0, K, C, N), zero where the
+    library lacks the block; raise if any active entry sits outside the
+    affine-linear slots."""
+    l = Xi.shape[1]
+    blocks = [np.zeros((l, 1)), np.zeros((l, l)), np.zeros((l, l)), np.zeros((l, l))]
+    stray = np.any(Xi != 0, axis=1)
+    for block, rows in zip(blocks, _affine_slots(library, l)):
+        if rows is not None:
+            block[:] = Xi[rows].T
+            stray[rows] = False
+    if stray.any():
+        name = library.term_names(l)[np.flatnonzero(stray)[0]]
+        raise ValidationError(
+            f"truth uses non-affine term {name!r}; basis transform is undefined"
+        )
+    k0, K, C, N = blocks
+    return k0[:, 0], K, C, N
 
 
 def coefficients_in_basis(truth, encoder):
@@ -212,18 +214,6 @@ def coefficients_in_basis(truth, encoder):
 
 # ---------------------------------------------------------------------------
 # generation
-
-
-def _draw_lift(rng, full_dim, l_true):
-    for _ in range(10):
-        raw = rng.standard_normal((full_dim, l_true))
-        lift, _ = np.linalg.qr(raw)
-        cond = float(np.linalg.cond(lift))
-        if cond <= MAX_LIFT_CONDITION:
-            return lift
-    raise ValidationError(
-        f"could not draw a lift with condition <= {MAX_LIFT_CONDITION:g} in 10 attempts"
-    )
 
 
 def _foot_layout(rng):
@@ -331,7 +321,8 @@ def generate(spec, out_dir=None):
     data_rng = np.random.default_rng(data_seq)
 
     m = spec.full_dim - 6
-    lift = _draw_lift(lift_rng, spec.full_dim, spec.l_true)
+    # QR columns are orthonormal, so the lift is perfectly conditioned
+    lift = np.linalg.qr(lift_rng.standard_normal((spec.full_dim, spec.l_true)))[0]
     offset = lift_rng.normal(0.0, 0.5, spec.full_dim)
 
     flags = np.concatenate([np.tile(_CONTACT_FLAGS[phase], (steps, 1))
@@ -362,13 +353,7 @@ def generate(spec, out_dir=None):
     phases = "-".join(str(ph) for ph, _ in spec.phase_durations)
     meta = DatasetMeta(robot=f"synthetic-{phases}", m=m, dt=spec.dt, noise_sigma=0.0)
     dataset = Dataset(jumps=tuple(jumps), split=("train",) * spec.n_jumps, meta=meta)
-
-    counts = spec.split_counts
-    if counts is None:
-        n_test = max(1, spec.n_jumps // 5)
-        n_val = max(1, spec.n_jumps // 5)
-        counts = (spec.n_jumps - n_val - n_test, n_val, n_test)
-    dataset = split_dataset(dataset, counts, seed=split_seq.generate_state(1)[0])
+    dataset = split_dataset(dataset, spec.split_counts, seed=split_seq.generate_state(1)[0])
 
     if spec.noise_sigma:
         dataset = add_noise(dataset, spec.noise_sigma, seed=noise_seq.generate_state(1)[0])
@@ -389,13 +374,7 @@ def _write_truth(truth, path):
     payload = {
         "lift": truth.lift.tolist(),
         "offset": truth.offset.tolist(),
-        "library": {
-            "poly_degree": truth.library.poly_degree,
-            "include_constant": truth.library.include_constant,
-            "include_sin_states": truth.library.include_sin_states,
-            "include_sin_velocities": truth.library.include_sin_velocities,
-            "include_inputs": truth.library.include_inputs,
-        },
+        "library": vars(truth.library),
         "term_names": truth.library.term_names(truth.lift.shape[1]),
         "coefficients": {str(ph): c.tolist() for ph, c in truth.coefficients},
     }
@@ -420,31 +399,39 @@ def load_truth(path):
 # standard fixtures
 
 
-def two_phase_spec(n_jumps=20, lift_seed=3, noise_sigma=0.0, dt=0.002,
-                   split_counts=(8, 2, 10)):
-    """Spring-damper contact followed by ballistic flight, 2 latent dims.
+def _preset(schedule, split_every, n_jumps, lift_seed, noise_sigma, dt, split_counts):
+    """The shared fixture on a phase ``schedule`` of (phase, steps) pairs.
 
-    Contact: accel = -4 state - 0.8 velocity + input, driven by smooth
-    offset splines.  Flight: constant acceleration, no input.  Large
-    latent excursions keep the sine columns well separated from the linear
-    ones, so sparse recovery is well-posed even under measurement noise.
+    Two latent dims lifted to 18, the default library, and one affine
+    dynamics per phase: in contact a spring-damper (accel = -4 state - 0.8
+    velocity + input) driven by smooth offset splines, in partial contact
+    an undriven one with a constant push, in flight a constant
+    acceleration.  Large latent excursions keep the sine columns well
+    separated from the linear ones, so sparse recovery is well-posed even
+    under measurement noise.  Without ``split_counts``, n_jumps //
+    split_every[0] jumps validate and n_jumps // split_every[1] test, at
+    least one each; the rest train.
     """
-    library = FunctionLibrarySpec()
-    l = 2
-    contact = affine_coefficients(
-        library, l,
-        state_gain=-4.0 * np.eye(l),
-        velocity_gain=-0.8 * np.eye(l),
-        input_gain=np.eye(l),
-    )
-    flight = affine_coefficients(library, l, constant=(0.8, -2.2))
+    library, l = FunctionLibrarySpec(), 2
+    eye = np.eye(l)
+    dynamics = {
+        Phase.CONTACT: dict(state_gain=-4.0 * eye, velocity_gain=-0.8 * eye, input_gain=eye),
+        Phase.PARTIAL_CONTACT: dict(constant=(0.5, 0.9), state_gain=-2.5 * eye,
+                                    velocity_gain=-1.2 * eye),
+        Phase.FLIGHT: dict(constant=(0.8, -2.2)),
+    }
+    if split_counts is None and is_integer(n_jumps):  # a bad n_jumps is the spec's to report
+        n_val, n_test = (max(1, n_jumps // k) for k in split_every)
+        split_counts = (n_jumps - n_val - n_test, n_val, n_test)
     return SyntheticSpec(
         l_true=l,
         full_dim=18,
         lift_seed=lift_seed,
         library=library,
-        phase_dynamics=((Phase.CONTACT, contact), (Phase.FLIGHT, flight)),
-        phase_durations=((Phase.CONTACT, 300), (Phase.FLIGHT, 200)),
+        phase_dynamics=tuple((ph, affine_coefficients(library, l, **dynamics[ph]))
+                             for ph, _ in schedule),
+        phase_durations=schedule,
+        split_counts=split_counts,
         n_jumps=n_jumps,
         dt=dt,
         input_phases=(Phase.CONTACT,),
@@ -453,52 +440,18 @@ def two_phase_spec(n_jumps=20, lift_seed=3, noise_sigma=0.0, dt=0.002,
         ic_center=(0.6, -0.5),
         ic_spread=1.8,
         velocity_spread=3.0,
-        split_counts=split_counts,
         noise_sigma=noise_sigma,
     )
 
 
-def three_phase_spec(n_jumps=12, lift_seed=16, noise_sigma=0.0, dt=0.002,
-                     split_counts=None):
-    """Three-phase schedule: full contact, rear-feet contact, then flight."""
-    library = FunctionLibrarySpec()
-    l = 2
-    contact = affine_coefficients(
-        library, l,
-        state_gain=-4.0 * np.eye(l),
-        velocity_gain=-0.8 * np.eye(l),
-        input_gain=np.eye(l),
-    )
-    partial = affine_coefficients(
-        library, l,
-        constant=(0.5, 0.9),
-        state_gain=-2.5 * np.eye(l),
-        velocity_gain=-1.2 * np.eye(l),
-    )
-    flight = affine_coefficients(library, l, constant=(0.8, -2.2))
-    return SyntheticSpec(
-        l_true=l,
-        full_dim=18,
-        lift_seed=lift_seed,
-        library=library,
-        phase_dynamics=(
-            (Phase.CONTACT, contact),
-            (Phase.PARTIAL_CONTACT, partial),
-            (Phase.FLIGHT, flight),
-        ),
-        phase_durations=(
-            (Phase.CONTACT, 250),
-            (Phase.PARTIAL_CONTACT, 150),
-            (Phase.FLIGHT, 150),
-        ),
-        n_jumps=n_jumps,
-        dt=dt,
-        input_phases=(Phase.CONTACT,),
-        input_mean=(2.4, -2.0),
-        input_amplitude=1.2,
-        ic_center=(0.6, -0.5),
-        ic_spread=1.8,
-        velocity_spread=3.0,
-        split_counts=split_counts,
-        noise_sigma=noise_sigma,
-    )
+def two_phase_spec(n_jumps=20, lift_seed=3, noise_sigma=0.0, dt=0.002, split_counts=None):
+    """Contact then flight; the default split is (8, 2, 10) at 20 jumps."""
+    return _preset(((Phase.CONTACT, 300), (Phase.FLIGHT, 200)), (10, 2),
+                   n_jumps, lift_seed, noise_sigma, dt, split_counts)
+
+
+def three_phase_spec(n_jumps=12, lift_seed=16, noise_sigma=0.0, dt=0.002, split_counts=None):
+    """Full contact, rear-feet contact, then flight; the default split is
+    (8, 2, 2) at 12 jumps."""
+    return _preset(((Phase.CONTACT, 250), (Phase.PARTIAL_CONTACT, 150), (Phase.FLIGHT, 150)),
+                   (5, 5), n_jumps, lift_seed, noise_sigma, dt, split_counts)

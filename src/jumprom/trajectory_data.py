@@ -370,14 +370,19 @@ def is_processed(dataset):
 # split / noise
 
 
-def split_dataset(dataset, counts, seed):
-    """Reassign jumps to train/val/test with a seeded shuffle."""
-    n = dataset.n_jumps
+def check_split_counts(counts, n):
+    """Raise unless ``counts`` are (train, val, test) integers >= 0 summing to ``n``."""
     if (not isinstance(counts, (list, tuple)) or len(counts) != 3
             or not all(is_integer(c) and c >= 0 for c in counts) or sum(counts) != n):
         raise ValidationError(
             f"split counts must be three integers >= 0 summing to the jump count {n}, "
             f"got {counts!r}")
+
+
+def split_dataset(dataset, counts, seed):
+    """Reassign jumps to train/val/test with a seeded shuffle."""
+    n = dataset.n_jumps
+    check_split_counts(counts, n)
     order = np.random.default_rng(seed).permutation(n)
     split = [""] * n
     cursor = 0

@@ -206,6 +206,17 @@ class TestTraining:
         params = train_autoencoder(data, 2, standardize=True)
         assert recon_loss(params, data) / np.mean(data**2) < 1e-6
 
+    @pytest.mark.parametrize("init", ["random", "resume"])
+    def test_descent_centres_the_latent_state(self, init):
+        # the encoder bias is a gauge: descent returns b_enc = -W_enc @ mean,
+        # so the latent state sits at the origin wherever the data sit
+        data, _ = _subspace_data(n=300)
+        data = data + 50.0
+        start = train_autoencoder(data - 50.0, 2) if init == "resume" else None
+        params = train_autoencoder(data, 2, epochs=50, init="random", init_params=start)
+        assert np.array_equal(params.b_enc, -params.W_enc @ data.mean(axis=0))
+        assert np.max(np.abs(encode(params, data).mean(axis=0))) < 1e-10
+
     def test_standardize_leaves_constant_column_unscaled(self):
         data, _ = _subspace_data(n=17)
         data[:, 3] = 1.8835341365461846  # a joint that never moves

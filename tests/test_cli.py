@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from jumprom import pipeline
+from jumprom import pipeline, synthetic
 from jumprom.cli import FLAGS, KEYS, build_parser, main
-from jumprom.trajectory_data import load_dataset
+from jumprom.rollout import RolloutConfig, rollout_full
+from jumprom.trajectory_data import load_dataset, process_dataset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,6 +75,27 @@ class TestGen:
         assert manifest["resolved_config"] == {"preset": "two_phase", "n_jumps": 3,
                                                "split_counts": [1, 1, 1], "lift_seed": 7}
         assert manifest["seeds"] == [7]
+
+    @pytest.mark.parametrize("preset", ["two_phase", "three_phase"])
+    def test_default_split_follows_jump_count(self, tmp_path, preset):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"n_jumps": 3}))
+        out = tmp_path / "data"
+        assert main(["gen", "--preset", preset, "--config", str(config), "--out", str(out)]) == 0
+        assert load_dataset(out).split_counts() == (1, 1, 1)
+
+    @pytest.mark.parametrize("payload", [{"n_jumps": 3, "split_counts": [1, 1, 2]},
+                                         {"split_counts": [8, 2, 9]}])
+    def test_bad_split_fails_before_simulating(self, tmp_path, capsys, monkeypatch, payload):
+        def simulate(spec, rng):
+            raise AssertionError("a spec with a bad split was simulated")
+
+        monkeypatch.setattr(synthetic, "_simulate_jumps", simulate)
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps(payload))
+        code = main(["gen", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "ERROR E_VALIDATE: split counts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
         {"n_jumps": "3"}, {"n_jumps": 0}, {"n_jumps": 2.0}, {"n_jumps": None},
@@ -248,6 +270,27 @@ class TestBaseline:
         lines = (out / "comparison.csv").read_text().strip().split("\n")
         assert lines[0] == "jump,model,rmse_x,rmse_y,rmse_z"
         assert len(lines) == 1 + 2 * 2  # 2 test jumps x (aslip, learned)
+
+        # the learned row scores the base position, q columns m..m+2
+        dataset = process_dataset(load_dataset(gen_dir))
+        model = pipeline.load_model(trained_dir / "model.txt")
+        config = RolloutConfig(step_rate=1.0 / dataset.meta.dt, integrator="fixed_rk4")
+        m = dataset.meta.m
+        for jump, label, *rmse in (line.split(",") for line in lines[1:]):
+            if label == "learned":
+                expected = rollout_full(model, dataset.jumps[int(jump)], config).rmse[m:m + 3]
+                assert [float(x) for x in rmse] == expected.tolist()
+
+    def test_manifest_records_model(self, gen_dir, trained_dir, tmp_path):
+        model_path = str(trained_dir / "model.txt")
+        for args, expected in ((["--model", model_path], {"dataset": str(gen_dir),
+                                                           "model": model_path}),
+                               ([], {"dataset": str(gen_dir)})):
+            out = tmp_path / f"baseline{len(args)}"
+            assert main(["baseline", "--dataset", str(gen_dir), "--out", str(out),
+                         "--integrator", "fixed_rk4"] + args) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["inputs"] == expected
 
     def test_divergence_exits_with_blowup(self, gen_dir, tmp_path, capsys):
         config = tmp_path / "stiff.json"

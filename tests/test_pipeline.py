@@ -1,6 +1,7 @@
 """Sequential training, model selection, fine-tuning, and the model format."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -253,16 +254,28 @@ class TestFineTune:
         assert models_equal(tuned, clean_bundle.model)
 
     def test_far_offset_fine_tunes(self, clean_bundle):
-        # a base-x shift of 50 m: descent on uncentred data diverged here
+        # a base-x shift of 50 m: descent on uncentred data diverged here.
+        # The encoder bias is a gauge fixed at the data mean, so the shift
+        # moves neither the latent state nor any fitted term.
         m = clean_bundle.dataset.meta.m
         shift = np.zeros(m + 6)
         shift[m] = 50.0
         shifted = replace(clean_bundle.dataset, jumps=tuple(
             replace(j, q=j.q + shift) for j in clean_bundle.dataset.jumps))
         config = TrainingConfig(latent_dim=2, seed=0)
-        tuned = fine_tune(clean_bundle.model, shifted, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no constant-zero dynamics
+            tuned = fine_tune(clean_bundle.model, shifted, config)
         before = decoder_test_error(clean_bundle.model, shifted)
         assert decoder_test_error(tuned, shifted) < before
+
+        plain = fine_tune(clean_bundle.model, clean_bundle.dataset, config)
+        q0 = clean_bundle.dataset.jumps[0].q[0]
+        assert np.allclose(encode(tuned.autoencoder, q0 + shift), encode(plain.autoencoder, q0),
+                           rtol=0.0, atol=1e-6)
+        for a, b in zip(tuned.phases, plain.phases):
+            assert a.phase == b.phase
+            assert np.array_equal(a.coefficients.active_mask, b.coefficients.active_mask)
 
     def test_parent_hash_recorded(self, clean_bundle):
         config = TrainingConfig(latent_dim=2, epochs=0)

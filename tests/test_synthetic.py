@@ -3,15 +3,16 @@ lockstep stepping."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from jumprom._integrators import rk4_interval
 from jumprom.autoencoder import AutoencoderParams
-from jumprom.sindy import build_library
+from jumprom.sindy import FunctionLibrarySpec, build_library
 from jumprom.synthetic import (
     SyntheticSpec,
+    _decompose_affine,
     _foot_layout,
     _simulate_jumps,
     affine_coefficients,
@@ -139,6 +140,33 @@ def test_coefficients_in_basis_rejects_nonaffine():
     )
     with pytest.raises(ValidationError, match="non-affine"):
         coefficients_in_basis(truth, encoder)
+
+
+@given(constant=st.booleans(), degree=st.integers(0, 2), sines=st.booleans(),
+       inputs=st.booleans(), l=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_affine_blocks_round_trip(constant, degree, sines, inputs, l, seed):
+    assume(constant or degree or sines or inputs)
+    lib = FunctionLibrarySpec(poly_degree=degree, include_constant=constant,
+                              include_sin_states=sines, include_sin_velocities=sines,
+                              include_inputs=inputs)
+    rng = np.random.default_rng(seed)
+    present = (constant, degree >= 1, degree >= 1, inputs)
+    shapes = ((l,), (l, l), (l, l), (l, l))
+    blocks = [rng.normal(size=shape) if ok else None for ok, shape in zip(present, shapes)]
+    for block, got in zip(blocks, _decompose_affine(lib, affine_coefficients(lib, l, *blocks))):
+        assert np.array_equal(got, np.zeros_like(got) if block is None else block)
+    for i, shape in enumerate(shapes):
+        if not present[i]:  # a block the library has no terms for
+            args = [None] * 4
+            args[i] = np.ones(shape)
+            with pytest.raises(ValidationError, match="library has no"):
+                affine_coefficients(lib, l, *args)
+
+
+def test_preset_default_splits():
+    assert two_phase_spec().split_counts == (8, 2, 10)
+    assert three_phase_spec().split_counts == (8, 2, 2)
+    assert three_phase_spec(n_jumps=6).split_counts == (4, 1, 1)
 
 
 def _reference_jump(spec, rng):
