@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError, is_integer
 from .trajectory_data import Phase
@@ -236,6 +235,8 @@ def _cholesky_solve(a, b):
     equals its upper one.  Raises LinAlgError when a is not numerically
     positive definite.
     """
+    import scipy.linalg
+
     factor = scipy.linalg.cho_factor(a.T, lower=False, overwrite_a=True, check_finite=False)
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
@@ -243,6 +244,8 @@ def _cholesky_solve(a, b):
 def _inverse_from_cholesky(c):
     """The symmetric inverse of u^T u from the upper factor u of
     ``cho_factor(..., lower=False)``, overwriting c."""
+    import scipy.linalg
+
     inv, info = scipy.linalg.lapack.dpotri(c, lower=False, overwrite_c=True)
     if info:
         raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
@@ -262,6 +265,8 @@ class _DecoupledSystem:
     """
 
     def __init__(self, M, gram, R, ridge):
+        import scipy.linalg
+
         lam, self.V = np.linalg.eigh(M)
         Y = R @ self.V
         stride = gram.shape[0] + 1

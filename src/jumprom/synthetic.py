@@ -18,8 +18,8 @@ any trained encoder basis.
 The two presets, ``two_phase_spec`` and ``three_phase_spec``, differ only
 in their phase schedule and default train/val/test split, which each
 derives from its jump count.  A ``SyntheticSpec`` checks its shape
-settings and its split when it is built, so a bad split fails before any
-jump is simulated.
+settings, its split and its noise levels when it is built, so a bad split
+or noise level fails before any jump is simulated.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _integrators
 from .errors import ValidationError, is_finite_real, is_integer
@@ -39,6 +38,7 @@ from .trajectory_data import (
     DatasetMeta,
     Phase,
     Trajectory,
+    _sigma_map,
     add_noise,
     check_split_counts,
     save_dataset,
@@ -80,6 +80,7 @@ class SyntheticSpec:
         if not is_integer(self.n_jumps) or self.n_jumps < 1:
             raise ValidationError(f"n_jumps must be an integer >= 1, got {self.n_jumps!r}")
         check_split_counts(self.split_counts, self.n_jumps)
+        _sigma_map(self.noise_sigma)
         if not is_finite_real(self.dt) or self.dt <= 0:
             raise ValidationError(f"dt must be a finite number > 0, got {self.dt!r}")
         if not is_integer(self.lift_seed) or self.lift_seed < 0:
@@ -270,6 +271,8 @@ def _simulate_jumps(spec, rng):
     each driven phase has one spline over the stacked knots.  Returns
     (n_jumps, T, l) states, velocities and inputs, and the foot layouts.
     """
+    from scipy.interpolate import CubicSpline
+
     l, n = spec.l_true, spec.n_jumps
     starts = np.cumsum([0] + [steps for _, steps in spec.phase_durations])
     spans = [(a * spec.dt, b * spec.dt) for a, b in zip(starts[:-1], starts[1:])]

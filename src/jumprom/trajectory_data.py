@@ -457,13 +457,19 @@ def load_dataset(path):
     for key in ("robot", "m", "dt", "jumps"):
         if key not in manifest:
             raise DatasetLoadError(f"{manifest_path.name}: missing manifest key {key!r}")
-    m = int(manifest["m"])
-    meta = DatasetMeta(
-        robot=str(manifest["robot"]),
-        m=m,
-        dt=float(manifest["dt"]),
-        noise_sigma=float(manifest.get("noise_sigma", 0.0)),
-    )
+    m, dt = manifest["m"], manifest["dt"]
+    noise_sigma = manifest.get("noise_sigma", 0.0)
+    for key, valid, expected in (
+        ("m", is_integer(m) and m >= 1, "an integer >= 1"),
+        ("dt", is_finite_real(dt) and dt > 0, "a finite number > 0"),
+        ("noise_sigma", is_finite_real(noise_sigma) and noise_sigma >= 0, "a finite number >= 0"),
+    ):
+        if not valid:
+            raise DatasetLoadError(
+                f"{manifest_path.name}: manifest key {key!r} must be {expected}, "
+                f"got {manifest[key]!r}")
+    meta = DatasetMeta(robot=str(manifest["robot"]), m=m, dt=float(dt),
+                       noise_sigma=float(noise_sigma))
 
     jumps = []
     split = []

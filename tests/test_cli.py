@@ -4,12 +4,16 @@ import argparse
 import json
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import jumprom
 from jumprom import pipeline, synthetic
 from jumprom.cli import FLAGS, KEYS, build_parser, main
 from jumprom.rollout import RolloutConfig, rollout_full
@@ -96,6 +100,20 @@ class TestGen:
         code = main(["gen", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "ERROR E_VALIDATE: split counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise_sigma", ["x", {"q": -1.0}, {"v": 1.0}])
+    def test_bad_noise_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                               noise_sigma):
+        def simulate(spec, rng):
+            raise AssertionError("a spec with a bad noise level was simulated")
+
+        monkeypatch.setattr(synthetic, "_simulate_jumps", simulate)
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"n_jumps": 3, "split_counts": [1, 1, 1],
+                                      "noise_sigma": noise_sigma}))
+        code = main(["gen", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "ERROR E_VALIDATE" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
         {"n_jumps": "3"}, {"n_jumps": 0}, {"n_jumps": 2.0}, {"n_jumps": None},
@@ -256,6 +274,32 @@ class TestEval:
             outs.append(out)
         for f in sorted(p.name for p in outs[0].glob("rollout_*.csv")):
             assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline"])
+@pytest.mark.parametrize("key,value", [
+    ("dt", 0), ("dt", -0.002), ("dt", "abc"), ("dt", "nan"), ("m", "x"), ("m", 12.7),
+    ("m", 0), ("noise_sigma", "x"), ("noise_sigma", -1.0)])
+def test_bad_manifest_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, command,
+                                          key, value):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest[key] = value
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    code = main([command, "--dataset", str(data), "--model", str(trained_dir / "model.txt"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"ERROR E_LOAD: manifest.json: manifest key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # eval and baseline run on numpy alone; scipy loads only where it is used
+    src = str(Path(jumprom.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import jumprom.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestBaseline:
