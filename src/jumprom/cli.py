@@ -136,9 +136,8 @@ def _start(args, *inputs):
     return out, _ManifestWriter(args, out, inputs)
 
 
-def _load_processed(path, smooth_window=0):
-    dataset = load_dataset(path)
-    return process_dataset(dataset, smooth_window=smooth_window)
+def _load_processed(path):
+    return process_dataset(load_dataset(path))
 
 
 def _write_series(path, result):
@@ -190,7 +189,7 @@ def cmd_gen(args):
 def cmd_train(args):
     config = config_from_dict(_settings(args))
     out, manifest = _start(args, "dataset")
-    dataset = _load_processed(args.dataset, config.smooth_window)
+    dataset = _load_processed(args.dataset)
     model = pipeline.run_pipeline(dataset, config)
     for pm in model.phases:
         print(f"[{pm.phase}]")
@@ -212,7 +211,7 @@ def cmd_scan(args):
     seeds = settings.pop("seeds", [0, 1, 2, 3, 4])
     config = config_from_dict(settings)
     out, manifest = _start(args, "dataset")
-    dataset = _load_processed(args.dataset, config.smooth_window)
+    dataset = _load_processed(args.dataset)
 
     if args.parallel > 1:
         report = _parallel_scan(dataset, l_values, seeds, config, args.parallel)
@@ -326,7 +325,7 @@ def cmd_finetune(args):
     out, manifest = _start(args, "dataset", "model")
     model = pipeline.load_model(args.model)
     config = config_from_dict({**settings, "latent_dim": model.autoencoder.latent_dim})
-    dataset = _load_processed(args.dataset, config.smooth_window)
+    dataset = _load_processed(args.dataset)
     tuned = pipeline.fine_tune(model, dataset, config)
     model_path = out / "model.txt"
     pipeline.save_model(tuned, model_path)

@@ -86,10 +86,8 @@ class TrainingConfig:
     latent_accel_weight: float = 1.0
     decoded_accel_weight: float = 1.0
     boundary_trim: int = 2
-    smooth_window: int = 0
     seed_phase: Phase = Phase.CONTACT
     selection_lambda: float = 0.001
-    scan_reshuffle_split: bool = True
     fine_tune_lr_scale: float = 0.1
 
     def __post_init__(self):
@@ -102,8 +100,7 @@ class TrainingConfig:
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
         for name in ("learning_rate", "momentum", "epochs", "stlsq_threshold", "stlsq_ridge",
-                     "stlsq_max_iters", "decoder_ridge", "selection_lambda", "boundary_trim",
-                     "smooth_window"):
+                     "stlsq_max_iters", "decoder_ridge", "selection_lambda", "boundary_trim"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
@@ -204,10 +201,8 @@ def selection_loss(decoder_error, active_count, selection_lambda):
 # data assembly
 
 
-def _ensure_processed(dataset, config):
-    if is_processed(dataset):
-        return dataset
-    return process_dataset(dataset, smooth_window=config.smooth_window)
+def _ensure_processed(dataset):
+    return dataset if is_processed(dataset) else process_dataset(dataset)
 
 
 def _phase_depth(jumps):
@@ -241,7 +236,7 @@ def _fit_stages(dataset, config, parent=None):
     stage 3 warm-starts each phase from the parent's support.  Returns the
     StepSnapshots after stages 1 and 2 and the tuple of phase models.
     """
-    train_jumps = _ensure_processed(dataset, config).jumps_in("train")
+    train_jumps = _ensure_processed(dataset).jumps_in("train")
     if not train_jumps:
         raise ValidationError("dataset has no train split")
 
@@ -397,18 +392,15 @@ def scan_grid(dataset, l_values, seeds):
 def model_selection_scan(dataset, l_values, seeds, config):
     """Run the pipeline over every (latent dim, seed) cell and score it.
 
-    Each seed reruns the whole pipeline; with ``config.scan_reshuffle_split``
-    the train/val/test assignment is reshuffled per seed (same counts), so
-    seeds perturb an otherwise deterministic procedure.  Returns rows
-    sorted by latent dim then seed.
+    Each seed reruns the whole pipeline on a train/val/test assignment
+    reshuffled with that seed (same counts), so seeds perturb an otherwise
+    deterministic procedure.  Returns rows sorted by latent dim then seed.
     """
     l_values, seeds = scan_grid(dataset, l_values, seeds)
-    dataset = _ensure_processed(dataset, config)
+    dataset = _ensure_processed(dataset)
     rows = []
     for seed in seeds:
-        cell_dataset = dataset
-        if config.scan_reshuffle_split:
-            cell_dataset = split_dataset(dataset, dataset.split_counts(), seed=seed)
+        cell_dataset = split_dataset(dataset, dataset.split_counts(), seed=seed)
         for l in sorted(l_values):
             cell_cfg = replace(config, latent_dim=l, seed=seed)
             model = run_pipeline(cell_dataset, cell_cfg)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _integrators
 from .autoencoder import decode, encode, transform_input
-from .errors import MissingPhaseError, ValidationError, is_integer
+from .errors import MissingPhaseError, ValidationError, is_finite_real, is_integer
 from .sindy import build_library_row
 from .trajectory_data import Phase, segment_phases
 
@@ -37,15 +37,16 @@ class RolloutConfig:
     rk4_substeps: int = 1
 
     def __post_init__(self):
-        if self.step_rate <= 0:
-            raise ValidationError(f"step_rate must be > 0, got {self.step_rate}")
+        if not is_finite_real(self.step_rate) or self.step_rate <= 0:
+            raise ValidationError(f"step_rate must be a finite number > 0, got {self.step_rate!r}")
         if not is_integer(self.reset_interval) or self.reset_interval < 0:
             raise ValidationError(
                 f"reset_interval must be an integer >= 0, got {self.reset_interval!r}")
         if self.integrator not in _integrators.INTEGRATORS:
             raise ValidationError(f"unknown integrator {self.integrator!r}")
-        if self.rk4_substeps < 1:
-            raise ValidationError("rk4_substeps must be >= 1")
+        if not is_integer(self.rk4_substeps) or self.rk4_substeps < 1:
+            raise ValidationError(
+                f"rk4_substeps must be an integer >= 1, got {self.rk4_substeps!r}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A dataset on disk is one directory holding a ``manifest.json`` plus one
 delimited text file per jump.  Column layout of a jump file (header row,
-comma separated)::
+comma separated), stated once by ``_layout`` and read from there by both
+the loader and the writer::
 
     t, q_0..q_{m+5}, dq_0..dq_{m+5}, tau_0..tau_{m-1}, c_0..c_3
     [, ff_0..ff_11][, fp_0..fp_11][, com_x, com_y, com_z]
@@ -13,8 +14,9 @@ per foot.  The optional groups carry world-frame foot forces (3 per foot),
 world-frame foot positions, and the CoM position.  All floats are written
 with full round-trip precision.
 
-The manifest lists the jump files, the joint count m, the nominal sample
-step dt, and the train/val/test assignment of each jump.
+The manifest lists the jump files, the joint count m (a multiple of 4,
+one group per leg), the nominal sample step dt, and the train/val/test
+assignment of each jump.
 """
 
 from __future__ import annotations
@@ -131,49 +133,34 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# column layout and validation
 
 
-def _column_names(m, with_forces, with_positions, with_com):
-    names = ["t"]
-    names += [f"q_{i}" for i in range(m + 6)]
-    names += [f"dq_{i}" for i in range(m + 6)]
-    names += [f"tau_{i}" for i in range(m)]
-    names += [f"c_{i}" for i in range(4)]
-    if with_forces:
-        names += [f"ff_{i}" for i in range(12)]
-    if with_positions:
-        names += [f"fp_{i}" for i in range(12)]
-    if with_com:
-        names += ["com_x", "com_y", "com_z"]
-    return names
+def _layout(m):
+    """Column layout of a jump file: (Trajectory field, column names, optional), in file order."""
+    return (
+        ("timestamps", ("t",), False),
+        ("q", tuple(f"q_{i}" for i in range(m + 6)), False),
+        ("dq", tuple(f"dq_{i}" for i in range(m + 6)), False),
+        ("tau", tuple(f"tau_{i}" for i in range(m)), False),
+        ("contact", tuple(f"c_{i}" for i in range(4)), False),
+        ("foot_forces", tuple(f"ff_{i}" for i in range(12)), True),
+        ("foot_positions", tuple(f"fp_{i}" for i in range(12)), True),
+        ("com_positions", ("com_x", "com_y", "com_z"), True),
+    )
 
 
-def validate_trajectory(traj, m, origin="trajectory"):
-    """Check the structural invariants of one jump; raise DatasetLoadError."""
+def validate_trajectory(traj, origin):
+    """Check the value invariants of one jump; raise DatasetLoadError.
+
+    Block shapes are not checked here: the loader builds the blocks from
+    ``_layout`` after matching the header and the row width against it.
+    """
     T = traj.timestamps.shape[0]
     if T < 3:
         raise DatasetLoadError(
             f"{origin}: too few samples for differentiation (T={T}, need >= 3)"
         )
-    if m % 4 != 0:
-        raise DatasetLoadError(f"{origin}: joint count m={m} not divisible by 4")
-    shapes = {
-        "q": (T, m + 6),
-        "dq": (T, m + 6),
-        "tau": (T, m),
-        "contact": (T, 4),
-    }
-    for name, want in shapes.items():
-        got = getattr(traj, name).shape
-        if got != want:
-            raise DatasetLoadError(f"{origin}: column block {name} has shape {got}, expected {want}")
-    for name, width in (("foot_forces", 12), ("foot_positions", 12), ("com_positions", 3)):
-        arr = getattr(traj, name)
-        if arr is not None and arr.shape != (T, width):
-            raise DatasetLoadError(
-                f"{origin}: optional block {name} has shape {arr.shape}, expected {(T, width)}"
-            )
     dts = np.diff(traj.timestamps)
     if np.any(dts <= 0):
         k = int(np.argmax(dts <= 0))
@@ -194,14 +181,12 @@ def validate_trajectory(traj, m, origin="trajectory"):
 # core per-sample operations
 
 
-def differentiate_velocity(traj, *, smooth_window=0):
+def differentiate_velocity(traj):
     """Estimate accelerations from the velocity rows.
 
     Second-order central differences on interior samples, second-order
     one-sided differences at the two endpoints.  The time grid must be
-    uniform to within 1%; resampling is out of scope.  ``smooth_window``
-    applies a centered moving average to the velocities before
-    differencing (0 disables it).
+    uniform to within 1%; resampling is out of scope.
     """
     t = traj.timestamps
     if t.shape[0] < 3:
@@ -212,22 +197,7 @@ def differentiate_velocity(traj, *, smooth_window=0):
         raise NonUniformTimestepError(
             f"timestep varies by more than 1% (median {dt:.6g}); resampling is unsupported"
         )
-    dq = traj.dq
-    if smooth_window and smooth_window > 1:
-        dq = _moving_average(dq, smooth_window)
-    return np.gradient(dq, dt, axis=0, edge_order=2)
-
-
-def _moving_average(x, window):
-    if window % 2 == 0:
-        raise ValidationError(f"smoothing window must be odd, got {window}")
-    h = window // 2
-    padded = np.concatenate([np.repeat(x[:1], h, axis=0), x, np.repeat(x[-1:], h, axis=0)])
-    kernel = np.full(window, 1.0 / window)
-    out = np.empty_like(x, dtype=float)
-    for j in range(x.shape[1]):
-        out[:, j] = np.convolve(padded[:, j], kernel, mode="valid")
-    return out
+    return np.gradient(traj.dq, dt, axis=0, edge_order=2)
 
 
 def compute_foot_force(jacobian, leg_torques, *, max_condition=1e8):
@@ -305,7 +275,7 @@ def segment_phases(contact):
 # derivation of the Trajectory fields ddq and u
 
 
-def process_trajectory(traj, m, *, smooth_window=0, jacobians=None):
+def process_trajectory(traj, m, *, jacobians=None):
     """Return the jump with its derived fields ddq and u filled.
 
     The CoM wrench is built from recorded foot forces when present (forces
@@ -314,7 +284,7 @@ def process_trajectory(traj, m, *, smooth_window=0, jacobians=None):
     the joint torques.  Foot positions are required either way; the CoM
     falls back to the base position when no com_positions are recorded.
     """
-    ddq = differentiate_velocity(traj, smooth_window=smooth_window)
+    ddq = differentiate_velocity(traj)
     T = traj.n_samples
 
     if traj.foot_forces is not None:
@@ -353,12 +323,12 @@ def process_trajectory(traj, m, *, smooth_window=0, jacobians=None):
     return replace(traj, ddq=ddq, u=assemble_input(traj.tau, wrench))
 
 
-def process_dataset(dataset, *, smooth_window=0, jacobians=None):
+def process_dataset(dataset, *, jacobians=None):
     """Apply process_trajectory to every jump; returns a new Dataset."""
     jumps = []
     for i, jump in enumerate(dataset.jumps):
         jac = jacobians[i] if jacobians is not None else None
-        jumps.append(process_trajectory(jump, dataset.meta.m, smooth_window=smooth_window, jacobians=jac))
+        jumps.append(process_trajectory(jump, dataset.meta.m, jacobians=jac))
     return Dataset(jumps=tuple(jumps), split=dataset.split, meta=dataset.meta)
 
 
@@ -454,26 +424,31 @@ def load_dataset(path):
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise DatasetLoadError(f"{manifest_path.name}: invalid JSON ({e})") from e
+    if not isinstance(manifest, dict):
+        raise DatasetLoadError(f"{manifest_path.name}: must hold a JSON object")
     for key in ("robot", "m", "dt", "jumps"):
         if key not in manifest:
             raise DatasetLoadError(f"{manifest_path.name}: missing manifest key {key!r}")
-    m, dt = manifest["m"], manifest["dt"]
+    robot, m, dt, entries = (manifest[k] for k in ("robot", "m", "dt", "jumps"))
     noise_sigma = manifest.get("noise_sigma", 0.0)
     for key, valid, expected in (
-        ("m", is_integer(m) and m >= 1, "an integer >= 1"),
+        ("robot", isinstance(robot, str), "a string"),
+        ("m", is_integer(m) and m >= 1 and m % 4 == 0, "an integer >= 1 divisible by 4"),
         ("dt", is_finite_real(dt) and dt > 0, "a finite number > 0"),
         ("noise_sigma", is_finite_real(noise_sigma) and noise_sigma >= 0, "a finite number >= 0"),
+        ("jumps", isinstance(entries, list)
+         and all(isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries),
+         'a list of objects with a string "file"'),
     ):
         if not valid:
             raise DatasetLoadError(
                 f"{manifest_path.name}: manifest key {key!r} must be {expected}, "
                 f"got {manifest[key]!r}")
-    meta = DatasetMeta(robot=str(manifest["robot"]), m=m, dt=float(dt),
-                       noise_sigma=float(noise_sigma))
+    meta = DatasetMeta(robot=robot, m=m, dt=float(dt), noise_sigma=float(noise_sigma))
 
     jumps = []
     split = []
-    for entry in manifest["jumps"]:
+    for entry in entries:
         name = entry["file"]
         label = entry.get("split", "train")
         if label not in SPLITS:
@@ -487,12 +462,10 @@ def _load_jump_file(path, m):
     if not path.exists():
         raise DatasetLoadError(f"{path.name}: file not found")
     with open(path, "r") as fh:
-        header = fh.readline().strip()
-        cols = [c.strip() for c in header.split(",")]
-        with_forces = "ff_0" in cols
-        with_positions = "fp_0" in cols
-        with_com = "com_x" in cols
-        expected = _column_names(m, with_forces, with_positions, with_com)
+        cols = [c.strip() for c in fh.readline().strip().split(",")]
+        blocks = [(field, names) for field, names, optional in _layout(m)
+                  if not optional or names[0] in cols]
+        expected = [name for _, names in blocks for name in names]
         if cols != expected:
             missing = [c for c in expected if c not in cols]
             extra = [c for c in cols if c not in expected]
@@ -510,27 +483,11 @@ def _load_jump_file(path, m):
         raise DatasetLoadError(
             f"{path.name}: row width {data.shape[1]} does not match header width {len(expected)}"
         )
-
-    def take(n):
-        nonlocal cursor
-        block = data[:, cursor : cursor + n]
-        cursor += n
-        return block
-
-    cursor = 0
-    t = take(1)[:, 0]
-    q = take(m + 6)
-    dq = take(m + 6)
-    tau = take(m)
-    contact = take(4)
-    ff = take(12) if with_forces else None
-    fp = take(12) if with_positions else None
-    com = take(3) if with_com else None
-    traj = Trajectory(
-        timestamps=t, q=q, dq=dq, tau=tau, contact=contact,
-        foot_forces=ff, foot_positions=fp, com_positions=com,
-    )
-    validate_trajectory(traj, m, origin=path.name)
+    cuts = np.cumsum([len(names) for _, names in blocks])[:-1]
+    fields = {field: block for (field, _), block in zip(blocks, np.split(data, cuts, axis=1))}
+    fields["timestamps"] = fields["timestamps"][:, 0]
+    traj = Trajectory(**fields)
+    validate_trajectory(traj, path.name)
     return traj
 
 
@@ -559,19 +516,10 @@ def save_dataset(dataset, path):
 
 
 def _save_jump_file(path, jump, m):
-    with_forces = jump.foot_forces is not None
-    with_positions = jump.foot_positions is not None
-    with_com = jump.com_positions is not None
-    names = _column_names(m, with_forces, with_positions, with_com)
-    blocks = [jump.timestamps[:, None], jump.q, jump.dq, jump.tau, jump.contact]
-    if with_forces:
-        blocks.append(jump.foot_forces)
-    if with_positions:
-        blocks.append(jump.foot_positions)
-    if with_com:
-        blocks.append(jump.com_positions)
-    table = np.concatenate(blocks, axis=1)
+    blocks = [(names, getattr(jump, field)) for field, names, _ in _layout(m)
+              if getattr(jump, field) is not None]
+    table = np.column_stack([block for _, block in blocks])
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(name for names, _ in blocks for name in names) + "\n")
         for row in table:
             fh.write(",".join(_format_float(x) for x in row) + "\n")

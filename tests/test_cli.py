@@ -11,13 +11,15 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jumprom
 from jumprom import pipeline, synthetic
 from jumprom.cli import FLAGS, KEYS, build_parser, main
 from jumprom.rollout import RolloutConfig, rollout_full
-from jumprom.trajectory_data import load_dataset, process_dataset
+from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_dataset,
+                                     process_dataset, save_dataset)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -151,7 +153,7 @@ class TestTrain:
                                          {"stlsq_max_iters": "3"}, {"stlsq_threshold": 10**400},
                                          {"library": {"poly_degree": "2"}},
                                          {"library": {"degree": 2}}, {"seed_phase": "bogus"},
-                                         {"boundary_trim": -3}, {"smooth_window": -1}])
+                                         {"boundary_trim": -3}])
     def test_config_value_types_validated(self, gen_dir, tmp_path, capsys, payload):
         config = tmp_path / "train.json"
         config.write_text(json.dumps(payload))
@@ -279,7 +281,8 @@ class TestEval:
 @pytest.mark.parametrize("command", ["eval", "baseline"])
 @pytest.mark.parametrize("key,value", [
     ("dt", 0), ("dt", -0.002), ("dt", "abc"), ("dt", "nan"), ("m", "x"), ("m", 12.7),
-    ("m", 0), ("noise_sigma", "x"), ("noise_sigma", -1.0)])
+    ("m", 0), ("noise_sigma", "x"), ("noise_sigma", -1.0), ("m", 5), ("jumps", [{}]),
+    ("jumps", 5), ("jumps", [{"file": 5}]), ("robot", None)])
 def test_bad_manifest_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, command,
                                           key, value):
     data = tmp_path / "data"
@@ -545,3 +548,29 @@ class TestReadme:
                     assert f"`{key}` (`{flag}`" in rows[command], (command, key)
                 elif key not in training:
                     assert f"`{key}`" in rows[command], (command, key)
+
+    def test_dataset_format_matches_written_header(self, tmp_path):
+        # expand the documented header at m = 12 (q_0..q_{m+5} -> prefix q,
+        # indices 0..17) and compare it with what save_dataset writes for a
+        # jump carrying every optional block
+        m, T = 12, 3
+        block = README.read_text().split("## Dataset format", 1)[1].split("```", 2)[1]
+        documented = []
+        for item in re.findall(r"[^\s,\[\]]+", block):
+            first, _, last = item.partition("..")
+            if not last:
+                documented.append(item)
+                continue
+            prefix, start = first.rsplit("_", 1)
+            assert last.startswith(prefix + "_"), item
+            end = last[len(prefix) + 1:].strip("{}")
+            end = int(end) if end.isdigit() else m + int(end[1:] or 0)
+            documented += [f"{prefix}_{i}" for i in range(int(start), end + 1)]
+        jump = Trajectory(timestamps=np.arange(T) * 0.1, q=np.zeros((T, m + 6)),
+                          dq=np.zeros((T, m + 6)), tau=np.zeros((T, m)),
+                          contact=np.ones((T, 4)), foot_forces=np.zeros((T, 12)),
+                          foot_positions=np.zeros((T, 12)), com_positions=np.zeros((T, 3)))
+        dataset = Dataset(jumps=(jump,), split=("train",),
+                          meta=DatasetMeta(robot="readme", m=m, dt=0.1))
+        root = save_dataset(dataset, tmp_path)
+        assert documented == (root / "jump_000.csv").read_text().splitlines()[0].split(",")

@@ -46,6 +46,15 @@ def _model(phase_to_Xi, library, l=1):
     return MultiPhaseModel(autoencoder=_axis_autoencoder(l), phases=tuple(phases), provenance={})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("step_rate", float("nan")), ("step_rate", float("inf")), ("step_rate", "500"),
+    ("step_rate", True), ("step_rate", 0.0), ("rk4_substeps", 1.5), ("rk4_substeps", True),
+    ("rk4_substeps", "2"), ("rk4_substeps", 0)])
+def test_config_field_types_validated(field, value):
+    with pytest.raises(ValidationError, match=field):
+        RolloutConfig(**{field: value})
+
+
 def _free_drift_model():
     return _model({Phase.FLIGHT: np.zeros((LINEAR.term_count(1), 1))}, LINEAR)
 

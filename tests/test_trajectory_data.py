@@ -125,6 +125,31 @@ class TestLoadDataset:
         with pytest.raises(DatasetLoadError, match=r"jump_0\.csv"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("text", ["5", "[]", '"robot, m, dt, jumps"'])
+    def test_manifest_not_an_object(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(DatasetLoadError, match=r"manifest\.json: must hold a JSON object"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("edit,message", [
+        # optional groups out of file order: fp_* before ff_*
+        (lambda cols, rows: (cols + [f"fp_{i}" for i in range(12)]
+                             + [f"ff_{i}" for i in range(12)], [r + ",0.0" * 24 for r in rows]),
+         r"header mismatch \(column order\)"),
+        (lambda cols, rows: (cols + ["extra"], [r + ",0.0" for r in rows]),
+         r"unexpected columns \['extra'\]"),
+        (lambda cols, rows: (cols, [rows[0] + ",0.0"] + rows[1:]), "parse error"),
+        (lambda cols, rows: (cols, [r + ",0.0" for r in rows]), "row width"),
+    ], ids=["optional_order", "extra_column", "one_row_wider", "all_rows_wider"])
+    def test_file_off_layout_names_file(self, tmp_path, edit, message):
+        dataset = Dataset(jumps=(_tiny_jump(),), split=("train",), meta=DatasetMeta("t", M, 0.1))
+        path = save_dataset(dataset, tmp_path) / "jump_000.csv"
+        header, *rows = path.read_text().splitlines()
+        cols, rows = edit(header.split(","), rows)
+        path.write_text("\n".join([",".join(cols)] + rows) + "\n")
+        with pytest.raises(DatasetLoadError, match=rf"^jump_000\.csv: .*{message}"):
+            load_dataset(tmp_path)
+
 
 class TestDifferentiateVelocity:
     def test_linear_ramp(self):
