@@ -212,11 +212,8 @@ def cmd_scan(args):
     config = config_from_dict(settings)
     out, manifest = _start(args, "dataset")
     dataset = _load_processed(args.dataset)
-
-    if args.parallel > 1:
-        report = _parallel_scan(dataset, l_values, seeds, config, args.parallel)
-    else:
-        report = pipeline.model_selection_scan(dataset, l_values, seeds, config)
+    report = pipeline.model_selection_scan(dataset, l_values, seeds, config,
+                                           workers=args.parallel)
     report_path = out / "report.csv"
     pipeline.write_selection_report(report, report_path)
     manifest.add_output(report_path)
@@ -225,24 +222,6 @@ def cmd_scan(args):
         print(f"l={l}: L_mod = {mean:.6f} +/- {std:.6f}")
     print(f"report written to {report_path}")
     return 0
-
-
-def _scan_cell(payload):
-    dataset, l_values, seed, config = payload
-    return pipeline.model_selection_scan(dataset, l_values, [seed], config)
-
-
-def _parallel_scan(dataset, l_values, seeds, config, workers):
-    from concurrent.futures import ProcessPoolExecutor
-
-    l_values, seeds = pipeline.scan_grid(dataset, l_values, seeds)  # before any worker starts
-    cells = [(dataset, l_values, seed, config) for seed in seeds]
-    rows = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_cell, cells):
-            rows.extend(part.rows)
-    rows.sort(key=lambda r: (r.latent_dim, r.seed))
-    return pipeline.SelectionReport(rows=tuple(rows), selection_lambda=config.selection_lambda)
 
 
 def cmd_eval(args):
@@ -377,7 +356,9 @@ def build_parser():
     p.add_argument("--l-values", type=_int_list, default=None, help="comma-separated latent dims")
     p.add_argument("--seeds", type=_int_list, default=None, help="comma-separated seeds")
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--parallel", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--parallel", type=int, default=1,
+                   help="worker processes, at most one per seed; the report is the same "
+                        "as a serial scan's (default: 1)")
 
     p = command("eval", cmd_eval, "roll out a model against recorded test jumps", model=True)
     p.add_argument("--reset-interval", type=int, default=None)

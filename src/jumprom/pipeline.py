@@ -12,7 +12,10 @@ and ``fine_tune``; fine-tuning changes only where stage 1 starts and which
 supports stage 3 warm-starts from.  The model selection scan repeats the
 pipeline over latent dimensions and seeds and scores each cell with an
 AIC-style combination of test reconstruction error and symbolic
-complexity.
+complexity; one loop runs its seeds, in process or in a worker pool.
+``serialize_model`` and ``parse_model`` share one autoencoder layout,
+``_autoencoder_layout``, and the reader takes every line through one field
+reader, ``_field``, which reports a malformed value with its byte offset.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ import hashlib
 import io
 import json
 import logging
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -379,43 +384,50 @@ def _scan_axis(values, what, low, high=None):
     return values
 
 
-def scan_grid(dataset, l_values, seeds):
-    """Check the cells of a scan and return its latent dims and seeds as lists.
+def _scan_seed(dataset, l_values, config, seed):
+    """Rows of one scan seed: the split reshuffled with it, then a cell per latent dim."""
+    cell_dataset = split_dataset(dataset, dataset.split_counts(), seed=seed)
+    rows = []
+    for l in sorted(l_values):
+        model = run_pipeline(cell_dataset, replace(config, latent_dim=l, seed=seed))
+        e_dec = decoder_test_error(model, cell_dataset)
+        active = total_active(model)
+        rows.append(SelectionRow(
+            latent_dim=l,
+            seed=seed,
+            decoder_error=e_dec,
+            active_count=active,
+            selection_loss=selection_loss(e_dec, active, config.selection_lambda),
+        ))
+        log.info("scan l=%d seed=%d: E_dec=%.3e |Xi|=%d L_mod=%.6f",
+                 l, seed, e_dec, active, rows[-1].selection_loss)
+    return rows
 
-    Latent dims are integers in [1, m+6]; seeds are integers >= 0, since each
-    one seeds a split reshuffle.  Neither list may be empty.
-    """
-    return (_scan_axis(l_values, "latent dimensions", 1, dataset.meta.m + 6),
-            _scan_axis(seeds, "seeds", 0))
 
-
-def model_selection_scan(dataset, l_values, seeds, config):
+def model_selection_scan(dataset, l_values, seeds, config, workers=1):
     """Run the pipeline over every (latent dim, seed) cell and score it.
 
-    Each seed reruns the whole pipeline on a train/val/test assignment
-    reshuffled with that seed (same counts), so seeds perturb an otherwise
-    deterministic procedure.  Returns rows sorted by latent dim then seed.
+    Latent dims are integers in [1, m+6] and seeds integers >= 0; neither
+    list may be empty.  Each seed reruns the whole pipeline on a
+    train/val/test assignment reshuffled with that seed (same counts), so
+    seeds perturb an otherwise deterministic procedure.  Each seed is one
+    task, run in this process, or with ``workers`` > 1 in a pool of at most
+    one process per seed; the rows are the same either way.  Returns rows
+    sorted by latent dim then seed.
     """
-    l_values, seeds = scan_grid(dataset, l_values, seeds)
+    l_values = _scan_axis(l_values, "latent dimensions", 1, dataset.meta.m + 6)
+    seeds = _scan_axis(seeds, "seeds", 0)
     dataset = _ensure_processed(dataset)
-    rows = []
-    for seed in seeds:
-        cell_dataset = split_dataset(dataset, dataset.split_counts(), seed=seed)
-        for l in sorted(l_values):
-            cell_cfg = replace(config, latent_dim=l, seed=seed)
-            model = run_pipeline(cell_dataset, cell_cfg)
-            e_dec = decoder_test_error(model, cell_dataset)
-            active = total_active(model)
-            rows.append(SelectionRow(
-                latent_dim=l,
-                seed=seed,
-                decoder_error=e_dec,
-                active_count=active,
-                selection_loss=selection_loss(e_dec, active, config.selection_lambda),
-            ))
-            log.info("scan l=%d seed=%d: E_dec=%.3e |Xi|=%d L_mod=%.6f",
-                     l, seed, e_dec, active, rows[-1].selection_loss)
-    rows.sort(key=lambda r: (r.latent_dim, r.seed))
+    scan_seed = partial(_scan_seed, dataset, l_values, config)
+    workers = min(workers, len(seeds))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(scan_seed, seeds))
+    else:
+        parts = map(scan_seed, seeds)
+    rows = sorted((row for part in parts for row in part), key=lambda r: (r.latent_dim, r.seed))
     return SelectionReport(rows=tuple(rows), selection_lambda=config.selection_lambda)
 
 
@@ -460,8 +472,12 @@ def fine_tune(model, dataset, config):
 # model file format
 
 
+def _autoencoder_layout(l, d):
+    """(field, rows, cols) of each autoencoder matrix, in file order; a bias is one row."""
+    return (("W_enc", l, d), ("b_enc", 1, l), ("W_dec", d, l), ("b_dec", 1, d))
+
+
 def _write_matrix(out, name, arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
     out.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
     for row in arr:
         out.write(" ".join(repr(float(x)) for x in row) + "\n")
@@ -474,10 +490,8 @@ def serialize_model(model):
     out.write("provenance " + json.dumps(model.provenance, sort_keys=True) + "\n")
     ae = model.autoencoder
     out.write(f"autoencoder {ae.latent_dim} {ae.full_dim}\n")
-    _write_matrix(out, "W_enc", ae.W_enc)
-    _write_matrix(out, "b_enc", ae.b_enc[None, :])
-    _write_matrix(out, "W_dec", ae.W_dec)
-    _write_matrix(out, "b_dec", ae.b_dec[None, :])
+    for name, rows, cols in _autoencoder_layout(ae.latent_dim, ae.full_dim):
+        _write_matrix(out, name, getattr(ae, name).reshape(rows, cols))
     for pm in model.phases:
         coeffs = pm.coefficients
         lib = coeffs.library
@@ -499,107 +513,109 @@ def save_model(model, path):
         fh.write(serialize_model(model))
 
 
-class _LineReader:
-    """Line iterator that tracks the byte offset of the current line."""
-
-    def __init__(self, text):
-        self.lines = text.split("\n")
-        self.index = 0
-        self.offset = 0
-        self._lengths = [len(line.encode()) + 1 for line in self.lines]
-
-    def next_line(self, expect=None):
-        while True:
-            if self.index >= len(self.lines):
-                raise ModelFormatError("unexpected end of file", self.offset)
-            line = self.lines[self.index]
-            offset = self.offset
-            self.offset += self._lengths[self.index]
-            self.index += 1
-            if line.strip() == "" and self.index < len(self.lines):
-                continue
-            if line.strip() == "":
-                raise ModelFormatError("unexpected end of file", offset)
-            if expect is not None and not line.startswith(expect):
-                raise ModelFormatError(f"expected {expect!r}, found {line.split(' ')[0]!r}", offset)
-            return line, offset
+def _lines(text):
+    """Each non-blank line of ``text`` with its byte offset; asked for one
+    more, raise ModelFormatError at the end of the text."""
+    offset = 0
+    for line in text.split("\n"):
+        if line.strip():
+            yield line, offset
+        offset += len(line.encode()) + 1
+    raise ModelFormatError("unexpected end of file", offset - 1)
 
 
-def _read_matrix(reader, name, want_shape=None):
-    header, offset = reader.next_line(expect=name)
-    parts = header.split()
-    if len(parts) != 3:
-        raise ModelFormatError(f"malformed {name} header", offset)
-    rows, cols = int(parts[1]), int(parts[2])
-    if want_shape is not None and (rows, cols) != want_shape:
-        raise ModelFormatError(f"{name} has shape {(rows, cols)}, expected {want_shape}", offset)
-    data = np.empty((rows, cols))
-    for r in range(rows):
-        line, offset = reader.next_line()
-        vals = line.split()
-        if len(vals) != cols:
-            raise ModelFormatError(f"{name} row {r} has {len(vals)} values, expected {cols}", offset)
-        try:
-            data[r] = [float(v) for v in vals]
-        except ValueError as e:
-            raise ModelFormatError(f"bad float in {name} row {r}: {e}", offset) from e
-    return data
+def _field(lines, key, parse, *args):
+    """``parse(rest, *args)`` of the next line, whose first word must be ``key``
+    (the rest is the whole line when ``key`` is None).
+
+    A value that ``parse`` rejects with ValueError, TypeError or
+    ValidationError raises ModelFormatError at the line's byte offset.
+    """
+    line, offset = next(lines)
+    if key is not None:
+        head, _, line = line.partition(" ")
+        if head != key:
+            raise ModelFormatError(f"expected {key!r}, found {head!r}", offset)
+    try:
+        return parse(line, *args)
+    except (ValueError, TypeError, ValidationError) as e:
+        raise ModelFormatError(f"malformed {key or 'line'}: {e}", offset) from e
+
+
+def _json_object(text):
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, found {text.strip()!r}")
+    return value
+
+
+def _dims(text):
+    l, d = (int(v) for v in text.split())
+    if not 1 <= l <= d:
+        raise ValueError(f"latent dim {l} and full dim {d} need 1 <= l <= d")
+    return l, d
+
+
+def _threshold(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {value!r}")
+    return value
+
+
+def _words(text, want):
+    if text.split() != want:
+        raise ValueError(f"found {text.strip()!r}, expected {' '.join(want)!r}")
+
+
+def _row(text, count):
+    values = [float(v) for v in text.split()]
+    if len(values) != count or not all(map(math.isfinite, values)):
+        raise ValueError(f"expected {count} finite numbers, found {text.strip()!r}")
+    return values
+
+
+def _read_matrix(lines, name, rows, cols):
+    _field(lines, name, _words, [str(rows), str(cols)])
+    return np.array([_field(lines, None, _row, cols) for _ in range(rows)]).reshape(rows, cols)
+
+
+def _phase_or_end(line):
+    """The phase of a ``phase <name>`` line; None for the closing ``end``."""
+    head, _, name = line.partition(" ")
+    if head == "end":
+        return None
+    if head != "phase":
+        raise ValueError(f"expected 'phase' or 'end', found {head!r}")
+    return Phase(name.strip())
 
 
 def parse_model(text):
-    reader = _LineReader(text)
-    magic, offset = reader.next_line()
-    parts = magic.split()
-    if len(parts) != 2 or parts[0] != _MODEL_MAGIC:
-        raise ModelFormatError("not a model file", offset)
-    if parts[1] != str(MODEL_FORMAT_VERSION):
-        raise UnsupportedModelVersionError(parts[1], MODEL_FORMAT_VERSION)
+    """Read the text ``serialize_model`` writes.
 
-    line, offset = reader.next_line(expect="provenance")
-    try:
-        provenance = json.loads(line[len("provenance "):])
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"bad provenance JSON: {e}", offset) from e
-
-    line, offset = reader.next_line(expect="autoencoder")
-    parts = line.split()
-    if len(parts) != 3:
-        raise ModelFormatError("malformed autoencoder header", offset)
-    l, d = int(parts[1]), int(parts[2])
-    ae = AutoencoderParams(
-        W_enc=_read_matrix(reader, "W_enc", (l, d)),
-        b_enc=_read_matrix(reader, "b_enc", (1, l))[0],
-        W_dec=_read_matrix(reader, "W_dec", (d, l)),
-        b_dec=_read_matrix(reader, "b_dec", (1, d))[0],
-    )
-
+    Every line goes through ``_field``, so a malformed one raises
+    ModelFormatError at its byte offset; a format version other than
+    MODEL_FORMAT_VERSION raises UnsupportedModelVersionError.
+    """
+    lines = _lines(text)
+    version = _field(lines, _MODEL_MAGIC, str.strip)
+    if version != str(MODEL_FORMAT_VERSION):
+        raise UnsupportedModelVersionError(version, MODEL_FORMAT_VERSION)
+    provenance = _field(lines, "provenance", _json_object)
+    l, d = _field(lines, "autoencoder", _dims)
+    m = {name: _read_matrix(lines, name, rows, cols)
+         for name, rows, cols in _autoencoder_layout(l, d)}
+    ae = AutoencoderParams(W_enc=m["W_enc"], b_enc=m["b_enc"][0], W_dec=m["W_dec"],
+                           b_dec=m["b_dec"][0])
     phase_models = []
-    while True:
-        line, offset = reader.next_line()
-        if line.startswith("end"):
-            break
-        if not line.startswith("phase "):
-            raise ModelFormatError(f"expected 'phase' or 'end', found {line.split(' ')[0]!r}", offset)
-        try:
-            phase = Phase(line.split(" ", 1)[1].strip())
-        except ValueError as e:
-            raise ModelFormatError(f"unknown phase {line.split(' ', 1)[1]!r}", offset) from e
-        line, offset = reader.next_line(expect="library")
-        try:
-            lib = FunctionLibrarySpec(**json.loads(line[len("library "):]))
-        except (json.JSONDecodeError, TypeError, ValidationError) as e:
-            raise ModelFormatError(f"bad library JSON: {e}", offset) from e
-        line, offset = reader.next_line(expect="threshold")
-        threshold = float(line.split()[1])
-        line, offset = reader.next_line(expect="terms")
-        terms = line.split()[1:]
-        expected_terms = lib.term_names(l)
-        if terms != expected_terms:
-            raise ModelFormatError("term list does not match the library spec", offset)
-        Xi = _read_matrix(reader, "coefficients", (len(expected_terms), l))
+    while (phase := _field(lines, None, _phase_or_end)) is not None:
+        lib = _field(lines, "library", lambda text: FunctionLibrarySpec(**_json_object(text)))
+        threshold = _field(lines, "threshold", _threshold)
+        terms = lib.term_names(l)
+        _field(lines, "terms", _words, terms)
+        Xi = _read_matrix(lines, "coefficients", len(terms), l)
         coeffs = SparseCoefficients(Xi=Xi, threshold=threshold, library=lib)
         phase_models.append(PhaseModel(phase=phase, coefficients=coeffs))
-
     return MultiPhaseModel(autoencoder=ae, phases=tuple(phase_models), provenance=provenance)
 
 

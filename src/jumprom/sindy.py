@@ -117,14 +117,6 @@ class FunctionLibrarySpec:
             names.extend(f"{nu}_{i + 1}" for i in range(latent_dim))
         return names
 
-    def slot(self, name, latent_dim):
-        """Index of a term name in the canonical order."""
-        names = self.term_names(latent_dim)
-        try:
-            return names.index(name)
-        except ValueError:
-            raise ValidationError(f"term {name!r} not in library (l={latent_dim})") from None
-
 
 @functools.lru_cache(maxsize=None)
 def _library_plan(spec, latent_dim):

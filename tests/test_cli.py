@@ -1,6 +1,7 @@
 """End-to-end command-line workflows in temporary directories."""
 
 import argparse
+import concurrent.futures
 import json
 import re
 import shlex
@@ -194,6 +195,30 @@ class TestScan:
             assert code == 0
         assert (serial / "report.csv").read_bytes() == (parallel / "report.csv").read_bytes()
 
+    def test_at_most_one_worker_per_seed(self, gen_dir, tmp_path, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        for workers, seeds, expected in (("8", "0,1", [2]), ("4", "0", [])):
+            pools.clear()
+            code = main(["scan", "--dataset", str(gen_dir), "--out", str(tmp_path / seeds),
+                         "--l-values", "1", "--seeds", seeds, "--parallel", workers])
+            assert code == 0
+            assert pools == expected  # a single worker runs in process, with no pool
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_parallel_below_one_rejected(self, gen_dir, tmp_path, capsys, workers):
         code = main(["scan", "--dataset", str(gen_dir), "--out", str(tmp_path / "scan"),
@@ -296,13 +321,34 @@ def test_bad_manifest_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys
     assert f"ERROR E_LOAD: manifest.json: manifest key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "baseline", "finetune"])
+@pytest.mark.parametrize("lines", [
+    ["threshold abc"], ["threshold"], ["threshold -1"], ["threshold nan"], ["threshold inf"],
+    ["autoencoder two 18"], ["W_enc x 18"], ["autoencoder -1 18", "W_enc -1 18"],
+    ["provenance [1]"], ['provenance "x"']], ids="+".join)
+def test_bad_model_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, command, lines):
+    text = (trained_dir / "model.txt").read_text()
+    for line in lines:  # each replaces the first line with the same first word
+        text, count = re.subn(rf"^{line.split()[0]} .*$", line, text, count=1, flags=re.M)
+        assert count == 1
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    code = main([command, "--dataset", str(gen_dir), "--model", str(model),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "ERROR E_FORMAT" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     # eval and baseline run on numpy alone; scipy loads only where it is used
     src = str(Path(jumprom.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import jumprom.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'), "
+            "file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    assert out.stderr.strip() == "[]"  # a scan starts a process pool only when it runs one
 
 
 class TestBaseline:
@@ -574,3 +620,15 @@ class TestReadme:
                           meta=DatasetMeta(robot="readme", m=m, dt=0.1))
         root = save_dataset(dataset, tmp_path)
         assert documented == (root / "jump_000.csv").read_text().splitlines()[0].split(",")
+
+    def test_model_file_lists_written_line_heads(self, trained_dir):
+        # one phase, so the documented per-phase lines appear once; rows excluded
+        block = README.read_text().split("## Model file", 1)[1].split("```", 2)[1]
+        documented = [line.split()[0] for line in block.splitlines()
+                      if line.strip() and not line.startswith(" ")]
+        model = pipeline.load_model(trained_dir / "model.txt")
+        model = pipeline.MultiPhaseModel(autoencoder=model.autoencoder, phases=model.phases[:1],
+                                         provenance=model.provenance)
+        written = [line.split()[0] for line in pipeline.serialize_model(model).splitlines()
+                   if not re.match(r"[-\d]", line)]
+        assert documented == written

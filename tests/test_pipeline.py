@@ -1,6 +1,7 @@
 """Sequential training, model selection, fine-tuning, and the model format."""
 
 import math
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from jumprom import pipeline, synthetic
 from jumprom.autoencoder import AutoencoderParams, encode, transform_input
 from jumprom.errors import (
+    JumpromError,
     ModelFormatError,
     UnsupportedModelVersionError,
     ValidationError,
@@ -174,6 +176,23 @@ class TestSelection:
             model_selection_scan(clean_bundle.dataset, l_values, seeds, TrainingConfig())
 
 
+def _small_model_text():
+    """A two-phase model at l = 2, d = 4 with random weights, serialized."""
+    rng = np.random.default_rng(0)
+    ae = AutoencoderParams(W_enc=rng.normal(size=(2, 4)), b_enc=rng.normal(size=2),
+                           W_dec=rng.normal(size=(4, 2)), b_dec=rng.normal(size=4))
+    lib = FunctionLibrarySpec()
+    phases = tuple(
+        PhaseModel(phase, SparseCoefficients(Xi=rng.normal(size=(lib.term_count(2), 2)),
+                                             threshold=0.1, library=lib))
+        for phase in (Phase.CONTACT, Phase.FLIGHT))
+    model = MultiPhaseModel(autoencoder=ae, phases=phases, provenance={"seed": 0, "m": [-2]})
+    return serialize_model(model)
+
+
+_SMALL_MODEL_TEXT = _small_model_text()
+
+
 class TestModelFormat:
     def test_round_trip_bit_exact(self, clean_bundle, tmp_path):
         path = tmp_path / "model.txt"
@@ -241,6 +260,22 @@ class TestModelFormat:
             assert b.coefficients.Xi.tobytes() == a.coefficients.Xi.tobytes()
             assert np.array_equal(b.coefficients.active_mask, a.coefficients.active_mask)
             assert b.coefficients.threshold == a.coefficients.threshold
+
+    @given(st.data())
+    def test_bad_text_raises_only_package_errors(self, data):
+        # one whitespace-separated token replaced, or the text cut at any byte
+        text = _SMALL_MODEL_TEXT
+        if data.draw(st.booleans()):
+            start, end = data.draw(st.sampled_from(
+                [m.span() for m in re.finditer(r"\S+", text)]))
+            token = data.draw(st.sampled_from(["", "x", "-1", "nan", "1e999", "[1]"]))
+            text = text[:start] + token + text[end:]
+        else:
+            text = text[:data.draw(st.integers(0, len(text)))]
+        try:
+            parse_model(text)
+        except JumpromError:
+            pass
 
     def testconfig_to_dict_round_trip(self):
         config = TrainingConfig(latent_dim=3, stlsq_threshold=0.2)

@@ -127,7 +127,7 @@ def test_coefficients_in_basis_identity():
 def test_coefficients_in_basis_rejects_nonaffine():
     lib = two_phase_spec().library
     Xi = np.zeros((lib.term_count(2), 2))
-    Xi[lib.slot("sin(dxi_1)", 2), 0] = 1.0
+    Xi[lib.term_names(2).index("sin(dxi_1)"), 0] = 1.0
     from jumprom.synthetic import SyntheticTruth
 
     truth = SyntheticTruth(
