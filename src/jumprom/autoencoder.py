@@ -128,39 +128,26 @@ def _pca_init(data, latent_dim):
     )
 
 
-def _random_init(full_dim, latent_dim, rng):
-    scale = 1.0 / np.sqrt(full_dim)
-    return AutoencoderParams(
-        W_enc=rng.normal(0.0, scale, size=(latent_dim, full_dim)),
-        b_enc=np.zeros(latent_dim),
-        W_dec=rng.normal(0.0, scale, size=(full_dim, latent_dim)),
-        b_dec=np.zeros(full_dim),
-    )
-
-
 def train_autoencoder(
     data,
     latent_dim,
     *,
     epochs=200,
-    learning_rate=1e-3,
+    learning_rate=1e-4,
     momentum=0.9,
-    seed=0,
-    init="pca",
     init_params=None,
     standardize=False,
 ):
     """Fit the autoencoder on a batch of configurations.
 
-    The default ``init="pca"`` returns the principal-subspace solution in
+    Without ``init_params`` the fit is the principal-subspace solution in
     closed form: the encoder rows are the leading principal directions,
-    the decoder is their transpose, and the biases center the data.
-    ``init="random"`` starts from seeded Gaussian weights and
-    ``init_params`` resumes from existing weights; both then run
-    full-batch gradient descent with momentum on the mean squared
-    reconstruction error, centred on the data mean (see ``_descend``).
-    ``epochs``, ``learning_rate`` and ``momentum`` apply only to those two
-    descent paths.
+    the decoder is their transpose, and the biases center the data.  It is
+    the global minimum of the reconstruction error (Eckart-Young; Baldi &
+    Hornik 1989), so no descent runs.  With ``init_params`` the fit resumes
+    full-batch gradient descent with momentum from those weights, centred
+    on the data mean (see ``_descend``); ``epochs``, ``learning_rate`` and
+    ``momentum`` apply only then.
 
     With ``standardize`` the fit runs on per-column standardized data and
     the scaling is folded back into the returned weights, which therefore
@@ -182,24 +169,14 @@ def train_autoencoder(
         col_scale[np.ptp(data, axis=0) == 0] = 1.0  # constant columns stay unscaled
         data = data / col_scale
 
-    if init_params is not None:
+    if init_params is None:
+        params = _pca_init(data, latent_dim)
+    else:
         params = init_params
         if standardize:
             params = _scale_params(params, col_scale, invert=True)
-    elif init == "pca":
-        # The PCA point is a stationary point and the global minimum of the
-        # linear-autoencoder loss (Eckart-Young; Baldi & Hornik 1989), so
-        # descent from it can only add rounding, or diverge once
-        # learning_rate * curvature is too large.
-        params = _pca_init(data, latent_dim)
-        return _scale_params(params, col_scale) if standardize else params
-    elif init == "random":
-        params = _random_init(full_dim, latent_dim, np.random.default_rng(seed))
-    else:
-        raise ValidationError(f"unknown init {init!r}")
-
-    if epochs:
-        params = _descend(data, params, epochs, learning_rate, momentum)
+        if epochs:
+            params = _descend(data, params, epochs, learning_rate, momentum)
     return _scale_params(params, col_scale) if standardize else params
 
 

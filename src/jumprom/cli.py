@@ -348,7 +348,7 @@ def build_parser():
                    help="dataset preset (default: two_phase)")
 
     p = command("train", cmd_train, "run the three-stage training pipeline",
-                seed='training seed; it seeds only encoder_init "random" (PCA needs none)')
+                seed="recorded only: the encoder is the closed-form PCA fit")
     p.add_argument("--latent-dim", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
 

@@ -71,17 +71,17 @@ PHASE_ORDER = (Phase.CONTACT, Phase.PARTIAL_CONTACT, Phase.FLIGHT)
 class TrainingConfig:
     """Hyperparameters of one pipeline run.
 
-    ``epochs``, ``learning_rate`` and ``momentum`` drive stage-1 gradient
-    descent, which runs only for ``encoder_init="random"`` and in
-    ``fine_tune``; the default PCA init is solved in closed form.
+    Stage 1 of training is the closed-form PCA fit, so ``seed`` is only
+    recorded.  ``epochs``, ``learning_rate`` and ``momentum`` drive the
+    stage-1 gradient descent of ``fine_tune``, which resumes from the
+    parent's weights.
     """
 
     latent_dim: int = 2
     seed: int = 0
-    learning_rate: float = 1e-3
+    learning_rate: float = 1e-4
     momentum: float = 0.9
     epochs: int = 200
-    encoder_init: str = "pca"
     standardize: bool = False
     decoder_ridge: float = 1e-10
     stlsq_threshold: float = 0.1
@@ -93,7 +93,6 @@ class TrainingConfig:
     boundary_trim: int = 2
     seed_phase: Phase = Phase.CONTACT
     selection_lambda: float = 0.001
-    fine_tune_lr_scale: float = 0.1
 
     def __post_init__(self):
         for f in fields(self):  # f.type is the annotation string (postponed annotations)
@@ -123,6 +122,9 @@ def config_to_dict(config):
 
 def config_from_dict(payload):
     payload = dict(payload)
+    unknown = sorted(set(payload) - {f.name for f in fields(TrainingConfig)})
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     try:
         if "library" in payload:
             payload["library"] = FunctionLibrarySpec(**payload["library"])
@@ -235,11 +237,10 @@ def _phase_depth(jumps):
 def _fit_stages(dataset, config, parent=None):
     """Run stages 1 -> 2 -> 3 on the train split; shared by training and fine-tuning.
 
-    Without ``parent`` stage 1 fits the autoencoder from
-    ``config.encoder_init``.  With a parent model stage 1 resumes descent
-    from its weights at ``fine_tune_lr_scale`` times the learning rate, and
-    stage 3 warm-starts each phase from the parent's support.  Returns the
-    StepSnapshots after stages 1 and 2 and the tuple of phase models.
+    Without ``parent`` stage 1 is the closed-form PCA fit.  With a parent
+    model stage 1 resumes descent from its weights, and stage 3 warm-starts
+    each phase from the parent's support.  Returns the StepSnapshots after
+    stages 1 and 2 and the tuple of phase models.
     """
     train_jumps = _ensure_processed(dataset).jumps_in("train")
     if not train_jumps:
@@ -253,18 +254,13 @@ def _fit_stages(dataset, config, parent=None):
     if not len(q_seed):
         verb = "seed" if parent is None else "resume"
         raise ValidationError(f"no {config.seed_phase} data to {verb} the autoencoder")
-    learning_rate = config.learning_rate
-    if parent is not None:
-        learning_rate *= config.fine_tune_lr_scale
     try:
         ae1 = train_autoencoder(
             q_seed,
             config.latent_dim,
             epochs=config.epochs,
-            learning_rate=learning_rate,
+            learning_rate=config.learning_rate,
             momentum=config.momentum,
-            seed=config.seed,
-            init=config.encoder_init,
             init_params=None if parent is None else parent.autoencoder,
             standardize=config.standardize,
         )
@@ -442,13 +438,12 @@ def write_selection_report(report, path):
 def fine_tune(model, dataset, config):
     """Resume all three stages from an existing model on a new dataset.
 
-    Stage 1 restarts gradient descent from the existing weights at a
-    reduced learning rate; stage 2 re-solves the decoder in closed form;
-    stage 3 warm-starts the sparse regression from the existing support of
-    each phase (new phases start cold).  The latent dimension is the
-    model's, whatever ``config.latent_dim`` says, and the recorded config
-    hash is of the config that ran.  Provenance records the hash of the
-    parent model.
+    Stage 1 restarts gradient descent from the existing weights; stage 2
+    re-solves the decoder in closed form; stage 3 warm-starts the sparse
+    regression from the existing support of each phase (new phases start
+    cold).  The latent dimension is the model's, whatever
+    ``config.latent_dim`` says, and the recorded config hash is of the
+    config that ran.  Provenance records the hash of the parent model.
     """
     full_dim = dataset.meta.m + 6
     if model.autoencoder.full_dim != full_dim:

@@ -90,6 +90,12 @@ def _phase_table(model, schedule):
     return table
 
 
+def _reset_indices(n_steps, interval):
+    """Steps at which a rollout re-encodes the recording: every ``interval``-th
+    step after the first, none for interval 0."""
+    return range(interval, n_steps, interval) if interval > 0 else range(0)
+
+
 def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=None):
     """Integrate the latent dynamics over a sampled horizon.
 
@@ -126,11 +132,10 @@ def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=Non
         row = build_library_row(coeffs.library, state[:l], state[l:], nu_seq[k])
         return np.concatenate([state[l:], row @ coeffs.Xi])
 
-    interval = config.reset_interval
+    due = range(0) if reset_states is None else _reset_indices(n_steps, config.reset_interval)
 
     def reset(k):
-        due = reset_states is not None and interval > 0 and k > 0 and k % interval == 0
-        return reset_states[k] if due else None
+        return reset_states[k] if k in due else None
 
     return _integrators.integrate_intervals(
         rhs, np.concatenate([xi0, dxi0]), n_steps, 1.0 / config.step_rate,
@@ -199,5 +204,4 @@ def rollout_with_reset(model, traj, config, horizon=None):
     enc_dq = encode(ae, traj.dq[:n], 1)
     reset_states = np.concatenate([enc_q, enc_dq], axis=1)
     latent = integrate(model, enc_q[0], enc_dq[0], nu, schedule, config, reset_states=reset_states)
-    reset_indices = [k for k in range(n) if k > 0 and k % config.reset_interval == 0]
-    return _finish(model, traj, latent, schedule, reset_indices, n)
+    return _finish(model, traj, latent, schedule, _reset_indices(n, config.reset_interval), n)

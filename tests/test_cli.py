@@ -150,6 +150,17 @@ class TestTrain:
             assert code == 0
         assert (a / "model.txt").read_bytes() == (b / "model.txt").read_bytes()
 
+    def test_seed_changes_only_provenance(self, gen_dir, trained_dir, tmp_path):
+        # stage 1 is the closed-form PCA fit, so the seed is only recorded
+        out = tmp_path / "seed7"
+        assert main(["train", "--dataset", str(gen_dir), "--out", str(out),
+                     "--latent-dim", "2", "--seed", "7"]) == 0
+        a = (trained_dir / "model.txt").read_text().splitlines()
+        b = (out / "model.txt").read_text().splitlines()
+        assert len(a) == len(b)
+        differ = [x.split()[0] for x, y in zip(a, b) if x != y]
+        assert differ == ["provenance"]
+
     @pytest.mark.parametrize("payload", [{"stlsq_threshold": "0.1"}, {"latent_dim": 2.5},
                                          {"stlsq_max_iters": "3"}, {"stlsq_threshold": 10**400},
                                          {"library": {"poly_degree": "2"}},
@@ -620,6 +631,12 @@ class TestReadme:
                           meta=DatasetMeta(robot="readme", m=m, dt=0.1))
         root = save_dataset(dataset, tmp_path)
         assert documented == (root / "jump_000.csv").read_text().splitlines()[0].split(",")
+
+    def test_key_value_references_name_config_keys(self):
+        # a `name: value` example in the prose must name a key some command reads
+        keys = {key for command_keys in KEYS.values() for key in command_keys}
+        named = re.findall(r"`(\w+): [^`]*`", README.read_text())
+        assert set(named) <= keys, set(named) - keys
 
     def test_model_file_lists_written_line_heads(self, trained_dir):
         # one phase, so the documented per-phase lines appear once; rows excluded

@@ -281,6 +281,11 @@ class TestModelFormat:
         config = TrainingConfig(latent_dim=3, stlsq_threshold=0.2)
         assert config_from_dict(config_to_dict(config)) == config
 
+    def test_config_from_dict_names_unknown_keys(self):
+        payload = {**config_to_dict(TrainingConfig()), "encoder_init": "pca", "bogus": 1}
+        with pytest.raises(ValidationError, match="bogus, encoder_init"):
+            config_from_dict(payload)
+
 
 class TestFineTune:
     def test_noop_returns_equal_model(self, clean_bundle):
@@ -324,7 +329,7 @@ class TestFineTune:
         shifted, _ = synthetic.generate(shifted_spec)
         shifted = process_dataset(shifted)
         before = decoder_test_error(clean_bundle.model, shifted)
-        config = TrainingConfig(latent_dim=2, epochs=300, learning_rate=2e-3)
+        config = TrainingConfig(latent_dim=2, epochs=300, learning_rate=2e-4)
         tuned = fine_tune(clean_bundle.model, shifted, config)
         after = decoder_test_error(tuned, shifted)
         assert after < before
