@@ -31,7 +31,8 @@ from . import __about__, _integrators, aslip, pipeline, rollout, synthetic
 from .errors import JumpromError, ValidationError
 from .pipeline import TrainingConfig, config_from_dict
 from .sindy import print_symbolic
-from .trajectory_data import Phase, load_dataset, process_dataset
+from .trajectory_data import (Phase, format_row, load_dataset, load_split, process_dataset,
+                              process_trajectory)
 
 OUT_ROOT_ENV = "JUMPROM_OUT_ROOT"
 
@@ -140,6 +141,15 @@ def _load_processed(path):
     return process_dataset(load_dataset(path))
 
 
+def _load_test_jumps(path):
+    """The dataset's meta and its test jumps, processed, each with its
+    manifest index; the files of the other splits are not read."""
+    meta, jumps = load_split(path, "test")
+    if not jumps:
+        raise ValidationError("dataset has no test split")
+    return meta, [(idx, process_trajectory(jump, meta.m)) for idx, jump in jumps]
+
+
 def _write_series(path, result):
     """One rollout, a row per sample: t, q_pred, q_true and the error norm."""
     d = result.q_pred.shape[1]
@@ -148,7 +158,7 @@ def _write_series(path, result):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            fh.write(format_row(row) + "\n")
 
 
 def _write_results(out, manifest, table, header, series_prefix, results, columns):
@@ -161,7 +171,7 @@ def _write_results(out, manifest, table, header, series_prefix, results, columns
             series_path = out / f"{series_prefix}_{idx:03d}_{label}.csv"
             _write_series(series_path, result)
             manifest.add_output(series_path)
-            fh.write(f"{idx},{label}," + ",".join(repr(float(x)) for x in columns(result)) + "\n")
+            fh.write(f"{idx},{label}," + format_row(columns(result)) + "\n")
     manifest.add_output(table_path)
     return table_path
 
@@ -228,16 +238,12 @@ def cmd_eval(args):
     settings = _settings(args)
     out, manifest = _start(args, "dataset", "model")
     model = pipeline.load_model(args.model)
-    dataset = _load_processed(args.dataset)
-    config = rollout.RolloutConfig(step_rate=1.0 / dataset.meta.dt, **settings)
-    test_ids = dataset.indices("test")
-    if not test_ids:
-        raise ValidationError("dataset has no test split")
+    meta, test_jumps = _load_test_jumps(args.dataset)
+    config = rollout.RolloutConfig(step_rate=1.0 / meta.dt, **settings)
 
     # every rollout runs before any file is written, so a failing one leaves no partial table
     results = []
-    for idx in test_ids:
-        jump = dataset.jumps[idx]
+    for idx, jump in test_jumps:
         results.append((idx, "full", rollout.rollout_full(model, jump, config)))
         if config.reset_interval > 0:
             results.append((idx, "reset", rollout.rollout_with_reset(model, jump, config)))
@@ -255,19 +261,14 @@ def cmd_baseline(args):
     params = aslip.AslipParams(k_s=settings.pop("k_s", 2500.0), m=settings.pop("mass", 12.0),
                                l0=settings.pop("l0", (0.0, 0.0, 0.3)), g=settings.pop("g", 9.81))
     out, manifest = _start(args, "dataset", *(("model",) if args.model else ()))
-    dataset = _load_processed(args.dataset)
+    meta, test_jumps = _load_test_jumps(args.dataset)
     model = pipeline.load_model(args.model) if args.model else None
-    config = rollout.RolloutConfig(step_rate=1.0 / dataset.meta.dt, **settings)
-    m = dataset.meta.m
-    base = slice(m, m + 3)   # base position in q, base velocity in dq
+    config = rollout.RolloutConfig(step_rate=1.0 / meta.dt, **settings)
+    base = slice(meta.m, meta.m + 3)   # base position in q, base velocity in dq
 
-    test_ids = dataset.indices("test")
-    if not test_ids:
-        raise ValidationError("dataset has no test split")
     # every rollout runs before any file is written, so a failing one leaves no partial table
     compared = []
-    for idx in test_ids:
-        jump = dataset.jumps[idx]
+    for idx, jump in test_jumps:
         dt = float(np.median(np.diff(jump.timestamps)))
         schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
         base_true = jump.q[:, base]

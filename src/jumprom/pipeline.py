@@ -57,7 +57,8 @@ from .sindy import (
     count_active,
     fit_phase_model,
 )
-from .trajectory_data import Phase, is_processed, process_dataset, segment_phases, split_dataset
+from .trajectory_data import (Phase, format_row, is_processed, process_dataset, segment_phases,
+                              split_dataset)
 
 log = logging.getLogger("jumprom.pipeline")
 
@@ -475,7 +476,7 @@ def _autoencoder_layout(l, d):
 def _write_matrix(out, name, arr):
     out.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
     for row in arr:
-        out.write(" ".join(repr(float(x)) for x in row) + "\n")
+        out.write(format_row(row, " ") + "\n")
 
 
 def serialize_model(model):

@@ -118,21 +118,42 @@ class FunctionLibrarySpec:
         return names
 
 
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=None)
 def _library_plan(spec, latent_dim):
-    """Gather indices over the stacked (state, velocity) vector, built once
-    per (spec, l): one (terms, degree) monomial index array per degree
-    2..poly_degree, then the indices of the sine terms."""
-    monomials = tuple(
-        np.array(list(group))
-        for _, group in itertools.groupby(spec._monomials(latent_dim), key=len)
-    )
-    sines = []
-    if spec.include_sin_states:
-        sines.extend(range(latent_dim))
-    if spec.include_sin_velocities:
-        sines.extend(range(latent_dim, 2 * latent_dim))
-    return monomials, np.array(sines, dtype=int)
+    """Gather plan of the library, built once per (spec, l).
+
+    Every term is a product of base columns (1, ξ, ξ̇, [sin ξ], [sin ξ̇],
+    [ν]), the bracketed ones present when the spec enables them.  Returns
+    (first, monomials, later): ``first`` indexes every term's first
+    factor; ``monomials`` is the slice of the terms of degree >= 2, which
+    are contiguous in canonical order; ``later`` holds one index array per
+    further factor position of those terms, so monomial j is
+    base[first[j]] * base[later[0][j]] * ... in index order.  A monomial
+    of lower degree than the highest is padded with the constant column,
+    and multiplying by 1.0 is exact.
+    """
+    l = latent_dim
+    terms = []
+    if spec.include_constant:
+        terms.append((0,))
+    if spec.poly_degree >= 1:
+        terms.extend((1 + i,) for i in range(2 * l))
+    monomials = [tuple(1 + i for i in combo) for combo in spec._monomials(l)]
+    span = slice(len(terms), len(terms) + len(monomials))
+    terms.extend(monomials)
+    column = 1 + 2 * l
+    for enabled in (spec.include_sin_states, spec.include_sin_velocities, spec.include_inputs):
+        if enabled:
+            terms.extend((column + i,) for i in range(l))
+            column += l
+    later = np.zeros((max(map(len, terms)) - 1, len(monomials)), dtype=np.intp)
+    for j, term in enumerate(monomials):
+        later[: len(term) - 1, j] = term[1:]
+    return np.array([term[0] for term in terms]), span, tuple(later)
 
 
 def build_library(spec, xi, dxi, nu=None):
@@ -140,34 +161,34 @@ def build_library(spec, xi, dxi, nu=None):
 
     xi, dxi, nu: (N, l) arrays, or (l,) vectors for one sample (nu may be
     omitted when the library has no input terms).  Returns the (N, p)
-    design matrix, or the (p,) row, in canonical order.  The evaluation
-    plan is cached per (spec, l): the monomials of each degree are one
-    gather of the stacked (state, velocity) columns and one product over
-    the gathered factors, the sine terms one gather and one sin.
+    design matrix, or the (p,) row, in canonical order.  The base columns
+    of ``_library_plan`` are one concatenate; the terms are one take of
+    their first factors, and the monomials are multiplied in place by one
+    take per later factor.
     """
     xi = np.asarray(xi, dtype=float)
     dxi = np.asarray(dxi, dtype=float)
     if xi.shape != dxi.shape:
         raise ValidationError(f"state/velocity shapes differ: {xi.shape} vs {dxi.shape}")
+    base = [_ONE if xi.ndim == 1 else np.ones(xi.shape[:-1] + (1,)), xi, dxi]
+    if spec.include_sin_states:
+        base.append(np.sin(xi))
+    if spec.include_sin_velocities:
+        base.append(np.sin(dxi))
     if spec.include_inputs:
         if nu is None:
             raise ValidationError("library includes input terms but no inputs were given")
         nu = np.asarray(nu, dtype=float)
         if nu.shape != xi.shape:
             raise ValidationError(f"inputs must have shape {xi.shape}, got {nu.shape}")
-    monomials, sines = _library_plan(spec, xi.shape[-1])
-    stacked = np.concatenate([xi, dxi], axis=-1)
-    cols = []
-    if spec.include_constant:
-        cols.append(np.ones(xi.shape[:-1] + (1,)))
-    if spec.poly_degree >= 1:
-        cols.append(stacked)
-    cols.extend(np.prod(stacked[..., idx], axis=-1) for idx in monomials)
-    if sines.size:
-        cols.append(np.sin(stacked[..., sines]))
-    if spec.include_inputs:
-        cols.append(nu)
-    return np.concatenate(cols, axis=-1)
+        base.append(nu)
+    base = np.concatenate(base, axis=-1)
+    first, monomials, later = _library_plan(spec, xi.shape[-1])
+    # the indices are in range by construction, so no bounds check
+    out = base.take(first, axis=-1, mode="clip")
+    for factor in later:
+        out[..., monomials] *= base.take(factor, axis=-1, mode="clip")
+    return out
 
 
 def build_library_row(spec, xi, dxi, nu=None):

@@ -16,7 +16,8 @@ with full round-trip precision.
 
 The manifest lists the jump files, the joint count m (a multiple of 4,
 one group per leg), the nominal sample step dt, and the train/val/test
-assignment of each jump.
+assignment of each jump.  ``load_dataset`` reads every jump file;
+``load_split`` checks the same manifest and reads only one split's files.
 """
 
 from __future__ import annotations
@@ -153,8 +154,10 @@ def _layout(m):
 def validate_trajectory(traj, origin):
     """Check the value invariants of one jump; raise DatasetLoadError.
 
-    Block shapes are not checked here: the loader builds the blocks from
-    ``_layout`` after matching the header and the row width against it.
+    Timestamps strictly increase, contact flags are 0 or 1, and every
+    stored block of ``_layout`` is finite.  Block shapes are not checked
+    here: the loader builds the blocks from ``_layout`` after matching the
+    header and the row width against it.
     """
     T = traj.timestamps.shape[0]
     if T < 3:
@@ -172,9 +175,10 @@ def validate_trajectory(traj, origin):
             f"{origin}: contact column c_{c} contains non-binary value "
             f"{traj.contact[r, c]!r} at row {r}"
         )
-    for name in ("q", "dq", "tau"):
-        if not np.all(np.isfinite(getattr(traj, name))):
-            raise DatasetLoadError(f"{origin}: non-finite values in column block {name}")
+    for field, _, _ in _layout(traj.tau.shape[1]):
+        block = getattr(traj, field)
+        if block is not None and not np.all(np.isfinite(block)):
+            raise DatasetLoadError(f"{origin}: non-finite values in column block {field}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +410,24 @@ def add_noise(dataset, sigma, seed):
 # disk format
 
 
-def _format_float(x):
-    return repr(float(x))
+def format_row(row, sep=","):
+    """One text row of floats, each written by ``repr``: the shortest text
+    that reads back to the same double, so a round trip is bit-exact.
+
+    The row is converted to Python floats in one ``tolist`` call; callers
+    pass one row at a time, so a whole table is never held as Python
+    objects.
+    """
+    return sep.join(map(repr, np.asarray(row, dtype=float).tolist()))
 
 
-def load_dataset(path):
-    """Read a dataset directory; derived fields are left unfilled.
+def _read_manifest(path):
+    """Read and check a dataset directory's manifest without opening any jump file.
 
-    Raises DatasetLoadError naming the offending file and column for any
-    malformed or invariant-violating input.
+    Returns (meta, entries), entries holding one (file name, split label)
+    per jump in manifest order; a jump's index in it names the jump in
+    every output.  Raises DatasetLoadError naming the manifest key or
+    entry that is malformed.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -446,16 +459,39 @@ def load_dataset(path):
                 f"got {manifest[key]!r}")
     meta = DatasetMeta(robot=robot, m=m, dt=float(dt), noise_sigma=float(noise_sigma))
 
-    jumps = []
-    split = []
+    files = []
     for entry in entries:
         name = entry["file"]
         label = entry.get("split", "train")
         if label not in SPLITS:
             raise DatasetLoadError(f"{manifest_path.name}: bad split {label!r} for {name}")
-        jumps.append(_load_jump_file(root / name, m))
-        split.append(label)
-    return Dataset(jumps=tuple(jumps), split=tuple(split), meta=meta)
+        files.append((name, label))
+    return meta, tuple(files)
+
+
+def load_dataset(path):
+    """Read a dataset directory, every jump file; derived fields are left unfilled.
+
+    Raises DatasetLoadError naming the offending file and column for any
+    malformed or invariant-violating input.
+    """
+    meta, entries = _read_manifest(path)
+    jumps = tuple(_load_jump_file(Path(path) / name, meta.m) for name, _ in entries)
+    return Dataset(jumps=jumps, split=tuple(label for _, label in entries), meta=meta)
+
+
+def load_split(path, split):
+    """Read the manifest and only the jump files of one split.
+
+    Returns (meta, jumps), jumps holding one (manifest index, Trajectory)
+    per jump of ``split`` in manifest order, derived fields unfilled.  The
+    whole manifest is checked as ``load_dataset`` checks it; the files of
+    other splits are not opened.
+    """
+    meta, entries = _read_manifest(path)
+    jumps = tuple((i, _load_jump_file(Path(path) / name, meta.m))
+                  for i, (name, label) in enumerate(entries) if label == split)
+    return meta, jumps
 
 
 def _load_jump_file(path, m):
@@ -522,4 +558,4 @@ def _save_jump_file(path, jump, m):
     with open(path, "w") as fh:
         fh.write(",".join(name for names, _ in blocks for name in names) + "\n")
         for row in table:
-            fh.write(",".join(_format_float(x) for x in row) + "\n")
+            fh.write(format_row(row) + "\n")

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import jumprom
-from jumprom import pipeline, synthetic
-from jumprom.cli import FLAGS, KEYS, build_parser, main
-from jumprom.rollout import RolloutConfig, rollout_full
+from jumprom import pipeline, synthetic, trajectory_data
+from jumprom.cli import FLAGS, KEYS, _write_series, build_parser, main
+from jumprom.rollout import RolloutConfig, RolloutResult, rollout_full
 from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_dataset,
                                      process_dataset, save_dataset)
 
@@ -360,6 +360,117 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
     assert out.stderr.strip() == "[]"  # a scan starts a process pool only when it runs one
+
+
+def _split_files(data):
+    """{split label: [jump file names]} of a dataset's manifest."""
+    files = {}
+    for entry in json.loads((data / "manifest.json").read_text())["jumps"]:
+        files.setdefault(entry["split"], []).append(entry["file"])
+    return files
+
+
+def _set_cell(path, column, row, value):
+    header, *rows = path.read_text().splitlines()
+    cells = rows[row].split(",")
+    cells[header.split(",").index(column)] = value
+    rows[row] = ",".join(cells)
+    path.write_text("\n".join([header] + rows) + "\n")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("column,block,value", [
+    ("t", "timestamps", "nan"), ("ff_0", "foot_forces", "nan"),
+    ("fp_5", "foot_positions", "-inf"), ("com_z", "com_positions", "inf")])
+def test_non_finite_recorded_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys,
+                                                 command, column, block, value):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    name = _split_files(data)["test"][0]   # read by both commands
+    _set_cell(data / name, column, 2, value)
+    args = {"train": ["train", "--latent-dim", "2"],
+            "eval": ["eval", "--model", str(trained_dir / "model.txt")]}[command]
+    out = tmp_path / "out"
+    assert main(args + ["--dataset", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ERROR E_LOAD: {name}: non-finite values in column block {block}" in err
+    assert not (out / "model.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline"])
+class TestReadsOnlyTestJumps:
+    """eval and baseline score the test split, so they open no other jump file."""
+
+    def _run(self, command, data, trained_dir, out):
+        return main([command, "--dataset", str(data), "--model", str(trained_dir / "model.txt"),
+                     "--integrator", "fixed_rk4", "--out", str(out)])
+
+    def _outputs(self, out):
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+
+    def test_other_jump_files_may_be_missing_or_garbled(self, gen_dir, trained_dir, tmp_path,
+                                                        command):
+        assert self._run(command, gen_dir, trained_dir, tmp_path / "intact") == 0
+        intact = self._outputs(tmp_path / "intact")
+        for damage in ("deleted", "garbled"):
+            data = tmp_path / damage
+            shutil.copytree(gen_dir, data)
+            files = _split_files(data)
+            for name in files["train"] + files["val"]:
+                if damage == "deleted":
+                    (data / name).unlink()
+                else:
+                    (data / name).write_text("t,q_0\nnot,a number\n")
+            assert self._run(command, data, trained_dir, tmp_path / f"out_{damage}") == 0
+            assert self._outputs(tmp_path / f"out_{damage}") == intact
+
+    def test_garbled_test_jump_fails_naming_it(self, gen_dir, trained_dir, tmp_path, capsys,
+                                               command):
+        data = tmp_path / "data"
+        shutil.copytree(gen_dir, data)
+        name = _split_files(data)["test"][-1]
+        _set_cell(data / name, "q_3", 4, "x")
+        assert self._run(command, data, trained_dir, tmp_path / "out") == 1
+        assert f"ERROR E_LOAD: {name}: parse error" in capsys.readouterr().err
+
+    def test_bad_split_label_on_any_entry_fails(self, gen_dir, trained_dir, tmp_path, capsys,
+                                                command):
+        data = tmp_path / "data"
+        shutil.copytree(gen_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = next(e for e in manifest["jumps"] if e["split"] == "train")
+        entry["split"] = "holdout"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert self._run(command, data, trained_dir, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"ERROR E_LOAD: manifest.json: bad split 'holdout' for {entry['file']}" in err
+
+    def test_reads_exactly_the_test_jump_files(self, gen_dir, trained_dir, tmp_path,
+                                               monkeypatch, command):
+        read = []
+        load = trajectory_data._load_jump_file
+
+        def spy(path, m):
+            read.append(path.name)
+            return load(path, m)
+
+        monkeypatch.setattr(trajectory_data, "_load_jump_file", spy)
+        assert self._run(command, gen_dir, trained_dir, tmp_path / "out") == 0
+        assert read == _split_files(gen_dir)["test"]
+
+
+def test_series_text_is_repr_of_each_value(tmp_path):
+    # values whose shortest round-trip text is easy to get wrong
+    pred = np.array([[-0.0, 5e-324, 1e300], [0.1, 1 / 3, 2.0], [-7.0, 0.0, 1e-7]])
+    true = np.array([[0.25, -0.0, 1e300], [1 / 3, 0.1, 3.0], [1e-7, 5e-324, -7.0]])
+    result = RolloutResult(timestamps=np.array([0.0, 0.5, 1.0]), latent_pred=np.zeros((3, 0)),
+                           q_pred=pred, q_true=true, phase_schedule=("flight",) * 3)
+    path = tmp_path / "series.csv"
+    _write_series(path, result)
+    rows = np.column_stack([result.timestamps, result.q_pred, result.q_true,
+                            result.error_norm])
+    body = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+    assert path.read_text().split("\n", 1)[1] == body
 
 
 class TestBaseline:

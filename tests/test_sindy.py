@@ -1,5 +1,6 @@
 """Candidate libraries, STLSQ, phase fitting, and symbolic printing."""
 
+import itertools
 import math
 import warnings
 
@@ -79,7 +80,68 @@ def _library_samples(draw):
     return spec, xi, dxi, nu
 
 
+def _reference_library(spec, xi, dxi, nu):
+    """The library term by term: each monomial is np.prod over its gathered
+    factors in index order, as the gather plan of build_library replaced."""
+    l = xi.shape[-1]
+    stacked = np.concatenate([xi, dxi], axis=-1)
+    cols = []
+    if spec.include_constant:
+        cols.append(np.ones(xi.shape[:-1] + (1,)))
+    if spec.poly_degree >= 1:
+        cols.append(stacked)
+    for _, group in itertools.groupby(spec._monomials(l), key=len):
+        cols.append(np.prod(stacked[..., np.array(list(group))], axis=-1))
+    sines = []
+    if spec.include_sin_states:
+        sines.extend(range(l))
+    if spec.include_sin_velocities:
+        sines.extend(range(l, 2 * l))
+    if sines:
+        cols.append(np.sin(stacked[..., sines]))
+    if spec.include_inputs:
+        cols.append(nu)
+    return np.concatenate(cols, axis=-1)
+
+
+_MAGNITUDES = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _library_inputs(draw, elements):
+    """Any valid library spec with degree 0..3, l in 1..6, and one (l,) row
+    or an (N, l) batch with N in 1..50 of ``elements``."""
+    degree = draw(st.integers(0, 3))
+    flags = draw(st.fixed_dictionaries({
+        name: st.booleans() for name in (
+            "include_constant", "include_sin_states", "include_sin_velocities",
+            "include_inputs")
+    }))
+    assume(degree >= 1 or any(flags.values()))
+    spec = FunctionLibrarySpec(poly_degree=degree, **flags)
+    l = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(l,), (draw(st.integers(1, 50)), l)]))
+    xi, dxi, nu = (draw(arrays(np.float64, shape, elements=elements)) for _ in range(3))
+    return spec, xi, dxi, nu
+
+
 class TestLibrary:
+    @given(_library_inputs(_MAGNITUDES))
+    def test_matches_term_by_term_reference(self, sample):
+        spec, xi, dxi, nu = sample
+        theta = build_library(spec, xi, dxi, nu)
+        ref = _reference_library(spec, xi, dxi, nu)
+        assert theta.shape == ref.shape == xi.shape[:-1] + (spec.term_count(xi.shape[-1]),)
+        assert theta.tobytes() == ref.tobytes()
+
+    @given(_library_inputs(_MAGNITUDES | st.sampled_from([np.nan, np.inf, -np.inf])))
+    def test_matches_reference_on_non_finite_inputs(self, sample):
+        spec, xi, dxi, nu = sample
+        with np.errstate(all="ignore"):
+            theta = build_library(spec, xi, dxi, nu)
+            ref = _reference_library(spec, xi, dxi, nu)
+        assert np.array_equal(theta, ref, equal_nan=True)
+
     def test_minimal_spec_row(self):
         row = build_library_row(MINIMAL, [2.0], [3.0])
         assert np.array_equal(row, [1.0, 2.0, 3.0])

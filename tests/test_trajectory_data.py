@@ -27,6 +27,7 @@ from jumprom.trajectory_data import (
     compute_foot_force,
     differentiate_velocity,
     load_dataset,
+    load_split,
     process_dataset,
     process_trajectory,
     save_dataset,
@@ -474,6 +475,33 @@ class TestDatasetRoundTrip:
         save_dataset(loaded, second)
         for f in sorted(p.name for p in first.iterdir()):
             assert (first / f).read_bytes() == (second / f).read_bytes()
+
+    def test_jump_file_text_is_repr_of_each_value(self, tmp_path):
+        # values whose shortest round-trip text is easy to get wrong
+        values = np.resize([-0.0, 5e-324, 1e300, 0.1, 1 / 3, 2.0, -7.0, 0.0, 1e-7], (3, 50))
+        jump = Trajectory(timestamps=np.array([0.0, 0.1, 1 / 3]), q=values[:, :10],
+                          dq=values[:, 10:20], tau=values[:, 20:24],
+                          contact=np.array([[1.0, 0.0, 1.0, -0.0]] * 3),
+                          foot_forces=values[:, 24:36], foot_positions=values[:, 36:48],
+                          com_positions=values[:, 47:50])
+        dataset = Dataset(jumps=(jump,), split=("test",), meta=DatasetMeta("t", M, 0.1))
+        text = (save_dataset(dataset, tmp_path) / "jump_000.csv").read_text()
+        table = np.column_stack([jump.timestamps, jump.q, jump.dq, jump.tau, jump.contact,
+                                 jump.foot_forces, jump.foot_positions, jump.com_positions])
+        body = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in table)
+        assert text.split("\n", 1)[1] == body
+
+    def test_load_split_matches_load_dataset(self, tmp_path):
+        jumps = tuple(_tiny_jump(T=4 + i) for i in range(4))
+        split = ("train", "test", "val", "test")
+        save_dataset(Dataset(jumps=jumps, split=split, meta=DatasetMeta("t", M, 0.1)), tmp_path)
+        full = load_dataset(tmp_path)
+        meta, test = load_split(tmp_path, "test")
+        assert meta == full.meta
+        assert [i for i, _ in test] == list(full.indices("test")) == [1, 3]
+        for i, jump in test:
+            assert jump.n_samples == full.jumps[i].n_samples
+            assert jump.q.tobytes() == full.jumps[i].q.tobytes()
 
     @given(st.data())
     def test_save_load_property(self, data):
