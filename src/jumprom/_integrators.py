@@ -98,7 +98,10 @@ def adaptive_interval(f, t0, y0, h):
     The steps, end state and evaluation count are those of
     ``scipy.integrate.solve_ivp(f, (t0, t0 + h), y0, method="RK45")``.
     y0 is 1-D.  Raises DivergenceError at the time the solver stopped when
-    it cannot reach t0 + h (its step size fell below the spacing of floats).
+    it cannot reach t0 + h (its step size fell below the spacing of floats),
+    and at t0 + h, as fixed-step RK4 does, when the first step size is nan
+    (a nan right-hand side at t0 from a nonzero state), where scipy's
+    stepper loops forever.
     """
     y = np.asarray(y0, dtype=float)
     if y.ndim != 1:
@@ -115,6 +118,9 @@ def adaptive_interval(f, t0, y0, h):
         return y, 1
     direction = np.sign(t_end - t)
     h_abs = _initial_step(fun, t, y, f_cur, abs(t_end - t), direction)
+    if np.isnan(h_abs):
+        raise DivergenceError(f"state became non-finite at t={t_end:.4f}s: the right-hand "
+                              f"side is nan at t={t:.4f}s", t_end)
     nfev = 2
     K = np.empty((7, y.size))
     while direction * (t - t_end) < 0:

@@ -102,6 +102,8 @@ class TrainingConfig:
                 raise ValidationError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not is_finite_real(value):
                 raise ValidationError(f"{f.name} must be a finite real number, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValidationError(f"{f.name} must be true or false, got {value!r}")
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
         for name in ("learning_rate", "momentum", "epochs", "stlsq_threshold", "stlsq_ridge",

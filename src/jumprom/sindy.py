@@ -2,7 +2,9 @@
 
 The latent acceleration of each phase is modeled as a sparse linear
 combination of candidate functions of the latent state, latent velocity,
-and transformed input.  Sparsity comes from sequentially thresholded least
+and transformed input.  ``_terms`` enumerates them once, in canonical
+order; the term count, the names in model files and the evaluation plan
+all read that table.  Sparsity comes from sequentially thresholded least
 squares (STLSQ): alternate ridge fits with hard elimination of small
 coefficients until the support stabilizes.  The decoded-acceleration
 residual couples the coefficient columns through the decoder, so every
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,6 +49,8 @@ class FunctionLibrarySpec:
     higher monomials over (state, velocity) of total degree 2..poly_degree
     in nondecreasing index-tuple order; sin of states; sin of velocities;
     linear input terms.  The order is fixed so model files stay portable.
+    ``_terms`` enumerates it once; the count, the names and the evaluation
+    plan are all read from that table.
     """
 
     poly_degree: int = 2
@@ -58,6 +62,9 @@ class FunctionLibrarySpec:
     def __post_init__(self):
         if not is_integer(self.poly_degree) or self.poly_degree < 0:
             raise ValidationError(f"poly_degree must be an integer >= 0, got {self.poly_degree!r}")
+        for f in fields(self):  # f.type is the annotation string (postponed annotations)
+            if f.type == "bool" and not isinstance(value := getattr(self, f.name), bool):
+                raise ValidationError(f"{f.name} must be true or false, got {value!r}")
         if not (
             self.include_constant
             or self.poly_degree >= 1
@@ -67,54 +74,23 @@ class FunctionLibrarySpec:
         ):
             raise ValidationError("library must enable at least one term class")
 
-    def _monomials(self, latent_dim):
-        """Index tuples over the stacked (state, velocity) vector, degree >= 2."""
-        out = []
-        for degree in range(2, self.poly_degree + 1):
-            out.extend(itertools.combinations_with_replacement(range(2 * latent_dim), degree))
-        return out
-
     def term_count(self, latent_dim):
-        p = 0
-        if self.include_constant:
-            p += 1
-        if self.poly_degree >= 1:
-            p += 2 * latent_dim
-        p += len(self._monomials(latent_dim))
-        if self.include_sin_states:
-            p += latent_dim
-        if self.include_sin_velocities:
-            p += latent_dim
-        if self.include_inputs:
-            p += latent_dim
-        return p
+        return len(_terms(self, latent_dim))
 
     def term_names(self, latent_dim, unicode_symbols=False):
         """Canonical term names; ASCII by default (used in model files)."""
-        xi, dxi, nu = ("xi", "dxi", "nu")
-        if unicode_symbols:
-            xi, dxi, nu = (XI, DXI, NU)
-        base = [f"{xi}_{i + 1}" for i in range(latent_dim)] + [
-            f"{dxi}_{i + 1}" for i in range(latent_dim)
-        ]
-        names = []
-        if self.include_constant:
-            names.append("1")
-        if self.poly_degree >= 1:
-            names.extend(base)
+        xi, dxi, nu = (XI, DXI, NU) if unicode_symbols else ("xi", "dxi", "nu")
+        families = ((True, xi + "_{}"), (True, dxi + "_{}"),
+                    (self.include_sin_states, f"sin({xi}_{{}})"),
+                    (self.include_sin_velocities, f"sin({dxi}_{{}})"),
+                    (self.include_inputs, nu + "_{}"))
+        base = ["1"] + [form.format(i + 1) for enabled, form in families if enabled
+                        for i in range(latent_dim)]
         sep = CDOT if unicode_symbols else "*"
-        for combo in self._monomials(latent_dim):
-            factors = []
-            for idx, reps in itertools.groupby(combo):
-                count = len(list(reps))
-                factors.append(base[idx] if count == 1 else f"{base[idx]}^{count}")
-            names.append(sep.join(factors))
-        if self.include_sin_states:
-            names.extend(f"sin({xi}_{i + 1})" for i in range(latent_dim))
-        if self.include_sin_velocities:
-            names.extend(f"sin({dxi}_{i + 1})" for i in range(latent_dim))
-        if self.include_inputs:
-            names.extend(f"{nu}_{i + 1}" for i in range(latent_dim))
+        names = []
+        for term in _terms(self, latent_dim):
+            powers = [(base[i], len(list(reps))) for i, reps in itertools.groupby(term)]
+            names.append(sep.join(name if n == 1 else f"{name}^{n}" for name, n in powers))
         return names
 
 
@@ -123,37 +99,36 @@ _ONE.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=None)
-def _library_plan(spec, latent_dim):
-    """Gather plan of the library, built once per (spec, l).
-
-    Every term is a product of base columns (1, ξ, ξ̇, [sin ξ], [sin ξ̇],
-    [ν]), the bracketed ones present when the spec enables them.  Returns
-    (first, monomials, later): ``first`` indexes every term's first
-    factor; ``monomials`` is the slice of the terms of degree >= 2, which
-    are contiguous in canonical order; ``later`` holds one index array per
-    further factor position of those terms, so monomial j is
-    base[first[j]] * base[later[0][j]] * ... in index order.  A monomial
-    of lower degree than the highest is padded with the constant column,
-    and multiplying by 1.0 is exact.
-    """
+def _terms(spec, latent_dim):
+    """Every term in canonical order, as the nondecreasing indices of its
+    factors among the base columns (1, ξ, ξ̇, [sin ξ], [sin ξ̇], [ν]), the
+    bracketed ones present when the spec enables them."""
     l = latent_dim
-    terms = []
-    if spec.include_constant:
-        terms.append((0,))
-    if spec.poly_degree >= 1:
-        terms.extend((1 + i,) for i in range(2 * l))
-    monomials = [tuple(1 + i for i in combo) for combo in spec._monomials(l)]
-    span = slice(len(terms), len(terms) + len(monomials))
-    terms.extend(monomials)
+    terms = [(0,)] if spec.include_constant else []
+    for degree in range(1, spec.poly_degree + 1):
+        terms.extend(itertools.combinations_with_replacement(range(1, 1 + 2 * l), degree))
     column = 1 + 2 * l
     for enabled in (spec.include_sin_states, spec.include_sin_velocities, spec.include_inputs):
         if enabled:
             terms.extend((column + i,) for i in range(l))
             column += l
-    later = np.zeros((max(map(len, terms)) - 1, len(monomials)), dtype=np.intp)
-    for j, term in enumerate(monomials):
-        later[: len(term) - 1, j] = term[1:]
-    return np.array([term[0] for term in terms]), span, tuple(later)
+    return tuple(terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _library_plan(spec, latent_dim):
+    """Gather plan of the library, built once per (spec, l) from ``_terms``.
+
+    The rows of a (max degree, p) index array into the base columns: row k
+    holds every term's factor k, so term j is base[plan[0][j]] *
+    base[plan[1][j]] * ... in index order.  Positions beyond a term's
+    degree point at the constant column, and multiplying by 1.0 is exact.
+    """
+    terms = _terms(spec, latent_dim)
+    plan = np.zeros((max(map(len, terms)), len(terms)), dtype=np.intp)
+    for j, term in enumerate(terms):
+        plan[: len(term), j] = term
+    return tuple(plan)
 
 
 def build_library(spec, xi, dxi, nu=None):
@@ -163,8 +138,8 @@ def build_library(spec, xi, dxi, nu=None):
     omitted when the library has no input terms).  Returns the (N, p)
     design matrix, or the (p,) row, in canonical order.  The base columns
     of ``_library_plan`` are one concatenate; the terms are one take of
-    their first factors, and the monomials are multiplied in place by one
-    take per later factor.
+    their first factors, multiplied in place by one take per further
+    factor position.
     """
     xi = np.asarray(xi, dtype=float)
     dxi = np.asarray(dxi, dtype=float)
@@ -183,11 +158,11 @@ def build_library(spec, xi, dxi, nu=None):
             raise ValidationError(f"inputs must have shape {xi.shape}, got {nu.shape}")
         base.append(nu)
     base = np.concatenate(base, axis=-1)
-    first, monomials, later = _library_plan(spec, xi.shape[-1])
+    first, *later = _library_plan(spec, xi.shape[-1])
     # the indices are in range by construction, so no bounds check
     out = base.take(first, axis=-1, mode="clip")
     for factor in later:
-        out[..., monomials] *= base.take(factor, axis=-1, mode="clip")
+        out *= base.take(factor, axis=-1, mode="clip")
     return out
 
 

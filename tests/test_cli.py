@@ -19,6 +19,7 @@ import jumprom
 from jumprom import pipeline, synthetic, trajectory_data
 from jumprom.cli import FLAGS, KEYS, _write_series, build_parser, main
 from jumprom.rollout import RolloutConfig, RolloutResult, rollout_full
+from jumprom.sindy import FunctionLibrarySpec
 from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_dataset,
                                      process_dataset, save_dataset)
 
@@ -165,7 +166,13 @@ class TestTrain:
                                          {"stlsq_max_iters": "3"}, {"stlsq_threshold": 10**400},
                                          {"library": {"poly_degree": "2"}},
                                          {"library": {"degree": 2}}, {"seed_phase": "bogus"},
-                                         {"boundary_trim": -3}])
+                                         {"boundary_trim": -3},
+                                         # "false" is truthy: accepted, it would flip the flag
+                                         {"standardize": "false"}, {"standardize": 0},
+                                         {"library": {"include_constant": "false"}},
+                                         {"library": {"include_sin_states": "false"}},
+                                         {"library": {"include_sin_velocities": "false"}},
+                                         {"library": {"include_inputs": "false"}}])
     def test_config_value_types_validated(self, gen_dir, tmp_path, capsys, payload):
         config = tmp_path / "train.json"
         config.write_text(json.dumps(payload))
@@ -336,7 +343,9 @@ def test_bad_manifest_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys
 @pytest.mark.parametrize("lines", [
     ["threshold abc"], ["threshold"], ["threshold -1"], ["threshold nan"], ["threshold inf"],
     ["autoencoder two 18"], ["W_enc x 18"], ["autoencoder -1 18", "W_enc -1 18"],
-    ["provenance [1]"], ['provenance "x"']], ids="+".join)
+    ["provenance [1]"], ['provenance "x"'],
+    ['library {"include_constant": true, "include_inputs": "false", "include_sin_states": true, '
+     '"include_sin_velocities": true, "poly_degree": 2}']], ids="+".join)
 def test_bad_model_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, command, lines):
     text = (trained_dir / "model.txt").read_text()
     for line in lines:  # each replaces the first line with the same first word
@@ -748,6 +757,10 @@ class TestReadme:
         keys = {key for command_keys in KEYS.values() for key in command_keys}
         named = re.findall(r"`(\w+): [^`]*`", README.read_text())
         assert set(named) <= keys, set(named) - keys
+
+    def test_model_file_lists_default_term_names(self):
+        block = README.read_text().split("## Model file", 1)[1].split("```", 4)[3]
+        assert block.split() == FunctionLibrarySpec().term_names(2)
 
     def test_model_file_lists_written_line_heads(self, trained_dir):
         # one phase, so the documented per-phase lines appear once; rows excluded

@@ -91,3 +91,22 @@ def test_blow_up_stops_where_solve_ivp_stops():
 
     y1 = _assert_same_as_reference(f, 0.0, np.array([1.0]), 0.6).y[:, -1]
     assert _assert_same_as_reference(f, 0.6, y1, 0.6).status == -1
+
+
+@pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
+def test_nan_rhs_at_interval_start_diverges_at_interval_end(integrator):
+    # the adaptive first step size is nan here, where solve_ivp never returns
+    def f(k, t, y):
+        return np.array([y[1], np.nan])
+
+    with pytest.raises(DivergenceError) as err:
+        _integrators.integrate_intervals(f, np.array([1.0, 1.0]), 3, 0.002, integrator)
+    assert err.value.time == 0.002
+
+
+def test_nan_rhs_from_zero_state_stops_where_solve_ivp_stops():
+    # from y = 0 the first step size is finite and solve_ivp gives up at t0
+    def f(t, y):
+        return np.array([y[1], np.nan])
+
+    assert _assert_same_as_reference(f, 0.0, np.zeros(2), 0.002).status == -1

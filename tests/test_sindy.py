@@ -1,5 +1,6 @@
 """Candidate libraries, STLSQ, phase fitting, and symbolic printing."""
 
+import collections
 import itertools
 import math
 import warnings
@@ -64,8 +65,8 @@ def _reference_2d_models():
 
 
 @st.composite
-def _library_samples(draw):
-    """Any valid library spec, l in 1..6, and a few finite sample rows."""
+def _library_specs(draw):
+    """Any valid library spec with degree 0..3."""
     degree = draw(st.integers(0, 3))
     flags = draw(st.fixed_dictionaries({
         name: st.booleans() for name in (
@@ -73,7 +74,13 @@ def _library_samples(draw):
             "include_inputs")
     }))
     assume(degree >= 1 or any(flags.values()))
-    spec = FunctionLibrarySpec(poly_degree=degree, **flags)
+    return FunctionLibrarySpec(poly_degree=degree, **flags)
+
+
+@st.composite
+def _library_samples(draw):
+    """Any valid library spec, l in 1..6, and a few finite sample rows."""
+    spec = draw(_library_specs())
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     xi, dxi, nu = (draw(arrays(np.float64, shape, elements=finite)) for _ in range(3))
@@ -81,8 +88,8 @@ def _library_samples(draw):
 
 
 def _reference_library(spec, xi, dxi, nu):
-    """The library term by term: each monomial is np.prod over its gathered
-    factors in index order, as the gather plan of build_library replaced."""
+    """The library term by term, its monomials enumerated here from
+    itertools: each is np.prod over its gathered factors in index order."""
     l = xi.shape[-1]
     stacked = np.concatenate([xi, dxi], axis=-1)
     cols = []
@@ -90,8 +97,9 @@ def _reference_library(spec, xi, dxi, nu):
         cols.append(np.ones(xi.shape[:-1] + (1,)))
     if spec.poly_degree >= 1:
         cols.append(stacked)
-    for _, group in itertools.groupby(spec._monomials(l), key=len):
-        cols.append(np.prod(stacked[..., np.array(list(group))], axis=-1))
+    for degree in range(2, spec.poly_degree + 1):
+        combos = list(itertools.combinations_with_replacement(range(2 * l), degree))
+        cols.append(np.prod(stacked[..., np.array(combos)], axis=-1))
     sines = []
     if spec.include_sin_states:
         sines.extend(range(l))
@@ -104,6 +112,27 @@ def _reference_library(spec, xi, dxi, nu):
     return np.concatenate(cols, axis=-1)
 
 
+def _reference_names(spec, l, unicode_symbols):
+    """Term names straight from itertools over the named variables, and the
+    term count from binomial coefficients."""
+    xi, dxi, nu, sep = ("ξ", "ξ̇", "ν", "·") if unicode_symbols else ("xi", "dxi", "nu", "*")
+    variables = [f"{s}_{i}" for s in (xi, dxi) for i in range(1, l + 1)]
+    names = ["1"] if spec.include_constant else []
+    for degree in range(1, spec.poly_degree + 1):
+        for combo in itertools.combinations_with_replacement(variables, degree):
+            powers = collections.Counter(combo)
+            names.append(sep.join(v if n == 1 else f"{v}^{n}" for v, n in powers.items()))
+    for enabled, form in ((spec.include_sin_states, f"sin({xi}_{{}})"),
+                          (spec.include_sin_velocities, f"sin({dxi}_{{}})"),
+                          (spec.include_inputs, f"{nu}_{{}}")):
+        if enabled:
+            names.extend(form.format(i) for i in range(1, l + 1))
+    count = (spec.include_constant + (spec.include_sin_states + spec.include_sin_velocities
+                                      + spec.include_inputs) * l
+             + sum(math.comb(2 * l + d - 1, d) for d in range(1, spec.poly_degree + 1)))
+    return names, count
+
+
 _MAGNITUDES = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.sampled_from([0.0, -0.0])
 
 
@@ -111,14 +140,7 @@ _MAGNITUDES = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.sampled_from([0
 def _library_inputs(draw, elements):
     """Any valid library spec with degree 0..3, l in 1..6, and one (l,) row
     or an (N, l) batch with N in 1..50 of ``elements``."""
-    degree = draw(st.integers(0, 3))
-    flags = draw(st.fixed_dictionaries({
-        name: st.booleans() for name in (
-            "include_constant", "include_sin_states", "include_sin_velocities",
-            "include_inputs")
-    }))
-    assume(degree >= 1 or any(flags.values()))
-    spec = FunctionLibrarySpec(poly_degree=degree, **flags)
+    spec = draw(_library_specs())
     l = draw(st.integers(1, 6))
     shape = draw(st.sampled_from([(l,), (draw(st.integers(1, 50)), l)]))
     xi, dxi, nu = (draw(arrays(np.float64, shape, elements=elements)) for _ in range(3))
@@ -151,6 +173,19 @@ class TestLibrary:
         names = DEFAULT.term_names(2)
         assert row[names.index("1")] == 1.0
         assert np.all(row[[i for i, n in enumerate(names) if n != "1"]] == 0.0)
+
+    @given(_library_specs(), st.integers(1, 6), st.booleans())
+    def test_names_and_count_match_reference(self, spec, l, unicode_symbols):
+        names, count = _reference_names(spec, l, unicode_symbols)
+        assert spec.term_names(l, unicode_symbols=unicode_symbols) == names
+        assert spec.term_count(l) == count == len(names)
+
+    @pytest.mark.parametrize("flag", ["include_constant", "include_sin_states",
+                                      "include_sin_velocities", "include_inputs"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_flags_must_be_bools(self, flag, value):
+        with pytest.raises(ValidationError, match=f"{flag} must be true or false"):
+            FunctionLibrarySpec(**{flag: value})
 
     def test_term_count_matches_combinatorics(self):
         # independently enumerate: 1 + 2l + sum_d C(2l+d-1, d) + l + l + l
