@@ -81,14 +81,24 @@ def aslip_accel(state, params, u=None):
     return spring + gravity + u
 
 
+def _per_step(name, values, horizon):
+    """``values`` as a float array of one 3-vector per step, at least
+    ``horizon`` of them."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] < horizon or values.shape[1] != 3:
+        raise ValidationError(f"{name} must have shape (>= {horizon}, 3), got {values.shape}")
+    return values
+
+
 def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
                    *, integrator="adaptive", rk4_substeps=1, foot_positions=None):
     """Integrate the aSLIP CoM over a sampled horizon.
 
     contact_schedule: length-``horizon`` phase labels (interval k uses the
-    label at index k); u_of_t: (horizon, 3) driving accelerations held
-    constant per interval, or None.  foot_positions: (horizon, 3) stance
-    foot per step, defaulting to the initial state's foot throughout.
+    label at index k); u_of_t: (>= horizon, 3) driving accelerations held
+    constant per interval, or None.  foot_positions: (>= horizon, 3) stance
+    foot per step, defaulting to the initial state's foot throughout; a
+    driving array of another shape raises ValidationError.
     Runs on the shared interval driver, ``_integrators.integrate_intervals``.
 
     Returns (b, db): two (horizon, 3) arrays sampled at dt.  Raises
@@ -100,16 +110,11 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
         raise ValidationError(
             f"contact schedule covers {len(schedule)} steps, horizon needs {horizon}"
         )
-    if u_of_t is None:
-        u_of_t = np.zeros((horizon, 3))
-    else:
-        u_of_t = np.asarray(u_of_t, dtype=float)
-        if u_of_t.shape[0] < horizon:
-            raise ValidationError("driving input does not cover the horizon")
+    u_of_t = np.zeros((horizon, 3)) if u_of_t is None else _per_step("u_of_t", u_of_t, horizon)
     if foot_positions is None:
         foot_positions = np.repeat(np.asarray(initial_state.foot, dtype=float)[None, :], horizon, axis=0)
     else:
-        foot_positions = np.asarray(foot_positions, dtype=float)
+        foot_positions = _per_step("foot_positions", foot_positions, horizon)
 
     stance = [Phase.CONTACT if ph in (Phase.CONTACT, Phase.PARTIAL_CONTACT) else Phase.FLIGHT
               for ph in schedule]

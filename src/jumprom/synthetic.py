@@ -9,7 +9,9 @@ stacked state (fixed small-step RK4, dynamics switched per phase), then
 lifted through a seeded orthonormal matrix plus offset (so the embedding
 is well-conditioned but not axis aligned), and written in the standard
 dataset format.  Inputs are chosen as smooth random splines in latent
-space and mapped to configuration space as u = lift @ nu, which the
+space (``_CubicSpline``, an in-house not-a-knot cubic spline equal bit
+for bit to scipy's ``CubicSpline``, so generation runs on numpy alone)
+and mapped to configuration space as u = lift @ nu, which the
 transposed-pseudoinverse input transform inverts exactly because the lift
 has orthonormal columns.  The hidden truth is returned alongside for test
 harness use, including a helper that re-expresses the true coefficients in
@@ -85,6 +87,10 @@ class SyntheticSpec:
             raise ValidationError(f"dt must be a finite number > 0, got {self.dt!r}")
         if not is_integer(self.lift_seed) or self.lift_seed < 0:
             raise ValidationError(f"lift_seed must be an integer >= 0, got {self.lift_seed!r}")
+        if not is_integer(self.input_knots) or self.input_knots < 2:
+            raise ValidationError(
+                f"input_knots must be an integer >= 2, got {self.input_knots!r}"
+            )
         if self.full_dim - 6 <= 0 or (self.full_dim - 6) % 4 != 0:
             raise ValidationError(
                 f"full_dim must be m+6 with m divisible by 4, got {self.full_dim}"
@@ -263,20 +269,99 @@ def _realize_forces(wrench, flags, feet, com):
     return forces
 
 
+def _solve_tridiagonal(dl, d, du, b):
+    """Solve the tridiagonal system (sub-, main, super-diagonal) for the
+    rows of ``b``, in place: LAPACK's reference ``dgtsv`` step for step,
+    partial pivoting included, over all right-hand-side columns at once."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i+1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i].copy()
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        # the dl term stays even where dl[i] is zero: it can flip a signed zero
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+class _CubicSpline:
+    """Not-a-knot cubic spline through values ``y`` (n, ...) at increasing
+    knots ``x`` (n >= 2), equal bit for bit to scipy's ``CubicSpline``:
+    the same knot-slope system and solver, the same Hermite coefficients
+    ``c`` (4, n-1, ...), highest power first, and the same evaluation."""
+
+    def __init__(self, x, y):
+        n = len(x)
+        dx = np.diff(x)
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        if n == 3:  # both end conditions coincide; scipy fits the parabola
+            A = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+            b = np.stack([2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]),
+                          2 * slope[1]])
+            s = np.linalg.solve(A, b.reshape(3, -1)).reshape(y.shape)
+        else:
+            dl, d, du = np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
+            d[1:-1] = 2 * (dx[:-1] + dx[1:])
+            du[1:] = dx[:-1]
+            dl[:-1] = dx[1:]
+            b = np.empty(y.shape)
+            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+            if n == 2:  # scipy clamps both ends to the chord slope
+                d[0] = d[1] = 1.0
+                b[0] = b[1] = slope[0]
+            else:
+                w = x[2] - x[0]
+                d[0], du[0] = dx[1], w
+                b[0] = ((dxr[0] + 2 * w) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / w
+                w = x[-1] - x[-3]
+                d[-1], dl[-1] = dx[-2], w
+                b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * w + dxr[-1]) * dxr[-2] * slope[-1]) / w
+            s = _solve_tridiagonal(dl, d, du, b)
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.x = x
+        self.c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+    def __call__(self, t):
+        """Values at the scalar ``t``, on the piece with x[i] <= t < x[i+1]
+        (the last piece at the right end; the end pieces extend outside)."""
+        i = min(max(int(np.searchsorted(self.x, t, side="right")) - 1, 0), len(self.x) - 2)
+        s = t - self.x[i]
+        c = self.c[:, i]
+        # scipy's order: powers of s by repeated products, summed constant first
+        z = s * s
+        return (((0.0 + c[3]) + c[2] * s) + c[1] * z) + c[0] * (z * s)
+
+
 def _simulate_jumps(spec, rng):
     """Every jump in latent coordinates, stepped in lockstep.
 
     Each jump's randomness is drawn in turn: initial state, spline knots
     for each driven phase, foot layout.  All jumps share the knot times, so
-    each driven phase has one spline over the stacked knots.  Returns
-    (n_jumps, T, l) states, velocities and inputs, and the foot layouts.
+    each driven phase has one not-a-knot cubic spline (``_CubicSpline``)
+    over the stacked knots.  Returns (n_jumps, T, l) states, velocities and
+    inputs, and the foot layouts.
     """
-    from scipy.interpolate import CubicSpline
-
     l, n = spec.l_true, spec.n_jumps
     starts = np.cumsum([0] + [steps for _, steps in spec.phase_durations])
     spans = [(a * spec.dt, b * spec.dt) for a, b in zip(starts[:-1], starts[1:])]
-    n_knots = max(spec.input_knots, 2)
+    n_knots = spec.input_knots
     knots = {i: np.empty((n_knots, n, l)) for i, (phase, _) in enumerate(spec.phase_durations)
              if phase in spec.input_phases and (spec.input_amplitude > 0 or any(spec.input_mean))}
     y0 = np.empty((n, 2 * l))
@@ -288,7 +373,7 @@ def _simulate_jumps(spec, rng):
             values[:, j] = rng.normal(0.0, spec.input_amplitude, size=(n_knots, l))
         layouts.append(_foot_layout(rng))
 
-    splines = {i: CubicSpline(np.linspace(*spans[i], n_knots), v) for i, v in knots.items()}
+    splines = {i: _CubicSpline(np.linspace(*spans[i], n_knots), v) for i, v in knots.items()}
     phase_of = np.repeat(np.arange(len(spans)), np.diff(starts))
     coeffs = [spec.dynamics_for(phase) for phase, _ in spec.phase_durations]
 

@@ -155,6 +155,15 @@ class TestSimulate:
                                       1.0 / 500.0, integrator="fixed_rk4")
         assert np.array_equal(b_partial, b_contact)
 
+    @pytest.mark.parametrize("u, feet", [
+        (None, np.zeros((2, 3))), (None, np.zeros((10, 12))), (None, np.zeros(30)),
+        (np.zeros((10, 2)), None), (np.zeros((9, 3)), None), (np.zeros((10, 3, 1)), None)],
+        ids=["feet_2_rows", "feet_12_cols", "feet_flat", "u_2_cols", "u_9_rows", "u_3d"])
+    def test_driving_inputs_must_cover_the_horizon_in_3_vectors(self, u, feet):
+        with pytest.raises(ValidationError, match=r"must have shape \(>= 10, 3\)"):
+            simulate_aslip(PARAMS, _state([0.0, 0.0, 0.27]), u, (Phase.CONTACT,) * 10, 10,
+                           1.0 / 500.0, integrator="fixed_rk4", foot_positions=feet)
+
     def test_divergence_raises(self):
         # k_s = 1e9 puts the contact oscillation far outside RK4's stability region
         stiff = AslipParams(k_s=1e9, m=10.0, l0=np.array([0.0, 0.0, 0.3]))

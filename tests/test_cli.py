@@ -371,6 +371,21 @@ def test_cli_import_loads_no_scipy():
     assert out.stderr.strip() == "[]"  # a scan starts a process pool only when it runs one
 
 
+def test_gen_loads_no_scipy(tmp_path):
+    # gen draws its input splines in-house; only training imports scipy.linalg
+    src = str(Path(jumprom.__file__).resolve().parents[1])
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"n_jumps": 2, "split_counts": [1, 1, 0]}))
+    argv = ["gen", "--preset", "two_phase", "--config", str(config),
+            "--out", str(tmp_path / "data")]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import jumprom.cli; "
+            f"code = jumprom.cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "data" / "ground_truth.json").is_file()
+
+
 def _split_files(data):
     """{split label: [jump file names]} of a dataset's manifest."""
     files = {}

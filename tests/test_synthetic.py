@@ -1,9 +1,11 @@
 """Synthetic generator: schema round trip, subspace purity, determinism,
-lockstep stepping."""
+lockstep stepping, the input spline."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
@@ -12,6 +14,7 @@ from jumprom.autoencoder import AutoencoderParams
 from jumprom.sindy import FunctionLibrarySpec, build_library
 from jumprom.synthetic import (
     SyntheticSpec,
+    _CubicSpline,
     _decompose_affine,
     _foot_layout,
     _simulate_jumps,
@@ -163,6 +166,12 @@ def test_affine_blocks_round_trip(constant, degree, sines, inputs, l, seed):
                 affine_coefficients(lib, l, *args)
 
 
+@pytest.mark.parametrize("knots", [0, 1, 2.5, "6", True, None])
+def test_input_knots_must_be_an_integer_of_at_least_two(knots):
+    with pytest.raises(ValidationError, match="input_knots"):
+        replace(two_phase_spec(n_jumps=3), input_knots=knots)
+
+
 def test_preset_default_splits():
     assert two_phase_spec().split_counts == (8, 2, 10)
     assert three_phase_spec().split_counts == (8, 2, 2)
@@ -230,3 +239,39 @@ def test_stacked_matmul_matches_per_row(p, l, n, seed):
     stacked = (rows[:, None, :] @ Xi)[:, 0, :]
     for row, got in zip(rows, stacked):
         assert np.array_equal(got, row @ Xi)
+
+
+@pytest.mark.parametrize("knots", [2, 3, 12])
+def test_lockstep_matches_reference_at_any_knot_count(knots):
+    # the clamped (2 knots) and parabola (3 knots) slope rules end to end
+    spec = replace(two_phase_spec(n_jumps=2, split_counts=(1, 1, 0)), input_knots=knots)
+    xi, dxi, nu, _ = _simulate_jumps(spec, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for j in range(spec.n_jumps):
+        ref_xi, ref_dxi, ref_nu, _ = _reference_jump(spec, rng)
+        assert np.array_equal(xi[j], ref_xi)
+        assert np.array_equal(dxi[j], ref_dxi)
+        assert np.array_equal(nu[j], ref_nu)
+
+
+@example(n=2, uniform=True, shape=(3, 2), exponent=0.0, seed=0)
+@example(n=3, uniform=True, shape=(3, 2), exponent=0.0, seed=0)
+@example(n=3, uniform=False, shape=(1, 1), exponent=-3.0, seed=1)
+@given(n=st.integers(2, 12), uniform=st.booleans(),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+       exponent=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_spline_matches_scipy_bit_for_bit(n, uniform, shape, exponent, seed):
+    rng = np.random.default_rng(seed)
+    start, width = rng.uniform(0.0, 2.0), rng.uniform(0.01, 1.0)
+    if uniform:
+        x = np.linspace(start, start + width, n)
+    else:
+        x = start + width * np.cumsum(np.concatenate([[0.0], rng.uniform(0.05, 1.0, n - 1)]))
+    y = 10.0**exponent * rng.normal(size=(n, *shape))
+    ref, got = CubicSpline(x, y), _CubicSpline(x, y)
+    assert np.array_equal(got.c, ref.c)
+    inside = rng.uniform(x[0], x[-1], 5)
+    clipped = np.clip(rng.uniform(x[0] - width, x[-1] + width, 5), x[0], x[-1])
+    points = np.concatenate([x, [x[0], x[-1]], inside, clipped])
+    for t in points:
+        assert np.array_equal(got(t), ref(t))
