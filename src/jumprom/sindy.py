@@ -16,10 +16,13 @@ l x l M.  A refit that keeps more than half the entries is a bordered
 (KKT) solve on those factors, whose only dense system is the Schur matrix
 of the eliminated entries; a refit that keeps at most half assembles the
 block of the system on its support and factors it by Cholesky in place.
-So no dense matrix larger than half the unknowns is factored.  A system
-that is not numerically positive definite (a rank-deficient Gram far
-larger than ridge/eps) is solved by LU on its support block instead, with
-one warning per fit.
+So no dense matrix larger than half the unknowns is factored.  The
+design matrix is freed once the normal equations are formed, the factors
+become their inverses in place, and the batched library and the gathers
+work in blocks of rows, so a fit holds max(N p, l p^2) doubles plus
+bounded blocks.  A system that is not numerically positive definite (a
+rank-deficient Gram far larger than ridge/eps) is solved by LU on its
+support block instead, with one warning per fit.
 """
 
 from __future__ import annotations
@@ -97,6 +100,10 @@ class FunctionLibrarySpec:
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
+# rows per block of the batched library and of the in-place gathers of the
+# regression: bounds their temporaries to _BLOCK x (columns) doubles
+_BLOCK = 64
+
 
 @functools.lru_cache(maxsize=None)
 def _terms(spec, latent_dim):
@@ -139,26 +146,36 @@ def build_library(spec, xi, dxi, nu=None):
     design matrix, or the (p,) row, in canonical order.  The base columns
     of ``_library_plan`` are one concatenate; the terms are one take of
     their first factors, multiplied in place by one take per further
-    factor position.
+    factor position.  A batch of more than ``_BLOCK`` rows is built
+    ``_BLOCK`` rows at a time, so its temporaries stay bounded whatever N
+    is; each element is the same product of the same factors either way.
     """
     xi = np.asarray(xi, dtype=float)
     dxi = np.asarray(dxi, dtype=float)
     if xi.shape != dxi.shape:
         raise ValidationError(f"state/velocity shapes differ: {xi.shape} vs {dxi.shape}")
-    base = [_ONE if xi.ndim == 1 else np.ones(xi.shape[:-1] + (1,)), xi, dxi]
-    if spec.include_sin_states:
-        base.append(np.sin(xi))
-    if spec.include_sin_velocities:
-        base.append(np.sin(dxi))
     if spec.include_inputs:
         if nu is None:
             raise ValidationError("library includes input terms but no inputs were given")
         nu = np.asarray(nu, dtype=float)
         if nu.shape != xi.shape:
             raise ValidationError(f"inputs must have shape {xi.shape}, got {nu.shape}")
+    first, *later = _library_plan(spec, xi.shape[-1])
+    if xi.ndim > 1 and len(xi) > _BLOCK:
+        out = np.empty(xi.shape[:-1] + first.shape)
+        for start in range(0, len(xi), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            out[rows] = build_library(spec, xi[rows], dxi[rows],
+                                      nu[rows] if spec.include_inputs else None)
+        return out
+    base = [_ONE if xi.ndim == 1 else np.ones(xi.shape[:-1] + (1,)), xi, dxi]
+    if spec.include_sin_states:
+        base.append(np.sin(xi))
+    if spec.include_sin_velocities:
+        base.append(np.sin(dxi))
+    if spec.include_inputs:
         base.append(nu)
     base = np.concatenate(base, axis=-1)
-    first, *later = _library_plan(spec, xi.shape[-1])
     # the indices are in range by construction, so no bounds check
     out = base.take(first, axis=-1, mode="clip")
     for factor in later:
@@ -231,25 +248,41 @@ def _cholesky_solve(a, b):
 
 def _inverse_from_cholesky(c):
     """The symmetric inverse of u^T u from the upper factor u of
-    ``cho_factor(..., lower=False)``, overwriting c."""
+    ``cho_factor(..., lower=False)``, overwriting c.
+
+    c is F-contiguous, as that factor of a C-contiguous matrix's transpose
+    is, so dpotri writes the upper triangle in place; it is mirrored to the
+    lower one ``_BLOCK`` columns at a time.  The result is bit for bit
+    ``np.triu(inv) + np.triu(inv, 1).T``, whose sum with zero turns -0.0
+    into 0.0.
+    """
     import scipy.linalg
 
     inv, info = scipy.linalg.lapack.dpotri(c, lower=False, overwrite_c=True)
     if info:
         raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    inv = np.triu(inv)
-    return inv + np.triu(inv, 1).T
+    for start in range(0, inv.shape[0], _BLOCK):
+        stop = start + _BLOCK
+        diagonal = inv[start:stop, start:stop]
+        diagonal[...] = np.triu(diagonal) + np.triu(diagonal, 1).T
+        inv[stop:, start:stop] = inv[start:stop, stop:].T
+    inv += 0.0
+    return inv
 
 
 class _DecoupledSystem:
     """A = kron(M, Gram) + ridge I, factored once per fit, and its refits.
 
     M = V diag(lam) V^T turns A into l independent p x p blocks
-    lam_j Gram + ridge I, each factored by Cholesky, so memory is
-    O(l p^2).  Gram itself is not diagonalised: the rounding of its
-    near-zero eigenvalues is about eps*||Gram||, as large as a typical
-    ridge, and would move the support.  ``x0`` is the full-support
-    solution A^{-1} vec(R).
+    lam_j Gram + ridge I, each factored by Cholesky.  Gram itself is not
+    diagonalised: the rounding of its near-zero eigenvalues is about
+    eps*||Gram||, as large as a typical ridge, and would move the support.
+    ``x0`` is the full-support solution A^{-1} vec(R).  ``factors`` holds
+    the l factors until the first refit with an eliminated entry turns them
+    into ``inverses`` in the same buffers; no other p x p array outlives a
+    call, so the system peaks at l p^2 doubles plus ``_BLOCK``-row
+    temporaries and, in a refit, the |E| x |E| Schur matrix and one p x |E|
+    block of columns.
     """
 
     def __init__(self, M, gram, R, ridge):
@@ -265,7 +298,7 @@ class _DecoupledSystem:
             factor = scipy.linalg.cho_factor(a.T, lower=False, overwrite_a=True,
                                              check_finite=False)
             Y[:, j] = scipy.linalg.cho_solve(factor, Y[:, j], check_finite=False)
-            self.factors.append(factor)
+            self.factors.append(factor[0])
         self.x0 = (Y @ self.V.T).flatten(order="F")
         self.inverses = None
 
@@ -275,26 +308,33 @@ class _DecoupledSystem:
         Solves the bordered (KKT) system of the equality-constrained
         quadratic: x = x0 - C (P_E^T C)^{-1} x0_E with C = A^{-1} P_E.
         The Schur matrix P_E^T C is SPD of size |E| and is factored by
-        Cholesky.  The inverses of the l blocks are formed at the first
-        refit with E non-empty, so every refit gathers its columns of C
-        instead of solving for them, and a refit's result depends on its
-        support alone.  Raises LinAlgError when the Schur matrix is not
-        numerically positive definite.
+        Cholesky.  The factors are turned into the inverses of the l blocks
+        at the first refit with E non-empty, so every refit gathers its
+        columns of C instead of solving for them, and a refit's result
+        depends on its support alone.  The conversion is all or nothing:
+        if one block fails, the factors are dropped and this and every later
+        refit with E non-empty raises.  Raises LinAlgError when the
+        inverses are unavailable or the Schur matrix is not numerically
+        positive definite.
         """
         elim = np.flatnonzero(~support)
         if not elim.size:
             return self.x0.copy()
         if self.inverses is None:
-            self.inverses = [_inverse_from_cholesky(c) for c, _ in self.factors]
-            self.factors = None
+            if self.factors is None:
+                raise np.linalg.LinAlgError("the block inverses could not be formed")
+            factors, self.factors = self.factors, None  # dropped if one block fails
+            self.inverses = [_inverse_from_cholesky(c) for c in factors]
         p = self.inverses[0].shape[0]
         rows, W = elim % p, self.V[elim // p]
         schur = np.zeros((elim.size, elim.size))
         for w, inv in zip(W.T, self.inverses):
-            entries = inv[np.ix_(rows, rows)]
-            entries *= w[:, None]
-            entries *= w
-            schur += entries
+            for start in range(0, elim.size, _BLOCK):
+                part = slice(start, start + _BLOCK)
+                entries = inv[np.ix_(rows[part], rows)]
+                entries *= w[part, None]
+                entries *= w
+                schur[part] += entries
         mu = _cholesky_solve(schur, self.x0[elim])
         Z = np.stack([inv[:, rows] @ (w * mu) for w, inv in zip(W.T, self.inverses)], axis=1)
         x = self.x0 - (Z @ self.V.T).flatten(order="F")
@@ -302,15 +342,16 @@ class _DecoupledSystem:
         return x
 
 
-def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
-    """STLSQ on the normal equations (M x Gram) vec(Xi) = vec(Theta^T target).
+def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
+    """STLSQ on the normal equations (M x Gram) vec(Xi) = vec(R).
 
-    theta: (N, p) design matrix; target: (N, l); M: (l, l) symmetric
-    coupling of the coefficient columns.  Elimination is strict: entries
-    with |coef| < threshold are dropped, entries exactly at the threshold
-    are kept.  Stops when the support is stable or after max_iters refits.
-    Each refit solves the system restricted to its support S, with E the
-    eliminated entries:
+    gram: (p, p) Theta^T Theta of an (n, p) design matrix Theta; R: (p, l)
+    Theta^T target; M: (l, l) symmetric coupling of the coefficient
+    columns.  Theta itself is not needed, so the caller can free it first.
+    Elimination is strict: entries with |coef| < threshold are dropped,
+    entries exactly at the threshold are kept.  Stops when the support is
+    stable or after max_iters refits.  Each refit solves the system
+    restricted to its support S, with E the eliminated entries:
 
     - ridge > 0 and |S| > |E| (every full-support refit among them): the
       bordered solve of ``_DecoupledSystem``, on the decoupled Cholesky
@@ -323,22 +364,22 @@ def _stlsq(theta, target, M, threshold, ridge, max_iters, init_support=None):
     - ridge <= 0: the support block by least squares.
 
     The largest dense matrix factored by Cholesky is therefore
-    max(p, min(|S|, |E|)) <= max(p, p*l/2).
+    max(p, min(|S|, |E|)) <= max(p, p*l/2), and the solver holds at most
+    l p^2 doubles of factors (or their inverses, in place) besides Gram,
+    the one support block or Schur matrix of a refit and ``_BLOCK``-row
+    temporaries.
 
     Columns whose support empties out are returned as all-zero with a
     warning (constant-zero dynamics).
     """
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
-    n, p = theta.shape
-    l = target.shape[1]
+    p, l = R.shape
     if n < p:
         warnings.warn(
             f"underdetermined sparse regression: {n} samples for {p} candidate functions",
             stacklevel=3,
         )
-    gram = theta.T @ theta
-    R = theta.T @ target
     rhs = R.flatten(order="F")
     support = (np.ones(p * l, dtype=bool) if init_support is None
                else np.asarray(init_support, dtype=bool).flatten(order="F"))
@@ -393,8 +434,8 @@ def stlsq(theta, targets, threshold=0.1, ridge=1e-9, max_iters=20, init_support=
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 1:
         targets = targets[:, None]
-    return _stlsq(theta, targets, np.eye(targets.shape[1]), threshold, ridge, max_iters,
-                  init_support)
+    return _stlsq(theta.T @ theta, theta.T @ targets, len(theta), np.eye(targets.shape[1]),
+                  threshold, ridge, max_iters, init_support)
 
 
 @dataclass(frozen=True)
@@ -447,6 +488,11 @@ def fit_phase_model(
     on the support block, with a warning, when its system is not
     numerically positive definite (see ``_stlsq``).  ddq may be None only
     when decoded_weight is 0.
+
+    The design matrix Theta is freed once the normal equations are formed,
+    so the fit peaks at max(N p, l p^2) doubles, for Theta or the factors,
+    plus bounded blocks: ``_BLOCK``-row temporaries, Gram and the support
+    block or Schur matrix of one refit.
     """
     if data.n_samples == 0:
         raise ValidationError(f"no data for phase {phase}")
@@ -458,7 +504,9 @@ def fit_phase_model(
         if data.ddq is None:
             raise ValidationError("decoded-acceleration residual enabled but ddq targets missing")
         target = target + decoded_weight * data.ddq @ W_d
-    coeffs = _stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
+    gram, R = theta.T @ theta, theta.T @ target
+    del theta  # the solver reads only the normal equations
+    coeffs = _stlsq(gram, R, data.n_samples, M, threshold, ridge, max_iters, init_support)
     return PhaseModel(phase=phase, coefficients=replace(coeffs, library=spec))
 
 

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import jumprom.sindy as sindy
 from jumprom.autoencoder import AutoencoderParams
 from jumprom.errors import ValidationError
 from jumprom.sindy import (
@@ -18,6 +20,9 @@ from jumprom.sindy import (
     LatentPhaseData,
     PhaseModel,
     SparseCoefficients,
+    _DecoupledSystem,
+    _inverse_from_cholesky,
+    _library_plan,
     _stlsq,
     _support_block,
     build_library,
@@ -332,6 +337,11 @@ class TestStlsq:
                 params, DEFAULT, data, 0.0, decoded_weight=weight)) == 1
 
 
+def _normal_equations(theta, target):
+    """The (gram, R, n) that ``_stlsq`` reads in place of the design matrix."""
+    return theta.T @ theta, theta.T @ target, len(theta)
+
+
 def _kron_stlsq(theta, target, M, threshold, ridge, max_iters, init_support):
     """Reference STLSQ on the explicit Kronecker system: form kron(M, Gram)
     whole and slice the support out of it on every refit."""
@@ -400,7 +410,8 @@ class TestStlsqCore:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = _kron_stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
-            coeffs = _stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
+            coeffs = _stlsq(gram, theta.T @ target, len(theta), M, threshold, ridge, max_iters,
+                            init_support)
         assert np.array_equal(coeffs.active_mask, expected != 0.0)
         if ridge <= 0:  # least squares on the same block as the reference
             assert np.array_equal(coeffs.Xi, expected)
@@ -420,7 +431,7 @@ class TestStlsqCore:
         dense = np.linalg.solve(H, (theta.T @ target).flatten(order="F"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            coeffs = _stlsq(theta, target, M, 0.0, ridge, max_iters=0)
+            coeffs = _stlsq(*_normal_equations(theta, target), M, 0.0, ridge, max_iters=0)
         Xi = coeffs.Xi.flatten(order="F")
         tol = max(1e-10, 1e-15 * _kron_cond(theta, M, ridge))
         assert np.max(np.abs(Xi - dense)) <= tol * np.max(np.abs(dense))
@@ -484,7 +495,8 @@ class TestBorderedRefits:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = _kron_stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
-            coeffs = _stlsq(theta, target, M, threshold, ridge, max_iters, init_support)
+            coeffs = _stlsq(*_normal_equations(theta, target), M, threshold, ridge, max_iters,
+                            init_support)
         assert np.array_equal(coeffs.active_mask, expected != 0.0)
         cond = _kron_cond(theta, M, ridge)
         tol = 1e-9 if cond <= 1e7 else 1e-15 * cond
@@ -505,7 +517,7 @@ class TestBorderedRefits:
         _recording(monkeypatch, "_cholesky_solve", factored)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coeffs = _stlsq(theta, target, M, 0.1, 1e-9, 20)
+            coeffs = _stlsq(*_normal_equations(theta, target), M, 0.1, 1e-9, 20)
         assert count_active(coeffs) > p * l / 2
         assert len(factored) >= 2  # eliminated over several refits
         assert blocks == []
@@ -524,12 +536,198 @@ class TestBorderedRefits:
         monkeypatch.setattr("jumprom.sindy._cholesky_solve", not_positive_definite)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            coeffs = _stlsq(theta, target, np.eye(2), 0.1, 1e-9, 20)
+            coeffs = _stlsq(*_normal_equations(theta, target), np.eye(2), 0.1, 1e-9, 20)
         messages = [str(w.message) for w in caught if "positive definite" in str(w.message)]
         assert len(messages) == 1
         assert 12 < count_active(coeffs) < 24  # the last refit was bordered
         expected = _kron_stlsq(theta, target, np.eye(2), 0.1, 1e-9, 20, None)
         assert np.array_equal(coeffs.Xi, expected)
+
+
+def _bits(a):
+    """The raw bits of a float array, so equality is bit for bit."""
+    return np.asarray(a).view(np.uint64)
+
+
+def _unblocked_library(spec, xi, dxi, nu):
+    """The library in one block: one concatenate of the base columns, one
+    take of the first factors and one in-place multiply per later factor."""
+    base = [np.ones(xi.shape[:-1] + (1,)), xi, dxi]
+    if spec.include_sin_states:
+        base.append(np.sin(xi))
+    if spec.include_sin_velocities:
+        base.append(np.sin(dxi))
+    if spec.include_inputs:
+        base.append(nu)
+    base = np.concatenate(base, axis=-1)
+    first, *later = _library_plan(spec, xi.shape[-1])
+    out = base.take(first, axis=-1)
+    for factor in later:
+        out *= base.take(factor, axis=-1)
+    return out
+
+
+def _unblocked_solve(system, support):
+    """``_DecoupledSystem.solve`` with the whole Schur matrix gathered at once,
+    on the inverses ``system`` already holds."""
+    elim = np.flatnonzero(~support)
+    p = system.inverses[0].shape[0]
+    rows, W = elim % p, system.V[elim // p]
+    schur = np.zeros((elim.size, elim.size))
+    for w, inv in zip(W.T, system.inverses):
+        entries = inv[np.ix_(rows, rows)]
+        entries *= w[:, None]
+        entries *= w
+        schur += entries
+    mu = sindy._cholesky_solve(schur, system.x0[elim])
+    Z = np.stack([inv[:, rows] @ (w * mu) for w, inv in zip(W.T, system.inverses)], axis=1)
+    x = system.x0 - (Z @ system.V.T).flatten(order="F")
+    x[elim] = 0.0
+    return x
+
+
+_SMALL_BLOCK = 8  # the block size the blocked-kernel tests patch in
+
+
+class TestBlockedKernels:
+    """Each kernel that works in blocks of ``sindy._BLOCK`` rows, with the
+    block made small so that every case spans several, gives the bits of
+    its one-block formula."""
+
+    @pytest.mark.parametrize("n", [0, 1, _SMALL_BLOCK - 1, _SMALL_BLOCK, _SMALL_BLOCK + 1,
+                                   5 * _SMALL_BLOCK + 3])
+    @given(spec=_library_specs(), l=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_library_matches_one_block(self, n, spec, l, seed):
+        rng = np.random.default_rng(seed)
+        xi, dxi, nu = rng.normal(scale=10.0, size=(3, n, l))
+        special = rng.random(xi.shape) < 0.05
+        xi[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=special.sum())
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(sindy, "_BLOCK", _SMALL_BLOCK)
+            theta = build_library(spec, xi, dxi, nu)
+            ref = _unblocked_library(spec, xi, dxi, nu)
+            rows = [build_library_row(spec, xi[k], dxi[k], nu[k]) for k in range(n)]
+        assert theta.shape == ref.shape == (n, spec.term_count(l))
+        assert np.array_equal(_bits(theta), _bits(ref))
+        for k, row in enumerate(rows):
+            assert np.array_equal(_bits(row), _bits(ref[k]))
+
+    @given(n=st.integers(1, 200), zero_pattern=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_in_place_inverse_matches_triangle_sum(self, n, zero_pattern, seed):
+        import scipy.linalg
+
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        if zero_pattern:  # block-diagonal: exact zeros in the inverse
+            cut = rng.integers(0, n + 1)
+            a[:cut, cut:] = 0.0
+            a[cut:, :cut] = 0.0
+        a = a @ a.T + n * np.eye(n)
+        factor, _ = scipy.linalg.cho_factor(a.T, lower=False, overwrite_a=True)
+        inv, info = scipy.linalg.lapack.dpotri(factor.copy(order="F"), lower=False)
+        assert info == 0
+        ref = np.triu(inv) + np.triu(inv, 1).T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sindy, "_BLOCK", _SMALL_BLOCK)
+            out = _inverse_from_cholesky(factor)
+        assert np.shares_memory(out, factor)
+        assert np.array_equal(_bits(out), _bits(ref))
+
+    @pytest.mark.parametrize("n_elim", [1, _SMALL_BLOCK - 1, _SMALL_BLOCK, _SMALL_BLOCK + 1,
+                                        5 * _SMALL_BLOCK + 3])
+    def test_schur_gather_matches_one_block(self, n_elim):
+        rng = np.random.default_rng(n_elim)
+        p, l = 20, 3
+        theta = rng.normal(size=(60, p))
+        W = rng.normal(size=(5, l))
+        M = np.eye(l) + W.T @ W
+        gram = theta.T @ theta
+        support = np.ones(p * l, dtype=bool)
+        support[rng.choice(p * l, n_elim, replace=False)] = False
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sindy, "_BLOCK", _SMALL_BLOCK)
+            system = _DecoupledSystem(M, gram, theta.T @ rng.normal(size=(60, l)), 1e-9)
+            x = system.solve(support)
+        assert np.array_equal(_bits(x), _bits(_unblocked_solve(system, support)))
+        assert not x[~support].any()
+
+
+class TestBlockConversion:
+    """The l factors become their inverses all together or not at all."""
+
+    @staticmethod
+    def _fit(fails):
+        """A fit whose k-th block conversion raises when fails(k), with the
+        buffers handed to the conversion and the number of bordered refits."""
+        rng = np.random.default_rng(0)
+        n, p, l = 60, 12, 2
+        theta = rng.normal(size=(n, p))
+        target = theta @ (10.0 ** rng.uniform(-2.0, 1.0, size=(p, l))) + rng.normal(size=(n, l))
+        original, buffers, bordered = sindy._inverse_from_cholesky, [], []
+
+        def converting(c):
+            buffers.append(c.__array_interface__["data"][0])
+            if fails(len(buffers)):
+                raise np.linalg.LinAlgError("not positive definite")
+            return original(c)
+
+        original_solve = _DecoupledSystem.solve
+
+        def solve(self, support):
+            bordered.append(not support.all())
+            return original_solve(self, support)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+            mp.setattr(sindy, "_inverse_from_cholesky", converting)
+            mp.setattr(_DecoupledSystem, "solve", solve)
+            warnings.simplefilter("always")
+            coeffs = _stlsq(*_normal_equations(theta, target), np.eye(l), 0.1, 1e-9, 20)
+        messages = [str(w.message) for w in caught if "positive definite" in str(w.message)]
+        return coeffs, messages, buffers, sum(bordered)
+
+    def test_failed_conversion_falls_back_to_lu_for_the_rest_of_the_fit(self):
+        coeffs, messages, buffers, bordered = self._fit(lambda k: k == 2)
+        assert bordered >= 3  # refits after the failed one still take the bordered path
+        assert len(messages) == 1
+        assert len(set(buffers)) == len(buffers)  # no buffer converted twice
+        lu, lu_messages, _, _ = self._fit(lambda k: True)
+        assert len(lu_messages) == 1
+        assert np.array_equal(_bits(coeffs.Xi), _bits(lu.Xi))
+
+
+class TestBoundedMemory:
+    def test_fit_peak_is_the_larger_of_theta_and_the_factors(self, monkeypatch):
+        # N p = l p^2: the design matrix and the l factors are the same size,
+        # and a tenth of the law is below the threshold, so the second refit
+        # is bordered and turns the factors into inverses
+        l, spec = 10, DEFAULT
+        p = spec.term_count(l)
+        n = l * p
+        rng = np.random.default_rng(0)
+        xi, dxi, nu = rng.normal(size=(3, n, l))
+        Xi = rng.choice([-1.0, 1.0], size=(p, l)) * rng.uniform(1.0, 3.0, size=(p, l))
+        Xi[rng.random((p, l)) < 0.1] = 1e-3
+        ddxi = build_library(spec, xi, dxi, nu) @ Xi
+        W_dec, _ = np.linalg.qr(rng.normal(size=(l + 4, l)))
+        params = AutoencoderParams(W_enc=W_dec.T.copy(), b_enc=np.zeros(l), W_dec=W_dec,
+                                   b_dec=np.zeros(l + 4))
+        data = LatentPhaseData(xi=xi, dxi=dxi, nu=nu, ddxi=ddxi, ddq=ddxi @ W_dec.T)
+        fit_phase_model(params, spec, data, threshold=0.1)  # imports and caches
+        converted = []
+        original = sindy._inverse_from_cholesky
+        monkeypatch.setattr(sindy, "_inverse_from_cholesky",
+                            lambda c: converted.append(c.shape) or original(c))
+        tracemalloc.start()
+        try:
+            model = fit_phase_model(params, spec, data, threshold=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converted == [(p, p)] * l
+        assert np.array_equal(model.coefficients.active_mask, np.abs(Xi) > 0.1)
+        # besides Theta or the factors: Gram, one Schur matrix of about p
+        # rows, its gather and _BLOCK-row temporaries
+        assert peak < 8 * max(n * p, l * p * p) * 1.3 + 8 * 4 * p * p
 
 
 def _orthonormal_autoencoder(d=10, l=2, seed=6):
