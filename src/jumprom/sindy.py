@@ -15,13 +15,16 @@ Cholesky factors of size p decoupled through the eigenvectors of the small
 l x l M.  A refit that keeps more than half the entries is a bordered
 (KKT) solve on those factors, whose only dense system is the Schur matrix
 of the eliminated entries; a refit that keeps at most half assembles the
-block of the system on its support and factors it by Cholesky in place.
-So no dense matrix larger than half the unknowns is factored.  The
-design matrix is freed once the normal equations are formed, the factors
-become their inverses in place, and the batched library and the gathers
-work in blocks of rows, so a fit holds max(N p, l p^2) doubles plus
-bounded blocks.  A system that is not numerically positive definite (a
-rank-deficient Gram far larger than ridge/eps) is solved by LU on its
+block of the system on its support and factors it by Cholesky.  So no
+dense matrix larger than half the unknowns is factored.  The regression
+runs on numpy alone: ``np.linalg.cholesky`` factors and checks positive
+definiteness, and the triangular solves and the inverse of a factor go
+through the inverses of its diagonal blocks.  The design matrix is freed
+once the normal equations are formed, the factors become their inverses
+in place, and the batched library, the gathers and the triangular
+kernels work in blocks of rows, so a fit holds max(N p, l p^2) doubles
+plus bounded blocks.  A system that is not numerically positive definite
+(a rank-deficient Gram far larger than ridge/eps) is solved by LU on its
 support block instead, with one warning per fit.
 """
 
@@ -100,8 +103,9 @@ class FunctionLibrarySpec:
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
-# rows per block of the batched library and of the in-place gathers of the
-# regression: bounds their temporaries to _BLOCK x (columns) doubles
+# rows per block of the batched library, of the in-place gathers of the
+# regression and of its triangular kernels: bounds their temporaries to
+# _BLOCK x (columns) doubles.  A power of two, for ``_block_inverses``.
 _BLOCK = 64
 
 
@@ -232,42 +236,114 @@ def _support_block(M, gram, idx, ridge):
     return block
 
 
-def _cholesky_solve(a, b):
-    """Solve a x = b for a symmetric positive definite a, destroying a.
+def _row_blocks(n, b):
+    """(index, start, stop) of each block of b rows of n."""
+    return [(k, start, min(start + b, n)) for k, start in enumerate(range(0, n, b))]
 
-    a is C-contiguous, so a.T is its F-contiguous view and LAPACK factors
-    it in place; the upper triangle of a.T is the lower one of a, which
-    equals its upper one.  Raises LinAlgError when a is not numerically
-    positive definite.
+
+def _diagonal_blocks(stack, size):
+    """Writable (N, b / size, size, size) view of the size x size diagonal
+    blocks of every matrix of the C-contiguous (N, b, b) stack."""
+    n, b, _ = stack.shape
+    item = stack.itemsize
+    return np.ndarray((n, b // size, size, size), stack.dtype, stack,
+                      strides=(b * b * item, size * (b + 1) * item, b * item, item))
+
+
+def _block_inverses(L):
+    """The inverses of the diagonal blocks of lower-triangular factors L.
+
+    L: (..., n, n).  Returns (..., k, b, b): b is ``_BLOCK`` (a power of
+    two), or the least power of two >= n when n is smaller, and the last
+    block is padded with the identity.  Every block of every factor is
+    inverted at once by recursive doubling from the reciprocal diagonal:
+    inv([[A, 0], [C, B]]) = [[inv(A), 0], [-inv(B) C inv(A), inv(B)]], so
+    log2(b) batched steps of two products each, and each inverse is exactly
+    lower triangular.  The blocks enter negated, which gives the sign of
+    the corner without another pass.
     """
-    import scipy.linalg
+    n = L.shape[-1]
+    b = min(_BLOCK, 1 << (n - 1).bit_length())
+    blocks = _row_blocks(n, b)
+    stack = np.zeros(L.shape[:-2] + (len(blocks), b, b))
+    for k, start, stop in blocks:
+        np.negative(L[..., start:stop, start:stop], out=stack[..., k, :stop - start, :stop - start])
+    pad = len(blocks) * b - n
+    if pad:
+        stack[..., -1, -pad:, -pad:] = -np.eye(pad)
+    diagonal = stack.reshape(-1, b * b)[:, :: b + 1]
+    np.divide(-1.0, diagonal, out=diagonal)
+    size = 1
+    while size < b:
+        pairs = _diagonal_blocks(stack.reshape(-1, b, b), 2 * size)
+        corner = pairs[..., size:, :size]
+        np.matmul(pairs[..., size:, size:], corner @ pairs[..., :size, :size], out=corner)
+        size *= 2
+    return stack
 
-    factor = scipy.linalg.cho_factor(a.T, lower=False, overwrite_a=True, check_finite=False)
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+
+def _factor_solve(L, x):
+    """Solve L L^T y = x for the lower-triangular factors L, overwriting x.
+
+    L: (..., n, n); x: C-contiguous (..., n).  Forward, then backward
+    substitution in blocks of ``_BLOCK`` rows: each block is one product
+    with the inverse of its diagonal block, and ``_block_inverses`` forms
+    all of those in one pass.  A stack of factors takes as many calls as
+    one factor.
+    """
+    inverses = _block_inverses(L)
+    b, n = inverses.shape[-1], L.shape[-1]
+    blocks = _row_blocks(n, b)
+    # unit strides throughout, so that a stack of products runs in BLAS
+    column, row = x.reshape(x.shape + (1,)), x.reshape(x.shape[:-1] + (1, n))
+    for k, start, stop in blocks:
+        inverse = inverses[..., k, :stop - start, :stop - start]
+        column[..., start:stop, :] = inverse @ (
+            column[..., start:stop, :] - L[..., start:stop, :start] @ column[..., :start, :])
+    for k, start, stop in reversed(blocks):
+        inverse = inverses[..., k, :stop - start, :stop - start]
+        row[..., start:stop] = (
+            row[..., start:stop] - row[..., stop:] @ L[..., stop:, start:stop]) @ inverse
+    return x
+
+
+def _cholesky_solve(a, b):
+    """Solve a x = b for a symmetric positive definite a; a is not changed.
+
+    Raises LinAlgError when a is not numerically positive definite, as
+    ``np.linalg.cholesky`` finds it.
+    """
+    return _factor_solve(np.linalg.cholesky(a), np.array(b, dtype=float))
 
 
 def _inverse_from_cholesky(c):
-    """The symmetric inverse of u^T u from the upper factor u of
-    ``cho_factor(..., lower=False)``, overwriting c.
+    """The symmetric inverse of L L^T from its lower Cholesky factor L,
+    overwriting c.
 
-    c is F-contiguous, as that factor of a C-contiguous matrix's transpose
-    is, so dpotri writes the upper triangle in place; it is mirrored to the
-    lower one ``_BLOCK`` columns at a time.  The result is bit for bit
-    ``np.triu(inv) + np.triu(inv, 1).T``, whose sum with zero turns -0.0
-    into 0.0.
+    First L becomes L^-1 one block row of ``_BLOCK`` rows at a time, top
+    down: block row i of L^-1 is -D_i L[i, :i] L^-1[:i, :i] beside D_i,
+    the inverse of the diagonal block, and the rows above it are already
+    L^-1.  Then block row i of the lower triangle of L^-T L^-1 is
+    L^-1[i:, i]^T L^-1[i:, :i+1], which reads only rows i and below, still
+    L^-1; it is written with its mirror above the diagonal, and the
+    diagonal block is symmetrised from its lower triangle, so the result
+    is exactly symmetric.  Temporaries are ``_BLOCK`` rows of c.
     """
-    import scipy.linalg
-
-    inv, info = scipy.linalg.lapack.dpotri(c, lower=False, overwrite_c=True)
-    if info:
-        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    for start in range(0, inv.shape[0], _BLOCK):
-        stop = start + _BLOCK
-        diagonal = inv[start:stop, start:stop]
-        diagonal[...] = np.triu(diagonal) + np.triu(diagonal, 1).T
-        inv[stop:, start:stop] = inv[start:stop, stop:].T
-    inv += 0.0
-    return inv
+    n = c.shape[0]
+    inverses = _block_inverses(c)
+    b = inverses.shape[-1]
+    blocks = _row_blocks(n, b)
+    for k, start, stop in blocks:
+        inverse = inverses[k, :stop - start, :stop - start]
+        np.matmul(-inverse, c[start:stop, :start] @ c[:start, :start], out=c[start:stop, :start])
+        c[start:stop, start:stop] = inverse
+    for _, start, stop in blocks:
+        rows = c[start:, start:stop].T @ c[start:, :stop]
+        c[start:stop, :start] = rows[:, :start]
+        c[:start, start:stop] = rows[:, :start].T
+        diagonal = rows[:, start:]
+        c[start:stop, start:stop] = np.tril(diagonal) + np.tril(diagonal, -1).T
+    return c
 
 
 class _DecoupledSystem:
@@ -277,29 +353,29 @@ class _DecoupledSystem:
     lam_j Gram + ridge I, each factored by Cholesky.  Gram itself is not
     diagonalised: the rounding of its near-zero eigenvalues is about
     eps*||Gram||, as large as a typical ridge, and would move the support.
-    ``x0`` is the full-support solution A^{-1} vec(R).  ``factors`` holds
-    the l factors until the first refit with an eliminated entry turns them
-    into ``inverses`` in the same buffers; no other p x p array outlives a
-    call, so the system peaks at l p^2 doubles plus ``_BLOCK``-row
-    temporaries and, in a refit, the |E| x |E| Schur matrix and one p x |E|
-    block of columns.
+    ``x0`` is the full-support solution A^{-1} vec(R), from one batched
+    triangular solve of the l factors.  ``factors`` holds the l lower
+    factors of ``np.linalg.cholesky`` in one (l, p, p) array until the
+    first refit with an eliminated entry turns them into ``inverses`` in
+    the same buffers.  Forming them takes two p x p temporaries, the
+    shifted Gram and a factor before it is copied in, and no other p x p
+    array outlives a call, so the system peaks at (l + 2) p^2 doubles plus
+    ``_BLOCK``-row temporaries and, in a refit, the |E| x |E| Schur matrix
+    with its factor.
     """
 
     def __init__(self, M, gram, R, ridge):
-        import scipy.linalg
-
         lam, self.V = np.linalg.eigh(M)
-        Y = R @ self.V
-        stride = gram.shape[0] + 1
-        self.factors = []
-        for j in range(M.shape[0]):
-            a = lam[j] * gram
-            a.flat[::stride] += ridge
-            factor = scipy.linalg.cho_factor(a.T, lower=False, overwrite_a=True,
-                                             check_finite=False)
-            Y[:, j] = scipy.linalg.cho_solve(factor, Y[:, j], check_finite=False)
-            self.factors.append(factor[0])
-        self.x0 = (Y @ self.V.T).flatten(order="F")
+        p = gram.shape[0]
+        self.factors = np.empty((lam.size, p, p))
+        a = np.empty_like(gram)
+        for factor, scale in zip(self.factors, lam):
+            np.multiply(scale, gram, out=a)
+            a.flat[:: p + 1] += ridge
+            factor[...] = np.linalg.cholesky(a)
+        del a
+        Y = _factor_solve(self.factors, (R @ self.V).T.copy())
+        self.x0 = (self.V @ Y).ravel()
         self.inverses = None
 
     def solve(self, support):
@@ -309,9 +385,10 @@ class _DecoupledSystem:
         quadratic: x = x0 - C (P_E^T C)^{-1} x0_E with C = A^{-1} P_E.
         The Schur matrix P_E^T C is SPD of size |E| and is factored by
         Cholesky.  The factors are turned into the inverses of the l blocks
-        at the first refit with E non-empty, so every refit gathers its
-        columns of C instead of solving for them, and a refit's result
-        depends on its support alone.  The conversion is all or nothing:
+        at the first refit with E non-empty, so every refit gathers the
+        Schur matrix from them, ``_BLOCK`` rows at a time, and applies C as
+        one product of each inverse with a vector; a refit's result depends
+        on its support alone.  The conversion is all or nothing:
         if one block fails, the factors are dropped and this and every later
         refit with E non-empty raises.  Raises LinAlgError when the
         inverses are unavailable or the Schur matrix is not numerically
@@ -331,13 +408,14 @@ class _DecoupledSystem:
         for w, inv in zip(W.T, self.inverses):
             for start in range(0, elim.size, _BLOCK):
                 part = slice(start, start + _BLOCK)
-                entries = inv[np.ix_(rows[part], rows)]
+                entries = inv.take(rows[part], axis=0).take(rows, axis=1)
                 entries *= w[part, None]
                 entries *= w
                 schur[part] += entries
         mu = _cholesky_solve(schur, self.x0[elim])
-        Z = np.stack([inv[:, rows] @ (w * mu) for w, inv in zip(W.T, self.inverses)], axis=1)
-        x = self.x0 - (Z @ self.V.T).flatten(order="F")
+        Z = np.stack([inv @ np.bincount(rows, w * mu, minlength=p)
+                      for w, inv in zip(W.T, self.inverses)])
+        x = self.x0 - (self.V @ Z).ravel()
         x[elim] = 0.0
         return x
 
@@ -357,7 +435,7 @@ def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
       bordered solve of ``_DecoupledSystem``, on the decoupled Cholesky
       factors computed once per fit; the full support is their direct
       solution, and a smaller one needs only the |E| x |E| Schur matrix;
-    - ridge > 0 and |S| <= |E|: the support block by Cholesky, in place;
+    - ridge > 0 and |S| <= |E|: the support block by Cholesky;
     - either of those not numerically positive definite (a rank-deficient
       Gram much larger than ridge/eps): the support block by LU, with one
       warning per fit;
@@ -366,8 +444,8 @@ def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
     The largest dense matrix factored by Cholesky is therefore
     max(p, min(|S|, |E|)) <= max(p, p*l/2), and the solver holds at most
     l p^2 doubles of factors (or their inverses, in place) besides Gram,
-    the one support block or Schur matrix of a refit and ``_BLOCK``-row
-    temporaries.
+    the one support block or Schur matrix of a refit with its factor, and
+    ``_BLOCK``-row temporaries.
 
     Columns whose support empties out are returned as all-zero with a
     warning (constant-zero dynamics).

@@ -360,7 +360,8 @@ def test_bad_model_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, c
 
 
 def test_cli_import_loads_no_scipy():
-    # eval and baseline run on numpy alone; scipy loads only where it is used
+    # no command needs scipy (see below), and a scan starts a process pool
+    # only when it runs one
     src = str(Path(jumprom.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import jumprom.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
@@ -368,22 +369,34 @@ def test_cli_import_loads_no_scipy():
             "file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-    assert out.stderr.strip() == "[]"  # a scan starts a process pool only when it runs one
+    assert out.stderr.strip() == "[]"
 
 
-def test_gen_loads_no_scipy(tmp_path):
-    # gen draws its input splines in-house; only training imports scipy.linalg
+def test_no_command_loads_scipy(tmp_path):
+    # every command runs on numpy alone: gen draws its input splines
+    # in-house, the integrators and the sparse regression are numpy code
     src = str(Path(jumprom.__file__).resolve().parents[1])
     config = tmp_path / "gen.json"
-    config.write_text(json.dumps({"n_jumps": 2, "split_counts": [1, 1, 0]}))
-    argv = ["gen", "--preset", "two_phase", "--config", str(config),
-            "--out", str(tmp_path / "data")]
+    config.write_text(json.dumps({"n_jumps": 4, "split_counts": [2, 1, 1]}))
+    data, model = str(tmp_path / "data"), str(tmp_path / "model" / "model.txt")
+    evaluate = ["eval", "--dataset", data, "--model", model, "--reset-interval", "50"]
+    commands = [
+        ["gen", "--preset", "two_phase", "--config", str(config), "--out", data],
+        ["train", "--dataset", data, "--latent-dim", "2", "--out", str(tmp_path / "model")],
+        evaluate + ["--integrator", "fixed_rk4", "--out", str(tmp_path / "eval_fixed")],
+        evaluate + ["--integrator", "adaptive", "--out", str(tmp_path / "eval_adaptive")],
+        ["baseline", "--dataset", data, "--model", model, "--integrator", "fixed_rk4",
+         "--out", str(tmp_path / "baseline")],
+        ["scan", "--dataset", data, "--l-values", "1,2", "--seeds", "0",
+         "--out", str(tmp_path / "scan")],
+        ["finetune", "--dataset", data, "--model", model, "--out", str(tmp_path / "tuned")],
+    ]
     code = (f"import sys; sys.path.insert(0, {src!r}); import jumprom.cli; "
-            f"code = jumprom.cli.main({argv!r}); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"codes = [jumprom.cli.main(argv) for argv in {commands!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
-    assert (tmp_path / "data" / "ground_truth.json").is_file()
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
+    assert (tmp_path / "tuned" / "model.txt").is_file()
 
 
 def _split_files(data):
