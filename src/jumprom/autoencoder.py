@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficientEncoderError, TrainingDivergedError, ValidationError
+from .errors import RankDeficientEncoderError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -128,33 +128,22 @@ def _pca_init(data, latent_dim):
     )
 
 
-def train_autoencoder(
-    data,
-    latent_dim,
-    *,
-    epochs=200,
-    learning_rate=1e-4,
-    momentum=0.9,
-    init_params=None,
-    standardize=False,
-):
-    """Fit the autoencoder on a batch of configurations.
+def train_autoencoder(data, latent_dim, *, align_to=None, standardize=False):
+    """Fit the autoencoder on a batch of configurations, in closed form.
 
-    Without ``init_params`` the fit is the principal-subspace solution in
-    closed form: the encoder rows are the leading principal directions,
-    the decoder is their transpose, and the biases center the data.  It is
+    The fit is the principal-subspace solution: the encoder rows span the
+    leading principal directions, and the biases center the data.  It is
     the global minimum of the reconstruction error (Eckart-Young; Baldi &
-    Hornik 1989), so no descent runs.  With ``init_params`` the fit resumes
-    full-batch gradient descent with momentum from those weights, centred
-    on the data mean (see ``_descend``); ``epochs``, ``learning_rate`` and
-    ``momentum`` apply only then.
+    Hornik 1989).  Without ``align_to`` the encoder rows are the principal
+    directions themselves and the decoder is their transpose.  With
+    ``align_to`` (an existing AutoencoderParams) the same span is expressed
+    in the latent coordinates closest to that encoder (see ``_align``).
 
     With ``standardize`` the fit runs on per-column standardized data and
     the scaling is folded back into the returned weights, which therefore
-    always act on raw physical units.
+    always act on raw physical units; ``align_to`` acts on raw units too.
 
-    Returns the fitted AutoencoderParams.  Raises TrainingDivergedError if
-    the descent loss becomes non-finite.
+    Returns the fitted AutoencoderParams.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[0] == 0:
@@ -169,55 +158,41 @@ def train_autoencoder(
         col_scale[np.ptp(data, axis=0) == 0] = 1.0  # constant columns stay unscaled
         data = data / col_scale
 
-    if init_params is None:
-        params = _pca_init(data, latent_dim)
-    else:
-        params = init_params
+    params = _pca_init(data, latent_dim)
+    if align_to is not None:
         if standardize:
-            params = _scale_params(params, col_scale, invert=True)
-        if epochs:
-            params = _descend(data, params, epochs, learning_rate, momentum)
+            align_to = _scale_params(align_to, col_scale, invert=True)
+        params = _align(params, align_to.W_enc)
     return _scale_params(params, col_scale) if standardize else params
 
 
-def _descend(data, params, epochs, learning_rate, momentum):
-    """Full-batch gradient descent with momentum on the reconstruction error.
+def _align(pca, W_target):
+    """Re-express the PCA fit in the latent coordinates closest to ``W_target``.
 
-    The descent runs on the centred data, with the mean folded into the
-    biases on the way in and back out on the way out, so the step size
-    that keeps it stable does not depend on where the data sit: an offset
-    c adds about |c|^2 to the curvature of the uncentred loss.  The encoder
-    bias is a gauge freedom (W_dec b_enc can sit in b_dec instead), so it is
-    fixed at zero on the centred data: it moves into the decoder bias on
-    the way in, which leaves the reconstruction unchanged, and the returned
-    b_enc = -W_enc mean centres the latent state, as the PCA seed does.
+    With V the PCA encoder rows (orthonormal), T = W_target V^T is the
+    l x l map that brings T V closest to ``W_target`` in least squares:
+    orthogonal Procrustes without the orthogonality constraint (Schoenemann,
+    Psychometrika 31, 1966).  The encoder T V and decoder V^T T^-1 keep the
+    PCA span, so the reconstruction is unchanged; b_enc = -W_enc mean
+    centres the latent state.  Raises ValidationError when T's smallest
+    singular value is at most 1e-10 times the largest of ``W_target``
+    (which bounds T's, as V is orthonormal): the span is then orthogonal to
+    a direction of ``W_target``.  Against T's own largest, a T made of
+    rounding alone would pass.
     """
-    mean = data.mean(axis=0)
-    data = data - mean
-    W_e = params.W_enc.copy()
-    W_d = params.W_dec.copy()
-    b_d = params.b_dec - mean + W_d @ (params.b_enc + W_e @ mean)
-    v = [np.zeros_like(a) for a in (W_e, W_d, b_d)]
-    n = data.shape[0]
-
-    for epoch in range(epochs):
-        Z = data @ W_e.T
-        R = Z @ W_d.T + b_d - data
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = float(np.mean(np.sum(R * R, axis=1)))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"reconstruction loss diverged at epoch {epoch}", epoch)
-        grads = (
-            (2.0 / n) * (R @ W_d).T @ data,
-            (2.0 / n) * R.T @ Z,
-            (2.0 / n) * R.sum(axis=0),
+    V, mean = pca.W_enc, pca.b_dec
+    T = W_target @ V.T
+    s = np.linalg.svd(T, compute_uv=False)
+    scale = np.linalg.norm(W_target, 2)
+    if s[-1] <= 1e-10 * scale:
+        l, d = V.shape
+        raise ValidationError(
+            f"cannot align l={l} latent directions in d={d} columns: the data's principal span "
+            f"is orthogonal to the encoder (smallest singular value {s[-1]:.3e} of {scale:.3e})"
         )
-        for buf, (vel, g) in zip((W_e, W_d, b_d), zip(v, grads)):
-            vel *= momentum
-            vel -= learning_rate * g
-            buf += vel
-
-    return AutoencoderParams(W_enc=W_e, b_enc=-W_e @ mean, W_dec=W_d, b_dec=b_d + mean)
+    W_enc = T @ V
+    return AutoencoderParams(W_enc=W_enc, b_enc=-W_enc @ mean,
+                             W_dec=np.linalg.solve(T.T, V).T, b_dec=mean)
 
 
 def _scale_params(params, col_scale, invert=False):

@@ -370,7 +370,8 @@ def build_parser():
     p.add_argument("--integrator", choices=_integrators.INTEGRATORS, default=None)
 
     p = command("finetune", cmd_finetune, "fine-tune an existing model on a new dataset",
-                model=True, seed="recorded only: fine-tuning resumes from the model's weights")
+                model=True,
+                seed="recorded only: the encoder is the closed-form PCA fit aligned to the model's")
     p.add_argument("--threshold", type=float, default=None)
     return parser
 

@@ -49,14 +49,6 @@ class RankDeficientEncoderError(JumpromError):
         self.smallest_singular_value = smallest_singular_value
 
 
-class TrainingDivergedError(JumpromError):
-    code = "E_DIVERGED"
-
-    def __init__(self, message, iteration):
-        super().__init__(message)
-        self.iteration = iteration
-
-
 class PipelineStepError(JumpromError):
     """Wraps a failure inside one of the sequential training steps."""
 

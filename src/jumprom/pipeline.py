@@ -8,11 +8,12 @@ jump is segmented once; a sample's depth is its distance to the nearer end
 of its phase segment, and stage 3 keeps a phase's rows at depth >=
 ``boundary_trim``, clear of the dynamics switch.  One
 driver, ``_fit_stages``, runs the three stages for both ``run_pipeline``
-and ``fine_tune``; fine-tuning changes only where stage 1 starts and which
-supports stage 3 warm-starts from.  The model selection scan repeats the
-pipeline over latent dimensions and seeds and scores each cell with an
-AIC-style combination of test reconstruction error and symbolic
-complexity; one loop runs its seeds, in process or in a worker pool.
+and ``fine_tune``; fine-tuning only aligns stage 1 to the parent's latent
+coordinates and warm-starts stage 3 from the parent's supports.  The
+model selection scan repeats the pipeline over latent dimensions and
+seeds and scores each cell with an AIC-style combination of test
+reconstruction error and symbolic complexity; one loop runs its seeds, in
+process or in a worker pool.
 ``serialize_model`` and ``parse_model`` share one autoencoder layout,
 ``_autoencoder_layout``, and the reader takes every line through one field
 reader, ``_field``, which reports a malformed value with its byte offset.
@@ -72,17 +73,12 @@ PHASE_ORDER = (Phase.CONTACT, Phase.PARTIAL_CONTACT, Phase.FLIGHT)
 class TrainingConfig:
     """Hyperparameters of one pipeline run.
 
-    Stage 1 of training is the closed-form PCA fit, so ``seed`` is only
-    recorded.  ``epochs``, ``learning_rate`` and ``momentum`` drive the
-    stage-1 gradient descent of ``fine_tune``, which resumes from the
-    parent's weights.
+    Stage 1 is the closed-form PCA fit, for training and fine-tuning
+    alike, so ``seed`` is only recorded.
     """
 
     latent_dim: int = 2
     seed: int = 0
-    learning_rate: float = 1e-4
-    momentum: float = 0.9
-    epochs: int = 200
     standardize: bool = False
     decoder_ridge: float = 1e-10
     stlsq_threshold: float = 0.1
@@ -106,8 +102,8 @@ class TrainingConfig:
                 raise ValidationError(f"{f.name} must be true or false, got {value!r}")
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
-        for name in ("learning_rate", "momentum", "epochs", "stlsq_threshold", "stlsq_ridge",
-                     "stlsq_max_iters", "decoder_ridge", "selection_lambda", "boundary_trim"):
+        for name in ("stlsq_threshold", "stlsq_ridge", "stlsq_max_iters", "decoder_ridge",
+                     "selection_lambda", "boundary_trim"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
@@ -240,10 +236,10 @@ def _phase_depth(jumps):
 def _fit_stages(dataset, config, parent=None):
     """Run stages 1 -> 2 -> 3 on the train split; shared by training and fine-tuning.
 
-    Without ``parent`` stage 1 is the closed-form PCA fit.  With a parent
-    model stage 1 resumes descent from its weights, and stage 3 warm-starts
-    each phase from the parent's support.  Returns the StepSnapshots after
-    stages 1 and 2 and the tuple of phase models.
+    Stage 1 is the closed-form PCA fit of the seed-phase configurations.
+    With a parent model it is aligned to the parent's latent coordinates,
+    and stage 3 warm-starts each phase from the parent's support.  Returns
+    the StepSnapshots after stages 1 and 2 and the tuple of phase models.
     """
     train_jumps = _ensure_processed(dataset).jumps_in("train")
     if not train_jumps:
@@ -255,16 +251,13 @@ def _fit_stages(dataset, config, parent=None):
     # stage 1: autoencoder on the seed phase configurations
     q_seed = q_all[labels == config.seed_phase]
     if not len(q_seed):
-        verb = "seed" if parent is None else "resume"
+        verb = "seed" if parent is None else "align"
         raise ValidationError(f"no {config.seed_phase} data to {verb} the autoencoder")
     try:
         ae1 = train_autoencoder(
             q_seed,
             config.latent_dim,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            momentum=config.momentum,
-            init_params=None if parent is None else parent.autoencoder,
+            align_to=None if parent is None else parent.autoencoder,
             standardize=config.standardize,
         )
     except JumpromError as e:
@@ -439,14 +432,15 @@ def write_selection_report(report, path):
 
 
 def fine_tune(model, dataset, config):
-    """Resume all three stages from an existing model on a new dataset.
+    """Refit all three stages of an existing model on a new dataset.
 
-    Stage 1 restarts gradient descent from the existing weights; stage 2
-    re-solves the decoder in closed form; stage 3 warm-starts the sparse
-    regression from the existing support of each phase (new phases start
-    cold).  The latent dimension is the model's, whatever
-    ``config.latent_dim`` says, and the recorded config hash is of the
-    config that ran.  Provenance records the hash of the parent model.
+    Stage 1 is the closed-form PCA fit of the new seed-phase data, aligned
+    to the existing encoder's latent coordinates; stage 2 re-solves the
+    decoder in closed form; stage 3 warm-starts the sparse regression from
+    the existing support of each phase (new phases start cold), so it can
+    keep or drop the existing terms but adds none.  The latent dimension
+    is the model's, whatever ``config.latent_dim`` says, and the recorded
+    config hash is of the config that ran.  Provenance records the hash of the parent model.
     """
     full_dim = dataset.meta.m + 6
     if model.autoencoder.full_dim != full_dim:

@@ -659,6 +659,20 @@ class TestFinetune:
                   "--latent-dim", "5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    def test_retired_keys_ignored(self, gen_dir, trained_dir, tmp_path, command):
+        # keys of earlier versions' stage-1 descent and encoder start
+        config = tmp_path / "old.json"
+        config.write_text(json.dumps({"epochs": 300, "learning_rate": 2e-4, "momentum": 0.9,
+                                      "encoder_init": "random", "fine_tune_lr_scale": 0.1}))
+        out = tmp_path / "out"
+        argv = [command, "--dataset", str(gen_dir), "--config", str(config), "--out", str(out)]
+        if command == "finetune":
+            argv += ["--model", str(trained_dir / "model.txt")]
+        assert main(argv) == 0
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved_config"]
+        assert resolved == pipeline.config_to_dict(pipeline.TrainingConfig())
+
     def test_manifest_records_model_latent_dim(self, gen_dir, trained_dir, tmp_path):
         config = tmp_path / "finetune.json"
         config.write_text(json.dumps({"latent_dim": 5}))
