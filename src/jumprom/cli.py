@@ -32,7 +32,7 @@ from .errors import JumpromError, ValidationError
 from .pipeline import TrainingConfig, config_from_dict
 from .sindy import print_symbolic
 from .trajectory_data import (Phase, format_row, load_dataset, load_split, process_dataset,
-                              process_trajectory)
+                              process_trajectory, sample_step)
 
 OUT_ROOT_ENV = "JUMPROM_OUT_ROOT"
 
@@ -269,7 +269,7 @@ def cmd_baseline(args):
     # every rollout runs before any file is written, so a failing one leaves no partial table
     compared = []
     for idx, jump in test_jumps:
-        dt = float(np.median(np.diff(jump.timestamps)))
+        dt = sample_step(jump.timestamps)
         schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
         base_true = jump.q[:, base]
         state0 = aslip.AslipState(

@@ -19,7 +19,7 @@ from . import _integrators
 from .autoencoder import decode, encode, transform_input
 from .errors import MissingPhaseError, ValidationError, is_finite_real, is_integer
 from .sindy import build_library_row
-from .trajectory_data import Phase, segment_phases
+from .trajectory_data import Phase, sample_step, segment_phases
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=Non
 
 
 def _check_horizon(traj, config):
-    dt = float(np.median(np.diff(traj.timestamps))) if traj.n_samples > 1 else 1.0 / config.step_rate
+    dt = sample_step(traj.timestamps) if traj.n_samples > 1 else 1.0 / config.step_rate
     expected = 1.0 / config.step_rate
     if abs(dt - expected) > 0.01 * expected:
         raise ValidationError(

@@ -18,13 +18,25 @@ The manifest lists the jump files, the joint count m (a multiple of 4,
 one group per leg), the nominal sample step dt, and the train/val/test
 assignment of each jump.  ``load_dataset`` reads every jump file;
 ``load_split`` checks the same manifest and reads only one split's files.
+
+Next to each jump file ``save_dataset`` writes the float64 table it
+formatted, as ``<file>.<SHA-256 of the file's bytes>.npy``.  A loader
+whose jump file still hashes to that name reads the table instead of
+parsing the text; the text stays authoritative, and a missing or
+unreadable table only costs the parse.
 """
 
 from __future__ import annotations
 
+import glob
+import hashlib
+import io
 import json
+import os
+import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -185,6 +197,22 @@ def validate_trajectory(traj, origin):
 # core per-sample operations
 
 
+def sample_step(timestamps):
+    """Median step between consecutive timestamps (at least two); nan when a step is nan.
+
+    Bit for bit ``np.median(np.diff(timestamps))``: the same partition,
+    then the middle step or the mean of the two middle steps.  Calling
+    ``np.median`` itself would import ``numpy.ma``.
+    """
+    steps = np.diff(timestamps)
+    half, odd = divmod(steps.size, 2)
+    middle = [half] if odd else [half - 1, half]
+    part = np.partition(steps, middle + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
+
+
 def differentiate_velocity(traj):
     """Estimate accelerations from the velocity rows.
 
@@ -195,9 +223,8 @@ def differentiate_velocity(traj):
     t = traj.timestamps
     if t.shape[0] < 3:
         raise ValidationError("too few samples for differentiation (need T >= 3)")
-    dts = np.diff(t)
-    dt = float(np.median(dts))
-    if np.max(np.abs(dts - dt)) > 0.01 * dt:
+    dt = sample_step(t)
+    if np.max(np.abs(np.diff(t) - dt)) > 0.01 * dt:
         raise NonUniformTimestepError(
             f"timestep varies by more than 1% (median {dt:.6g}); resampling is unsupported"
         )
@@ -472,7 +499,9 @@ def _read_manifest(path):
 def load_dataset(path):
     """Read a dataset directory, every jump file; derived fields are left unfilled.
 
-    Raises DatasetLoadError naming the offending file and column for any
+    A jump file whose table cache matches its bytes is not parsed (see
+    ``_load_jump_file``); nothing is written into the directory.  Raises
+    DatasetLoadError naming the offending file and column for any
     malformed or invariant-violating input.
     """
     meta, entries = _read_manifest(path)
@@ -486,7 +515,7 @@ def load_split(path, split):
     Returns (meta, jumps), jumps holding one (manifest index, Trajectory)
     per jump of ``split`` in manifest order, derived fields unfilled.  The
     whole manifest is checked as ``load_dataset`` checks it; the files of
-    other splits are not opened.
+    other splits, and their table caches, are not opened.
     """
     meta, entries = _read_manifest(path)
     jumps = tuple((i, _load_jump_file(Path(path) / name, meta.m))
@@ -494,27 +523,72 @@ def load_split(path, split):
     return meta, jumps
 
 
+def _cache_path(path, digest):
+    """The table cache of jump file ``path`` whose bytes hash to ``digest``."""
+    return path.with_name(f"{path.name}.{digest}.npy")
+
+
+def _cached_table(path, width):
+    """The 2-D float64 table of ``width`` columns saved at ``path``, or None.
+
+    The ``.npy`` header is checked before any data is read, so a missing,
+    truncated, foreign or wrongly shaped file is a miss and never an error.
+    """
+    fmt = np.lib.format
+    try:
+        with open(path, "rb") as fh:
+            major, _ = fmt.read_magic(fh)
+            read_header = fmt.read_array_header_1_0 if major == 1 else fmt.read_array_header_2_0
+            shape, fortran_order, dtype = read_header(fh)
+            if len(shape) != 2 or shape[1] != width or dtype != np.float64 or fortran_order:
+                return None
+            # the data must fill the file exactly: a header claiming more is never allocated
+            if os.fstat(fh.fileno()).st_size != fh.tell() + dtype.itemsize * shape[0] * shape[1]:
+                return None
+            fh.seek(0)
+            return np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+
+
 def _load_jump_file(path, m):
+    """One jump file as a validated Trajectory.
+
+    The file is read once.  Its header must match ``_layout``; the table
+    is then taken from the cache named by the SHA-256 of the file's bytes
+    when that holds a float64 array of the header's width, and parsed
+    from the text otherwise.  Either way the same checks follow, with the
+    same messages.
+    """
     if not path.exists():
         raise DatasetLoadError(f"{path.name}: file not found")
-    with open(path, "r") as fh:
-        cols = [c.strip() for c in fh.readline().strip().split(",")]
-        blocks = [(field, names) for field, names, optional in _layout(m)
-                  if not optional or names[0] in cols]
-        expected = [name for _, names in blocks for name in names]
-        if cols != expected:
-            missing = [c for c in expected if c not in cols]
-            extra = [c for c in cols if c not in expected]
-            detail = []
-            if missing:
-                detail.append(f"missing columns {missing[:4]}")
-            if extra:
-                detail.append(f"unexpected columns {extra[:4]}")
-            raise DatasetLoadError(f"{path.name}: header mismatch ({'; '.join(detail) or 'column order'})")
+    raw = path.read_bytes()
+    # decoded as ``open(path)`` would, so a parse error reads the same
+    fh = io.TextIOWrapper(io.BytesIO(raw))
+    cols = [c.strip() for c in fh.readline().strip().split(",")]
+    blocks = [(field, names) for field, names, optional in _layout(m)
+              if not optional or names[0] in cols]
+    expected = [name for _, names in blocks for name in names]
+    if cols != expected:
+        missing = [c for c in expected if c not in cols]
+        extra = [c for c in cols if c not in expected]
+        detail = []
+        if missing:
+            detail.append(f"missing columns {missing[:4]}")
+        if extra:
+            detail.append(f"unexpected columns {extra[:4]}")
+        raise DatasetLoadError(f"{path.name}: header mismatch ({'; '.join(detail) or 'column order'})")
+    data = _cached_table(_cache_path(path, hashlib.sha256(raw).hexdigest()), len(expected))
+    if data is None:
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a header-only file is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as e:
             raise DatasetLoadError(f"{path.name}: parse error: {e}") from e
+    if data.shape[0] == 0:
+        raise DatasetLoadError(f"{path.name}: no samples, only a header")
     if data.shape[1] != len(expected):
         raise DatasetLoadError(
             f"{path.name}: row width {data.shape[1]} does not match header width {len(expected)}"
@@ -532,6 +606,10 @@ def save_dataset(dataset, path):
 
     Floats are written with full precision so a load/save/load round trip
     is bit-exact on every stored column.  Derived fields are not stored.
+    Next to each jump file goes its table cache: the float64 table the
+    file's text holds, saved by ``np.save`` under the name
+    ``<file>.<SHA-256 of the file's bytes>.npy``, in place of any older
+    cache of that file.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -552,10 +630,25 @@ def save_dataset(dataset, path):
 
 
 def _save_jump_file(path, jump, m):
+    """Write one jump file, hashing its bytes as they are written, then its table cache."""
     blocks = [(names, getattr(jump, field)) for field, names, _ in _layout(m)
               if getattr(jump, field) is not None]
-    table = np.column_stack([block for _, block in blocks])
-    with open(path, "w") as fh:
-        fh.write(",".join(name for names, _ in blocks for name in names) + "\n")
-        for row in table:
-            fh.write(format_row(row) + "\n")
+    table = np.column_stack([block for _, block in blocks]).astype(np.float64, copy=False)
+    header = ",".join(name for names, _ in blocks for name in names)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in chain([header], map(format_row, table)):
+            data = (line + "\n").encode()
+            fh.write(data)
+            digest.update(data)
+    cache = _cache_path(path, digest.hexdigest())
+    tmp = cache.with_name(cache.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, table, allow_pickle=False)
+        os.replace(tmp, cache)
+    finally:
+        tmp.unlink(missing_ok=True)
+    for old in path.parent.glob(f"{glob.escape(path.name)}.*.npy"):
+        if old != cache:
+            old.unlink()

@@ -19,3 +19,12 @@ def models_equal(a, b):
         if pa.coefficients.library != pb.coefficients.library:
             return False
     return True
+
+
+def set_cell(path, column, row, value):
+    """Rewrite one cell of a jump file, given by column name and data row."""
+    header, *rows = path.read_text().splitlines()
+    cells = rows[row].split(",")
+    cells[header.split(",").index(column)] = value
+    rows[row] = ",".join(cells)
+    path.write_text("\n".join([header] + rows) + "\n")

@@ -22,6 +22,7 @@ from jumprom.rollout import RolloutConfig, RolloutResult, rollout_full
 from jumprom.sindy import FunctionLibrarySpec
 from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_dataset,
                                      process_dataset, save_dataset)
+from helpers import set_cell
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -374,7 +375,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_no_command_loads_scipy(tmp_path):
     # every command runs on numpy alone: gen draws its input splines
-    # in-house, the integrators and the sparse regression are numpy code
+    # in-house, the integrators and the sparse regression are numpy code;
+    # nor does any load numpy.ma, which np.median imports
     src = str(Path(jumprom.__file__).resolve().parents[1])
     config = tmp_path / "gen.json"
     config.write_text(json.dumps({"n_jumps": 4, "split_counts": [2, 1, 1]}))
@@ -393,7 +395,8 @@ def test_no_command_loads_scipy(tmp_path):
     ]
     code = (f"import sys; sys.path.insert(0, {src!r}); import jumprom.cli; "
             f"codes = [jumprom.cli.main(argv) for argv in {commands!r}]; "
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.split('.')[:2] == ['numpy', 'ma']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
     assert (tmp_path / "tuned" / "model.txt").is_file()
@@ -407,14 +410,6 @@ def _split_files(data):
     return files
 
 
-def _set_cell(path, column, row, value):
-    header, *rows = path.read_text().splitlines()
-    cells = rows[row].split(",")
-    cells[header.split(",").index(column)] = value
-    rows[row] = ",".join(cells)
-    path.write_text("\n".join([header] + rows) + "\n")
-
-
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("column,block,value", [
     ("t", "timestamps", "nan"), ("ff_0", "foot_forces", "nan"),
@@ -424,7 +419,7 @@ def test_non_finite_recorded_value_fails_to_load(gen_dir, trained_dir, tmp_path,
     data = tmp_path / "data"
     shutil.copytree(gen_dir, data)
     name = _split_files(data)["test"][0]   # read by both commands
-    _set_cell(data / name, column, 2, value)
+    set_cell(data / name, column, 2, value)
     args = {"train": ["train", "--latent-dim", "2"],
             "eval": ["eval", "--model", str(trained_dir / "model.txt")]}[command]
     out = tmp_path / "out"
@@ -466,7 +461,7 @@ class TestReadsOnlyTestJumps:
         data = tmp_path / "data"
         shutil.copytree(gen_dir, data)
         name = _split_files(data)["test"][-1]
-        _set_cell(data / name, "q_3", 4, "x")
+        set_cell(data / name, "q_3", 4, "x")
         assert self._run(command, data, trained_dir, tmp_path / "out") == 1
         assert f"ERROR E_LOAD: {name}: parse error" in capsys.readouterr().err
 

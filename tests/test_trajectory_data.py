@@ -1,6 +1,11 @@
 """Dataset loading, preprocessing primitives, and phase segmentation."""
 
+import hashlib
+import pickle
 import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import set_cell
 from jumprom.errors import (
     DatasetLoadError,
     NonUniformTimestepError,
@@ -30,6 +36,7 @@ from jumprom.trajectory_data import (
     load_split,
     process_dataset,
     process_trajectory,
+    sample_step,
     save_dataset,
     segment_phases,
     split_dataset,
@@ -201,6 +208,21 @@ class TestDifferentiateVelocity:
         )
         with pytest.raises(NonUniformTimestepError):
             differentiate_velocity(traj)
+
+
+class TestSampleStep:
+    @given(arrays(np.float64, st.integers(2, 40), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308]), st.floats(allow_nan=False))))
+    def test_equals_median_bit_for_bit(self, timestamps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.float64(np.median(np.diff(timestamps)))
+            got = np.float64(sample_step(timestamps))
+        assert got.view(np.uint64) == expected.view(np.uint64)
+
+    @given(arrays(np.float64, st.integers(2, 40), elements=st.floats(-1e3, 1e3)), st.data())
+    def test_nan_step_gives_nan(self, timestamps, data):
+        timestamps[data.draw(st.integers(0, timestamps.size - 1))] = np.nan
+        assert np.isnan(sample_step(timestamps))
 
 
 class TestFootForce:
@@ -506,13 +528,15 @@ class TestDatasetRoundTrip:
     @given(st.data())
     def test_save_load_property(self, data):
         # every stored column, bit for bit (sign of zero included), over m,
-        # T and each optional block on or off
+        # T and each optional block on or off; once from the table caches
+        # and once from the text with the caches deleted
         draw = data.draw
         m = draw(st.sampled_from([4, 8]))
-        finite = st.floats(allow_nan=False, allow_infinity=False)
+        finite = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+                           st.floats(allow_nan=False, allow_infinity=False))
         jumps = []
         for _ in range(draw(st.integers(1, 2))):
-            T = draw(st.integers(3, 8))
+            T = draw(st.integers(3, 6))
             block = lambda width, elements=finite: draw(arrays(np.float64, (T, width),
                                                                elements=elements))
             optional = lambda width: block(width) if draw(st.booleans()) else None
@@ -529,13 +553,133 @@ class TestDatasetRoundTrip:
         dataset = Dataset(jumps=tuple(jumps), split=split, meta=meta)
         with tempfile.TemporaryDirectory() as root:
             save_dataset(dataset, root)
-            loaded = load_dataset(root)
-        assert loaded.split == split and loaded.meta == meta
-        for a, b in zip(dataset.jumps, loaded.jumps):
-            for name in ("timestamps", "q", "dq", "tau", "contact",
-                         "foot_forces", "foot_positions", "com_positions"):
-                va, vb = getattr(a, name), getattr(b, name)
-                assert (va is None) == (vb is None), name
-                if va is not None:
-                    assert vb.shape == va.shape and vb.tobytes() == va.tobytes(), name
-            assert b.ddq is None and b.u is None
+            assert len(_caches(root)) == len(jumps)
+            hit = load_dataset(root)
+            for cache in _caches(root):
+                cache.unlink()
+            miss = load_dataset(root)
+        for loaded in (hit, miss):
+            assert loaded.split == split and loaded.meta == meta
+            for a, b in zip(dataset.jumps, loaded.jumps):
+                for name in STORED:
+                    va, vb = getattr(a, name), getattr(b, name)
+                    assert (va is None) == (vb is None), name
+                    if va is not None:
+                        assert vb.shape == va.shape, name
+                        assert np.array_equal(vb.view(np.uint64), va.view(np.uint64)), name
+                assert b.ddq is None and b.u is None
+
+
+STORED = ("timestamps", "q", "dq", "tau", "contact", "foot_forces", "foot_positions",
+          "com_positions")
+
+
+def _caches(root):
+    return sorted(Path(root).glob("*.npy"))
+
+
+def _load_outcome(root):
+    """The stored blocks of every jump as bytes, or the load error's message."""
+    try:
+        dataset = load_dataset(root)
+    except DatasetLoadError as e:
+        return str(e)
+    return [[None if getattr(j, n) is None else getattr(j, n).tobytes() for n in STORED]
+            for j in dataset.jumps]
+
+
+def _text_outcome(root, tmp_path):
+    """``_load_outcome`` of a copy of ``root`` without its table caches."""
+    copy = tmp_path / "text_only"
+    copy.mkdir()
+    for f in Path(root).iterdir():
+        if f.suffix != ".npy":
+            (copy / f.name).write_bytes(f.read_bytes())
+    return _load_outcome(copy)
+
+
+class TestTableCache:
+    """The ``.npy`` table saved next to each jump file, keyed by the file's SHA-256."""
+
+    def _saved(self, root, seed=0):
+        rng = np.random.default_rng(seed)
+        jumps = tuple(replace(_tiny_jump(T=6), q=rng.normal(size=(6, M + 6)),
+                              foot_forces=rng.normal(size=(6, 12))) for _ in range(2))
+        save_dataset(Dataset(jumps=jumps, split=("train", "test"),
+                             meta=DatasetMeta("t", M, 0.1)), root)
+        return jumps
+
+    def test_one_cache_per_jump_named_by_hash(self, tmp_path):
+        self._saved(tmp_path)
+        expected = [f"{csv.name}.{hashlib.sha256(csv.read_bytes()).hexdigest()}.npy"
+                    for csv in sorted(tmp_path.glob("jump_*.csv"))]
+        assert len(expected) == 2 and [c.name for c in _caches(tmp_path)] == expected
+
+    def test_hit_never_parses_text(self, tmp_path, monkeypatch):
+        jumps = self._saved(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a cache hit")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        loaded = load_dataset(tmp_path)
+        assert all(np.array_equal(a.q, b.q) for a, b in zip(jumps, loaded.jumps))
+        _, ((_, jump),) = load_split(tmp_path, "test")
+        assert np.array_equal(jump.foot_forces, jumps[1].foot_forces)
+
+    @pytest.mark.parametrize("damage", [
+        "csv_value", "csv_garbled", "csv_non_finite", "truncated", "empty", "huge_shape",
+        "int64", "narrow", "big_endian", "object_array", "pickle"])
+    def test_falls_back_to_text(self, tmp_path, damage):
+        root = tmp_path / "data"
+        self._saved(root)
+        cache = _caches(root)[0]
+        table = np.load(cache)
+        if damage.startswith("csv_"):
+            value = {"csv_value": "0.5", "csv_garbled": "x", "csv_non_finite": "inf"}[damage]
+            set_cell(root / "jump_000.csv", "q_3", 2, value)
+        elif damage in ("truncated", "empty"):
+            cut = len(cache.read_bytes()) - 8 if damage == "truncated" else 0
+            cache.write_bytes(cache.read_bytes()[:cut])
+        elif damage == "huge_shape":   # the data of a (1e12, width) table would not fit
+            with open(cache, "wb") as fh:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": "<f8", "fortran_order": False, "shape": (10**12, table.shape[1])})
+                fh.write(table.tobytes())
+        elif damage == "object_array":
+            np.save(cache, np.array(table.tolist(), dtype=object), allow_pickle=True)
+        elif damage == "pickle":   # would run code if it were unpickled
+            cache.write_bytes(pickle.dumps(table))
+        else:
+            np.save(cache, {"int64": table.astype(np.int64), "narrow": table[:, :-1],
+                            "big_endian": table.astype(">f8")}[damage])
+        before = sorted(p.name for p in root.iterdir())
+        outcome = _load_outcome(root)
+        assert outcome == _text_outcome(root, tmp_path)
+        assert sorted(p.name for p in root.iterdir()) == before   # loading writes nothing
+        if damage == "csv_value":
+            assert float(load_dataset(root).jumps[0].q[2, 3]) == 0.5
+        if damage in ("csv_garbled", "csv_non_finite"):
+            assert outcome.startswith("jump_000.csv: ")
+
+    def test_resave_keeps_one_cache_per_jump(self, tmp_path):
+        self._saved(tmp_path, seed=0)
+        first = _caches(tmp_path)
+        jumps = self._saved(tmp_path, seed=1)
+        caches = _caches(tmp_path)
+        assert len(caches) == 2 and not set(caches) & set(first)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert all(np.array_equal(a.q, b.q) for a, b in zip(jumps, load_dataset(tmp_path).jumps))
+
+    def test_header_only_file_has_no_samples(self, tmp_path):
+        empty = replace(_tiny_jump(T=0), timestamps=np.zeros(0))
+        save_dataset(Dataset(jumps=(empty,), split=("train",), meta=DatasetMeta("t", M, 0.1)),
+                     tmp_path)
+        assert len((tmp_path / "jump_000.csv").read_text().splitlines()) == 1
+        for path in ("hit", "miss"):
+            if path == "miss":
+                _caches(tmp_path)[0].unlink()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DatasetLoadError, match=r"^jump_000\.csv: no samples"):
+                    load_dataset(tmp_path)
