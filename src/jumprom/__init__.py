@@ -51,7 +51,6 @@ from .trajectory_data import (
     add_noise,
     assemble_input,
     compute_com_wrench,
-    compute_foot_force,
     differentiate_velocity,
     load_dataset,
     process_dataset,

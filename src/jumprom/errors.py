@@ -29,16 +29,6 @@ class NonUniformTimestepError(ValidationError):
     code = "E_TIMESTEP"
 
 
-class SingularJacobianError(JumpromError):
-    """Leg Jacobian too ill-conditioned to invert; carries the estimate."""
-
-    code = "E_SINGULAR"
-
-    def __init__(self, message, condition):
-        super().__init__(message)
-        self.condition = condition
-
-
 class RankDeficientEncoderError(JumpromError):
     """Encoder weight matrix has (numerically) deficient row rank."""
 

@@ -45,7 +45,6 @@ import numpy as np
 from .errors import (
     DatasetLoadError,
     NonUniformTimestepError,
-    SingularJacobianError,
     ValidationError,
     is_finite_real,
     is_integer,
@@ -231,25 +230,6 @@ def differentiate_velocity(traj):
     return np.gradient(traj.dq, dt, axis=0, edge_order=2)
 
 
-def compute_foot_force(jacobian, leg_torques, *, max_condition=1e8):
-    """Ground reaction force of one leg from its joint torques.
-
-    Solves J^T F = tau, i.e. F = J^{-T} tau, for a square (3x3) leg
-    Jacobian.  Raises SingularJacobianError when the condition number
-    exceeds ``max_condition``.
-    """
-    J = np.asarray(jacobian, dtype=float)
-    tau = np.asarray(leg_torques, dtype=float)
-    if J.shape[0] != J.shape[1]:
-        raise ValidationError(f"leg Jacobian must be square, got {J.shape}")
-    cond = float(np.linalg.cond(J))
-    if not np.isfinite(cond) or cond > max_condition:
-        raise SingularJacobianError(
-            f"leg Jacobian condition number {cond:.3e} exceeds {max_condition:.1e}", cond
-        )
-    return np.linalg.solve(J.T, tau)
-
-
 def compute_com_wrench(foot_forces, foot_positions, com):
     """Aggregate the per-foot forces into the 6-vector CoM wrench.
 
@@ -306,13 +286,13 @@ def segment_phases(contact):
 # derivation of the Trajectory fields ddq and u
 
 
-def process_trajectory(traj, m, *, jacobians=None):
+def process_trajectory(traj, m):
     """Return the jump with its derived fields ddq and u filled.
 
-    The CoM wrench is built from recorded foot forces when present (forces
-    of non-contact feet are zeroed first).  Otherwise per-sample leg
-    Jacobians (T, 4, 3, 3) must be supplied and forces are recovered from
-    the joint torques.  Foot positions are required either way; the CoM
+    The CoM wrench is built from the recorded foot forces, those of feet
+    not in contact zeroed first.  A jump with a foot down must record
+    them; a jump with no foot down needs none and gets a zero wrench.
+    Foot positions are required wherever a force is nonzero; the CoM
     falls back to the base position when no com_positions are recorded.
     """
     ddq = differentiate_velocity(traj)
@@ -320,22 +300,10 @@ def process_trajectory(traj, m, *, jacobians=None):
 
     if traj.foot_forces is not None:
         F = traj.foot_forces.reshape(T, 4, 3).copy()
-    elif jacobians is not None:
-        J = np.asarray(jacobians, dtype=float)
-        if J.shape != (T, 4, 3, 3):
-            raise ValidationError(f"jacobians must have shape {(T, 4, 3, 3)}, got {J.shape}")
-        n_j = m // 4
-        if n_j != 3:
-            raise ValidationError("torque-based force recovery needs 3 joints per leg")
-        F = np.zeros((T, 4, 3))
-        for k in range(4):
-            leg_tau = traj.tau[:, 3 * k : 3 * k + 3]
-            for i in range(T):
-                if traj.contact[i, k]:
-                    F[i, k] = compute_foot_force(J[i, k], leg_tau[i])
     elif np.any(traj.contact != 0):
         raise ValidationError(
-            "cannot derive the CoM wrench: no recorded foot forces and no leg Jacobians"
+            "cannot derive the CoM wrench: recorded foot forces (ff_0..ff_11) are required "
+            "while a foot is in contact"
         )
     else:
         F = np.zeros((T, 4, 3))
@@ -354,13 +322,10 @@ def process_trajectory(traj, m, *, jacobians=None):
     return replace(traj, ddq=ddq, u=assemble_input(traj.tau, wrench))
 
 
-def process_dataset(dataset, *, jacobians=None):
+def process_dataset(dataset):
     """Apply process_trajectory to every jump; returns a new Dataset."""
-    jumps = []
-    for i, jump in enumerate(dataset.jumps):
-        jac = jacobians[i] if jacobians is not None else None
-        jumps.append(process_trajectory(jump, dataset.meta.m, jacobians=jac))
-    return Dataset(jumps=tuple(jumps), split=dataset.split, meta=dataset.meta)
+    jumps = tuple(process_trajectory(jump, dataset.meta.m) for jump in dataset.jumps)
+    return Dataset(jumps=jumps, split=dataset.split, meta=dataset.meta)
 
 
 def is_processed(dataset):
@@ -414,8 +379,8 @@ def add_noise(dataset, sigma, seed):
     ``sigma`` is a scalar applied to all three signals or a mapping with
     keys among {"q", "dq", "tau"}.  Recorded foot forces and positions are
     left untouched.  The derived fields ddq and u are left unfilled, as
-    ``load_dataset`` leaves them: derive them with ``process_dataset``,
-    with the leg Jacobians the clean record needed, if any.
+    ``load_dataset`` leaves them: derive them again with
+    ``process_dataset``.
     """
     sig = _sigma_map(sigma)
     rng = np.random.default_rng(seed)
@@ -462,7 +427,7 @@ def _read_manifest(path):
         raise DatasetLoadError(f"no {MANIFEST_NAME} in {root}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # invalid JSON, or bytes that are not text
         raise DatasetLoadError(f"{manifest_path.name}: invalid JSON ({e})") from e
     if not isinstance(manifest, dict):
         raise DatasetLoadError(f"{manifest_path.name}: must hold a JSON object")
@@ -554,7 +519,8 @@ def _cached_table(path, width):
 def _load_jump_file(path, m):
     """One jump file as a validated Trajectory.
 
-    The file is read once.  Its header must match ``_layout``; the table
+    The file is read once and must be UTF-8 text; a byte that is not
+    fails naming its offset.  Its header must match ``_layout``; the table
     is then taken from the cache named by the SHA-256 of the file's bytes
     when that holds a float64 array of the header's width, and parsed
     from the text otherwise.  Either way the same checks follow, with the
@@ -563,8 +529,12 @@ def _load_jump_file(path, m):
     if not path.exists():
         raise DatasetLoadError(f"{path.name}: file not found")
     raw = path.read_bytes()
-    # decoded as ``open(path)`` would, so a parse error reads the same
-    fh = io.TextIOWrapper(io.BytesIO(raw))
+    try:
+        raw.decode()
+    except UnicodeDecodeError as e:
+        raise DatasetLoadError(f"{path.name}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    # read with universal newlines, as ``open(path)`` reads, so a parse error reads the same
+    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
     cols = [c.strip() for c in fh.readline().strip().split(",")]
     blocks = [(field, names) for field, names, optional in _layout(m)
               if not optional or names[0] in cols]

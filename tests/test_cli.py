@@ -9,7 +9,7 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ import pytest
 import jumprom
 from jumprom import pipeline, synthetic, trajectory_data
 from jumprom.cli import FLAGS, KEYS, _write_series, build_parser, main
+from jumprom.errors import DatasetLoadError
 from jumprom.rollout import RolloutConfig, RolloutResult, rollout_full
 from jumprom.sindy import FunctionLibrarySpec
 from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_dataset,
@@ -489,6 +490,98 @@ class TestReadsOnlyTestJumps:
         monkeypatch.setattr(trajectory_data, "_load_jump_file", spy)
         assert self._run(command, gen_dir, trained_dir, tmp_path / "out") == 0
         assert read == _split_files(gen_dir)["test"]
+
+
+class TestForceRule:
+    """The CoM wrench comes from the recorded ff_* columns alone."""
+
+    MESSAGE = ("cannot derive the CoM wrench: recorded foot forces (ff_0..ff_11) are "
+               "required while a foot is in contact")
+
+    def _save_without_forces(self, gen_dir, path, flight_split):
+        # no ff_* group at all; the jumps of ``flight_split`` have no foot down
+        dataset = load_dataset(gen_dir)
+        jumps = tuple(
+            replace(j, foot_forces=None,
+                    contact=np.zeros_like(j.contact) if label == flight_split else j.contact)
+            for j, label in zip(dataset.jumps, dataset.split))
+        save_dataset(Dataset(jumps=jumps, split=dataset.split, meta=dataset.meta), path)
+        assert "ff_0" not in (path / "jump_000.csv").read_text().split("\n", 1)[0]
+
+    def test_contact_without_forces_fails(self, gen_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        self._save_without_forces(gen_dir, data, flight_split="test")
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", str(data), "--latent-dim", "2", "--out", str(out)]) == 1
+        assert f"ERROR E_VALIDATE: {self.MESSAGE}" in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
+
+    def test_flight_without_forces_processes(self, gen_dir, trained_dir, tmp_path):
+        # eval reads only the test jumps, which are airborne throughout
+        data = tmp_path / "data"
+        self._save_without_forces(gen_dir, data, flight_split="test")
+        meta, jumps = trajectory_data.load_split(data, "test")
+        for _, jump in jumps:
+            processed = trajectory_data.process_trajectory(jump, meta.m)
+            assert np.array_equal(processed.u[:, : meta.m], jump.tau)
+            assert np.all(processed.u[:, meta.m :] == 0.0)
+        assert main(["eval", "--dataset", str(data), "--model", str(trained_dir / "model.txt"),
+                     "--integrator", "fixed_rk4", "--out", str(tmp_path / "out")]) == 0
+
+
+class TestNotUtf8JumpFile:
+    """A jump file that is not UTF-8 text fails every loader with E_LOAD.
+
+    Changing a byte changes the CSV's SHA-256, so its table cache no
+    longer matches and cannot hide the bad byte: every case reaches the
+    text.  The first 8 KB are decoded as one chunk when the header is read,
+    so the places below cover the first chunk and a later one.
+    """
+
+    @pytest.fixture(params=["offset_0", "header", "first_row", "past_8k"])
+    def damaged(self, request, gen_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(gen_dir, data)
+        name = _split_files(data)["test"][0]
+        raw = bytearray((data / name).read_bytes())
+        header_end = raw.index(b"\n")
+        offset = {"offset_0": 0, "header": header_end // 2, "first_row": header_end + 10,
+                  "past_8k": 8192 + 100}[request.param]
+        assert raw.index(b"\n", header_end + 1) < 8192 < len(raw) - 100
+        raw[offset] = 0xFF
+        (data / name).write_bytes(bytes(raw))
+        return data, name, f"{name}: not UTF-8 text (invalid start byte at byte {offset})"
+
+    def test_load_dataset(self, damaged):
+        data, _, message = damaged
+        with pytest.raises(DatasetLoadError) as err:
+            load_dataset(data)
+        assert str(err.value) == message
+
+    def test_load_split(self, damaged):
+        data, _, message = damaged
+        with pytest.raises(DatasetLoadError) as err:
+            trajectory_data.load_split(data, "test")
+        assert str(err.value) == message
+
+    def test_cli_train(self, damaged, tmp_path):
+        data, _, message = damaged
+        src = str(Path(jumprom.__file__).resolve().parents[1])
+        argv = ["train", "--dataset", str(data), "--latent-dim", "2", "--out", str(tmp_path / "out")]
+        code = (f"import sys; sys.path.insert(0, {src!r}); import jumprom.cli; "
+                f"sys.exit(jumprom.cli.main({argv!r}))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 1
+        assert f"ERROR E_LOAD: {message}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_manifest_not_utf8_fails_to_load(gen_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    (data / "manifest.json").write_bytes(b"\xff" + (data / "manifest.json").read_bytes())
+    with pytest.raises(DatasetLoadError, match="manifest.json: invalid JSON"):
+        load_dataset(data)
 
 
 def test_series_text_is_repr_of_each_value(tmp_path):

@@ -17,7 +17,6 @@ from helpers import set_cell
 from jumprom.errors import (
     DatasetLoadError,
     NonUniformTimestepError,
-    SingularJacobianError,
     ValidationError,
 )
 from jumprom.trajectory_data import (
@@ -30,7 +29,6 @@ from jumprom.trajectory_data import (
     add_noise,
     assemble_input,
     compute_com_wrench,
-    compute_foot_force,
     differentiate_velocity,
     load_dataset,
     load_split,
@@ -225,32 +223,6 @@ class TestSampleStep:
         assert np.isnan(sample_step(timestamps))
 
 
-class TestFootForce:
-    def test_identity_jacobian(self):
-        F = compute_foot_force(np.eye(3), [1.0, 2.0, 3.0])
-        assert np.allclose(F, [1.0, 2.0, 3.0])
-
-    def test_diagonal_scaling(self):
-        F = compute_foot_force(np.diag([2.0, 2.0, 2.0]), [2.0, 4.0, 6.0])
-        assert np.allclose(F, [1.0, 2.0, 3.0])
-
-    def test_torque_round_trip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            J = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-            if np.linalg.cond(J) > 1e6:
-                continue
-            tau = rng.normal(size=3)
-            F = compute_foot_force(J, tau)
-            assert np.max(np.abs(J.T @ F - tau)) < 1e-9
-
-    def test_singular_jacobian(self):
-        J = np.ones((3, 3))
-        with pytest.raises(SingularJacobianError) as err:
-            compute_foot_force(J, np.ones(3))
-        assert err.value.condition > 1e8
-
-
 class TestComWrench:
     def test_single_foot_cross_product(self):
         F = np.zeros((4, 3))
@@ -412,9 +384,10 @@ class TestAddNoise:
         out = add_noise(self._processed(), 0.05, seed=3)
         assert all(j.ddq is None and j.u is None for j in out.jumps)
 
-    def test_jacobian_processed_dataset(self):
-        # a wrench recovered from torques through leg Jacobians: the noised
-        # record is processed again with the same Jacobians
+    def test_torque_noise_changes_only_the_torque_inputs(self):
+        # noise on tau alone, re-processed: q and ddq keep their bits, the
+        # torque columns of u all move, and the wrench built from the
+        # recorded foot forces keeps its bits
         m, T = 12, 6
         rng = np.random.default_rng(8)
         jump = Trajectory(
@@ -423,60 +396,47 @@ class TestAddNoise:
             dq=rng.normal(size=(T, m + 6)),
             tau=rng.normal(size=(T, m)),
             contact=np.ones((T, 4)),
+            foot_forces=rng.normal(size=(T, 12)),
             foot_positions=rng.normal(size=(T, 12)),
         )
-        jac = [np.tile(np.eye(3), (T, 4, 1, 1))]
         clean = process_dataset(
-            Dataset(jumps=(jump,), split=("train",), meta=DatasetMeta(robot="test", m=m, dt=0.01)),
-            jacobians=jac,
+            Dataset(jumps=(jump,), split=("train",), meta=DatasetMeta(robot="test", m=m, dt=0.01))
         )
-        noisy = process_dataset(add_noise(clean, {"tau": 0.1}, seed=0), jacobians=jac)
+        noisy = process_dataset(add_noise(clean, {"tau": 0.1}, seed=0))
         (before,), (after,) = clean.jumps, noisy.jumps
         assert np.array_equal(after.q, before.q)
         assert np.array_equal(after.ddq, before.ddq)
-        assert np.all(after.u != before.u)
+        assert np.all(after.u[:, :m] != before.u[:, :m])
+        assert np.array_equal(after.u[:, m:], before.u[:, m:])
+        assert np.any(before.u[:, m:] != 0.0)
 
 
 class TestProcessTrajectory:
     M12 = 12
 
-    def _jump(self, with_forces):
+    def _jump_without_forces(self, contact_value):
         rng = np.random.default_rng(21)
         T = 8
-        traj = Trajectory(
+        return Trajectory(
             timestamps=np.arange(T) * 0.01,
             q=rng.normal(size=(T, self.M12 + 6)),
             dq=rng.normal(size=(T, self.M12 + 6)),
             tau=rng.normal(size=(T, self.M12)),
-            contact=np.ones((T, 4)),
-            foot_forces=rng.normal(size=(T, 12)) if with_forces else None,
+            contact=np.full((T, 4), contact_value),
             foot_positions=rng.normal(size=(T, 12)),
         )
-        return traj
-
-    def test_forces_take_priority_over_jacobians(self):
-        traj = self._jump(with_forces=True)
-        jac = np.tile(np.eye(3), (traj.n_samples, 4, 1, 1))
-        with_jac = process_trajectory(traj, self.M12, jacobians=jac)
-        without = process_trajectory(traj, self.M12)
-        assert np.array_equal(with_jac.u, without.u)
-
-    def test_jacobian_fallback_uses_torques(self):
-        # identity leg Jacobians: the recovered force equals the leg torque
-        traj = self._jump(with_forces=False)
-        jac = np.tile(np.eye(3), (traj.n_samples, 4, 1, 1))
-        processed = process_trajectory(traj, self.M12, jacobians=jac)
-        forces = traj.tau.reshape(traj.n_samples, 4, 3)
-        com = traj.q[:, self.M12 : self.M12 + 3]
-        expected = compute_com_wrench(
-            forces, traj.foot_positions.reshape(-1, 4, 3), com
-        )
-        assert np.allclose(processed.u[:, self.M12 :], expected)
 
     def test_no_force_source_errors(self):
-        traj = self._jump(with_forces=False)
-        with pytest.raises(ValidationError, match="no recorded foot forces"):
+        traj = self._jump_without_forces(1.0)
+        with pytest.raises(ValidationError, match=r"foot forces \(ff_0..ff_11\) are required "
+                                                  "while a foot is in contact"):
             process_trajectory(traj, self.M12)
+
+    def test_flight_without_forces_has_zero_wrench(self):
+        traj = self._jump_without_forces(0.0)
+        processed = process_trajectory(traj, self.M12)
+        assert np.array_equal(processed.u[:, : self.M12], traj.tau)
+        assert np.all(processed.u[:, self.M12 :] == 0.0)
 
 
 class TestDatasetRoundTrip:
