@@ -32,7 +32,7 @@ from .errors import JumpromError, ValidationError
 from .pipeline import TrainingConfig, config_from_dict
 from .sindy import print_symbolic
 from .trajectory_data import (Phase, format_row, load_dataset, load_split, process_dataset,
-                              process_trajectory, sample_step)
+                              process_jump, sample_step)
 
 OUT_ROOT_ENV = "JUMPROM_OUT_ROOT"
 
@@ -147,7 +147,7 @@ def _load_test_jumps(path):
     meta, jumps = load_split(path, "test")
     if not jumps:
         raise ValidationError("dataset has no test split")
-    return meta, [(idx, process_trajectory(jump, meta.m)) for idx, jump in jumps]
+    return meta, [(idx, process_jump(idx, jump, meta.m)) for idx, jump in jumps]
 
 
 def _write_series(path, result):

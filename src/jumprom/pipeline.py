@@ -4,9 +4,9 @@ Stage 1 fits the autoencoder on the configurations of the seed phase (full
 contact by default).  Stage 2 freezes the encoder and refits the decoder
 on every phase in closed form.  Stage 3 freezes the whole autoencoder and
 sparse-regresses the latent dynamics of each phase separately.  Each train
-jump is segmented once; a sample's depth is its distance to the nearer end
-of its phase segment, and stage 3 keeps a phase's rows at depth >=
-``boundary_trim``, clear of the dynamics switch.  One
+jump is segmented once; stage 3 reads each segment of a phase where it
+lies, ``boundary_trim`` samples clear of either end and so of the dynamics
+switch, and streams it into the phase's normal equations.  One
 driver, ``_fit_stages``, runs the three stages for both ``run_pipeline``
 and ``fine_tune``; fine-tuning only aligns stage 1 to the parent's latent
 coordinates and warm-starts stage 3 from the parent's supports.  The
@@ -211,24 +211,6 @@ def _ensure_processed(dataset):
     return dataset if is_processed(dataset) else process_dataset(dataset)
 
 
-def _phase_depth(jumps):
-    """Phase and depth of every sample of ``jumps``, concatenated in jump order.
-
-    Each jump is segmented once.  Depth is the distance in samples to the
-    nearer end of the sample's segment; finite-difference accelerations
-    straddle the switch at segment ends, so stage 3 keeps a phase's rows at
-    depth >= ``boundary_trim`` (``seg.start + trim .. seg.end - trim``).
-    """
-    labels, depth = [], []
-    for jump in jumps:
-        jump_labels, segments = segment_phases(jump.contact)
-        labels += jump_labels
-        for seg in segments:
-            k = np.arange(len(seg))
-            depth.append(np.minimum(k, k[::-1]))
-    return np.array(labels, dtype=object), np.concatenate(depth)
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -245,14 +227,16 @@ def _fit_stages(dataset, config, parent=None):
     if not train_jumps:
         raise ValidationError("dataset has no train split")
 
-    labels, depth = _phase_depth(train_jumps)
+    segments = [(jump, seg) for jump in train_jumps for seg in segment_phases(jump.contact)[1]]
     q_all = np.concatenate([j.q for j in train_jumps], axis=0)
 
     # stage 1: autoencoder on the seed phase configurations
-    q_seed = q_all[labels == config.seed_phase]
-    if not len(q_seed):
+    q_seed = [jump.q[seg.start:seg.end + 1] for jump, seg in segments
+              if seg.phase is config.seed_phase]
+    if not q_seed:
         verb = "seed" if parent is None else "align"
         raise ValidationError(f"no {config.seed_phase} data to {verb} the autoencoder")
+    q_seed = np.concatenate(q_seed, axis=0)
     try:
         ae1 = train_autoencoder(
             q_seed,
@@ -275,21 +259,22 @@ def _fit_stages(dataset, config, parent=None):
     supports = {} if parent is None else {
         pm.phase: pm.coefficients.active_mask for pm in parent.phases
     }
-    jump_ends = np.cumsum([j.n_samples for j in train_jumps])[:-1]
+    trim = config.boundary_trim
     phase_models = []
     for phase in PHASE_ORDER:
-        in_phase = labels == phase
-        if not in_phase.any():
+        in_phase = [(jump, seg) for jump, seg in segments if seg.phase is phase]
+        if not in_phase:
             continue
-        rows = in_phase & (depth >= config.boundary_trim)
-        if not rows.any():
+        # finite-difference accelerations straddle the switch at segment ends
+        slices = [(jump, slice(seg.start + trim, seg.end + 1 - trim)) for jump, seg in in_phase
+                  if len(seg) > 2 * trim]
+        if not slices:
             raise ValidationError(f"no data for phase {phase}")
-        data = _latent_phase_data(ae2, train_jumps, np.split(rows, jump_ends))
         try:
             pm = fit_phase_model(
                 ae2,
                 config.library,
-                data,
+                (_latent_phase_data(ae2, jump, rows) for jump, rows in slices),
                 config.stlsq_threshold,
                 config.stlsq_ridge,
                 latent_weight=config.latent_accel_weight,
@@ -332,19 +317,13 @@ def run_pipeline(dataset, config, record_steps=False):
     return (model, steps) if record_steps else model
 
 
-def _latent_phase_data(params, jumps, rows):
-    """Encoded regression data of one phase; ``rows`` holds one sample mask per jump.
-
-    The gathered q, dq and u die here, not held while the phase is fitted.
-    """
-    def gather(attr):
-        return np.concatenate([getattr(j, attr)[r] for j, r in zip(jumps, rows)], axis=0)
-
-    ddq = gather("ddq")
+def _latent_phase_data(params, jump, rows):
+    """Encoded regression data of the samples ``rows`` (a slice) of one jump."""
+    ddq = jump.ddq[rows]
     return LatentPhaseData(
-        xi=encode(params, gather("q"), 0),
-        dxi=encode(params, gather("dq"), 1),
-        nu=transform_input(params, gather("u")),
+        xi=encode(params, jump.q[rows], 0),
+        dxi=encode(params, jump.dq[rows], 1),
+        nu=transform_input(params, jump.u[rows]),
         ddxi=encode(params, ddq, 2),
         ddq=ddq,
     )
@@ -612,6 +591,13 @@ def parse_model(text):
 
 
 def load_model(path):
-    with open(path, "r") as fh:
-        return parse_model(fh.read())
+    """Read a model file; bytes that are not UTF-8 raise ModelFormatError
+    at the offset of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"not UTF-8 text ({e.reason})", e.start) from e
+    return parse_model(text.replace("\r\n", "\n"))  # as text mode reads a CRLF file
 

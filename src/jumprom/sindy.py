@@ -19,11 +19,12 @@ block of the system on its support and factors it by Cholesky.  So no
 dense matrix larger than half the unknowns is factored.  The regression
 runs on numpy alone: ``np.linalg.cholesky`` factors and checks positive
 definiteness, and the triangular solves and the inverse of a factor go
-through the inverses of its diagonal blocks.  The design matrix is freed
-once the normal equations are formed, the factors become their inverses
-in place, and the batched library, the gathers and the triangular
-kernels work in blocks of rows, so a fit holds max(N p, l p^2) doubles
-plus bounded blocks.  A system that is not numerically positive definite
+through the inverses of its diagonal blocks.  The design matrix is never
+held: each block of samples adds its rows' Gram and right-hand side to
+the normal equations ``_BLOCK`` rows at a time.  The factors become their
+inverses in place, and the gathers and the triangular kernels work in
+blocks of rows, so a fit holds l p^2 doubles plus Gram and bounded
+blocks.  A system that is not numerically positive definite
 (a rank-deficient Gram far larger than ridge/eps) is solved by LU on its
 support block instead, with one warning per fit.
 """
@@ -103,9 +104,10 @@ class FunctionLibrarySpec:
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
-# rows per block of the batched library, of the in-place gathers of the
-# regression and of its triangular kernels: bounds their temporaries to
-# _BLOCK x (columns) doubles.  A power of two, for ``_block_inverses``.
+# rows per library block of the normal equations, per in-place gather of
+# the regression and per block of its triangular kernels: bounds their
+# temporaries to _BLOCK x (columns) doubles.  A power of two, for
+# ``_block_inverses``.
 _BLOCK = 64
 
 
@@ -150,9 +152,8 @@ def build_library(spec, xi, dxi, nu=None):
     design matrix, or the (p,) row, in canonical order.  The base columns
     of ``_library_plan`` are one concatenate; the terms are one take of
     their first factors, multiplied in place by one take per further
-    factor position.  A batch of more than ``_BLOCK`` rows is built
-    ``_BLOCK`` rows at a time, so its temporaries stay bounded whatever N
-    is; each element is the same product of the same factors either way.
+    factor position.  Its temporaries are a few N x p arrays, so the
+    regression calls it on ``_BLOCK`` rows at a time.
     """
     xi = np.asarray(xi, dtype=float)
     dxi = np.asarray(dxi, dtype=float)
@@ -165,13 +166,6 @@ def build_library(spec, xi, dxi, nu=None):
         if nu.shape != xi.shape:
             raise ValidationError(f"inputs must have shape {xi.shape}, got {nu.shape}")
     first, *later = _library_plan(spec, xi.shape[-1])
-    if xi.ndim > 1 and len(xi) > _BLOCK:
-        out = np.empty(xi.shape[:-1] + first.shape)
-        for start in range(0, len(xi), _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            out[rows] = build_library(spec, xi[rows], dxi[rows],
-                                      nu[rows] if spec.include_inputs else None)
-        return out
     base = [_ONE if xi.ndim == 1 else np.ones(xi.shape[:-1] + (1,)), xi, dxi]
     if spec.include_sin_states:
         base.append(np.sin(xi))
@@ -388,20 +382,15 @@ class _DecoupledSystem:
         at the first refit with E non-empty, so every refit gathers the
         Schur matrix from them, ``_BLOCK`` rows at a time, and applies C as
         one product of each inverse with a vector; a refit's result depends
-        on its support alone.  The conversion is all or nothing:
-        if one block fails, the factors are dropped and this and every later
-        refit with E non-empty raises.  Raises LinAlgError when the
-        inverses are unavailable or the Schur matrix is not numerically
-        positive definite.
+        on its support alone.  Raises LinAlgError when the Schur matrix is
+        not numerically positive definite.
         """
         elim = np.flatnonzero(~support)
         if not elim.size:
             return self.x0.copy()
         if self.inverses is None:
-            if self.factors is None:
-                raise np.linalg.LinAlgError("the block inverses could not be formed")
-            factors, self.factors = self.factors, None  # dropped if one block fails
-            self.inverses = [_inverse_from_cholesky(c) for c in factors]
+            self.inverses = [_inverse_from_cholesky(c) for c in self.factors]
+            self.factors = None
         p = self.inverses[0].shape[0]
         rows, W = elim % p, self.V[elim // p]
         schur = np.zeros((elim.size, elim.size))
@@ -425,7 +414,7 @@ def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
 
     gram: (p, p) Theta^T Theta of an (n, p) design matrix Theta; R: (p, l)
     Theta^T target; M: (l, l) symmetric coupling of the coefficient
-    columns.  Theta itself is not needed, so the caller can free it first.
+    columns.  Theta itself is not read, so the caller need not hold it.
     Elimination is strict: entries with |coef| < threshold are dropped,
     entries exactly at the threshold are kept.  Stops when the support is
     stable or after max_iters refits.  Each refit solves the system
@@ -518,7 +507,7 @@ def stlsq(theta, targets, threshold=0.1, ridge=1e-9, max_iters=20, init_support=
 
 @dataclass(frozen=True)
 class LatentPhaseData:
-    """Per-phase training samples in latent coordinates.
+    """One block of a phase's training samples in latent coordinates.
 
     xi, dxi, nu, ddxi: (N, l); ddq: (N, d) decoded-space acceleration
     targets (may be None when the decoded residual is disabled).
@@ -538,7 +527,7 @@ class LatentPhaseData:
 def fit_phase_model(
     params,
     spec,
-    data,
+    blocks,
     threshold=0.1,
     ridge=1e-9,
     *,
@@ -550,7 +539,8 @@ def fit_phase_model(
 ):
     """Sparse-regress the latent dynamics of one motion phase.
 
-    Minimizes
+    blocks: an iterable of LatentPhaseData, the phase's samples in any
+    partition into blocks.  Minimizes
 
         latent_weight  * || ddxi - Theta Xi ||^2
       + decoded_weight * || ddq - W_dec (Theta Xi)^T ||^2
@@ -567,24 +557,33 @@ def fit_phase_model(
     numerically positive definite (see ``_stlsq``).  ddq may be None only
     when decoded_weight is 0.
 
-    The design matrix Theta is freed once the normal equations are formed,
-    so the fit peaks at max(N p, l p^2) doubles, for Theta or the factors,
-    plus bounded blocks: ``_BLOCK``-row temporaries, Gram and the support
-    block or Schur matrix of one refit.
+    Each block is read once, ``_BLOCK`` rows at a time: the library of
+    those rows adds its Gram and right-hand side to one Gram and one R, so
+    Theta is never held and the fit peaks at l p^2 doubles of factors
+    plus Gram, one block and bounded temporaries: ``_BLOCK``-row library
+    rows and the support block or Schur matrix of one refit.
     """
-    if data.n_samples == 0:
-        raise ValidationError(f"no data for phase {phase}")
-    theta = build_library(spec, data.xi, data.dxi, data.nu if spec.include_inputs else None)
     W_d = params.W_dec
-    M = latent_weight * np.eye(data.ddxi.shape[1]) + decoded_weight * W_d.T @ W_d
-    target = latent_weight * data.ddxi
-    if decoded_weight != 0.0:
-        if data.ddq is None:
+    l = W_d.shape[1]
+    p = spec.term_count(l)
+    gram, R, n = np.zeros((p, p)), np.zeros((p, l)), 0
+    for data in blocks:
+        if decoded_weight != 0.0 and data.ddq is None:
             raise ValidationError("decoded-acceleration residual enabled but ddq targets missing")
-        target = target + decoded_weight * data.ddq @ W_d
-    gram, R = theta.T @ theta, theta.T @ target
-    del theta  # the solver reads only the normal equations
-    coeffs = _stlsq(gram, R, data.n_samples, M, threshold, ridge, max_iters, init_support)
+        for start in range(0, data.n_samples, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            theta = build_library(spec, data.xi[rows], data.dxi[rows],
+                                  data.nu[rows] if spec.include_inputs else None)
+            target = latent_weight * data.ddxi[rows]
+            if decoded_weight != 0.0:
+                target += decoded_weight * data.ddq[rows] @ W_d
+            gram += theta.T @ theta
+            R += theta.T @ target
+        n += data.n_samples
+    if n == 0:
+        raise ValidationError(f"no data for phase {phase}")
+    M = latent_weight * np.eye(l) + decoded_weight * W_d.T @ W_d
+    coeffs = _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support)
     return PhaseModel(phase=phase, coefficients=replace(coeffs, library=spec))
 
 

@@ -268,8 +268,8 @@ def segment_phases(contact):
 
     All four feet down -> Contact, none down -> Flight, anything else ->
     PartialContact.  Segment bounds are inclusive and partition [0, T)
-    (T = 0 gives ``((), [])``); the pipeline keeps a phase's regression rows
-    at depth >= ``boundary_trim`` inside them.
+    (T = 0 gives ``((), [])``); stage 3 regresses on each segment less
+    ``boundary_trim`` samples at either end.
     """
     c = np.asarray(contact)
     if c.ndim != 2 or c.shape[1] != 4:
@@ -322,9 +322,21 @@ def process_trajectory(traj, m):
     return replace(traj, ddq=ddq, u=assemble_input(traj.tau, wrench))
 
 
+def process_jump(index, traj, m):
+    """``process_trajectory`` of the jump at manifest ``index``; its errors
+    keep their type and say ``jump <index>:`` first."""
+    try:
+        return process_trajectory(traj, m)
+    except ValidationError as e:
+        raise type(e)(f"jump {index}: {e}") from e
+
+
 def process_dataset(dataset):
-    """Apply process_trajectory to every jump; returns a new Dataset."""
-    jumps = tuple(process_trajectory(jump, dataset.meta.m) for jump in dataset.jumps)
+    """Apply process_trajectory to every jump; returns a new Dataset.
+
+    An error names the jump by its manifest index (see ``process_jump``).
+    """
+    jumps = tuple(process_jump(i, jump, dataset.meta.m) for i, jump in enumerate(dataset.jumps))
     return Dataset(jumps=jumps, split=dataset.split, meta=dataset.meta)
 
 

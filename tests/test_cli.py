@@ -18,7 +18,7 @@ import pytest
 import jumprom
 from jumprom import pipeline, synthetic, trajectory_data
 from jumprom.cli import FLAGS, KEYS, _write_series, build_parser, main
-from jumprom.errors import DatasetLoadError
+from jumprom.errors import DatasetLoadError, NonUniformTimestepError
 from jumprom.rollout import RolloutConfig, RolloutResult, rollout_full
 from jumprom.sindy import FunctionLibrarySpec
 from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_dataset,
@@ -513,7 +513,8 @@ class TestForceRule:
         self._save_without_forces(gen_dir, data, flight_split="test")
         out = tmp_path / "out"
         assert main(["train", "--dataset", str(data), "--latent-dim", "2", "--out", str(out)]) == 1
-        assert f"ERROR E_VALIDATE: {self.MESSAGE}" in capsys.readouterr().err
+        first = next(i for i, label in enumerate(load_dataset(data).split) if label != "test")
+        assert f"ERROR E_VALIDATE: jump {first}: {self.MESSAGE}" in capsys.readouterr().err
         assert not (out / "model.txt").exists()
 
     def test_flight_without_forces_processes(self, gen_dir, trained_dir, tmp_path):
@@ -527,6 +528,59 @@ class TestForceRule:
             assert np.all(processed.u[:, meta.m :] == 0.0)
         assert main(["eval", "--dataset", str(data), "--model", str(trained_dir / "model.txt"),
                      "--integrator", "fixed_rk4", "--out", str(tmp_path / "out")]) == 0
+
+
+class TestNamesTheFailingJump:
+    """A jump that cannot be processed is named by its manifest index; the
+    error keeps its type and code."""
+
+    @staticmethod
+    def _save_with_one_bad_jump(gen_dir, path, split, damage):
+        # the last jump of ``split`` is damaged, so it is not jump 0
+        dataset = load_dataset(gen_dir)
+        bad = max(i for i, label in enumerate(dataset.split) if label == split)
+        assert bad > 0
+        jumps = tuple(damage(j) if i == bad else j for i, j in enumerate(dataset.jumps))
+        save_dataset(Dataset(jumps=jumps, split=dataset.split, meta=dataset.meta), path)
+        return bad
+
+    def test_train_names_the_jump_without_forces(self, gen_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        bad = self._save_with_one_bad_jump(gen_dir, data, "train",
+                                           lambda j: replace(j, foot_forces=None))
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", str(data), "--latent-dim", "2", "--out", str(out)]) == 1
+        assert (f"ERROR E_VALIDATE: jump {bad}: {TestForceRule.MESSAGE}"
+                in capsys.readouterr().err)
+        assert not (out / "model.txt").exists()
+
+    def test_eval_names_the_test_jump_with_an_uneven_grid(self, gen_dir, trained_dir, tmp_path,
+                                                          capsys):
+        def uneven(jump):
+            t = jump.timestamps.copy()
+            t[5] += 0.1 * (t[6] - t[5])
+            return replace(jump, timestamps=t)
+
+        data = tmp_path / "data"
+        bad = self._save_with_one_bad_jump(gen_dir, data, "test", uneven)
+        assert main(["eval", "--dataset", str(data), "--model", str(trained_dir / "model.txt"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"ERROR E_TIMESTEP: jump {bad}: timestep varies" in capsys.readouterr().err
+        with pytest.raises(NonUniformTimestepError, match=rf"^jump {bad}: timestep varies"):
+            process_dataset(load_dataset(data))
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline", "finetune"])
+def test_model_not_utf8_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, command):
+    raw = bytearray((trained_dir / "model.txt").read_bytes())
+    raw[5] = 0xFF
+    model = tmp_path / "model.txt"
+    model.write_bytes(bytes(raw))
+    code = main([command, "--dataset", str(gen_dir), "--model", str(model),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert ("ERROR E_FORMAT: not UTF-8 text (invalid start byte) (byte 5)"
+            in capsys.readouterr().err)
 
 
 class TestNotUtf8JumpFile:

@@ -94,19 +94,22 @@ class TestRunPipeline:
         fit = pipeline.fit_phase_model
         seen = []
 
-        def record(params, library, data, *args, **kwargs):
-            seen.append((kwargs["phase"], params, data))
-            return fit(params, library, data, *args, **kwargs)
+        def record(params, library, blocks, *args, **kwargs):
+            blocks = list(blocks)
+            seen.append((kwargs["phase"], params, blocks))
+            return fit(params, library, blocks, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "fit_phase_model", record)
         run_pipeline(dataset, TrainingConfig(latent_dim=2, boundary_trim=trim))
         assert [phase for phase, _, _ in seen] == [
             Phase.CONTACT, Phase.PARTIAL_CONTACT, Phase.FLIGHT,
         ]
-        for phase, params, data in seen:
+        for phase, params, blocks in seen:
+            assert all(block.n_samples for block in blocks)  # no empty slice is encoded
             ref = _sliced_phase_data(params, dataset.jumps_in("train"), phase, trim)
             for f in fields(LatentPhaseData):
-                assert np.array_equal(getattr(data, f.name), getattr(ref, f.name)), f.name
+                rows = np.concatenate([getattr(block, f.name) for block in blocks])
+                assert np.array_equal(rows, getattr(ref, f.name)), f.name
 
     def test_trim_that_empties_a_phase_errors(self, three_phase_bundle):
         dataset, _ = three_phase_bundle
@@ -120,16 +123,19 @@ class TestRunPipeline:
 
 
 def _sliced_phase_data(params, jumps, phase, trim):
-    """Reference stage-3 data: seg.start + trim .. seg.end - trim of each segment of the phase."""
-    parts = {name: [] for name in ("q", "dq", "ddq", "u")}
+    """Reference stage-3 data: seg.start + trim .. seg.end - trim of each segment of the phase,
+    each slice encoded on its own (a product's rows may round differently in a longer batch)."""
+    parts = {name: [] for name in ("xi", "dxi", "nu", "ddxi", "ddq")}
     for jump in jumps:
         for seg in segment_phases(jump.contact)[1]:
             if seg.phase is phase and seg.end - trim >= seg.start + trim:
-                for name, part in parts.items():
-                    part.append(getattr(jump, name)[seg.start + trim : seg.end - trim + 1])
-    q, dq, ddq, u = (np.concatenate(parts[name]) for name in ("q", "dq", "ddq", "u"))
-    return LatentPhaseData(xi=encode(params, q, 0), dxi=encode(params, dq, 1),
-                           nu=transform_input(params, u), ddxi=encode(params, ddq, 2), ddq=ddq)
+                q, dq, ddq, u = (getattr(jump, name)[seg.start + trim : seg.end - trim + 1]
+                                 for name in ("q", "dq", "ddq", "u"))
+                for name, part in zip(parts, (encode(params, q, 0), encode(params, dq, 1),
+                                              transform_input(params, u),
+                                              encode(params, ddq, 2), ddq)):
+                    parts[name].append(part)
+    return LatentPhaseData(**{name: np.concatenate(part) for name, part in parts.items()})
 
 
 class TestSelection:

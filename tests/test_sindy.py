@@ -337,7 +337,7 @@ class TestStlsq:
                                             threshold=0.0)) == 1
         for weight in (0.0, 1.0):
             assert count_warnings(lambda: fit_phase_model(
-                params, DEFAULT, data, 0.0, decoded_weight=weight)) == 1
+                params, DEFAULT, [data], 0.0, decoded_weight=weight)) == 1
 
 
 def _normal_equations(theta, target):
@@ -722,58 +722,45 @@ class TestBlockedKernels:
         assert np.array_equal(_bits(x), _bits(_unblocked_solve(system, support)))
         assert not x[~support].any()
 
-
-class TestBlockConversion:
-    """The l factors become their inverses all together or not at all."""
-
-    @staticmethod
-    def _fit(fails):
-        """A fit whose k-th block conversion raises when fails(k), with the
-        buffers handed to the conversion and the number of bordered refits."""
-        rng = np.random.default_rng(0)
-        n, p, l = 60, 12, 2
-        theta = rng.normal(size=(n, p))
-        target = theta @ (10.0 ** rng.uniform(-2.0, 1.0, size=(p, l))) + rng.normal(size=(n, l))
-        original, buffers, bordered = sindy._inverse_from_cholesky, [], []
-
-        def converting(c):
-            buffers.append(c.__array_interface__["data"][0])
-            if fails(len(buffers)):
-                raise np.linalg.LinAlgError("not positive definite")
-            return original(c)
-
-        original_solve = _DecoupledSystem.solve
-
-        def solve(self, support):
-            bordered.append(not support.all())
-            return original_solve(self, support)
-
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
-            mp.setattr(sindy, "_inverse_from_cholesky", converting)
-            mp.setattr(_DecoupledSystem, "solve", solve)
-            warnings.simplefilter("always")
-            coeffs = _stlsq(*_normal_equations(theta, target), np.eye(l), 0.1, 1e-9, 20)
-        messages = [str(w.message) for w in caught if "positive definite" in str(w.message)]
-        return coeffs, messages, buffers, sum(bordered)
-
-    def test_failed_conversion_falls_back_to_lu_for_the_rest_of_the_fit(self):
-        coeffs, messages, buffers, bordered = self._fit(lambda k: k == 2)
-        assert bordered >= 3  # refits after the failed one still take the bordered path
-        assert len(messages) == 1
-        assert len(set(buffers)) == len(buffers)  # no buffer converted twice
-        lu, lu_messages, _, _ = self._fit(lambda k: True)
-        assert len(lu_messages) == 1
-        assert np.array_equal(_bits(coeffs.Xi), _bits(lu.Xi))
+    @given(l=st.integers(1, 2),
+           sizes=st.lists(st.sampled_from([0, 1, _SMALL_BLOCK - 1, _SMALL_BLOCK + 1])
+                          | st.integers(0, 4 * _SMALL_BLOCK), max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fit_is_the_same_in_any_blocks(self, l, sizes, seed):
+        # a phase's rows cut into blocks (one per jump, say) accumulate the
+        # normal equations of the rows in one block up to rounding
+        rng = np.random.default_rng(seed)
+        p = DEFAULT.term_count(l)
+        n = max(sum(sizes), 4 * p)
+        cuts = np.cumsum([0] + sizes)
+        xi, dxi, nu = rng.normal(size=(3, n, l))
+        Xi = rng.choice([-1.0, 1.0], size=(p, l)) * rng.uniform(0.5, 2.0, size=(p, l))
+        Xi[1:][rng.random((p - 1, l)) < 0.6] = 0.0  # true zeros, far below the threshold
+        ddxi = build_library(DEFAULT, xi, dxi, nu) @ Xi + 1e-3 * rng.normal(size=(n, l))
+        W_dec = rng.normal(size=(l + 3, l))
+        params = AutoencoderParams(W_enc=np.linalg.pinv(W_dec), b_enc=np.zeros(l), W_dec=W_dec,
+                                   b_dec=np.zeros(l + 3))
+        data = LatentPhaseData(xi=xi, dxi=dxi, nu=nu, ddxi=ddxi, ddq=ddxi @ W_dec.T)
+        bounds = list(zip(cuts[:-1], cuts[1:])) + [(cuts[-1], n)]
+        blocks = [LatentPhaseData(**{f: getattr(data, f)[start:stop] for f in
+                                     ("xi", "dxi", "nu", "ddxi", "ddq")})
+                  for start, stop in bounds]
+        whole = fit_phase_model(params, DEFAULT, [data], threshold=0.1).coefficients
+        parts = fit_phase_model(params, DEFAULT, blocks, threshold=0.1).coefficients
+        assert np.array_equal(parts.active_mask, whole.active_mask)
+        theta = build_library(DEFAULT, xi, dxi, nu)
+        M = np.eye(l) + W_dec.T @ W_dec
+        assert _close(parts.Xi, whole.Xi, np.linalg.cond(M) * np.linalg.cond(theta.T @ theta))
 
 
 class TestBoundedMemory:
-    def test_fit_peak_is_the_larger_of_theta_and_the_factors(self, monkeypatch):
-        # N p = l p^2: the design matrix and the l factors are the same size,
-        # and a tenth of the law is below the threshold, so the second refit
-        # is bordered and turns the factors into inverses
+    def test_fit_peak_is_the_factors_plus_bounded_blocks(self, monkeypatch):
+        # N p = 2 l p^2: a design matrix held whole would be twice the l
+        # factors, and a tenth of the law is below the threshold, so the
+        # second refit is bordered and turns the factors into inverses
         l, spec = 10, DEFAULT
         p = spec.term_count(l)
-        n = l * p
+        n = 2 * l * p
         rng = np.random.default_rng(0)
         xi, dxi, nu = rng.normal(size=(3, n, l))
         Xi = rng.choice([-1.0, 1.0], size=(p, l)) * rng.uniform(1.0, 3.0, size=(p, l))
@@ -783,22 +770,24 @@ class TestBoundedMemory:
         params = AutoencoderParams(W_enc=W_dec.T.copy(), b_enc=np.zeros(l), W_dec=W_dec,
                                    b_dec=np.zeros(l + 4))
         data = LatentPhaseData(xi=xi, dxi=dxi, nu=nu, ddxi=ddxi, ddq=ddxi @ W_dec.T)
-        fit_phase_model(params, spec, data, threshold=0.1)  # imports and caches
+        fit_phase_model(params, spec, [data], threshold=0.1)  # imports and caches
         converted = []
         original = sindy._inverse_from_cholesky
         monkeypatch.setattr(sindy, "_inverse_from_cholesky",
                             lambda c: converted.append(c.shape) or original(c))
         tracemalloc.start()
         try:
-            model = fit_phase_model(params, spec, data, threshold=0.1)
+            model = fit_phase_model(params, spec, [data], threshold=0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert converted == [(p, p)] * l
         assert np.array_equal(model.coefficients.active_mask, np.abs(Xi) > 0.1)
-        # besides Theta or the factors: Gram, one Schur matrix of about p
-        # rows, its gather and _BLOCK-row temporaries
-        assert peak < 8 * max(n * p, l * p * p) * 1.3 + 8 * 4 * p * p
+        # besides the l factors: Gram, the shifted Gram and the arrays of
+        # np.linalg.cholesky while the factors are formed, then one Schur
+        # matrix of about p rows, its gather and _BLOCK-row temporaries;
+        # no term grows with N
+        assert peak < 8 * (l + 6) * p * p
 
 
 def _orthonormal_autoencoder(d=10, l=2, seed=6):
@@ -826,7 +815,7 @@ class TestFitPhaseModel:
         # duplicates the latent one, so the joint fit equals plain STLSQ.
         params = _orthonormal_autoencoder()
         data = _phase_samples(params)
-        joint = fit_phase_model(params, DEFAULT, data, threshold=0.1, ridge=1e-12)
+        joint = fit_phase_model(params, DEFAULT, [data], threshold=0.1, ridge=1e-12)
         theta = build_library(DEFAULT, data.xi, data.dxi, data.nu)
         plain = stlsq(theta, data.ddxi, threshold=0.1, ridge=1e-12)
         assert np.allclose(joint.coefficients.Xi, plain.Xi, atol=1e-8)
@@ -834,7 +823,7 @@ class TestFitPhaseModel:
     def test_exact_pattern_recovery(self):
         params = _orthonormal_autoencoder()
         data = _phase_samples(params)
-        model = fit_phase_model(params, DEFAULT, data, threshold=0.1, ridge=1e-10,
+        model = fit_phase_model(params, DEFAULT, [data], threshold=0.1, ridge=1e-10,
                                 phase=Phase.CONTACT)
         names = DEFAULT.term_names(2)
         expected = np.zeros((DEFAULT.term_count(2), 2), dtype=bool)
@@ -857,7 +846,7 @@ class TestFitPhaseModel:
             return _support_block(M, gram, idx, ridge)
 
         monkeypatch.setattr("jumprom.sindy._support_block", recording_block)
-        fit_phase_model(params, DEFAULT, data, threshold=0.1, ridge=1e-10)
+        fit_phase_model(params, DEFAULT, [data], threshold=0.1, ridge=1e-10)
         full = DEFAULT.term_count(2) * 2
         assert sizes and max(sizes) < full
 
@@ -865,7 +854,7 @@ class TestFitPhaseModel:
     def test_negative_threshold_rejected(self, weight):
         params = _orthonormal_autoencoder()
         with pytest.raises(ValidationError, match="threshold must be >= 0"):
-            fit_phase_model(params, DEFAULT, _phase_samples(params, n=50), threshold=-0.5,
+            fit_phase_model(params, DEFAULT, [_phase_samples(params, n=50)], threshold=-0.5,
                             decoded_weight=weight)
 
     def test_empty_phase_errors(self):
@@ -874,8 +863,9 @@ class TestFitPhaseModel:
             xi=np.zeros((0, 2)), dxi=np.zeros((0, 2)), nu=np.zeros((0, 2)),
             ddxi=np.zeros((0, 2)), ddq=np.zeros((0, 10)),
         )
-        with pytest.raises(ValidationError, match="no data for phase"):
-            fit_phase_model(params, DEFAULT, empty, phase=Phase.FLIGHT)
+        for blocks in ([], [empty], [empty, empty]):
+            with pytest.raises(ValidationError, match="no data for phase flight"):
+                fit_phase_model(params, DEFAULT, blocks, phase=Phase.FLIGHT)
 
 
 class TestPrintSymbolic:

@@ -46,7 +46,7 @@ def test_count_hooks_read_real_results(clean_bundle, monkeypatch):
     xi, dxi, nu = rng.normal(size=(3, 200, 2))
     ddxi = -3.0 * xi - 0.5 * dxi + nu
     data = LatentPhaseData(xi=xi, dxi=dxi, nu=nu, ddxi=ddxi, ddq=ddxi @ params.W_dec.T)
-    args = (params, library, data)
+    args = (params, library, [data])
     tracing._count_kron(counts, args, {}, fit_phase_model(*args))
     assert counts["sindy.kron_dim.counted.l2"] == counts["sindy.kron_dim.computed.l2"] == 42
 
