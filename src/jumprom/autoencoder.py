@@ -5,7 +5,9 @@ the bias enters only at derivative order zero, so time differentiation and
 encoding commute.  Inputs are carried into latent space through the
 transposed pseudoinverse of the encoder weights, which preserves the
 mechanical power pairing <input, velocity> whenever the encoder is square
-and invertible.
+and invertible.  The fit is closed form (PCA); ``align`` re-expresses a
+fitted autoencoder in another latent gauge without changing what it
+reconstructs.
 """
 
 from __future__ import annotations
@@ -128,20 +130,17 @@ def _pca_init(data, latent_dim):
     )
 
 
-def train_autoencoder(data, latent_dim, *, align_to=None, standardize=False):
+def train_autoencoder(data, latent_dim, *, standardize=False):
     """Fit the autoencoder on a batch of configurations, in closed form.
 
-    The fit is the principal-subspace solution: the encoder rows span the
-    leading principal directions, and the biases center the data.  It is
-    the global minimum of the reconstruction error (Eckart-Young; Baldi &
-    Hornik 1989).  Without ``align_to`` the encoder rows are the principal
-    directions themselves and the decoder is their transpose.  With
-    ``align_to`` (an existing AutoencoderParams) the same span is expressed
-    in the latent coordinates closest to that encoder (see ``_align``).
+    The fit is the principal-subspace solution: the encoder rows are the
+    leading principal directions, the decoder is their transpose, and the
+    biases center the data.  It is the global minimum of the reconstruction
+    error (Eckart-Young; Baldi & Hornik 1989).
 
     With ``standardize`` the fit runs on per-column standardized data and
     the scaling is folded back into the returned weights, which therefore
-    always act on raw physical units; ``align_to`` acts on raw units too.
+    always act on raw physical units.
 
     Returns the fitted AutoencoderParams.
     """
@@ -151,66 +150,45 @@ def train_autoencoder(data, latent_dim, *, align_to=None, standardize=False):
     full_dim = data.shape[1]
     if not (1 <= latent_dim <= full_dim):
         raise ValidationError(f"latent dimension must be in [1, {full_dim}], got {latent_dim}")
-
-    col_scale = None
-    if standardize:
-        col_scale = data.std(axis=0)
-        col_scale[np.ptp(data, axis=0) == 0] = 1.0  # constant columns stay unscaled
-        data = data / col_scale
-
-    params = _pca_init(data, latent_dim)
-    if align_to is not None:
-        if standardize:
-            align_to = _scale_params(align_to, col_scale, invert=True)
-        params = _align(params, align_to.W_enc)
-    return _scale_params(params, col_scale) if standardize else params
+    if not standardize:
+        return _pca_init(data, latent_dim)
+    col_scale = data.std(axis=0)
+    col_scale[np.ptp(data, axis=0) == 0] = 1.0  # constant columns stay unscaled
+    return _scale_params(_pca_init(data / col_scale, latent_dim), col_scale)
 
 
-def _align(pca, W_target):
-    """Re-express the PCA fit in the latent coordinates closest to ``W_target``.
+def align(params, W_target):
+    """Re-express a fitted autoencoder in the latent coordinates closest to ``W_target``.
 
-    With V the PCA encoder rows (orthonormal), T = W_target V^T is the
-    l x l map that brings T V closest to ``W_target`` in least squares:
-    orthogonal Procrustes without the orthogonality constraint (Schoenemann,
-    Psychometrika 31, 1966).  The encoder T V and decoder V^T T^-1 keep the
-    PCA span, so the reconstruction is unchanged; b_enc = -W_enc mean
-    centres the latent state.  Raises ValidationError when T's smallest
-    singular value is at most 1e-10 times the largest of ``W_target``
-    (which bounds T's, as V is orthonormal): the span is then orthogonal to
-    a direction of ``W_target``.  Against T's own largest, a T made of
-    rounding alone would pass.
+    T = W_target pinv(W_enc) is the l x l map that brings T W_enc closest to
+    ``W_target`` in least squares: orthogonal Procrustes without the
+    orthogonality constraint (Schoenemann, Psychometrika 31, 1966).  The
+    encoder T W_enc, bias T b_enc and decoder W_dec T^-1 leave every
+    reconstruction unchanged; b_dec is kept.  Raises ValidationError when
+    T's smallest singular value is at most 1e-10 times the bound
+    |W_target|_2 / s_min(W_enc) on its largest: the encoder's span is then
+    orthogonal to a direction of ``W_target``.  Against T's own largest, a
+    T made of rounding alone would pass.
     """
-    V, mean = pca.W_enc, pca.b_dec
-    T = W_target @ V.T
+    W_enc = params.W_enc
+    T = np.linalg.lstsq(W_enc.T, W_target.T, rcond=None)[0].T
     s = np.linalg.svd(T, compute_uv=False)
-    scale = np.linalg.norm(W_target, 2)
+    scale = np.linalg.norm(W_target, 2) / np.linalg.svd(W_enc, compute_uv=False)[-1]
     if s[-1] <= 1e-10 * scale:
-        l, d = V.shape
+        l, d = W_enc.shape
         raise ValidationError(
             f"cannot align l={l} latent directions in d={d} columns: the data's principal span "
             f"is orthogonal to the encoder (smallest singular value {s[-1]:.3e} of {scale:.3e})"
         )
-    W_enc = T @ V
-    return AutoencoderParams(W_enc=W_enc, b_enc=-W_enc @ mean,
-                             W_dec=np.linalg.solve(T.T, V).T, b_dec=mean)
+    return AutoencoderParams(W_enc=T @ W_enc, b_enc=T @ params.b_enc,
+                             W_dec=np.linalg.solve(T.T, params.W_dec.T).T, b_dec=params.b_dec)
 
 
-def _scale_params(params, col_scale, invert=False):
-    """Fold a per-column scaling q' = q / s into (or out of) the weights."""
+def _scale_params(params, col_scale):
+    """Fold standardized-coordinate params, q' = q / s, back to raw units."""
     s = np.asarray(col_scale, dtype=float)
-    if invert:
-        # express raw-unit params in standardized coordinates
-        W_enc = params.W_enc * s
-        b_enc = params.b_enc.copy()
-        W_dec = params.W_dec / s[:, None]
-        b_dec = params.b_dec / s
-    else:
-        # fold standardized-coordinate params back to raw units
-        W_enc = params.W_enc / s
-        b_enc = params.b_enc.copy()
-        W_dec = params.W_dec * s[:, None]
-        b_dec = params.b_dec * s
-    return AutoencoderParams(W_enc=W_enc, b_enc=b_enc, W_dec=W_dec, b_dec=b_dec)
+    return AutoencoderParams(W_enc=params.W_enc / s, b_enc=params.b_enc.copy(),
+                             W_dec=params.W_dec * s[:, None], b_dec=params.b_dec * s)
 
 
 def finetune_decoder(params, data, *, ridge=1e-10):

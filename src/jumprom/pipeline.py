@@ -8,8 +8,9 @@ jump is segmented once; stage 3 reads each segment of a phase where it
 lies, ``boundary_trim`` samples clear of either end and so of the dynamics
 switch, and streams it into the phase's normal equations.  One
 driver, ``_fit_stages``, runs the three stages for both ``run_pipeline``
-and ``fine_tune``; fine-tuning only aligns stage 1 to the parent's latent
-coordinates and warm-starts stage 3 from the parent's supports.  The
+and ``fine_tune``; fine-tuning runs stages 1 and 2 as training does, maps
+their autoencoder once into the parent's latent coordinates and
+warm-starts stage 3 from the parent's supports.  The
 model selection scan repeats the pipeline over latent dimensions and
 seeds and scores each cell with an AIC-style combination of test
 reconstruction error and symbolic complexity; one loop runs its seeds, in
@@ -35,6 +36,7 @@ import numpy as np
 from . import __about__
 from .autoencoder import (
     AutoencoderParams,
+    align,
     encode,
     finetune_decoder,
     recon_loss,
@@ -103,9 +105,13 @@ class TrainingConfig:
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
         for name in ("stlsq_threshold", "stlsq_ridge", "stlsq_max_iters", "decoder_ridge",
-                     "selection_lambda", "boundary_trim"):
+                     "selection_lambda", "boundary_trim", "latent_accel_weight",
+                     "decoded_accel_weight"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+        if self.latent_accel_weight == 0 and self.decoded_accel_weight == 0:
+            raise ValidationError("latent_accel_weight and decoded_accel_weight are both 0: "
+                                  "stage 3 would fit no residual")
 
     def hash(self):
         payload = json.dumps(config_to_dict(self), sort_keys=True)
@@ -218,10 +224,13 @@ def _ensure_processed(dataset):
 def _fit_stages(dataset, config, parent=None):
     """Run stages 1 -> 2 -> 3 on the train split; shared by training and fine-tuning.
 
-    Stage 1 is the closed-form PCA fit of the seed-phase configurations.
-    With a parent model it is aligned to the parent's latent coordinates,
+    Stage 1 is the closed-form PCA fit of the seed-phase configurations,
+    and stage 2 refits its decoder on all phases, with or without a parent.
+    With a parent model the stage-2 autoencoder is then mapped once into the
+    parent's latent coordinates (``align``, reported as a step-1 failure),
     and stage 3 warm-starts each phase from the parent's support.  Returns
-    the StepSnapshots after stages 1 and 2 and the tuple of phase models.
+    the StepSnapshots after stages 1 and 2 (before any alignment), the
+    autoencoder that stage 3 fits against, and the tuple of phase models.
     """
     train_jumps = _ensure_processed(dataset).jumps_in("train")
     if not train_jumps:
@@ -238,12 +247,7 @@ def _fit_stages(dataset, config, parent=None):
         raise ValidationError(f"no {config.seed_phase} data to {verb} the autoencoder")
     q_seed = np.concatenate(q_seed, axis=0)
     try:
-        ae1 = train_autoencoder(
-            q_seed,
-            config.latent_dim,
-            align_to=None if parent is None else parent.autoencoder,
-            standardize=config.standardize,
-        )
+        ae1 = train_autoencoder(q_seed, config.latent_dim, standardize=config.standardize)
     except JumpromError as e:
         raise PipelineStepError(1, e) from e
     log.info("stage 1: seed-phase reconstruction loss %.3e", recon_loss(ae1, q_seed))
@@ -255,10 +259,15 @@ def _fit_stages(dataset, config, parent=None):
         raise PipelineStepError(2, e) from e
     log.info("stage 2: all-phase reconstruction loss %.3e", recon_loss(ae2, q_all))
 
+    ae, supports = ae2, {}
+    if parent is not None:
+        try:
+            ae = align(ae2, parent.autoencoder.W_enc)
+        except JumpromError as e:
+            raise PipelineStepError(1, e) from e
+        supports = {pm.phase: pm.coefficients.active_mask for pm in parent.phases}
+
     # stage 3: sparse dynamics per phase, autoencoder frozen
-    supports = {} if parent is None else {
-        pm.phase: pm.coefficients.active_mask for pm in parent.phases
-    }
     trim = config.boundary_trim
     phase_models = []
     for phase in PHASE_ORDER:
@@ -272,9 +281,9 @@ def _fit_stages(dataset, config, parent=None):
             raise ValidationError(f"no data for phase {phase}")
         try:
             pm = fit_phase_model(
-                ae2,
+                ae,
                 config.library,
-                (_latent_phase_data(ae2, jump, rows) for jump, rows in slices),
+                (_latent_phase_data(ae, jump, rows) for jump, rows in slices),
                 config.stlsq_threshold,
                 config.stlsq_ridge,
                 latent_weight=config.latent_accel_weight,
@@ -287,7 +296,7 @@ def _fit_stages(dataset, config, parent=None):
             raise PipelineStepError(3, e) from e
         log.info("stage 3 [%s]: %d active terms", phase, count_active(pm.coefficients))
         phase_models.append(pm)
-    return StepSnapshots(after_stage1=ae1, after_stage2=ae2), tuple(phase_models)
+    return StepSnapshots(after_stage1=ae1, after_stage2=ae2), ae, tuple(phase_models)
 
 
 def run_pipeline(dataset, config, record_steps=False):
@@ -297,7 +306,7 @@ def run_pipeline(dataset, config, record_steps=False):
     StepSnapshots capturing the autoencoder after stages 1 and 2, for
     frozen-weight audits).  Deterministic given (dataset, config).
     """
-    steps, phase_models = _fit_stages(dataset, config)
+    steps, ae, phase_models = _fit_stages(dataset, config)
     provenance = {
         "dataset": {
             "robot": dataset.meta.robot,
@@ -312,8 +321,7 @@ def run_pipeline(dataset, config, record_steps=False):
         "config_hash": config.hash(),
         "package_version": __about__.__version__,
     }
-    model = MultiPhaseModel(autoencoder=steps.after_stage2, phases=phase_models,
-                            provenance=provenance)
+    model = MultiPhaseModel(autoencoder=ae, phases=phase_models, provenance=provenance)
     return (model, steps) if record_steps else model
 
 
@@ -348,10 +356,12 @@ def _scan_axis(values, what, low, high=None):
     values = list(values)
     if not values:
         raise ValidationError(f"no {what} to scan")
-    for v in values:
+    for i, v in enumerate(values):
         if not is_integer(v) or v < low or (high is not None and v > high):
             bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise ValidationError(f"scan {what} must be integers {bounds}, got {v!r}")
+        if v in values[:i]:
+            raise ValidationError(f"scan {what} must not repeat, got {v!r} twice")
     return values
 
 
@@ -413,9 +423,10 @@ def write_selection_report(report, path):
 def fine_tune(model, dataset, config):
     """Refit all three stages of an existing model on a new dataset.
 
-    Stage 1 is the closed-form PCA fit of the new seed-phase data, aligned
-    to the existing encoder's latent coordinates; stage 2 re-solves the
-    decoder in closed form; stage 3 warm-starts the sparse regression from
+    Stages 1 and 2 run as in ``run_pipeline``: the closed-form PCA fit of
+    the new seed-phase data, then the decoder refit.  Their autoencoder is
+    then mapped once into the existing encoder's latent coordinates
+    (``align``); stage 3 warm-starts the sparse regression from
     the existing support of each phase (new phases start cold), so it can
     keep or drop the existing terms but adds none.  The latent dimension
     is the model's, whatever ``config.latent_dim`` says, and the recorded
@@ -427,7 +438,7 @@ def fine_tune(model, dataset, config):
             f"model dimension {model.autoencoder.full_dim} does not match dataset ({full_dim})"
         )
     config = replace(config, latent_dim=model.autoencoder.latent_dim)
-    steps, phase_models = _fit_stages(dataset, config, parent=model)
+    _, ae, phase_models = _fit_stages(dataset, config, parent=model)
     provenance = dict(model.provenance)
     provenance.update({
         "parent_hash": model_hash(model),
@@ -435,8 +446,7 @@ def fine_tune(model, dataset, config):
         "seed": config.seed,
         "config_hash": config.hash(),
     })
-    return MultiPhaseModel(autoencoder=steps.after_stage2, phases=phase_models,
-                           provenance=provenance)
+    return MultiPhaseModel(autoencoder=ae, phases=phase_models, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +561,18 @@ def _read_matrix(lines, name, rows, cols):
     return np.array([_field(lines, None, _row, cols) for _ in range(rows)]).reshape(rows, cols)
 
 
-def _phase_or_end(line):
-    """The phase of a ``phase <name>`` line; None for the closing ``end``."""
+def _phase_or_end(line, seen):
+    """The phase of a ``phase <name>`` line, which must not be in ``seen``;
+    None for the closing ``end``."""
     head, _, name = line.partition(" ")
     if head == "end":
         return None
     if head != "phase":
         raise ValueError(f"expected 'phase' or 'end', found {head!r}")
-    return Phase(name.strip())
+    phase = Phase(name.strip())
+    if phase in seen:
+        raise ValueError(f"repeated phase {phase}")
+    return phase
 
 
 def parse_model(text):
@@ -578,8 +592,9 @@ def parse_model(text):
          for name, rows, cols in _autoencoder_layout(l, d)}
     ae = AutoencoderParams(W_enc=m["W_enc"], b_enc=m["b_enc"][0], W_dec=m["W_dec"],
                            b_dec=m["b_dec"][0])
-    phase_models = []
-    while (phase := _field(lines, None, _phase_or_end)) is not None:
+    phase_models, seen = [], set()
+    while (phase := _field(lines, None, _phase_or_end, seen)) is not None:
+        seen.add(phase)
         lib = _field(lines, "library", lambda text: FunctionLibrarySpec(**_json_object(text)))
         threshold = _field(lines, "threshold", _threshold)
         terms = lib.term_names(l)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jumprom.autoencoder import (
     AutoencoderParams,
+    align,
     decode,
     encode,
     finetune_decoder,
@@ -192,13 +193,16 @@ class TestTraining:
         assert recon_loss(params, data) / np.mean(data**2) < 1e-6
 
     def test_aligned_fit_centres_the_latent_state(self):
-        # the encoder bias is a gauge: the aligned fit returns b_enc = -W_enc @ mean,
-        # so the latent state sits at the origin wherever the data sit
+        # the encoder bias is a gauge: the fit centres the latent state and
+        # align maps its bias to T @ b_enc, so the aligned latent state sits
+        # at the origin wherever the data sit
         data, _ = _subspace_data(n=300)
         data = data + 50.0
-        parent = _params(np.random.default_rng(12).normal(size=(2, D)))
-        params = train_autoencoder(data, 2, align_to=parent)
-        assert np.array_equal(params.b_enc, -params.W_enc @ data.mean(axis=0))
+        fit = train_autoencoder(data, 2)
+        W_target = np.random.default_rng(12).normal(size=(2, D))
+        params = align(fit, W_target)
+        T = np.linalg.lstsq(fit.W_enc.T, W_target.T, rcond=None)[0].T
+        assert np.array_equal(params.b_enc, T @ fit.b_enc)
         assert np.max(np.abs(encode(params, data).mean(axis=0))) < 1e-10
 
     def test_align_to_orthogonal_encoder_rejected(self):
@@ -210,14 +214,14 @@ class TestTraining:
         data = np.zeros((50, D))
         data[:, 2:4] = rng.normal(size=(50, 2))
         with pytest.raises(ValidationError, match="l=2 latent directions in d=6"):
-            train_autoencoder(data @ R.T, 2, align_to=_params(np.eye(2, D) @ R.T))
+            align(train_autoencoder(data @ R.T, 2), np.eye(2, D) @ R.T)
 
     def test_standardize_leaves_constant_column_unscaled(self):
         data, _ = _subspace_data(n=17)
         data[:, 3] = 1.8835341365461846  # a joint that never moves
         assert data[:, 3].std() > 0  # the mean of equal values rounds
         pca = train_autoencoder(data, 2, standardize=True)
-        resumed = train_autoencoder(data, 2, align_to=pca, standardize=True)
+        resumed = align(pca, pca.W_enc)
         assert np.max(np.abs(resumed.W_enc - pca.W_enc)) <= 1e-12
 
 
@@ -253,21 +257,22 @@ class TestClosedFormPca:
     def test_alignment_follows_the_parent_gauge(self, sample, standardize, seed):
         data, l = sample
         pca = train_autoencoder(data, l, standardize=standardize)
-        aligned = train_autoencoder(data, l, align_to=pca, standardize=standardize)
+        aligned = align(pca, pca.W_enc)
         assert np.max(np.abs(aligned.W_enc - pca.W_enc)) <= 1e-12
         assert np.max(np.abs(aligned.b_enc - pca.b_enc)) <= 1e-12
 
-        # a parent in another gauge: W_enc -> A W_enc, W_dec -> W_dec A^-1
+        # a parent encoder in another gauge, A W_enc: the map recovers A and
+        # leaves the reconstruction unchanged
         rng = np.random.default_rng(seed)
         q1, _ = np.linalg.qr(rng.normal(size=(l, l)))
         q2, _ = np.linalg.qr(rng.normal(size=(l, l)))
         A = q1 @ np.diag(rng.uniform(0.5, 2.0, size=l)) @ q2
-        parent = AutoencoderParams(W_enc=A @ pca.W_enc, b_enc=pca.b_enc,
-                                   W_dec=pca.W_dec @ np.linalg.inv(A), b_dec=pca.b_dec)
-        moved = train_autoencoder(data, l, align_to=parent, standardize=standardize)
+        moved = align(pca, A @ pca.W_enc)
         want = A @ aligned.W_enc
         bound = 1e-12 * np.linalg.cond(A) * max(1.0, np.abs(want).max())
         assert np.max(np.abs(moved.W_enc - want)) <= bound
+        recon_bound = 1e-12 * np.linalg.cond(A) * max(1.0, np.abs(data).max())
+        assert np.max(np.abs(reconstruct(moved, data) - reconstruct(pca, data))) <= recon_bound
 
 
 class TestFinetuneDecoder:

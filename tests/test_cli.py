@@ -361,6 +361,20 @@ def test_bad_model_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, c
     assert "ERROR E_FORMAT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "baseline", "finetune"])
+def test_repeated_phase_block_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, command):
+    text = (trained_dir / "model.txt").read_text()
+    start, end = text.index("phase contact\n"), text.index("phase flight\n")
+    text = text[:end] + text[start:end] + text[end:]  # a second contact block
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    code = main([command, "--dataset", str(gen_dir), "--model", str(model),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert (f"ERROR E_FORMAT: malformed line: repeated phase contact (byte {end})"
+            in capsys.readouterr().err)
+
+
 def test_cli_import_loads_no_scipy():
     # no command needs scipy (see below), and a scan starts a process pool
     # only when it runs one
