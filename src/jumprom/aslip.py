@@ -25,9 +25,9 @@ class AslipParams:
     The scalars are stored as floats and ``l0`` as a float 3-vector.
     """
 
-    k_s: float
-    m: float
-    l0: np.ndarray
+    k_s: float = 2500.0
+    m: float = 12.0
+    l0: np.ndarray = (0.0, 0.0, 0.3)
     g: float = 9.81
 
     def __post_init__(self):

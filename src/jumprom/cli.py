@@ -4,9 +4,10 @@ Every command takes an optional JSON config file.  ``_settings`` resolves
 the settings of each command the same way, defaults < config file < flags:
 it keeps the config keys the command reads (``KEYS``; other keys are
 ignored, so one file can serve several commands) and lets each flag given
-on the command line override its key (``FLAGS``).  The settings go
-straight into the typed records (``TrainingConfig``, ``RolloutConfig``,
-``AslipParams``, the synthetic presets), which check them.  Each run
+on the command line override its key (``FLAGS``, from which each command
+takes the flags of its keys).  The settings go straight into the typed
+records (``TrainingConfig``, ``RolloutConfig``, ``AslipParams``, the
+synthetic presets), which check them and default each unset key.  Each run
 writes exactly one ``run_manifest.json`` next to its outputs recording the
 resolved config, seeds, input/output paths, artifact hashes, and
 wall-clock timings.  Outputs are plain delimited text plus the structured
@@ -31,14 +32,17 @@ from . import __about__, _integrators, aslip, pipeline, rollout, synthetic
 from .errors import JumpromError, ValidationError
 from .pipeline import TrainingConfig, config_from_dict
 from .sindy import print_symbolic
-from .trajectory_data import (Phase, format_row, load_dataset, load_split, process_dataset,
-                              process_jump, sample_step)
+from .trajectory_data import (MANIFEST_NAME, Phase, _cache_path, _read_manifest, format_row,
+                              load_dataset, load_split, process_dataset, process_jump, sample_step)
 
 OUT_ROOT_ENV = "JUMPROM_OUT_ROOT"
 
 PRESETS = {"two_phase": synthetic.two_phase_spec, "three_phase": synthetic.three_phase_spec}
 
 _TRAINING_KEYS = tuple(f.name for f in fields(TrainingConfig))
+
+# The baseline's aSLIP keys and the AslipParams fields they set.
+_ASLIP_FIELDS = {"k_s": "k_s", "mass": "m", "l0": "l0", "g": "g"}
 
 # The config keys each command reads.
 KEYS = {
@@ -48,22 +52,30 @@ KEYS = {
     "scan": tuple(k for k in _TRAINING_KEYS if k not in ("latent_dim", "seed"))
     + ("l_values", "seeds"),
     "eval": ("reset_interval", "integrator"),
-    "baseline": ("integrator", "k_s", "mass", "l0", "g"),
+    "baseline": ("integrator", *_ASLIP_FIELDS),
     # the latent dimension is the model's
     "finetune": tuple(k for k in _TRAINING_KEYS if k != "latent_dim"),
 }
 
-# The flag that overrides each config key, for the commands that read the key.
+
+def _int_list(text):
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+# The flag that overrides each config key, and its parser settings; every
+# command that reads the key takes the flag.
 FLAGS = {
-    "preset": "--preset",
-    "lift_seed": "--seed",
-    "seed": "--seed",
-    "latent_dim": "--latent-dim",
-    "stlsq_threshold": "--threshold",
-    "l_values": "--l-values",
-    "seeds": "--seeds",
-    "reset_interval": "--reset-interval",
-    "integrator": "--integrator",
+    "preset": ("--preset", {"choices": list(PRESETS),
+                            "help": "dataset preset (default: two_phase)"}),
+    "lift_seed": ("--seed", {"type": int, "help": "lift seed of the generated data"}),
+    "seed": ("--seed", {"type": int,
+                        "help": "recorded only: the encoder is the closed-form PCA fit"}),
+    "latent_dim": ("--latent-dim", {"type": int}),
+    "stlsq_threshold": ("--threshold", {"type": float}),
+    "l_values": ("--l-values", {"type": _int_list, "help": "comma-separated latent dims"}),
+    "seeds": ("--seeds", {"type": _int_list, "help": "comma-separated seeds"}),
+    "reset_interval": ("--reset-interval", {"type": int}),
+    "integrator": ("--integrator", {"choices": _integrators.INTEGRATORS}),
 }
 
 
@@ -83,7 +95,7 @@ def _settings(args):
         if not isinstance(payload, dict):
             raise ValidationError(f"config {args.config} must hold a JSON object")
     settings = {k: payload[k] for k in keys if k in payload}
-    for key, flag in FLAGS.items():
+    for key, (flag, _) in FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if key in keys and value is not None:
             settings[key] = value
@@ -110,8 +122,10 @@ class _ManifestWriter:
         }
 
     def add_output(self, path):
+        """Record ``path`` as an output; returns its SHA-256."""
         path = Path(path)
-        self.record["outputs"][str(path.relative_to(self.out_dir))] = _sha256(path)
+        digest = self.record["outputs"][str(path.relative_to(self.out_dir))] = _sha256(path)
+        return digest
 
     def finish(self, resolved_config=None, seeds=()):
         if resolved_config is not None:
@@ -188,9 +202,12 @@ def cmd_gen(args):
     spec = PRESETS[preset](**settings)
     out, manifest = _start(args)
     dataset, _ = synthetic.generate(spec, out_dir=out)
-    for f in sorted(out.iterdir()):
-        if f.name != "run_manifest.json":
-            manifest.add_output(f)
+    # the files this run wrote, not others already in the directory
+    manifest.add_output(out / MANIFEST_NAME)
+    manifest.add_output(out / synthetic.GROUND_TRUTH_NAME)
+    for name, _ in _read_manifest(out)[1]:   # each jump file, then its table cache
+        digest = manifest.add_output(out / name)
+        manifest.add_output(_cache_path(out / name, digest))
     manifest.finish(resolved_config={"preset": preset, **settings}, seeds=[spec.lift_seed])
     print(f"wrote {dataset.n_jumps} jumps to {out}")
     return 0
@@ -258,8 +275,8 @@ def cmd_eval(args):
 
 def cmd_baseline(args):
     settings = _settings(args)
-    params = aslip.AslipParams(k_s=settings.pop("k_s", 2500.0), m=settings.pop("mass", 12.0),
-                               l0=settings.pop("l0", (0.0, 0.0, 0.3)), g=settings.pop("g", 9.81))
+    params = aslip.AslipParams(**{field: settings.pop(key) for key, field in _ASLIP_FIELDS.items()
+                                  if key in settings})
     out, manifest = _start(args, "dataset", *(("model",) if args.model else ()))
     meta, test_jumps = _load_test_jumps(args.dataset)
     model = pipeline.load_model(args.model) if args.model else None
@@ -317,9 +334,16 @@ def cmd_finetune(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
+# Each command's function and help, and whether its ``--model`` is required
+# (None: it takes no model).  Every command but gen reads a dataset.
+_COMMANDS = {
+    "gen": (cmd_gen, "generate a synthetic dataset", None),
+    "train": (cmd_train, "run the three-stage training pipeline", None),
+    "scan": (cmd_scan, "model-selection scan over latent dimensions", None),
+    "eval": (cmd_eval, "roll out a model against recorded test jumps", True),
+    "baseline": (cmd_baseline, "compare against the actuated-SLIP baseline", False),
+    "finetune": (cmd_finetune, "fine-tune an existing model on a new dataset", True),
+}
 
 
 def build_parser():
@@ -329,50 +353,24 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__about__.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, dataset=True, model=False, seed=None):
+    for name, (func, help, model) in _COMMANDS.items():
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; a flag given overrides its key")
         p.add_argument("--out", help=f"output directory (default: ${OUT_ROOT_ENV}/<command>)")
-        if seed:
-            p.add_argument("--seed", type=int, default=None, help=seed)
-        if dataset:
+        if name != "gen":
             p.add_argument("--dataset", required=True, help="dataset directory")
-        if model:
-            p.add_argument("--model", required=True, help="model file")
-        return p
-
-    p = command("gen", cmd_gen, "generate a synthetic dataset", dataset=False,
-                seed="lift seed of the generated data")
-    p.add_argument("--preset", default=None, choices=list(PRESETS),
-                   help="dataset preset (default: two_phase)")
-
-    p = command("train", cmd_train, "run the three-stage training pipeline",
-                seed="recorded only: the encoder is the closed-form PCA fit")
-    p.add_argument("--latent-dim", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-
-    p = command("scan", cmd_scan, "model-selection scan over latent dimensions")
-    p.add_argument("--l-values", type=_int_list, default=None, help="comma-separated latent dims")
-    p.add_argument("--seeds", type=_int_list, default=None, help="comma-separated seeds")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--parallel", type=int, default=1,
-                   help="worker processes, at most one per seed; the report is the same "
-                        "as a serial scan's (default: 1)")
-
-    p = command("eval", cmd_eval, "roll out a model against recorded test jumps", model=True)
-    p.add_argument("--reset-interval", type=int, default=None)
-    p.add_argument("--integrator", choices=_integrators.INTEGRATORS, default=None)
-
-    p = command("baseline", cmd_baseline, "compare against the actuated-SLIP baseline")
-    p.add_argument("--model", default=None, help="optional learned model to include")
-    p.add_argument("--integrator", choices=_integrators.INTEGRATORS, default=None)
-
-    p = command("finetune", cmd_finetune, "fine-tune an existing model on a new dataset",
-                model=True,
-                seed="recorded only: the encoder is the closed-form PCA fit aligned to the model's")
-    p.add_argument("--threshold", type=float, default=None)
+        if model is not None:
+            p.add_argument("--model", required=model,
+                           help="model file" if model else "optional learned model to include")
+        for key in KEYS[name]:
+            if key in FLAGS:
+                flag, settings = FLAGS[key]
+                p.add_argument(flag, **settings)
+    sub.choices["scan"].add_argument(
+        "--parallel", type=int, default=1,
+        help="worker processes, at most one per seed; the report is the same "
+             "as a serial scan's (default: 1)")
     return parser
 
 

@@ -232,6 +232,9 @@ def _fit_stages(dataset, config, parent=None):
     the StepSnapshots after stages 1 and 2 (before any alignment), the
     autoencoder that stage 3 fits against, and the tuple of phase models.
     """
+    full_dim = dataset.meta.m + 6
+    if config.latent_dim > full_dim:
+        raise ValidationError(f"latent_dim must be <= m + 6 = {full_dim}, got {config.latent_dim}")
     train_jumps = _ensure_processed(dataset).jumps_in("train")
     if not train_jumps:
         raise ValidationError("dataset has no train split")

@@ -181,9 +181,10 @@ def build_library(spec, xi, dxi, nu=None):
     return out
 
 
-def build_library_row(spec, xi, dxi, nu=None):
-    """Single-sample version of build_library; returns a (p,) vector."""
-    return build_library(spec, xi, dxi, nu)
+# A second name of build_library, for one sample or stacked rows:
+# perfbench/tracing.py patches this name in rollout and synthetic to count
+# the library evaluations of rollouts and of data generation.
+build_library_row = build_library
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import hashlib
 import json
 import re
 import shlex
@@ -94,6 +95,23 @@ class TestGen:
         assert main(["gen", "--preset", preset, "--config", str(config), "--out", str(out)]) == 0
         assert load_dataset(out).split_counts() == (1, 1, 1)
 
+    def test_outputs_are_the_files_it_wrote(self, tmp_path):
+        # a second, smaller run into the same directory leaves jumps 3 and 4
+        # of the first run behind; they are not this run's outputs
+        out = tmp_path / "data"
+        for n_jumps in (5, 3):
+            config = tmp_path / f"gen{n_jumps}.json"
+            config.write_text(json.dumps({"n_jumps": n_jumps}))
+            assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "jump_004.csv").exists()
+        jumps = [f"jump_{i:03d}.csv" for i in range(3)]
+        caches = [cache.name for name in jumps for cache in out.glob(f"{name}.*.npy")]
+        assert len(caches) == 3
+        outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == sorted(["manifest.json", "ground_truth.json", *jumps, *caches])
+        for name, digest in outputs.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("payload", [{"n_jumps": 3, "split_counts": [1, 1, 2]},
                                          {"split_counts": [8, 2, 9]}])
     def test_bad_split_fails_before_simulating(self, tmp_path, capsys, monkeypatch, payload):
@@ -182,6 +200,14 @@ class TestTrain:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "ERROR E_VALIDATE" in capsys.readouterr().err
+
+    def test_latent_dim_above_full_dim_fails_validation(self, gen_dir, tmp_path, capsys):
+        # m = 12, so the latent dimension is at most 18, as in a scan
+        assert main(["train", "--dataset", str(gen_dir), "--latent-dim", "19",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert ("ERROR E_VALIDATE: latent_dim must be <= m + 6 = 18, got 19"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "model.txt").exists()
 
     def test_flags_beat_config_and_other_keys_ignored(self, gen_dir, tmp_path):
         config = tmp_path / "train.json"
@@ -339,6 +365,48 @@ def test_bad_manifest_value_fails_to_load(gen_dir, trained_dir, tmp_path, capsys
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert f"ERROR E_LOAD: manifest.json: manifest key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,split", [("train", "train"), ("eval", "test"),
+                                           ("baseline", "test")])
+def test_dataset_without_the_split_read_fails(gen_dir, trained_dir, tmp_path, capsys, command,
+                                               split):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    for entry in manifest["jumps"]:
+        if entry["split"] == split:
+            entry["split"] = "val"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    argv = [command, "--dataset", str(data), "--out", str(tmp_path / "out")]
+    if command == "eval":
+        argv += ["--model", str(trained_dir / "model.txt")]
+    assert main(argv) == 1
+    assert f"ERROR E_VALIDATE: dataset has no {split} split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("damage", ["no_manifest", "robot", "m", "dt", "jumps", "test_jump_file"])
+def test_damaged_dataset_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, command, damage):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    manifest_path = data / "manifest.json"
+    if damage == "no_manifest":
+        manifest_path.unlink()
+        message = f"no manifest.json in {data}"
+    elif damage == "test_jump_file":   # read by both commands
+        name = _split_files(data)["test"][0]
+        (data / name).unlink()
+        message = f"{name}: file not found"
+    else:
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[damage]
+        manifest_path.write_text(json.dumps(manifest))
+        message = f"manifest.json: missing manifest key {damage!r}"
+    args = {"train": ["train", "--latent-dim", "2"],
+            "eval": ["eval", "--model", str(trained_dir / "model.txt")]}[command]
+    assert main(args + ["--dataset", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert f"ERROR E_LOAD: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "baseline", "finetune"])
@@ -568,6 +636,15 @@ class TestNamesTheFailingJump:
                 in capsys.readouterr().err)
         assert not (out / "model.txt").exists()
 
+    def test_train_names_the_jump_without_foot_positions(self, gen_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        bad = self._save_with_one_bad_jump(gen_dir, data, "train",
+                                           lambda j: replace(j, foot_positions=None))
+        assert main(["train", "--dataset", str(data), "--latent-dim", "2",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert (f"ERROR E_VALIDATE: jump {bad}: foot positions are required to compute the "
+                "CoM wrench" in capsys.readouterr().err)
+
     def test_eval_names_the_test_jump_with_an_uneven_grid(self, gen_dir, trained_dir, tmp_path,
                                                           capsys):
         def uneven(jump):
@@ -699,6 +776,21 @@ class TestBaseline:
                          "--integrator", "fixed_rk4"] + args) == 0
             manifest = json.loads((out / "run_manifest.json").read_text())
             assert manifest["inputs"] == expected
+
+    def test_unset_aslip_keys_take_the_documented_defaults(self, gen_dir, tmp_path):
+        # README: k_s 2500 N/m, mass 12 kg, l0 [0, 0, 0.3] m, g 9.81 m/s^2
+        tables = {}
+        for name, payload in (("unset", {}),
+                              ("documented", {"k_s": 2500, "mass": 12, "l0": [0, 0, 0.3],
+                                              "g": 9.81}),
+                              ("heavier", {"mass": 13})):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(payload))
+            out = tmp_path / name
+            assert main(["baseline", "--dataset", str(gen_dir), "--config", str(config),
+                         "--out", str(out), "--integrator", "fixed_rk4"]) == 0
+            tables[name] = (out / "comparison.csv").read_bytes()
+        assert tables["unset"] == tables["documented"] != tables["heavier"]
 
     def test_divergence_exits_with_blowup(self, gen_dir, tmp_path, capsys):
         config = tmp_path / "stiff.json"
@@ -851,6 +943,12 @@ class TestOutRoot:
         assert code == 0
         assert (tmp_path / "root" / "train" / "model.txt").exists()
 
+    def test_out_that_is_a_file_fails_with_io_error(self, gen_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["train", "--dataset", str(gen_dir), "--out", str(out)]) == 1
+        assert f"ERROR E_IO: [Errno 17] File exists: '{out}'" in capsys.readouterr().err
+
     def test_missing_out_and_env_fails(self, gen_dir, monkeypatch, capsys):
         monkeypatch.delenv("JUMPROM_OUT_ROOT", raising=False)
         code = main(["train", "--dataset", str(gen_dir), "--latent-dim", "2"])
@@ -899,6 +997,21 @@ def _subparsers():
     return action.choices
 
 
+@pytest.mark.parametrize("command", list(KEYS))
+def test_options_are_the_flags_of_the_keys_read(command):
+    options = _subparsers()[command]._option_string_actions
+    expected = {"-h", "--help", "--config", "--out"} | {FLAGS[k][0] for k in KEYS[command]
+                                                         if k in FLAGS}
+    if command != "gen":
+        expected.add("--dataset")
+    if command in ("eval", "baseline", "finetune"):
+        expected.add("--model")
+        assert options["--model"].required == (command != "baseline")
+    if command == "scan":
+        expected.add("--parallel")
+    assert set(options) == expected
+
+
 class TestReadme:
     def test_quick_start_commands_parse(self):
         block = README.read_text().split("## Quick start", 1)[1].split("```bash", 1)[1]
@@ -917,7 +1030,7 @@ class TestReadme:
         for command, keys in KEYS.items():
             options = parsers[command]._option_string_actions
             for key in keys:
-                flag = FLAGS.get(key)
+                flag = FLAGS.get(key, (None,))[0]
                 if flag is not None:
                     assert flag in options, (command, flag)
                     assert f"`{key}` (`{flag}`" in rows[command], (command, key)
