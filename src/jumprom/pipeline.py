@@ -27,7 +27,7 @@ import io
 import json
 import logging
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -76,7 +76,9 @@ class TrainingConfig:
     """Hyperparameters of one pipeline run.
 
     Stage 1 is the closed-form PCA fit, for training and fine-tuning
-    alike, so ``seed`` is only recorded.
+    alike, so ``seed`` is only recorded.  ``library`` may be given as a
+    mapping of ``FunctionLibrarySpec`` fields and ``seed_phase`` as a phase
+    name; each is converted to its record when the config is built.
     """
 
     latent_dim: int = 2
@@ -94,6 +96,18 @@ class TrainingConfig:
     selection_lambda: float = 0.001
 
     def __post_init__(self):
+        try:
+            if isinstance(self.library, Mapping):
+                object.__setattr__(self, "library", FunctionLibrarySpec(**self.library))
+        except (TypeError, ValidationError) as e:
+            raise ValidationError(f"invalid library in config: {e}") from e
+        if not isinstance(self.library, FunctionLibrarySpec):
+            raise ValidationError(f"library must be a mapping of FunctionLibrarySpec fields, "
+                                  f"got {self.library!r}")
+        try:
+            object.__setattr__(self, "seed_phase", Phase(self.seed_phase))
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"invalid seed_phase in config: {e}") from e
         for f in fields(self):  # f.type is the annotation string (postponed annotations)
             value = getattr(self, f.name)
             if f.type == "int" and not is_integer(value):
@@ -104,11 +118,16 @@ class TrainingConfig:
                 raise ValidationError(f"{f.name} must be true or false, got {value!r}")
         if self.latent_dim < 1:
             raise ValidationError("latent_dim must be >= 1")
-        for name in ("stlsq_threshold", "stlsq_ridge", "stlsq_max_iters", "decoder_ridge",
+        for name in ("stlsq_threshold", "stlsq_max_iters", "decoder_ridge",
                      "selection_lambda", "boundary_trim", "latent_accel_weight",
                      "decoded_accel_weight"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+        if self.stlsq_ridge <= 0:
+            raise ValidationError(
+                f"stlsq_ridge must be > 0, got {self.stlsq_ridge!r}: without a ridge stage 3 "
+                "solves every refit by least squares on its whole support block, "
+                "(p*l)^2 doubles at full support")
         if self.latent_accel_weight == 0 and self.decoded_accel_weight == 0:
             raise ValidationError("latent_accel_weight and decoded_accel_weight are both 0: "
                                   "stage 3 would fit no residual")
@@ -126,17 +145,9 @@ def config_to_dict(config):
 
 
 def config_from_dict(payload):
-    payload = dict(payload)
     unknown = sorted(set(payload) - {f.name for f in fields(TrainingConfig)})
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        if "library" in payload:
-            payload["library"] = FunctionLibrarySpec(**payload["library"])
-        if "seed_phase" in payload:
-            payload["seed_phase"] = Phase(payload["seed_phase"])
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"invalid library or seed_phase in config: {e}") from e
     return TrainingConfig(**payload)
 
 

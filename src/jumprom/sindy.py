@@ -15,18 +15,21 @@ Cholesky factors of size p decoupled through the eigenvectors of the small
 l x l M.  A refit that keeps more than half the entries is a bordered
 (KKT) solve on those factors, whose only dense system is the Schur matrix
 of the eliminated entries; a refit that keeps at most half assembles the
-block of the system on its support and factors it by Cholesky.  So no
-dense matrix larger than half the unknowns is factored.  The regression
-runs on numpy alone: ``np.linalg.cholesky`` factors and checks positive
-definiteness, and the triangular solves and the inverse of a factor go
-through the inverses of its diagonal blocks.  The design matrix is never
-held: each block of samples adds its rows' Gram and right-hand side to
-the normal equations ``_BLOCK`` rows at a time.  The factors become their
-inverses in place, and the gathers and the triangular kernels work in
-blocks of rows, so a fit holds l p^2 doubles plus Gram and bounded
-blocks.  A system that is not numerically positive definite
-(a rank-deficient Gram far larger than ridge/eps) is solved by LU on its
-support block instead, with one warning per fit.
+block of the system on its support and factors it by Cholesky.  So with
+a ridge > 0 no dense matrix larger than half the unknowns is factored by
+Cholesky.  The regression runs on numpy alone: ``np.linalg.cholesky``
+factors and checks positive definiteness, and the triangular solves and
+the inverse of a factor go through the inverses of its diagonal blocks.
+The design matrix is never held: each block of samples adds its rows'
+Gram and right-hand side to the normal equations ``_BLOCK`` rows at a
+time.  The factors become their inverses in place, and the gathers and
+the triangular kernels work in blocks of rows, so a fit holds l p^2
+doubles plus Gram and bounded blocks.  A system that is not numerically
+positive definite (a rank-deficient Gram far larger than ridge/eps) is
+solved by LU on its whole support block instead, with one warning per
+fit.  Without a ridge (ridge <= 0, which ``TrainingConfig`` rejects but
+``stlsq`` and ``fit_phase_model`` accept) every refit is a least-squares
+solve of its whole support block, up to (p l)^2 doubles at full support.
 """
 
 from __future__ import annotations

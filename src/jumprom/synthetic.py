@@ -4,18 +4,20 @@ Ground truth is a low-dimensional second-order ODE written as sparse
 coefficients over a declared candidate-function library; the standard
 fixtures use affine-linear dynamics per phase, placed into the library's
 constant, ``xi_i``, ``dxi_i`` and ``nu_i`` slots by ``affine_coefficients``.
-The latent trajectories of all jumps are stepped in lockstep as one
-stacked state (fixed small-step RK4, dynamics switched per phase), then
-lifted through a seeded orthonormal matrix plus offset (so the embedding
-is well-conditioned but not axis aligned), and written in the standard
-dataset format.  Inputs are chosen as smooth random splines in latent
-space (``_CubicSpline``, an in-house not-a-knot cubic spline equal bit
-for bit to scipy's ``CubicSpline``, so generation runs on numpy alone)
-and mapped to configuration space as u = lift @ nu, which the
+The truth is a ``MultiPhaseModel`` like any learned one: its decoder is a
+seeded orthonormal lift plus offset (so the embedding is well-conditioned
+but not axis aligned), its encoder the lift's transpose, and each phase
+holds the true coefficients at threshold 0.  The latent trajectories of
+all jumps are stepped in lockstep as one stacked state (fixed small-step
+RK4, dynamics switched per phase), decoded through the truth's
+autoencoder, and written in the standard dataset format, with the truth
+beside them in the model-file format.  Inputs are chosen as smooth random
+splines in latent space (``_CubicSpline``, an in-house not-a-knot cubic
+spline equal bit for bit to scipy's ``CubicSpline``, so generation runs on
+numpy alone) and mapped to configuration space as u = lift @ nu, which the
 transposed-pseudoinverse input transform inverts exactly because the lift
-has orthonormal columns.  The hidden truth is returned alongside for test
-harness use, including a helper that re-expresses the true coefficients in
-any trained encoder basis.
+has orthonormal columns.  ``coefficients_in_basis`` re-expresses the true
+coefficients in any trained encoder basis.
 
 The two presets, ``two_phase_spec`` and ``three_phase_spec``, differ only
 in their phase schedule and default train/val/test split, which each
@@ -26,15 +28,16 @@ or noise level fails before any jump is simulated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _integrators
+from .autoencoder import AutoencoderParams, decode
 from .errors import ValidationError, is_finite_real, is_integer
-from .sindy import FunctionLibrarySpec, build_library_row
+from .pipeline import MultiPhaseModel, load_model, save_model
+from .sindy import FunctionLibrarySpec, PhaseModel, SparseCoefficients, build_library_row
 from .trajectory_data import (
     Dataset,
     DatasetMeta,
@@ -53,7 +56,7 @@ _CONTACT_FLAGS = {
     Phase.FLIGHT: (0.0, 0.0, 0.0, 0.0),
 }
 
-GROUND_TRUTH_NAME = "ground_truth.json"
+GROUND_TRUTH_NAME = "ground_truth.txt"
 
 
 @dataclass(frozen=True)
@@ -114,22 +117,6 @@ class SyntheticSpec:
         raise ValidationError(f"no dynamics for phase {phase}")
 
 
-@dataclass(frozen=True)
-class SyntheticTruth:
-    """Hidden ground truth of a generated dataset."""
-
-    lift: np.ndarray
-    offset: np.ndarray
-    library: FunctionLibrarySpec
-    coefficients: tuple[tuple[Phase, np.ndarray], ...]
-
-    def coefficients_for(self, phase):
-        for ph, coeffs in self.coefficients:
-            if ph == phase:
-                return coeffs
-        raise ValidationError(f"no ground-truth dynamics for phase {phase}")
-
-
 _AFFINE_BLOCKS = ("constant", "linear state", "linear velocity", "input")
 
 
@@ -188,34 +175,37 @@ def _decompose_affine(library, Xi):
 
 
 def coefficients_in_basis(truth, encoder):
-    """Re-express affine-linear true dynamics in a trained encoder basis.
+    """Re-express the affine-linear dynamics of the model ``truth`` in a
+    trained encoder basis.
 
-    Given latent_learned = W_enc (lift @ latent_true + offset) + b_enc and
-    nu_learned = pinv(W_enc)^T lift nu_true, returns for every phase the
-    coefficient matrix over the same library that generates the identical
-    accelerations in the learned coordinates.  Only valid when the learned
-    latent dimension equals the true one.
+    With the truth's decoder weights ``lift`` and bias ``offset``, given
+    latent_learned = W_enc (lift @ latent_true + offset) + b_enc and
+    nu_learned = pinv(W_enc)^T lift nu_true, returns a (phase, coefficient
+    matrix) pair per phase of ``truth``, in its order, each over that
+    phase's library, that generates the identical accelerations in the
+    learned coordinates.  Only valid when the learned latent dimension
+    equals the true one.
     """
-    l = truth.lift.shape[1]
+    lift, offset = truth.autoencoder.W_dec, truth.autoencoder.b_dec
+    l = truth.autoencoder.latent_dim
     if encoder.latent_dim != l:
         raise ValidationError(
             f"basis transform needs latent_dim == {l}, got {encoder.latent_dim}"
         )
-    A = encoder.W_enc @ truth.lift
-    b = encoder.W_enc @ truth.offset + encoder.b_enc
-    M = np.linalg.pinv(encoder.W_enc).T @ truth.lift
+    A = encoder.W_enc @ lift
+    b = encoder.W_enc @ offset + encoder.b_enc
+    M = np.linalg.pinv(encoder.W_enc).T @ lift
     A_inv = np.linalg.inv(A)
     M_inv = np.linalg.inv(M)
     out = []
-    for phase, Xi in truth.coefficients:
-        k0, K, C, N = _decompose_affine(truth.library, Xi)
+    for pm in truth.phases:
+        library = pm.coefficients.library
+        k0, K, C, N = _decompose_affine(library, pm.coefficients.Xi)
         K_new = A @ K @ A_inv
         C_new = A @ C @ A_inv
         N_new = A @ N @ M_inv
         k0_new = A @ k0 - K_new @ b
-        out.append(
-            (phase, affine_coefficients(truth.library, l, k0_new, K_new, C_new, N_new))
-        )
+        out.append((pm.phase, affine_coefficients(library, l, k0_new, K_new, C_new, N_new)))
     return tuple(out)
 
 
@@ -399,8 +389,14 @@ def generate(spec, out_dir=None):
     """Generate a dataset plus its hidden ground truth.
 
     Returns (dataset, truth) with the dataset in exactly the shape
-    load_dataset produces (derived fields unfilled).  With ``out_dir`` the
-    dataset files and a ground-truth sidecar are also written.  The same
+    load_dataset produces (derived fields unfilled) and the truth a
+    ``MultiPhaseModel``: the seeded lift as its decoder weights, the offset
+    as its decoder bias, the lift's transpose as its encoder, and a phase
+    model per declared phase, in declaration order, holding that phase's
+    true coefficients at threshold 0.  Every configuration, velocity and
+    input is decoded from the simulated latents through that autoencoder.
+    With ``out_dir`` the dataset files and the truth, saved by
+    ``save_model`` as ``GROUND_TRUTH_NAME``, are also written.  The same
     spec always yields identical files.
     """
     root_seq = np.random.SeedSequence(spec.lift_seed)
@@ -412,13 +408,20 @@ def generate(spec, out_dir=None):
     # QR columns are orthonormal, so the lift is perfectly conditioned
     lift = np.linalg.qr(lift_rng.standard_normal((spec.full_dim, spec.l_true)))[0]
     offset = lift_rng.normal(0.0, 0.5, spec.full_dim)
+    truth = MultiPhaseModel(
+        autoencoder=AutoencoderParams(W_enc=lift.T, b_enc=-(lift.T @ offset), W_dec=lift,
+                                      b_dec=offset),
+        phases=tuple(PhaseModel(ph, SparseCoefficients(np.array(c), 0.0, spec.library))
+                     for ph, c in spec.phase_dynamics),
+        provenance={"ground_truth": True, "lift_seed": spec.lift_seed},
+    )
 
     flags = np.concatenate([np.tile(_CONTACT_FLAGS[phase], (steps, 1))
                             for phase, steps in spec.phase_durations])
     jumps = []
     for xi, dxi, nu, (feet, com) in zip(*_simulate_jumps(spec, data_rng)):
         T = xi.shape[0]
-        u = nu @ lift.T
+        u = decode(truth.autoencoder, nu, 1)
         wrench = u[:, m:]
         cursor = 0
         forces = np.zeros((T, 12))
@@ -429,8 +432,8 @@ def generate(spec, out_dir=None):
         # derived fields stay unfilled, mirroring what load_dataset returns
         jumps.append(Trajectory(
             timestamps=np.arange(T) * spec.dt,
-            q=offset + xi @ lift.T,
-            dq=dxi @ lift.T,
+            q=decode(truth.autoencoder, xi),
+            dq=decode(truth.autoencoder, dxi, 1),
             tau=u[:, :m],
             contact=flags.copy(),
             foot_forces=forces,
@@ -446,41 +449,15 @@ def generate(spec, out_dir=None):
     if spec.noise_sigma:
         dataset = add_noise(dataset, spec.noise_sigma, seed=noise_seq.generate_state(1)[0])
 
-    truth = SyntheticTruth(
-        lift=lift,
-        offset=offset,
-        library=spec.library,
-        coefficients=tuple((ph, np.array(c)) for ph, c in spec.phase_dynamics),
-    )
     if out_dir is not None:
         save_dataset(dataset, out_dir)
-        _write_truth(truth, Path(out_dir) / GROUND_TRUTH_NAME)
+        save_model(truth, Path(out_dir) / GROUND_TRUTH_NAME)
     return dataset, truth
 
 
-def _write_truth(truth, path):
-    payload = {
-        "lift": truth.lift.tolist(),
-        "offset": truth.offset.tolist(),
-        "library": vars(truth.library),
-        "term_names": truth.library.term_names(truth.lift.shape[1]),
-        "coefficients": {str(ph): c.tolist() for ph, c in truth.coefficients},
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_truth(path):
-    payload = json.loads(Path(path).read_text())
-    library = FunctionLibrarySpec(**payload["library"])
-    coeffs = tuple(
-        (Phase(ph), np.asarray(c, dtype=float)) for ph, c in payload["coefficients"].items()
-    )
-    return SyntheticTruth(
-        lift=np.asarray(payload["lift"], dtype=float),
-        offset=np.asarray(payload["offset"], dtype=float),
-        library=library,
-        coefficients=coeffs,
-    )
+# A second name of load_model, which reads the truth as it reads any model:
+# perfbench/workloads.py imports this name to read the truth of a dataset.
+load_truth = load_model
 
 
 # ---------------------------------------------------------------------------

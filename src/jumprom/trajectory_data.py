@@ -33,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -591,7 +592,9 @@ def save_dataset(dataset, path):
     Next to each jump file goes its table cache: the float64 table the
     file's text holds, saved by ``np.save`` under the name
     ``<file>.<SHA-256 of the file's bytes>.npy``, in place of any older
-    cache of that file.
+    cache of that file.  Every ``jump_<index>.csv`` already in the
+    directory that the new manifest does not list is deleted with its
+    caches; other files are left alone.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -608,7 +611,19 @@ def save_dataset(dataset, path):
         "jumps": entries,
     }
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    listed = {entry["file"] for entry in entries}
+    for old in root.glob("jump_*.csv"):
+        if old.name not in listed and re.fullmatch(r"jump_\d+\.csv", old.name):
+            _remove_caches(old)
+            old.unlink()
     return root
+
+
+def _remove_caches(path, keep=None):
+    """Delete every table cache of the jump file ``path`` except ``keep``."""
+    for old in path.parent.glob(f"{glob.escape(path.name)}.*.npy"):
+        if old != keep:
+            old.unlink()
 
 
 def _save_jump_file(path, jump, m):
@@ -631,6 +646,4 @@ def _save_jump_file(path, jump, m):
         os.replace(tmp, cache)
     finally:
         tmp.unlink(missing_ok=True)
-    for old in path.parent.glob(f"{glob.escape(path.name)}.*.npy"):
-        if old != cache:
-            old.unlink()
+    _remove_caches(path, keep=cache)

@@ -53,7 +53,7 @@ def trained_dir(gen_dir, tmp_path_factory):
 class TestGen:
     def test_writes_dataset_and_manifest(self, gen_dir):
         assert (gen_dir / "manifest.json").exists()
-        assert (gen_dir / "ground_truth.json").exists()
+        assert (gen_dir / "ground_truth.txt").exists()
         assert (gen_dir / "run_manifest.json").exists()
         assert len(list(gen_dir.glob("jump_*.csv"))) == 6
 
@@ -96,19 +96,19 @@ class TestGen:
         assert load_dataset(out).split_counts() == (1, 1, 1)
 
     def test_outputs_are_the_files_it_wrote(self, tmp_path):
-        # a second, smaller run into the same directory leaves jumps 3 and 4
-        # of the first run behind; they are not this run's outputs
+        # a second, smaller run into the same directory deletes jumps 3 and 4
+        # of the first run; the other files are this run's outputs
         out = tmp_path / "data"
         for n_jumps in (5, 3):
             config = tmp_path / f"gen{n_jumps}.json"
             config.write_text(json.dumps({"n_jumps": n_jumps}))
             assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "jump_004.csv").exists()
+        assert not list(out.glob("jump_003.csv*")) and not list(out.glob("jump_004.csv*"))
         jumps = [f"jump_{i:03d}.csv" for i in range(3)]
         caches = [cache.name for name in jumps for cache in out.glob(f"{name}.*.npy")]
         assert len(caches) == 3
         outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
-        assert sorted(outputs) == sorted(["manifest.json", "ground_truth.json", *jumps, *caches])
+        assert sorted(outputs) == sorted(["manifest.json", "ground_truth.txt", *jumps, *caches])
         for name, digest in outputs.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
@@ -186,7 +186,7 @@ class TestTrain:
                                          {"stlsq_max_iters": "3"}, {"stlsq_threshold": 10**400},
                                          {"library": {"poly_degree": "2"}},
                                          {"library": {"degree": 2}}, {"seed_phase": "bogus"},
-                                         {"boundary_trim": -3},
+                                         {"boundary_trim": -3}, {"stlsq_ridge": 0},
                                          # "false" is truthy: accepted, it would flip the flag
                                          {"standardize": "false"}, {"standardize": 0},
                                          {"library": {"include_constant": "false"}},
@@ -441,6 +441,21 @@ def test_repeated_phase_block_fails_to_load(gen_dir, trained_dir, tmp_path, caps
     assert code == 1
     assert (f"ERROR E_FORMAT: malformed line: repeated phase contact (byte {end})"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["eval", "--integrator", "fixed_rk4"],
+                                     ["eval", "--integrator", "adaptive"],
+                                     ["baseline", "--integrator", "fixed_rk4"]],
+                         ids=["eval_fixed_rk4", "eval_adaptive", "baseline"])
+def test_ground_truth_is_a_model(gen_dir, tmp_path, command):
+    # rolling out the true laws leaves only the error of holding each input over a step
+    out = tmp_path / "out"
+    assert main([*command, "--dataset", str(gen_dir), "--out", str(out),
+                 "--model", str(gen_dir / synthetic.GROUND_TRUTH_NAME)]) == 0
+    table = out / ("metrics.csv" if command[0] == "eval" else "comparison.csv")
+    rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+    errors = [float(x) for _, label, *values in rows if label != "aslip" for x in values]
+    assert errors and max(errors) < 1e-2
 
 
 def test_cli_import_loads_no_scipy():

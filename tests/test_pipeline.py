@@ -308,6 +308,22 @@ class TestModelFormat:
         TrainingConfig(latent_accel_weight=0.0)  # either weight alone may be 0
         TrainingConfig(decoded_accel_weight=0.0)
 
+    def test_library_mapping_and_phase_name_converted(self, clean_bundle):
+        config = TrainingConfig(latent_dim=2, seed_phase="contact", library={"poly_degree": 1})
+        assert config.seed_phase is Phase.CONTACT
+        typed = TrainingConfig(latent_dim=2, library=FunctionLibrarySpec(poly_degree=1))
+        assert config.library == typed.library and config.hash() == typed.hash()
+        assert models_equal(run_pipeline(clean_bundle.dataset, config),
+                            run_pipeline(clean_bundle.dataset, typed))
+
+    @pytest.mark.parametrize("settings, key", [
+        ({"library": {"degree": 2}}, "library"), ({"library": 3}, "library"),
+        ({"library": {"poly_degree": -1}}, "library"), ({"seed_phase": "bogus"}, "seed_phase"),
+        ({"seed_phase": None}, "seed_phase")])
+    def test_bad_library_or_seed_phase_named(self, settings, key):
+        with pytest.raises(ValidationError, match=key):
+            TrainingConfig(**settings)
+
 
 def _generate(**spec):
     dataset, _ = synthetic.generate(synthetic.two_phase_spec(**spec))

@@ -11,8 +11,10 @@ from scipy.interpolate import CubicSpline
 
 from jumprom._integrators import rk4_interval
 from jumprom.autoencoder import AutoencoderParams
-from jumprom.sindy import FunctionLibrarySpec, build_library
+from jumprom.pipeline import MultiPhaseModel, load_model
+from jumprom.sindy import FunctionLibrarySpec, PhaseModel, SparseCoefficients, build_library
 from jumprom.synthetic import (
+    GROUND_TRUTH_NAME,
     SyntheticSpec,
     _CubicSpline,
     _decompose_affine,
@@ -27,6 +29,7 @@ from jumprom.synthetic import (
 )
 from jumprom.trajectory_data import Phase, load_dataset, segment_phases
 from jumprom.errors import ValidationError
+from helpers import models_equal
 
 
 def test_schema_round_trip(tmp_path, clean_bundle):
@@ -36,8 +39,20 @@ def test_schema_round_trip(tmp_path, clean_bundle):
     assert dataset.n_jumps == spec.n_jumps
     labels, segments = segment_phases(dataset.jumps[0].contact)
     assert [s.phase for s in segments] == [Phase.CONTACT, Phase.FLIGHT]
-    truth = load_truth(tmp_path / "ground_truth.json")
-    assert truth.lift.shape == (18, 2)
+    truth = load_truth(tmp_path / GROUND_TRUTH_NAME)
+    assert truth.autoencoder.W_dec.shape == (18, 2)
+
+
+@pytest.mark.parametrize("preset", [two_phase_spec, three_phase_spec],
+                         ids=["two_phase", "three_phase"])
+def test_written_truth_loads_equal_in_phase_order(tmp_path, preset):
+    _, truth = generate(preset(n_jumps=3, split_counts=(1, 1, 1)), out_dir=tmp_path)
+    assert load_truth is load_model
+    loaded = load_truth(tmp_path / GROUND_TRUTH_NAME)
+    assert models_equal(loaded, truth)
+    assert loaded.phase_labels == tuple(ph for ph, _ in preset().phase_durations)
+    assert [pm.coefficients.threshold for pm in loaded.phases] == [0.0] * len(loaded.phases)
+    assert loaded.provenance == truth.provenance
 
 
 def test_data_lies_on_true_subspace(clean_bundle):
@@ -49,7 +64,7 @@ def test_data_lies_on_true_subspace(clean_bundle):
 def test_ddq_matches_numerical_differentiation(clean_bundle):
     # one-phase spec: no dynamics switches, so central differences are valid
     # everywhere except the trajectory endpoints
-    lib = clean_bundle.truth.library
+    lib = clean_bundle.truth.phase_model(Phase.CONTACT).coefficients.library
     contact = affine_coefficients(
         lib, 2, state_gain=-4.0 * np.eye(2), velocity_gain=-0.8 * np.eye(2),
         input_gain=np.eye(2),
@@ -65,14 +80,14 @@ def test_ddq_matches_numerical_differentiation(clean_bundle):
     dataset, truth = generate(spec)
     from jumprom.trajectory_data import process_trajectory
 
-    lift, offset = truth.lift, truth.offset
+    lift, offset = truth.autoencoder.W_dec, truth.autoencoder.b_dec
     for jump in dataset.jumps:
         processed = process_trajectory(jump, 12)
         xi = (jump.q - offset) @ lift
         dxi = jump.dq @ lift
         nu = processed.u @ lift
         theta = build_library(lib, xi, dxi, nu)
-        ddq_true = (theta @ truth.coefficients_for(Phase.CONTACT)) @ lift.T
+        ddq_true = (theta @ truth.phase_model(Phase.CONTACT).coefficients.Xi) @ lift.T
         err = np.abs(processed.ddq[2:-2] - ddq_true[2:-2])
         assert np.max(err) < 1e-3
 
@@ -81,9 +96,9 @@ def test_wrench_reconstruction_is_consistent(clean_bundle):
     # u recovered at load time equals lift @ nu used during generation:
     # transform through the true decoder must give smooth latent inputs
     jump = clean_bundle.dataset.jumps[0]
-    truth = clean_bundle.truth
-    nu = jump.u @ truth.lift
-    u_rebuilt = nu @ truth.lift.T
+    lift = clean_bundle.truth.autoencoder.W_dec
+    nu = jump.u @ lift
+    u_rebuilt = nu @ lift.T
     assert np.max(np.abs(u_rebuilt - jump.u)) < 1e-8
 
 
@@ -107,7 +122,7 @@ def test_three_phase_label_sequence(three_phase_bundle):
 
 
 def test_lift_is_well_conditioned(clean_bundle):
-    cond = np.linalg.cond(clean_bundle.truth.lift)
+    cond = np.linalg.cond(clean_bundle.truth.autoencoder.W_dec)
     assert cond < 1e4
     assert cond == pytest.approx(1.0, abs=1e-10)  # QR-orthonormal columns
 
@@ -116,32 +131,36 @@ def test_coefficients_in_basis_identity():
     # encoder equal to the true projection: rendered == declared truth
     spec = two_phase_spec(n_jumps=1, split_counts=(1, 0, 0))
     _, truth = generate(spec)
-    W = truth.lift.T
-    encoder = AutoencoderParams(
-        W_enc=W.copy(), b_enc=-W @ truth.offset, W_dec=truth.lift.copy(),
-        b_dec=truth.offset.copy(),
-    )
-    rendered = coefficients_in_basis(truth, encoder)
-    for (ph_r, Xi_r), (ph_t, Xi_t) in zip(rendered, truth.coefficients):
-        assert ph_r == ph_t
-        assert np.allclose(Xi_r, Xi_t, atol=1e-10)
+    rendered = coefficients_in_basis(truth, truth.autoencoder)
+    assert len(rendered) == len(truth.phases)
+    for (ph_r, Xi_r), pm in zip(rendered, truth.phases):
+        assert ph_r == pm.phase
+        assert np.allclose(Xi_r, pm.coefficients.Xi, atol=1e-10)
+
+
+def _contact_truth(Xi):
+    """A truth of one contact phase with coefficients ``Xi``, lifted from 2 to 18 dims."""
+    lift = np.linalg.qr(np.random.default_rng(0).normal(size=(18, 2)))[0]
+    ae = AutoencoderParams(W_enc=lift.T, b_enc=np.zeros(2), W_dec=lift, b_dec=np.zeros(18))
+    coeffs = SparseCoefficients(Xi, 0.0, two_phase_spec().library)
+    return MultiPhaseModel(ae, (PhaseModel(Phase.CONTACT, coeffs),), {})
 
 
 def test_coefficients_in_basis_rejects_nonaffine():
     lib = two_phase_spec().library
     Xi = np.zeros((lib.term_count(2), 2))
     Xi[lib.term_names(2).index("sin(dxi_1)"), 0] = 1.0
-    from jumprom.synthetic import SyntheticTruth
-
-    truth = SyntheticTruth(
-        lift=np.linalg.qr(np.random.default_rng(0).normal(size=(18, 2)))[0],
-        offset=np.zeros(18), library=lib, coefficients=((Phase.CONTACT, Xi),),
-    )
-    W = truth.lift.T
-    encoder = AutoencoderParams(
-        W_enc=W.copy(), b_enc=np.zeros(2), W_dec=truth.lift.copy(), b_dec=np.zeros(18)
-    )
+    truth = _contact_truth(Xi)
     with pytest.raises(ValidationError, match="non-affine"):
+        coefficients_in_basis(truth, truth.autoencoder)
+
+
+def test_coefficients_in_basis_rejects_another_latent_dim():
+    lib = two_phase_spec().library
+    truth = _contact_truth(np.zeros((lib.term_count(2), 2)))
+    W = np.eye(3, 18)
+    encoder = AutoencoderParams(W_enc=W, b_enc=np.zeros(3), W_dec=W.T, b_dec=np.zeros(18))
+    with pytest.raises(ValidationError, match="latent_dim == 2, got 3"):
         coefficients_in_basis(truth, encoder)
 
 

@@ -1,16 +1,20 @@
-"""The benchmark tracer patches program functions by name; every name must exist.
+"""The benchmark reaches program functions by name; every name must exist.
 
 ``perfbench/tracing.py`` lists in ``LAYERS`` each (module, attribute) it
 replaces during a traced run, and its count hooks read attributes of the
-results and arguments of those functions.  A rename in the program that
-leaves a stale entry or attribute there would crash traced benchmark runs,
-which this suite does not otherwise exercise, so the names and hooks are
-checked here.  The tracer file is only loaded, never changed.
+results and arguments of those functions.  The benchmark's files also
+import program names and read attributes of the program modules they
+import.  A rename in the program that leaves a stale entry or attribute
+there would crash benchmark runs, which this suite does not otherwise
+exercise, so the names and hooks are checked here.  The benchmark's files
+are only read, never changed.
 """
 
+import ast
 import collections
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,40 @@ def test_every_traced_name_exists():
     assert tracing.LAYERS
     missing = [f"{module}.{attr}" for module, attr, *_ in tracing.LAYERS
                if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
+def _program_attr(module, name):
+    """``module.name``, importing it if it is a submodule; None if there is none."""
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module.__name__}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # each name of a `from jumprom... import`, and each attribute read of
+    # an imported program module, such as `synthetic.generate`
+    missing = []
+    for path in sorted(TRACING.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "jumprom":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = _program_attr(module, alias.name)
+                    if value is None:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+                    elif inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and _program_attr(modules[node.value.id], node.attr) is None):
+                missing.append(f"{path.name}: {modules[node.value.id].__name__}.{node.attr}")
     assert missing == []
 
 

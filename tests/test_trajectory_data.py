@@ -631,6 +631,20 @@ class TestTableCache:
         assert not list(tmp_path.glob("*.tmp"))
         assert all(np.array_equal(a.q, b.q) for a, b in zip(jumps, load_dataset(tmp_path).jumps))
 
+    def test_smaller_resave_deletes_unlisted_jump_files(self, tmp_path):
+        jump = _tiny_jump(T=6)
+        for n in (4, 2):
+            save_dataset(Dataset(jumps=(jump,) * n, split=("train",) * n,
+                                 meta=DatasetMeta("t", M, 0.1)), tmp_path)
+            if n == 4:
+                foreign = ["jump_notes.csv", "jump_9.txt", "jump_003.bak.csv", "notes.csv"]
+                for name in foreign:
+                    (tmp_path / name).write_text("kept\n")
+        assert not list(tmp_path.glob("jump_00[23].csv*"))
+        assert [c.name.split(".")[0] for c in _caches(tmp_path)] == ["jump_000", "jump_001"]
+        assert all((tmp_path / name).read_text() == "kept\n" for name in foreign)
+        assert load_dataset(tmp_path).n_jumps == 2
+
     def test_header_only_file_has_no_samples(self, tmp_path):
         empty = replace(_tiny_jump(T=0), timestamps=np.zeros(0))
         save_dataset(Dataset(jumps=(empty,), split=("train",), meta=DatasetMeta("t", M, 0.1)),
