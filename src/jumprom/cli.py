@@ -53,8 +53,8 @@ KEYS = {
     + ("l_values", "seeds"),
     "eval": ("reset_interval", "integrator"),
     "baseline": ("integrator", *_ASLIP_FIELDS),
-    # the latent dimension is the model's
-    "finetune": tuple(k for k in _TRAINING_KEYS if k != "latent_dim"),
+    # the latent dimension and the library are the model's
+    "finetune": tuple(k for k in _TRAINING_KEYS if k not in ("latent_dim", "library")),
 }
 
 
@@ -321,7 +321,7 @@ def cmd_finetune(args):
     settings = _settings(args)
     out, manifest = _start(args, "dataset", "model")
     model = pipeline.load_model(args.model)
-    config = config_from_dict({**settings, "latent_dim": model.autoencoder.latent_dim})
+    config = pipeline.fine_tune_config(model, config_from_dict(settings))
     dataset = _load_processed(args.dataset)
     tuned = pipeline.fine_tune(model, dataset, config)
     model_path = out / "model.txt"

@@ -124,10 +124,8 @@ class TrainingConfig:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
         if self.stlsq_ridge <= 0:
-            raise ValidationError(
-                f"stlsq_ridge must be > 0, got {self.stlsq_ridge!r}: without a ridge stage 3 "
-                "solves every refit by least squares on its whole support block, "
-                "(p*l)^2 doubles at full support")
+            raise ValidationError(f"stlsq_ridge must be > 0, got {self.stlsq_ridge!r}: "
+                                  "stage 3 solves only ridge-regularized systems")
         if self.latent_accel_weight == 0 and self.decoded_accel_weight == 0:
             raise ValidationError("latent_accel_weight and decoded_accel_weight are both 0: "
                                   "stage 3 would fit no residual")
@@ -434,6 +432,17 @@ def write_selection_report(report, path):
                      f"{r.active_count},{r.selection_loss!r}\n")
 
 
+def fine_tune_config(model, config):
+    """The config that fine-tuning ``model`` runs: ``config`` with the
+    model's latent dimension and library, whatever ``config`` says of them.
+    A model whose phases use different libraries cannot be fine-tuned."""
+    libraries = {pm.coefficients.library for pm in model.phases}
+    if len(libraries) != 1:
+        raise ValidationError(f"fine-tuning needs one library across the model's phases, "
+                              f"found {len(libraries)}")
+    return replace(config, latent_dim=model.autoencoder.latent_dim, library=libraries.pop())
+
+
 def fine_tune(model, dataset, config):
     """Refit all three stages of an existing model on a new dataset.
 
@@ -443,15 +452,16 @@ def fine_tune(model, dataset, config):
     (``align``); stage 3 warm-starts the sparse regression from
     the existing support of each phase (new phases start cold), so it can
     keep or drop the existing terms but adds none.  The latent dimension
-    is the model's, whatever ``config.latent_dim`` says, and the recorded
-    config hash is of the config that ran.  Provenance records the hash of the parent model.
+    and the library are the model's (``fine_tune_config``), and the
+    recorded config hash is of the config that ran.  Provenance records the
+    hash of the parent model.
     """
     full_dim = dataset.meta.m + 6
     if model.autoencoder.full_dim != full_dim:
         raise ValidationError(
             f"model dimension {model.autoencoder.full_dim} does not match dataset ({full_dim})"
         )
-    config = replace(config, latent_dim=model.autoencoder.latent_dim)
+    config = fine_tune_config(model, config)
     _, ae, phase_models = _fit_stages(dataset, config, parent=model)
     provenance = dict(model.provenance)
     provenance.update({
@@ -509,13 +519,15 @@ def save_model(model, path):
 
 
 def _lines(text):
-    """Each non-blank line of ``text`` with its byte offset; asked for one
-    more, raise ModelFormatError at the end of the text."""
+    """Each non-blank line of ``text``, without its ending (LF or CRLF),
+    with its byte offset; asked for one more, raise ModelFormatError at the
+    end of the text."""
     offset = 0
-    for line in text.split("\n"):
+    for raw in text.split("\n"):
+        line = raw.removesuffix("\r")
         if line.strip():
             yield line, offset
-        offset += len(line.encode()) + 1
+        offset += len(raw.encode()) + 1
     raise ModelFormatError("unexpected end of file", offset - 1)
 
 
@@ -628,5 +640,5 @@ def load_model(path):
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ModelFormatError(f"not UTF-8 text ({e.reason})", e.start) from e
-    return parse_model(text.replace("\r\n", "\n"))  # as text mode reads a CRLF file
+    return parse_model(text)
 

@@ -155,6 +155,10 @@ def _check_horizon(traj, config):
 def _prepare(model, traj, config, horizon):
     if traj.u is None:
         raise ValidationError("trajectory has no input columns u; preprocess the dataset first")
+    d = model.autoencoder.full_dim
+    if traj.q.shape[1] != d:
+        raise ValidationError(
+            f"model dimension {d} does not match the trajectory ({traj.q.shape[1]})")
     n = traj.n_samples if horizon is None else min(horizon, traj.n_samples)
     if n < 1:
         raise ValidationError("empty rollout horizon")

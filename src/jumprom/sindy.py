@@ -27,9 +27,7 @@ the triangular kernels work in blocks of rows, so a fit holds l p^2
 doubles plus Gram and bounded blocks.  A system that is not numerically
 positive definite (a rank-deficient Gram far larger than ridge/eps) is
 solved by LU on its whole support block instead, with one warning per
-fit.  Without a ridge (ridge <= 0, which ``TrainingConfig`` rejects but
-``stlsq`` and ``fit_phase_model`` accept) every refit is a least-squares
-solve of its whole support block, up to (p l)^2 doubles at full support.
+fit.  The ridge must be > 0.
 """
 
 from __future__ import annotations
@@ -221,7 +219,7 @@ def _support_block(M, gram, idx, ridge):
     idx holds sorted column-major positions in the (p, l) coefficient
     matrix, so the entries of one latent column are contiguous and each
     (a, b) block of the gathered Gram entries is one slice, scaled by
-    M[a, b] in place.  The ridge is added only when positive.
+    M[a, b] in place.
     """
     p, l = gram.shape[0], M.shape[0]
     rows = idx % p
@@ -229,8 +227,7 @@ def _support_block(M, gram, idx, ridge):
     cuts = np.searchsorted(idx, p * np.arange(l + 1))
     for a, b in itertools.product(range(l), repeat=2):
         block[cuts[a]:cuts[a + 1], cuts[b]:cuts[b + 1]] *= M[a, b]
-    if ridge > 0:
-        block.flat[:: idx.size + 1] += ridge
+    block.flat[:: idx.size + 1] += ridge
     return block
 
 
@@ -424,15 +421,14 @@ def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
     stable or after max_iters refits.  Each refit solves the system
     restricted to its support S, with E the eliminated entries:
 
-    - ridge > 0 and |S| > |E| (every full-support refit among them): the
-      bordered solve of ``_DecoupledSystem``, on the decoupled Cholesky
-      factors computed once per fit; the full support is their direct
-      solution, and a smaller one needs only the |E| x |E| Schur matrix;
-    - ridge > 0 and |S| <= |E|: the support block by Cholesky;
+    - |S| > |E| (every full-support refit among them): the bordered solve
+      of ``_DecoupledSystem``, on the decoupled Cholesky factors computed
+      once per fit; the full support is their direct solution, and a
+      smaller one needs only the |E| x |E| Schur matrix;
+    - |S| <= |E|: the support block by Cholesky;
     - either of those not numerically positive definite (a rank-deficient
       Gram much larger than ridge/eps): the support block by LU, with one
-      warning per fit;
-    - ridge <= 0: the support block by least squares.
+      warning per fit.
 
     The largest dense matrix factored by Cholesky is therefore
     max(p, min(|S|, |E|)) <= max(p, p*l/2), and the solver holds at most
@@ -445,6 +441,8 @@ def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
     """
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
+    if not ridge > 0:
+        raise ValidationError(f"ridge must be > 0, got {ridge}")
     p, l = R.shape
     if n < p:
         warnings.warn(
@@ -462,24 +460,20 @@ def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
         if not support.any():
             break
         idx = np.flatnonzero(support)
-        if ridge <= 0:
-            x[idx] = np.linalg.lstsq(_support_block(M, gram, idx, ridge), rhs[idx],
-                                     rcond=None)[0]
-        else:
-            try:
-                if 2 * idx.size <= p * l:
-                    x[idx] = _cholesky_solve(_support_block(M, gram, idx, ridge), rhs[idx])
-                else:
-                    if system is None:
-                        system = _DecoupledSystem(M, gram, R, ridge)
-                    x[:] = system.solve(support)
-            except np.linalg.LinAlgError:
-                if not warned:
-                    warnings.warn(
-                        f"support system of size {idx.size} with ridge {ridge:g} is not "
-                        "numerically positive definite; solved by LU", stacklevel=3)
-                    warned = True
-                x[idx] = np.linalg.solve(_support_block(M, gram, idx, ridge), rhs[idx])
+        try:
+            if 2 * idx.size <= p * l:
+                x[idx] = _cholesky_solve(_support_block(M, gram, idx, ridge), rhs[idx])
+            else:
+                if system is None:
+                    system = _DecoupledSystem(M, gram, R, ridge)
+                x[:] = system.solve(support)
+        except np.linalg.LinAlgError:
+            if not warned:
+                warnings.warn(
+                    f"support system of size {idx.size} with ridge {ridge:g} is not "
+                    "numerically positive definite; solved by LU", stacklevel=3)
+                warned = True
+            x[idx] = np.linalg.solve(_support_block(M, gram, idx, ridge), rhs[idx])
         small = support & (np.abs(x) < threshold)
         if not small.any():
             break

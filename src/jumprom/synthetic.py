@@ -1,29 +1,32 @@
 """Synthetic datasets with known latent dynamics, lifted to full dimension.
 
-Ground truth is a low-dimensional second-order ODE written as sparse
-coefficients over a declared candidate-function library; the standard
-fixtures use affine-linear dynamics per phase, placed into the library's
-constant, ``xi_i``, ``dxi_i`` and ``nu_i`` slots by ``affine_coefficients``.
-The truth is a ``MultiPhaseModel`` like any learned one: its decoder is a
-seeded orthonormal lift plus offset (so the embedding is well-conditioned
-but not axis aligned), its encoder the lift's transpose, and each phase
-holds the true coefficients at threshold 0.  The latent trajectories of
-all jumps are stepped in lockstep as one stacked state (fixed small-step
-RK4, dynamics switched per phase), decoded through the truth's
+The design is fixed: two latent dimensions (``L_TRUE``) lifted to 18
+(``FULL_DIM``, m = 12 joints), the default library (``LIBRARY``), one
+affine-linear law per phase (``LAWS``, placed into the library's constant,
+``xi_i``, ``dxi_i`` and ``nu_i`` slots by ``affine_coefficients``), smooth
+random inputs in the driven phase and uniform random initial states.  A
+``SyntheticSpec`` holds only what varies: the phase schedule, the split,
+the jump count, the lift seed, the sample step and the measurement noise.
+The two presets, ``two_phase_spec`` and ``three_phase_spec``, are a
+schedule each plus a rule that derives the default train/val/test split
+from the jump count.  A spec checks its split, noise level, step and seed
+when it is built, so a bad one fails before any jump is simulated.
+
+The truth is a ``MultiPhaseModel`` like any learned one, and the one
+holder of the true laws: its decoder is a seeded orthonormal lift plus
+offset (so the embedding is well-conditioned but not axis aligned), its
+encoder the lift's transpose, and each scheduled phase holds its law from
+``LAWS`` at threshold 0.  The latent trajectories of all jumps are stepped
+in lockstep with the truth's coefficients as one stacked state (fixed
+small-step RK4, dynamics switched per phase), decoded through the truth's
 autoencoder, and written in the standard dataset format, with the truth
-beside them in the model-file format.  Inputs are chosen as smooth random
-splines in latent space (``_CubicSpline``, an in-house not-a-knot cubic
-spline equal bit for bit to scipy's ``CubicSpline``, so generation runs on
-numpy alone) and mapped to configuration space as u = lift @ nu, which the
+beside them in the model-file format.  The inputs are not-a-knot cubic
+splines through ``INPUT_KNOTS`` random knots (``_CubicSpline``, equal bit
+for bit to scipy's ``CubicSpline``, so generation runs on numpy alone),
+mapped to configuration space as u = lift @ nu, which the
 transposed-pseudoinverse input transform inverts exactly because the lift
 has orthonormal columns.  ``coefficients_in_basis`` re-expresses the true
 coefficients in any trained encoder basis.
-
-The two presets, ``two_phase_spec`` and ``three_phase_spec``, differ only
-in their phase schedule and default train/val/test split, which each
-derives from its jump count.  A ``SyntheticSpec`` checks its shape
-settings, its split and its noise levels when it is built, so a bad split
-or noise level fails before any jump is simulated.
 """
 
 from __future__ import annotations
@@ -59,26 +62,47 @@ _CONTACT_FLAGS = {
 GROUND_TRUTH_NAME = "ground_truth.txt"
 
 
+L_TRUE = 2
+FULL_DIM = 18
+LIBRARY = FunctionLibrarySpec()
+
+# The true law of each phase, as affine blocks for ``affine_coefficients``:
+# in contact a spring-damper (accel = -4 state - 0.8 velocity + input), in
+# partial contact an undriven one with a constant push, in flight a
+# constant acceleration.  Large latent excursions keep the sine columns
+# well separated from the linear ones, so sparse recovery is well-posed
+# even under measurement noise.
+LAWS = {
+    Phase.CONTACT: dict(state_gain=-4.0 * np.eye(L_TRUE), velocity_gain=-0.8 * np.eye(L_TRUE),
+                        input_gain=np.eye(L_TRUE)),
+    Phase.PARTIAL_CONTACT: dict(constant=(0.5, 0.9), state_gain=-2.5 * np.eye(L_TRUE),
+                                velocity_gain=-1.2 * np.eye(L_TRUE)),
+    Phase.FLIGHT: dict(constant=(0.8, -2.2)),
+}
+
+# The driven phase's latent input: INPUT_MEAN plus a spline through
+# INPUT_KNOTS knots per jump, equally spaced over the phase, each drawn
+# from N(0, INPUT_AMPLITUDE^2); the other phases are undriven.
+INPUT_PHASE = Phase.CONTACT
+INPUT_MEAN = (2.4, -2.0)
+INPUT_AMPLITUDE = 1.2
+INPUT_KNOTS = 6
+
+# Initial latent states: IC_CENTER +- IC_SPREAD, velocities +- VELOCITY_SPREAD, uniform.
+IC_CENTER = (0.6, -0.5)
+IC_SPREAD = 1.8
+VELOCITY_SPREAD = 3.0
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Everything needed to generate one dataset deterministically."""
+    """What a preset or ``gen`` varies; the rest of the design is fixed above."""
 
-    l_true: int
-    full_dim: int
+    phase_durations: tuple[tuple[Phase, int], ...]   # schedule order, steps per phase
+    split_counts: tuple[int, int, int]                # train, val, test jumps
     lift_seed: int
-    library: FunctionLibrarySpec
-    phase_dynamics: tuple[tuple[Phase, np.ndarray], ...]   # (phase, Xi_true) pairs
-    phase_durations: tuple[tuple[Phase, int], ...]         # schedule order, steps per phase
-    split_counts: tuple[int, int, int]                     # train, val, test jumps
     n_jumps: int = 20
     dt: float = 0.002
-    input_phases: tuple[Phase, ...] = (Phase.CONTACT,)
-    input_mean: tuple[float, ...] = (0.0, 0.0)
-    input_amplitude: float = 0.0
-    input_knots: int = 6
-    ic_center: tuple[float, ...] = (0.0, 0.0)
-    ic_spread: float = 1.0
-    velocity_spread: float = 1.0
     noise_sigma: float = 0.0
 
     def __post_init__(self):
@@ -90,31 +114,6 @@ class SyntheticSpec:
             raise ValidationError(f"dt must be a finite number > 0, got {self.dt!r}")
         if not is_integer(self.lift_seed) or self.lift_seed < 0:
             raise ValidationError(f"lift_seed must be an integer >= 0, got {self.lift_seed!r}")
-        if not is_integer(self.input_knots) or self.input_knots < 2:
-            raise ValidationError(
-                f"input_knots must be an integer >= 2, got {self.input_knots!r}"
-            )
-        if self.full_dim - 6 <= 0 or (self.full_dim - 6) % 4 != 0:
-            raise ValidationError(
-                f"full_dim must be m+6 with m divisible by 4, got {self.full_dim}"
-            )
-        phases = [ph for ph, _ in self.phase_durations]
-        known = {ph for ph, _ in self.phase_dynamics}
-        missing = [ph for ph in phases if ph not in known]
-        if missing:
-            raise ValidationError(f"no dynamics declared for scheduled phases {missing}")
-        p = self.library.term_count(self.l_true)
-        for ph, coeffs in self.phase_dynamics:
-            if coeffs.shape != (p, self.l_true):
-                raise ValidationError(
-                    f"dynamics for {ph} must have shape {(p, self.l_true)}, got {coeffs.shape}"
-                )
-
-    def dynamics_for(self, phase):
-        for ph, coeffs in self.phase_dynamics:
-            if ph == phase:
-                return coeffs
-        raise ValidationError(f"no dynamics for phase {phase}")
 
 
 _AFFINE_BLOCKS = ("constant", "linear state", "linear velocity", "input")
@@ -292,7 +291,7 @@ def _solve_tridiagonal(dl, d, du, b):
 
 class _CubicSpline:
     """Not-a-knot cubic spline through values ``y`` (n, ...) at increasing
-    knots ``x`` (n >= 2), equal bit for bit to scipy's ``CubicSpline``:
+    knots ``x`` (n >= 4), equal bit for bit to scipy's ``CubicSpline``:
     the same knot-slope system and solver, the same Hermite coefficients
     ``c`` (4, n-1, ...), highest power first, and the same evaluation."""
 
@@ -301,29 +300,19 @@ class _CubicSpline:
         dx = np.diff(x)
         dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
         slope = np.diff(y, axis=0) / dxr
-        if n == 3:  # both end conditions coincide; scipy fits the parabola
-            A = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
-            b = np.stack([2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]),
-                          2 * slope[1]])
-            s = np.linalg.solve(A, b.reshape(3, -1)).reshape(y.shape)
-        else:
-            dl, d, du = np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
-            d[1:-1] = 2 * (dx[:-1] + dx[1:])
-            du[1:] = dx[:-1]
-            dl[:-1] = dx[1:]
-            b = np.empty(y.shape)
-            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-            if n == 2:  # scipy clamps both ends to the chord slope
-                d[0] = d[1] = 1.0
-                b[0] = b[1] = slope[0]
-            else:
-                w = x[2] - x[0]
-                d[0], du[0] = dx[1], w
-                b[0] = ((dxr[0] + 2 * w) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / w
-                w = x[-1] - x[-3]
-                d[-1], dl[-1] = dx[-2], w
-                b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * w + dxr[-1]) * dxr[-2] * slope[-1]) / w
-            s = _solve_tridiagonal(dl, d, du, b)
+        dl, d, du = np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        du[1:] = dx[:-1]
+        dl[:-1] = dx[1:]
+        b = np.empty(y.shape)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        w = x[2] - x[0]
+        d[0], du[0] = dx[1], w
+        b[0] = ((dxr[0] + 2 * w) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / w
+        w = x[-1] - x[-3]
+        d[-1], dl[-1] = dx[-2], w
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * w + dxr[-1]) * dxr[-2] * slope[-1]) / w
+        s = _solve_tridiagonal(dl, d, du, b)
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         self.x = x
         self.c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
@@ -339,8 +328,8 @@ class _CubicSpline:
         return (((0.0 + c[3]) + c[2] * s) + c[1] * z) + c[0] * (z * s)
 
 
-def _simulate_jumps(spec, rng):
-    """Every jump in latent coordinates, stepped in lockstep.
+def _simulate_jumps(spec, truth, rng):
+    """Every jump in latent coordinates, stepped in lockstep with the laws of ``truth``.
 
     Each jump's randomness is drawn in turn: initial state, spline knots
     for each driven phase, foot layout.  All jumps share the knot times, so
@@ -348,35 +337,35 @@ def _simulate_jumps(spec, rng):
     over the stacked knots.  Returns (n_jumps, T, l) states, velocities and
     inputs, and the foot layouts.
     """
-    l, n = spec.l_true, spec.n_jumps
+    l, n = truth.autoencoder.latent_dim, spec.n_jumps
     starts = np.cumsum([0] + [steps for _, steps in spec.phase_durations])
     spans = [(a * spec.dt, b * spec.dt) for a, b in zip(starts[:-1], starts[1:])]
-    n_knots = spec.input_knots
-    knots = {i: np.empty((n_knots, n, l)) for i, (phase, _) in enumerate(spec.phase_durations)
-             if phase in spec.input_phases and (spec.input_amplitude > 0 or any(spec.input_mean))}
+    knots = {i: np.empty((INPUT_KNOTS, n, l)) for i, (phase, _) in enumerate(spec.phase_durations)
+             if phase is INPUT_PHASE}
     y0 = np.empty((n, 2 * l))
     layouts = []
     for j in range(n):
-        y0[j, :l] = spec.ic_center + rng.uniform(-spec.ic_spread, spec.ic_spread, l)
-        y0[j, l:] = rng.uniform(-spec.velocity_spread, spec.velocity_spread, l)
+        y0[j, :l] = IC_CENTER + rng.uniform(-IC_SPREAD, IC_SPREAD, l)
+        y0[j, l:] = rng.uniform(-VELOCITY_SPREAD, VELOCITY_SPREAD, l)
         for values in knots.values():
-            values[:, j] = rng.normal(0.0, spec.input_amplitude, size=(n_knots, l))
+            values[:, j] = rng.normal(0.0, INPUT_AMPLITUDE, size=(INPUT_KNOTS, l))
         layouts.append(_foot_layout(rng))
 
-    splines = {i: _CubicSpline(np.linspace(*spans[i], n_knots), v) for i, v in knots.items()}
+    splines = {i: _CubicSpline(np.linspace(*spans[i], INPUT_KNOTS), v) for i, v in knots.items()}
     phase_of = np.repeat(np.arange(len(spans)), np.diff(starts))
-    coeffs = [spec.dynamics_for(phase) for phase, _ in spec.phase_durations]
+    coeffs = [truth.phase_model(phase).coefficients for phase, _ in spec.phase_durations]
 
     def inputs(k, t):
         i = phase_of[k]
         if i not in splines:
             return np.zeros((n, l))
-        return spec.input_mean + splines[i](np.clip(t, *spans[i]))
+        return INPUT_MEAN + splines[i](np.clip(t, *spans[i]))
 
     def rhs(k, t, y):
-        rows = build_library_row(spec.library, y[:, :l], y[:, l:], inputs(k, t))
+        c = coeffs[phase_of[k]]
+        rows = build_library_row(c.library, y[:, :l], y[:, l:], inputs(k, t))
         # the stacked matmul gives each jump the bits of its own row @ Xi
-        accel = (rows[:, None, :] @ coeffs[phase_of[k]])[:, 0, :]
+        accel = (rows[:, None, :] @ c.Xi)[:, 0, :]
         return np.concatenate([y[:, l:], accel], axis=1)
 
     states = _integrators.integrate_intervals(rhs, y0, starts[-1], spec.dt, "fixed_rk4",
@@ -391,12 +380,12 @@ def generate(spec, out_dir=None):
     Returns (dataset, truth) with the dataset in exactly the shape
     load_dataset produces (derived fields unfilled) and the truth a
     ``MultiPhaseModel``: the seeded lift as its decoder weights, the offset
-    as its decoder bias, the lift's transpose as its encoder, and a phase
-    model per declared phase, in declaration order, holding that phase's
-    true coefficients at threshold 0.  Every configuration, velocity and
-    input is decoded from the simulated latents through that autoencoder.
-    With ``out_dir`` the dataset files and the truth, saved by
-    ``save_model`` as ``GROUND_TRUTH_NAME``, are also written.  The same
+    as its decoder bias, the lift's transpose as its encoder, and the law
+    of each scheduled phase from ``LAWS``, in schedule order, at threshold
+    0.  Every jump is stepped with those laws, and every configuration,
+    velocity and input is decoded from the simulated latents through that
+    autoencoder.  With ``out_dir`` the dataset files and the truth, saved
+    by ``save_model`` as ``GROUND_TRUTH_NAME``, are also written.  The same
     spec always yields identical files.
     """
     root_seq = np.random.SeedSequence(spec.lift_seed)
@@ -404,22 +393,23 @@ def generate(spec, out_dir=None):
     lift_rng = np.random.default_rng(lift_seq)
     data_rng = np.random.default_rng(data_seq)
 
-    m = spec.full_dim - 6
+    m = FULL_DIM - 6
     # QR columns are orthonormal, so the lift is perfectly conditioned
-    lift = np.linalg.qr(lift_rng.standard_normal((spec.full_dim, spec.l_true)))[0]
-    offset = lift_rng.normal(0.0, 0.5, spec.full_dim)
+    lift = np.linalg.qr(lift_rng.standard_normal((FULL_DIM, L_TRUE)))[0]
+    offset = lift_rng.normal(0.0, 0.5, FULL_DIM)
     truth = MultiPhaseModel(
         autoencoder=AutoencoderParams(W_enc=lift.T, b_enc=-(lift.T @ offset), W_dec=lift,
                                       b_dec=offset),
-        phases=tuple(PhaseModel(ph, SparseCoefficients(np.array(c), 0.0, spec.library))
-                     for ph, c in spec.phase_dynamics),
+        phases=tuple(PhaseModel(ph, SparseCoefficients(
+            affine_coefficients(LIBRARY, L_TRUE, **LAWS[ph]), 0.0, LIBRARY))
+            for ph, _ in spec.phase_durations),
         provenance={"ground_truth": True, "lift_seed": spec.lift_seed},
     )
 
     flags = np.concatenate([np.tile(_CONTACT_FLAGS[phase], (steps, 1))
                             for phase, steps in spec.phase_durations])
     jumps = []
-    for xi, dxi, nu, (feet, com) in zip(*_simulate_jumps(spec, data_rng)):
+    for xi, dxi, nu, (feet, com) in zip(*_simulate_jumps(spec, truth, data_rng)):
         T = xi.shape[0]
         u = decode(truth.autoencoder, nu, 1)
         wrench = u[:, m:]
@@ -465,48 +455,16 @@ load_truth = load_model
 
 
 def _preset(schedule, split_every, n_jumps, lift_seed, noise_sigma, dt, split_counts):
-    """The shared fixture on a phase ``schedule`` of (phase, steps) pairs.
+    """The spec on a phase ``schedule`` of (phase, steps) pairs.
 
-    Two latent dims lifted to 18, the default library, and one affine
-    dynamics per phase: in contact a spring-damper (accel = -4 state - 0.8
-    velocity + input) driven by smooth offset splines, in partial contact
-    an undriven one with a constant push, in flight a constant
-    acceleration.  Large latent excursions keep the sine columns well
-    separated from the linear ones, so sparse recovery is well-posed even
-    under measurement noise.  Without ``split_counts``, n_jumps //
-    split_every[0] jumps validate and n_jumps // split_every[1] test, at
-    least one each; the rest train.
+    Without ``split_counts``, n_jumps // split_every[0] jumps validate and
+    n_jumps // split_every[1] test, at least one each; the rest train.
     """
-    library, l = FunctionLibrarySpec(), 2
-    eye = np.eye(l)
-    dynamics = {
-        Phase.CONTACT: dict(state_gain=-4.0 * eye, velocity_gain=-0.8 * eye, input_gain=eye),
-        Phase.PARTIAL_CONTACT: dict(constant=(0.5, 0.9), state_gain=-2.5 * eye,
-                                    velocity_gain=-1.2 * eye),
-        Phase.FLIGHT: dict(constant=(0.8, -2.2)),
-    }
     if split_counts is None and is_integer(n_jumps):  # a bad n_jumps is the spec's to report
         n_val, n_test = (max(1, n_jumps // k) for k in split_every)
         split_counts = (n_jumps - n_val - n_test, n_val, n_test)
-    return SyntheticSpec(
-        l_true=l,
-        full_dim=18,
-        lift_seed=lift_seed,
-        library=library,
-        phase_dynamics=tuple((ph, affine_coefficients(library, l, **dynamics[ph]))
-                             for ph, _ in schedule),
-        phase_durations=schedule,
-        split_counts=split_counts,
-        n_jumps=n_jumps,
-        dt=dt,
-        input_phases=(Phase.CONTACT,),
-        input_mean=(2.4, -2.0),
-        input_amplitude=1.2,
-        ic_center=(0.6, -0.5),
-        ic_spread=1.8,
-        velocity_spread=3.0,
-        noise_sigma=noise_sigma,
-    )
+    return SyntheticSpec(phase_durations=schedule, split_counts=split_counts,
+                         lift_seed=lift_seed, n_jumps=n_jumps, dt=dt, noise_sigma=noise_sigma)
 
 
 def two_phase_spec(n_jumps=20, lift_seed=3, noise_sigma=0.0, dt=0.002, split_counts=None):

@@ -115,7 +115,7 @@ class TestGen:
     @pytest.mark.parametrize("payload", [{"n_jumps": 3, "split_counts": [1, 1, 2]},
                                          {"split_counts": [8, 2, 9]}])
     def test_bad_split_fails_before_simulating(self, tmp_path, capsys, monkeypatch, payload):
-        def simulate(spec, rng):
+        def simulate(spec, truth, rng):
             raise AssertionError("a spec with a bad split was simulated")
 
         monkeypatch.setattr(synthetic, "_simulate_jumps", simulate)
@@ -128,7 +128,7 @@ class TestGen:
     @pytest.mark.parametrize("noise_sigma", ["x", {"q": -1.0}, {"v": 1.0}])
     def test_bad_noise_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                noise_sigma):
-        def simulate(spec, rng):
+        def simulate(spec, truth, rng):
             raise AssertionError("a spec with a bad noise level was simulated")
 
         monkeypatch.setattr(synthetic, "_simulate_jumps", simulate)
@@ -689,6 +689,39 @@ def test_model_not_utf8_fails_to_load(gen_dir, trained_dir, tmp_path, capsys, co
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["eval", "baseline", "finetune"])
+def test_crlf_model_error_names_the_byte(gen_dir, trained_dir, tmp_path, capsys, command):
+    # the offset counts the CR of every line before the bad one
+    text = (trained_dir / "model.txt").read_text()
+    raw = text.replace("threshold 0.1\n", "threshold abc\n", 1).replace("\n", "\r\n").encode()
+    model = tmp_path / "model.txt"
+    model.write_bytes(raw)
+    code = main([command, "--dataset", str(gen_dir), "--model", str(model),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ERROR E_FORMAT: malformed threshold" in err
+    assert f"(byte {raw.index(b'threshold abc')})" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline"])
+def test_model_of_another_dimension_fails_validation(gen_dir, trained_dir, tmp_path, capsys,
+                                                     command):
+    # a model of d = 22 (m = 16) on the m = 12 data: four more unused dimensions
+    model = pipeline.load_model(trained_dir / "model.txt")
+    ae = model.autoencoder
+    wide = replace(ae, W_enc=np.hstack([ae.W_enc, np.zeros((2, 4))]),
+                   W_dec=np.vstack([ae.W_dec, np.zeros((4, 2))]),
+                   b_dec=np.concatenate([ae.b_dec, np.zeros(4)]))
+    path = tmp_path / "wide.txt"
+    pipeline.save_model(replace(model, autoencoder=wide), path)
+    code = main([command, "--dataset", str(gen_dir), "--model", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert ("ERROR E_VALIDATE: model dimension 22 does not match the trajectory (18)"
+            in capsys.readouterr().err)
+
+
 class TestNotUtf8JumpFile:
     """A jump file that is not UTF-8 text fails every loader with E_LOAD.
 
@@ -949,6 +982,35 @@ class TestFinetune:
         tuned = pipeline.load_model(out / "model.txt")
         assert tuned.autoencoder.latent_dim == 2
         assert tuned.provenance["config_hash"] == pipeline.config_from_dict(resolved).hash()
+
+    def test_library_is_the_models(self, gen_dir, tmp_path):
+        # a model trained on a linear library, fine-tuned with no config
+        config = tmp_path / "linear.json"
+        config.write_text(json.dumps({"library": {"poly_degree": 1}}))
+        assert main(["train", "--dataset", str(gen_dir), "--config", str(config),
+                     "--out", str(tmp_path / "model")]) == 0
+        out = tmp_path / "tuned"
+        assert main(["finetune", "--dataset", str(gen_dir), "--model",
+                     str(tmp_path / "model" / "model.txt"), "--out", str(out)]) == 0
+        linear = FunctionLibrarySpec(poly_degree=1)
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved_config"]
+        assert resolved["library"] == vars(linear)
+        tuned = pipeline.load_model(out / "model.txt")
+        assert [pm.coefficients.library for pm in tuned.phases] == [linear, linear]
+        assert tuned.provenance["config_hash"] == pipeline.config_from_dict(resolved).hash()
+
+    def test_library_key_ignored(self, gen_dir, trained_dir, tmp_path):
+        # a default-library model fine-tuned with a config naming another library
+        config = tmp_path / "linear.json"
+        config.write_text(json.dumps({"library": {"poly_degree": 1}}))
+        out = tmp_path / "tuned"
+        assert main(["finetune", "--dataset", str(gen_dir), "--model",
+                     str(trained_dir / "model.txt"), "--config", str(config),
+                     "--out", str(out)]) == 0
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved_config"]
+        assert resolved["library"] == vars(FunctionLibrarySpec())
+        tuned = pipeline.load_model(out / "model.txt")
+        assert {pm.coefficients.library for pm in tuned.phases} == {FunctionLibrarySpec()}
 
 
 class TestOutRoot:

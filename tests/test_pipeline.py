@@ -220,6 +220,13 @@ class TestModelFormat:
         assert isinstance(err.value.byte_offset, int)
         assert 0 < err.value.byte_offset <= len(text)
 
+    def test_crlf_file_loads_like_lf(self, clean_bundle, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        save_model(clean_bundle.model, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert models_equal(load_model(crlf), load_model(lf))
+        assert load_model(crlf).provenance == clean_bundle.model.provenance
+
     def test_version_mismatch(self, clean_bundle):
         text = serialize_model(clean_bundle.model)
         bumped = text.replace("jumprom-model 1", "jumprom-model 9", 1)
@@ -423,3 +430,13 @@ class TestFineTune:
         config = TrainingConfig(latent_dim=2, seed_phase=Phase.PARTIAL_CONTACT)
         with pytest.raises(ValidationError, match="no partial_contact data to align"):
             fine_tune(clean_bundle.model, clean_bundle.dataset, config)
+
+    def test_phases_of_different_libraries_rejected(self, clean_bundle):
+        contact, flight = clean_bundle.model.phases
+        linear = FunctionLibrarySpec(poly_degree=1)
+        flight = PhaseModel(flight.phase, SparseCoefficients(
+            np.zeros((linear.term_count(2), 2)), 0.1, linear))
+        parent = replace(clean_bundle.model, phases=(contact, flight))
+        with pytest.raises(ValidationError, match="one library across the model's phases, "
+                                                  "found 2"):
+            fine_tune(parent, clean_bundle.dataset, TrainingConfig())

@@ -50,28 +50,69 @@ def _program_attr(module, name):
         return None
 
 
-def test_every_name_the_benchmark_imports_exists():
-    # each name of a `from jumprom... import`, and each attribute read of
-    # an imported program module, such as `synthetic.generate`
-    missing = []
+def _benchmark_files():
+    """(path, syntax tree, imports) of each benchmark file; ``imports`` maps
+    the local name of each ``from jumprom... import`` to its (qualified
+    name, program object), the object None where the program has no such
+    name."""
     for path in sorted(TRACING.parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        modules = {}
+        imports = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "jumprom":
                 module = importlib.import_module(node.module)
                 for alias in node.names:
-                    value = _program_attr(module, alias.name)
-                    if value is None:
-                        missing.append(f"{path.name}: {node.module}.{alias.name}")
-                    elif inspect.ismodule(value):
-                        modules[alias.asname or alias.name] = value
+                    imports[alias.asname or alias.name] = (f"{node.module}.{alias.name}",
+                                                           _program_attr(module, alias.name))
+        yield path, tree, imports
+
+
+def _program_ref(node, imports):
+    """The (qualified name, program object) that ``node`` reads: an imported
+    name, or an attribute of an imported program module; None otherwise."""
+    if isinstance(node, ast.Name) and node.id in imports:
+        return imports[node.id]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        module = imports.get(node.value.id, (None, None))[1]
+        if inspect.ismodule(module):
+            return f"{module.__name__}.{node.attr}", _program_attr(module, node.attr)
+    return None
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # each name of a `from jumprom... import`, and each attribute read of
+    # an imported program module, such as `synthetic.generate`
+    missing = []
+    for path, tree, imports in _benchmark_files():
+        missing += [f"{path.name}: {name}" for name, value in imports.values() if value is None]
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in modules
-                    and _program_attr(modules[node.value.id], node.attr) is None):
-                missing.append(f"{path.name}: {modules[node.value.id].__name__}.{node.attr}")
+            ref = _program_ref(node, imports) if isinstance(node, ast.Attribute) else None
+            if ref is not None and ref[1] is None:
+                missing.append(f"{path.name}: {ref[0]}")
     assert missing == []
+
+
+def test_every_program_call_of_the_benchmark_binds():
+    # each call of a program function, such as
+    # `synthetic.two_phase_spec(n_jumps=..., lift_seed=...)`, must bind its
+    # positional count and keyword names to the function's signature
+    unbound, keyword_calls = [], set()
+    for path, tree, imports in _benchmark_files():
+        for node in ast.walk(tree):
+            ref = _program_ref(node.func, imports) if isinstance(node, ast.Call) else None
+            if ref is None or not callable(ref[1]):
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            kwargs = {k.arg: None for k in node.keywords if k.arg is not None}
+            try:
+                inspect.signature(ref[1]).bind_partial(*[None] * (0 if starred else len(node.args)),
+                                                       **kwargs)
+            except TypeError as e:
+                unbound.append(f"{path.name}:{node.lineno}: {ref[0]}: {e}")
+            if kwargs:
+                keyword_calls.add(ref[0])
+    assert unbound == []
+    assert "jumprom.synthetic.two_phase_spec" in keyword_calls
 
 
 def test_count_hooks_read_real_results(clean_bundle, monkeypatch):
