@@ -12,6 +12,7 @@ from .autoencoder import (
     decode,
     encode,
     finetune_decoder,
+    input_map,
     recon_loss,
     reconstruct,
     train_autoencoder,
@@ -32,6 +33,7 @@ from .rollout import (
     RolloutResult,
     integrate,
     rollout_full,
+    rollout_jumps,
     rollout_with_reset,
 )
 from .sindy import (

@@ -5,14 +5,18 @@ Two modes: an adaptive embedded Runge-Kutta pair for accuracy (an in-house
 RK45 with scipy's step rule: the Dormand-Prince 5(4) tableau, initial step,
 error norm and step-size control of ``scipy.integrate.RK45``, so its steps
 and results are bit-identical to ``solve_ivp``'s), and a classic fixed-step
-RK4 for bit-reproducible runs, which also steps a stack of independent
-systems in lockstep.  The driver advances one output interval at a time so
-callers can switch dynamics and hold inputs constant between samples.
+RK4 for bit-reproducible runs.  Both step one state or a stack of
+independent systems in lockstep, one right-hand-side call for all rows per
+stage; under RK45 each row keeps its own time and step size, so it takes
+exactly the steps it takes alone.  ``integrate_intervals`` advances one
+output interval at a time so callers can switch dynamics and hold inputs
+constant between samples.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -43,7 +47,7 @@ _A = np.array([
 ])
 _B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_STAGES = tuple((s, _A[s, :s], _C[s]) for s in range(1, 6))
+_STAGES = tuple((s, _A[s, :s]) for s in range(1, 6))
 
 # Step-size control: the step found from the error estimate is scaled by
 # SAFETY and the change per step is clamped to [MIN_FACTOR, MAX_FACTOR].
@@ -69,84 +73,56 @@ def rk4_interval(f, t0, y0, h, substeps=1):
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    """Root mean square over the last axis, with the bits of
+    ``np.linalg.norm(row) / row.size ** 0.5`` for each row."""
+    return np.sqrt(np.vecdot(x, x)) / x.shape[-1] ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, interval, direction):
-    """The first step size of scipy's ``select_initial_step`` (Hairer,
-    Norsett & Wanner, Sec. II.4) for the error order 4 of RK45."""
+    """Each row's first step size by scipy's ``select_initial_step`` (Hairer,
+    Norsett & Wanner, Sec. II.4) for the error order 4 of RK45.
+
+    The norms are taken for all rows at once and the choices made per row
+    in scalars, as scipy makes them; ``fun`` is evaluated once on the stack.
+    """
     scale = ATOL + np.abs(y0) * RTOL
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval)
+                   for a, b in zip(d0, d1)])
+    f1 = fun(t0 + h0 * direction, y0 + (h0 * direction)[:, None] * f0)
     d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval)
+    h1 = [max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15 else (0.01 / max(b, c)) ** (1 / 5)
+          for h, b, c in zip(h0, d1, d2)]
+    return [min(100 * h, g, interval) for h, g in zip(h0, h1)]
 
 
-def adaptive_interval(f, t0, y0, h):
-    """Adaptive embedded RK at RTOL/ATOL over one interval; returns (y_end, nfev).
+def _step_control(t, t_end, h_abs, direction):
+    """One row's step-size control under scipy's RK45 rule, as a generator.
 
-    The steps, end state and evaluation count are those of
-    ``scipy.integrate.solve_ivp(f, (t0, t0 + h), y0, method="RK45")``.
-    y0 is 1-D.  Raises DivergenceError at the time the solver stopped when
-    it cannot reach t0 + h (its step size fell below the spacing of floats),
-    and at t0 + h, as fixed-step RK4 does, when the first step size is nan
-    (a nan right-hand side at t0 from a nonzero state), where scipy's
-    stepper loops forever.
+    Yields (t, step) for each step it attempts and is sent that step's
+    error norm back.  It returns when the row reaches t_end, and raises
+    DivergenceError, at the row's time, when the step size falls below the
+    spacing of floats there.  Its arithmetic is scipy's, in Python floats,
+    whose power rounds as scipy's does; numpy's vectorised power may differ
+    in the last bit.
     """
-    y = np.asarray(y0, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("`y0` must be 1-dimensional.")
-    if not np.isfinite(y).all():
-        raise ValueError("All components of the initial state `y0` must be finite.")
-
-    def fun(t, y):
-        return np.asarray(f(t, y), dtype=float)
-
-    t, t_end = float(t0), float(t0 + h)
-    f_cur = fun(t, y)
-    if y.size == 0 or t == t_end:
-        return y, 1
-    direction = np.sign(t_end - t)
-    h_abs = _initial_step(fun, t, y, f_cur, abs(t_end - t), direction)
-    if np.isnan(h_abs):
-        raise DivergenceError(f"state became non-finite at t={t_end:.4f}s: the right-hand "
-                              f"side is nan at t={t:.4f}s", t_end)
-    nfev = 2
-    K = np.empty((7, y.size))
     while direction * (t - t_end) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
-                t_fail = float(t)
                 raise DivergenceError(
-                    f"adaptive integrator stopped at t={t_fail:.4f}s: Required step size "
-                    "is less than spacing between numbers.", t_fail)
+                    f"adaptive integrator stopped at t={t:.4f}s: Required step size "
+                    "is less than spacing between numbers.", t)
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0:
                 t_new = t_end
             step = t_new - t
-            h_abs = np.abs(step)
-            K[0] = f_cur
-            for s, a, c in _STAGES:
-                K[s] = fun(t + c * step, y + np.dot(K[:s].T, a) * step)
-            y_new = y + step * np.dot(K[:-1].T, _B)
-            f_new = K[-1] = fun(t + step, y_new)
-            nfev += 6
-            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            error_norm = _rms(np.dot(K.T, _E) * step / scale)
+            h_abs = abs(step)
+            error_norm = yield t, step
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -158,8 +134,115 @@ def adaptive_interval(f, t0, y0, h):
         if rejected:
             factor = min(1, factor)
         h_abs *= factor
-        t, y, f_cur = t_new, y_new, f_new
-    return y, nfev
+        t = t_new
+
+
+def adaptive_interval(f, t0, y0, h, live=None):
+    """Adaptive embedded RK at RTOL/ATOL over one interval.
+
+    y0 is one state (n,) or a stack (N, n) of independent systems.  For one
+    state, f(t, y) is its right-hand side and the result is (y_end, nfev):
+    the steps, end state and evaluation count are those of
+    ``scipy.integrate.solve_ivp(f, (t0, t0 + h), y0, method="RK45")``.  It
+    raises DivergenceError at the time the solver stopped when it cannot
+    reach t0 + h (its step size fell below the spacing of floats), and at
+    t0 + h, as fixed-step RK4 does, when the first step size is nan (a nan
+    right-hand side at t0 from a nonzero state), where scipy's stepper
+    loops forever.
+
+    A stack steps every row at once: f(t, y) gets all N rows with each
+    row's own time t (N,), so one call evaluates every row per stage.  Each
+    row keeps its own time, step size, rejections and initial step, and so
+    takes exactly the steps, end state and count it takes alone.  A row
+    that is done or failed is still evaluated with the others, and its
+    results are discarded.  ``live`` (N,) bools, default all, selects the
+    rows to step; the others keep their state and count nothing.  The
+    result is (y_end, nfev, row_nfev, failures): nfev is the Python int sum
+    of row_nfev, the count of each row, and failures holds, per row, None
+    or the DivergenceError the row raises alone.
+    """
+    y = np.asarray(y0, dtype=float)
+    if y.ndim == 1:
+        def fun(t, y):
+            return np.asarray(f(t[0], y[0]), dtype=float)[None]
+
+        y_end, nfev, _, failures = _rk45(fun, t0, y[None], h, [0])
+        if failures[0] is not None:
+            raise failures[0]
+        return y_end[0], nfev
+    if y.ndim != 2:
+        raise ValueError("`y0` must be one state (n,) or a stack (N, n).")
+
+    def fun(t, y):
+        return np.asarray(f(t, y), dtype=float)
+
+    # rows that are not stepped may hold any values
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rk45(fun, t0, y, h, list(range(len(y))) if live is None else
+                     np.flatnonzero(live).tolist())
+
+
+def _rk45(fun, t0, y, h, rows):
+    """The stacked Dormand-Prince stepper of ``adaptive_interval``, stepping
+    the rows listed in ``rows``."""
+    if not np.isfinite(y[rows]).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    n_rows, n = y.shape
+    row_nfev = [0] * n_rows
+    failures = [None] * n_rows
+    t, t_end = float(t0), float(t0 + h)
+    times = np.full(n_rows, t)
+    f_cur = fun(times, y)
+    if n == 0 or t == t_end:
+        for i in rows:
+            row_nfev[i] = 1
+        return y, sum(row_nfev), row_nfev, failures
+    direction = 1.0 if t_end > t else -1.0
+    h_abs = _initial_step(fun, t, y, f_cur, abs(t_end - t), direction)
+    steps = np.zeros(n_rows)
+    control = {}
+    for i in rows:
+        row_nfev[i] = 2
+        if np.isnan(h_abs[i]):
+            failures[i] = DivergenceError(
+                f"state became non-finite at t={t_end:.4f}s: the right-hand side is nan at "
+                f"t={t:.4f}s", t_end)
+        else:
+            control[i] = _step_control(t, t_end, float(h_abs[i]), direction)
+            times[i], steps[i] = next(control[i])
+    K = np.empty((n_rows, 7, n))
+    KT = K.transpose(0, 2, 1)   # each row's stages as columns
+    accepted = np.zeros((n_rows, 1), dtype=bool)
+    while control:
+        step = steps[:, None]
+        # the times of stages 1-5; the last, at c = 1, is also the end time
+        stage_t = times + np.multiply.outer(_C[1:], steps)
+        K[:, 0] = f_cur
+        for s, a in _STAGES:
+            K[:, s] = fun(stage_t[s - 1], y + (KT[:, :, :s] @ a) * step)
+        y_new = y + step * (KT[:, :, :-1] @ _B)
+        f_new = K[:, -1] = fun(stage_t[-1], y_new)
+        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+        error_norm = _rms((KT @ _E) * step / scale).tolist()
+        for i in list(control):
+            row_nfev[i] += 6
+            accepted[i] = error_norm[i] < 1
+            try:
+                times[i], steps[i] = control[i].send(error_norm[i])
+                continue
+            except StopIteration:
+                pass
+            except DivergenceError as e:
+                failures[i] = e
+            del control[i]
+            steps[i] = 0.0
+        if accepted.all():
+            y, f_cur = y_new, f_new
+        else:
+            y = np.where(accepted, y_new, y)
+            f_cur = np.where(accepted, f_new, f_cur)
+        accepted[:] = False
+    return y, sum(row_nfev), row_nfev, failures
 
 
 def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=None):
@@ -167,38 +250,75 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
 
     Interval k uses the right-hand side f(k, t, y).  integrator: "fixed_rk4"
     (substeps RK4 steps per interval) or "adaptive" (``adaptive_interval``,
-    the in-house RK45 with scipy's step rule, at RTOL/ATOL; 1-D state only).
-    A non-None reset(k) replaces the state at sample k.  Warns once when an
-    adaptive interval needs more than STIFF_NFEV_PER_INTERVAL evaluations;
-    raises DivergenceError at the first non-finite state or failed adaptive
-    interval.  numpy's overflow and invalid-value warnings are silenced
-    while stepping: a non-finite stage always reaches the interval's end
-    state, where this check reports it.
+    the in-house RK45 with scipy's step rule, at RTOL/ATOL).  reset(k, y),
+    when given, returns None or the state that replaces y at sample k.
+
+    y0 is one state (n,), or a stack (N, n) of independent systems stepped
+    in lockstep, for which n_samples may give each row its own count.  The
+    result is then (max count, N, n); a row's states past its own count are
+    unspecified.  f is called on the whole stack, with the interval's start
+    t under fixed_rk4 and each row's own time t (N,) under adaptive; rows
+    that are done or failed are carried along and their derivatives
+    discarded, so f must accept every row at every interval below the
+    largest count.
+
+    A row fails at its first non-finite state or failed adaptive interval:
+    it stops, and so do the rows after it, as if each row ran alone in turn.
+    When the stack is done, the first failed row's DivergenceError is
+    raised.  Before that each row warns once, in row order, when an
+    adaptive interval needed more than STIFF_NFEV_PER_INTERVAL evaluations.
+    numpy's overflow and invalid-value warnings are silenced while stepping:
+    a non-finite stage always reaches the interval's end state, where the
+    check above reports it.
     """
     if integrator not in INTEGRATORS:
         raise ValidationError(f"unknown integrator {integrator!r}")
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((n_samples,) + y.shape)
-    stiff_warned = False
+    y = np.array(y0, dtype=float)
+    n_rows = len(y) if y.ndim == 2 else 1
+    ends = np.broadcast_to(n_samples, (n_rows,))
+    drops = set(ends.tolist())       # the samples after which a row is done
+    out = np.empty((int(ends.max()),) + y.shape)
+    live = np.ones(n_rows, dtype=bool)
+    notes = [None] * n_rows          # each row's stiffness warning
+    failed, failure = n_rows, None   # the first failed row and its error
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_samples):
-            if reset is not None and (state := reset(k)) is not None:
+        for k in range(len(out)):
+            if reset is not None and (state := reset(k, y)) is not None:
                 y = state
             out[k] = y
-            if k == n_samples - 1:
-                break
+            if k + 1 in drops:
+                live &= ends > k + 1
+                if not live.any():
+                    break
             t = k * h
+            row_nfev, errors = [0] * n_rows, [None] * n_rows
             if integrator == "fixed_rk4":
                 y = rk4_interval(functools.partial(f, k), t, y, h, substeps)
+            elif y.ndim == 1:
+                try:
+                    y, row_nfev[0] = adaptive_interval(functools.partial(f, k), t, y, h)
+                except DivergenceError as e:
+                    errors[0] = e
             else:
-                y, nfev = adaptive_interval(functools.partial(f, k), t, y, h)
-                if not stiff_warned and nfev > STIFF_NFEV_PER_INTERVAL:
-                    warnings.warn(
-                        f"adaptive integrator needed {nfev} evaluations in one output "
-                        f"interval near t={t:.4f}s; dynamics may be stiff",
-                        stacklevel=3,
-                    )
-                    stiff_warned = True
-            if not np.all(np.isfinite(y)):
-                raise DivergenceError(f"state became non-finite at t={t + h:.4f}s", t + h)
+                y, _, row_nfev, errors = adaptive_interval(functools.partial(f, k), t, y, h, live)
+            if any(errors) or max(row_nfev) > STIFF_NFEV_PER_INTERVAL or not np.isfinite(y).all():
+                finite = np.isfinite(y.reshape(n_rows, -1)).all(axis=1)
+                for i in np.flatnonzero(live):
+                    if errors[i] is None and not finite[i]:
+                        errors[i] = DivergenceError(
+                            f"state became non-finite at t={t + h:.4f}s", t + h)
+                    if errors[i] is not None:
+                        failed, failure = i, errors[i]
+                        live[i:] = False
+                        break
+                    if notes[i] is None and row_nfev[i] > STIFF_NFEV_PER_INTERVAL:
+                        notes[i] = (f"adaptive integrator needed {row_nfev[i]} evaluations in "
+                                    f"one output interval near t={t:.4f}s; dynamics may be stiff")
+                if not live.any():
+                    break
+    for note in notes[:failed + 1]:
+        if note is not None:
+            warnings.warn(note, stacklevel=3)
+    if failure is not None:
+        raise failure
     return out

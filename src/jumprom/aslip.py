@@ -73,11 +73,17 @@ def aslip_accel(state, params, u=None):
     if state.phase is Phase.FLIGHT:
         return gravity
     u = np.zeros(3) if u is None else np.asarray(u, dtype=float)
-    leg = np.asarray(state.b, dtype=float) - np.asarray(state.foot, dtype=float)
+    return _contact_accel(np.asarray(state.b, dtype=float), np.asarray(state.foot, dtype=float),
+                          u, params.k_s, params.m, params.rest_length, gravity)
+
+
+def _contact_accel(b, foot, u, k_s, m, rest_length, gravity):
+    """The contact branch of ``aslip_accel``, on float 3-vectors and scalars."""
+    leg = b - foot
     length = float(np.linalg.norm(leg))
     if length == 0.0:
         raise ValidationError("CoM coincides with the stance foot (zero leg length)")
-    spring = params.k_s * abs(params.rest_length - length) / params.m * (leg / length)
+    spring = k_s * abs(rest_length - length) / m * (leg / length)
     return spring + gravity + u
 
 
@@ -116,12 +122,15 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     else:
         foot_positions = _per_step("foot_positions", foot_positions, horizon)
 
-    stance = [Phase.CONTACT if ph in (Phase.CONTACT, Phase.PARTIAL_CONTACT) else Phase.FLIGHT
-              for ph in schedule]
+    stance = [ph in (Phase.CONTACT, Phase.PARTIAL_CONTACT) for ph in schedule]
+    gravity = np.array([0.0, 0.0, -params.g])
+    k_s, m, rest_length = params.k_s, params.m, params.rest_length
 
     def rhs(k, t, y):
-        s = AslipState(b=y[:3], db=y[3:], foot=foot_positions[k], phase=stance[k])
-        return np.concatenate([y[3:], aslip_accel(s, params, u_of_t[k])])
+        if not stance[k]:
+            return np.concatenate([y[3:], gravity])
+        return np.concatenate([y[3:], _contact_accel(y[:3], foot_positions[k], u_of_t[k],
+                                                     k_s, m, rest_length, gravity)])
 
     y0 = np.concatenate([np.asarray(initial_state.b, dtype=float),
                          np.asarray(initial_state.db, dtype=float)])

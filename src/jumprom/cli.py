@@ -259,11 +259,7 @@ def cmd_eval(args):
     config = rollout.RolloutConfig(step_rate=1.0 / meta.dt, **settings)
 
     # every rollout runs before any file is written, so a failing one leaves no partial table
-    results = []
-    for idx, jump in test_jumps:
-        results.append((idx, "full", rollout.rollout_full(model, jump, config)))
-        if config.reset_interval > 0:
-            results.append((idx, "reset", rollout.rollout_with_reset(model, jump, config)))
+    results = rollout.rollout_jumps(model, test_jumps, config)
 
     _write_results(out, manifest, "metrics.csv", "jump,mode,mean_rmse", "rollout", results,
                    lambda r: [r.rmse.mean()])
@@ -284,32 +280,47 @@ def cmd_baseline(args):
     base = slice(meta.m, meta.m + 3)   # base position in q, base velocity in dq
 
     # every rollout runs before any file is written, so a failing one leaves no partial table
+    aslip_rows = []
+    try:
+        for _, jump in test_jumps:
+            aslip_rows.append(_aslip_result(params, jump, base, config.integrator))
+    except JumpromError:
+        if model is not None:   # the learned rollout of an earlier jump fails first
+            rollout.rollout_jumps(model, test_jumps[:len(aslip_rows)], config)
+        raise
+    learned = rollout.rollout_jumps(model, test_jumps, config) if model is not None else []
     compared = []
-    for idx, jump in test_jumps:
-        dt = sample_step(jump.timestamps)
-        schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
-        base_true = jump.q[:, base]
-        state0 = aslip.AslipState(
-            b=base_true[0].copy(),
-            db=jump.dq[0, base].copy(),
-            foot=feet[0],
-            phase=Phase.CONTACT if schedule[0] is not Phase.FLIGHT else Phase.FLIGHT,
-        )
-        b_pred, _ = aslip.simulate_aslip(
-            params, state0, force_sum / params.m, schedule, jump.n_samples, dt,
-            integrator=config.integrator, foot_positions=feet,
-        )
-        compared.append((idx, "aslip", _base_result(jump.timestamps, b_pred, base_true, schedule)))
-        if model is not None:
-            res = rollout.rollout_full(model, jump, config)
+    for i, (idx, jump) in enumerate(test_jumps):
+        compared.append((idx, "aslip", aslip_rows[i]))
+        if learned:
             compared.append((idx, "learned", _base_result(
-                jump.timestamps, res.q_pred[:, base], base_true, schedule)))
+                jump.timestamps, learned[i][2].q_pred[:, base], jump.q[:, base],
+                aslip_rows[i].phase_schedule)))
 
     table_path = _write_results(out, manifest, "comparison.csv", "jump,model,rmse_x,rmse_y,rmse_z",
                                 "baseline", compared, lambda r: r.rmse)
     manifest.finish()
     print(f"comparison written to {table_path}")
     return 0
+
+
+def _aslip_result(params, jump, base, integrator):
+    """The aSLIP rollout of one jump's base position, driven by its recorded
+    contacts, feet and forces."""
+    dt = sample_step(jump.timestamps)
+    schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
+    base_true = jump.q[:, base]
+    state0 = aslip.AslipState(
+        b=base_true[0].copy(),
+        db=jump.dq[0, base].copy(),
+        foot=feet[0],
+        phase=Phase.CONTACT if schedule[0] is not Phase.FLIGHT else Phase.FLIGHT,
+    )
+    b_pred, _ = aslip.simulate_aslip(
+        params, state0, force_sum / params.m, schedule, jump.n_samples, dt,
+        integrator=integrator, foot_positions=feet,
+    )
+    return _base_result(jump.timestamps, b_pred, base_true, schedule)
 
 
 def _base_result(timestamps, pred, true, schedule):

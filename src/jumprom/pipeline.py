@@ -39,9 +39,9 @@ from .autoencoder import (
     align,
     encode,
     finetune_decoder,
+    input_map,
     recon_loss,
     train_autoencoder,
-    transform_input,
 )
 from .errors import (
     JumpromError,
@@ -281,7 +281,7 @@ def _fit_stages(dataset, config, parent=None):
 
     # stage 3: sparse dynamics per phase, autoencoder frozen
     trim = config.boundary_trim
-    phase_models = []
+    phase_models, nu_map = [], None
     for phase in PHASE_ORDER:
         in_phase = [(jump, seg) for jump, seg in segments if seg.phase is phase]
         if not in_phase:
@@ -292,10 +292,12 @@ def _fit_stages(dataset, config, parent=None):
         if not slices:
             raise ValidationError(f"no data for phase {phase}")
         try:
+            if nu_map is None:   # one SVD per fit, where the first segment needed it
+                nu_map = input_map(ae)
             pm = fit_phase_model(
                 ae,
                 config.library,
-                (_latent_phase_data(ae, jump, rows) for jump, rows in slices),
+                (_latent_phase_data(ae, nu_map, jump, rows) for jump, rows in slices),
                 config.stlsq_threshold,
                 config.stlsq_ridge,
                 latent_weight=config.latent_accel_weight,
@@ -337,13 +339,14 @@ def run_pipeline(dataset, config, record_steps=False):
     return (model, steps) if record_steps else model
 
 
-def _latent_phase_data(params, jump, rows):
-    """Encoded regression data of the samples ``rows`` (a slice) of one jump."""
+def _latent_phase_data(params, nu_map, jump, rows):
+    """Encoded regression data of the samples ``rows`` (a slice) of one jump;
+    nu_map is the autoencoder's ``input_map``."""
     ddq = jump.ddq[rows]
     return LatentPhaseData(
         xi=encode(params, jump.q[rows], 0),
         dxi=encode(params, jump.dq[rows], 1),
-        nu=transform_input(params, jump.u[rows]),
+        nu=jump.u[rows] @ nu_map,
         ddxi=encode(params, ddq, 2),
         ddq=ddq,
     )
@@ -385,6 +388,10 @@ def _scan_seed(dataset, l_values, config, seed):
         model = run_pipeline(cell_dataset, replace(config, latent_dim=l, seed=seed))
         e_dec = decoder_test_error(model, cell_dataset)
         active = total_active(model)
+        if active == 0:   # ln(0): the loss would rank a model without dynamics best
+            raise ValidationError(
+                f"scan cell l={l} seed={seed} has no active term, so its selection loss "
+                f"is undefined; lower stlsq_threshold ({config.stlsq_threshold:g})")
         rows.append(SelectionRow(
             latent_dim=l,
             seed=seed,

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jumprom import _integrators
 from jumprom.aslip import (
     AslipParams,
     AslipState,
@@ -145,6 +146,27 @@ class TestSimulate:
             else:
                 assert np.array_equal(b, reference[0])
                 assert np.array_equal(db, reference[1])
+
+    @pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
+    def test_steps_aslip_accel_bit_for_bit(self, integrator):
+        # the simulator's right-hand side keeps the arithmetic of aslip_accel
+        n, dt = 60, 1.0 / 500.0
+        rng = np.random.default_rng(2)
+        schedule = tuple(Phase.FLIGHT if k % 20 < 5 else
+                         (Phase.PARTIAL_CONTACT if k % 3 else Phase.CONTACT) for k in range(n))
+        u, feet = rng.normal(size=(n, 3)), rng.normal(scale=0.05, size=(n, 3))
+        s = _state([0.0, 0.0, 0.27], db=[0.1, 0.0, -0.2])
+        b, db = simulate_aslip(PARAMS, s, u, schedule, n, dt, integrator=integrator,
+                               foot_positions=feet)
+
+        def rhs(k, t, y):
+            phase = Phase.FLIGHT if schedule[k] is Phase.FLIGHT else Phase.CONTACT
+            state = AslipState(b=y[:3], db=y[3:], foot=feet[k], phase=phase)
+            return np.concatenate([y[3:], aslip_accel(state, PARAMS, u[k])])
+
+        ref = _integrators.integrate_intervals(rhs, np.concatenate([s.b, s.db]), n, dt,
+                                               integrator)
+        assert b.tobytes() == ref[:, :3].tobytes() and db.tobytes() == ref[:, 3:].tobytes()
 
     def test_partial_contact_counts_as_stance(self):
         s = _state([0.0, 0.0, 0.27])

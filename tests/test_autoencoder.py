@@ -11,6 +11,7 @@ from jumprom.autoencoder import (
     decode,
     encode,
     finetune_decoder,
+    input_map,
     recon_loss,
     reconstruct,
     train_autoencoder,
@@ -134,9 +135,16 @@ class TestTransformInput:
 
     def test_rank_deficient(self):
         W = np.ones((2, D))
-        with pytest.raises(RankDeficientEncoderError) as err:
-            transform_input(_params(W), np.ones(D))
-        assert err.value.smallest_singular_value < 1e-12
+        for carry in (lambda p: transform_input(p, np.ones(D)), input_map):
+            with pytest.raises(RankDeficientEncoderError) as err:
+                carry(_params(W))
+            assert err.value.smallest_singular_value < 1e-12
+
+    def test_is_the_input_map_applied(self):
+        rng = np.random.default_rng(6)
+        p = _params(rng.normal(size=(3, D)))
+        u = rng.normal(size=(5, D))
+        assert transform_input(p, u).tobytes() == (u @ input_map(p)).tobytes()
 
 
 class TestReconstruct:

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import jumprom
-from jumprom import pipeline, synthetic, trajectory_data
+from jumprom import cli, pipeline, rollout, synthetic, trajectory_data
 from jumprom.cli import FLAGS, KEYS, _write_series, build_parser, main
-from jumprom.errors import DatasetLoadError, NonUniformTimestepError
+from jumprom.errors import DatasetLoadError, DivergenceError, NonUniformTimestepError
 from jumprom.rollout import RolloutConfig, RolloutResult, rollout_full
 from jumprom.sindy import FunctionLibrarySpec
 from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_dataset,
@@ -278,6 +278,17 @@ class TestScan:
                      "--l-values", "1", "--seeds", "", "--parallel", workers])
         assert code == 1
         assert "ERROR E_VALIDATE: no seeds to scan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cell_without_active_term_rejected(self, gen_dir, tmp_path, capsys, workers):
+        # at this threshold every coefficient is eliminated, and ln(0) would
+        # score each cell L_mod = -inf
+        out = tmp_path / "scan"
+        code = main(["scan", "--dataset", str(gen_dir), "--out", str(out), "--threshold", "1e6",
+                     "--l-values", "1,2", "--seeds", "0,1", "--parallel", workers])
+        assert code == 1
+        assert "ERROR E_VALIDATE: scan cell l=1 seed=0 has no active term" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
 
 
 class TestEval:
@@ -813,6 +824,35 @@ class TestBaseline:
             if label == "learned":
                 expected = rollout_full(model, dataset.jumps[int(jump)], config).rmse[m:m + 3]
                 assert [float(x) for x in rmse] == expected.tolist()
+
+    @pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
+    def test_errors_are_reported_in_jump_order(self, gen_dir, trained_dir, tmp_path, capsys,
+                                               monkeypatch, integrator):
+        # the aSLIP rollout of the second test jump fails and the learned one
+        # of the first does: the first jump's error is reported, as when each
+        # jump's two rollouts ran in turn
+        aslip_result, rollout_jumps = cli._aslip_result, rollout.rollout_jumps
+        done = []
+
+        def failing_aslip(*args):
+            if done:
+                raise DivergenceError("aSLIP failed", 0.1)
+            done.append(1)
+            return aslip_result(*args)
+
+        def failing_learned(model, jumps, config):
+            if jumps:
+                raise DivergenceError("learned failed", 0.2)
+            return rollout_jumps(model, jumps, config)
+
+        monkeypatch.setattr(cli, "_aslip_result", failing_aslip)
+        monkeypatch.setattr(rollout, "rollout_jumps", failing_learned)
+        out = tmp_path / "baseline"
+        assert main(["baseline", "--dataset", str(gen_dir), "--model",
+                     str(trained_dir / "model.txt"), "--out", str(out),
+                     "--integrator", integrator]) == 1
+        assert "ERROR E_BLOWUP: learned failed" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
 
     def test_manifest_records_model(self, gen_dir, trained_dir, tmp_path):
         model_path = str(trained_dir / "model.txt")

@@ -1,8 +1,10 @@
 """The in-house RK45 interval stepper against scipy's solve_ivp, bit for bit."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 
@@ -110,3 +112,155 @@ def test_nan_rhs_from_zero_state_stops_where_solve_ivp_stops():
         return np.array([y[1], np.nan])
 
     assert _assert_same_as_reference(f, 0.0, np.zeros(2), 0.002).status == -1
+
+
+# A stack of independent systems: each row takes the steps, end state and
+# evaluation count it takes alone, or fails as it fails alone.
+
+def _row(kind, n, seed):
+    """One row's right-hand side and start: a linear system, easy or stiff
+    (it rejects steps), or y' = y^2 from y >= 1000, which blows up within
+    a millisecond."""
+    if kind == "blowup":
+        return (lambda t, y: y * y), np.full(n, 1e3 + seed % 1000)
+    return _linear_system(n, {"easy": 1.0, "stiff": 4.0}[kind], seed)
+
+
+def _stacked(fs):
+    return lambda t, y: np.stack([f(ti, yi) for f, ti, yi in zip(fs, t, y)])
+
+
+def _assert_rows_run_alone(fs, t0, y0, h, live=None):
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_end, nfev, row_nfev, failures = _integrators.adaptive_interval(
+            _stacked(fs), t0, y0, h, live)
+        assert type(nfev) is int and nfev == sum(row_nfev)
+        for i, f in enumerate(fs):
+            if live is not None and not live[i]:
+                assert y_end[i].tobytes() == y0[i].tobytes()
+                assert row_nfev[i] == 0 and failures[i] is None
+                continue
+            try:
+                alone, count = _integrators.adaptive_interval(f, t0, y0[i], h)
+            except DivergenceError as e:
+                assert (str(failures[i]), failures[i].time) == (str(e), e.time)
+            else:
+                assert failures[i] is None
+                assert y_end[i].tobytes() == alone.tobytes()
+                assert row_nfev[i] == count
+    return failures
+
+
+@given(n=st.integers(1, 36), n_rows=st.integers(1, 13), seed=st.integers(0, 2**32 - 1))
+def test_stacked_stage_sums_and_norms_match_one_row(n, n_rows, seed):
+    # the bits the stacked stepper relies on: its stage sums and RMS norms
+    # against the 1-D np.dot and np.linalg.norm of each row
+    rng = np.random.default_rng(seed)
+    K = rng.normal(size=(n_rows, 7, n)) * 10.0 ** rng.uniform(-8, 8, size=(n_rows, 7, 1))
+    KT = K.transpose(0, 2, 1)
+    weights = [_integrators._A[s, :s] for s in range(1, 6)] + [_integrators._B, _integrators._E]
+    for w in weights:
+        s = len(w)
+        stacked = KT[:, :, :s] @ w
+        for i in range(n_rows):
+            assert stacked[i].tobytes() == np.dot(K[i, :s].T, w).tobytes()
+    X = K[:, 0]
+    norms = _integrators._rms(X)
+    for i in range(n_rows):
+        assert norms[i] == np.linalg.norm(X[i]) / n ** 0.5
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 36), kinds=st.lists(st.sampled_from(["easy", "stiff", "blowup"]),
+                                             min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1), t0=STARTS, h=INTERVALS)
+def test_stacked_rows_match_one_row_runs(n, kinds, seed, t0, h):
+    rows = [_row(kind, n, seed + i) for i, kind in enumerate(kinds)]
+    _assert_rows_run_alone([f for f, _ in rows], t0, np.stack([y for _, y in rows]), h)
+
+
+def test_stiff_and_diverging_rows_beside_easy_rows():
+    kinds = ["easy", "stiff", "easy", "blowup", "easy"]
+    rows = [_row(kind, 3, i) for i, kind in enumerate(kinds)]
+    failures = _assert_rows_run_alone([f for f, _ in rows], 0.0,
+                                      np.stack([y for _, y in rows]), 0.002)
+    assert [e is not None for e in failures] == [kind == "blowup" for kind in kinds]
+    stiff = _reference(rows[1][0], 0.0, rows[1][1], 0.002)
+    assert (stiff.nfev - 2) // 6 > stiff.t.size - 1   # it rejected steps
+
+
+def test_rows_not_live_keep_their_state_and_count_nothing():
+    rows = [_row(kind, 2, i) for i, kind in enumerate(["easy", "stiff", "easy"])]
+    _assert_rows_run_alone([f for f, _ in rows], 0.0, np.stack([y for _, y in rows]), 0.002,
+                           live=np.array([True, False, True]))
+
+
+def _driven_row(i):
+    # y' = rate * (1 + k % 3) * y + t: exact arithmetic, a rate per interval
+    rate = (-1.0, -30.0, 2.0)[i]
+    return lambda k, t, y: rate * (1 + k % 3) * y + t
+
+
+def _driven_stack(k, t, y):
+    return np.array([-1.0, -30.0, 2.0])[:, None] * (1 + k % 3) * y + np.reshape(t, (-1, 1))
+
+
+@pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
+def test_stacked_intervals_match_one_row_runs(integrator):
+    # each row with its own horizon and resets
+    y0 = np.array([[1.0, -0.5], [0.3, 2.0], [-1.0, 0.25]])
+    ends = [5, 9, 7]
+    resets = {1: {3: np.array([0.5, 0.5])}, 2: {2: np.array([4.0, -4.0]), 6: np.zeros(2)}}
+
+    def reset(k, y):
+        due = [i for i in resets if k in resets[i]]
+        if due:
+            y = y.copy()
+            y[due] = [resets[i][k] for i in due]
+            return y
+
+    out = _integrators.integrate_intervals(_driven_stack, y0, ends, 0.002, integrator,
+                                           substeps=2, reset=reset)
+    assert out.shape == (9, 3, 2)
+    for i, n in enumerate(ends):
+        alone = _integrators.integrate_intervals(
+            _driven_row(i), y0[i], n, 0.002, integrator, substeps=2,
+            reset=lambda k, y, i=i: resets.get(i, {}).get(k))
+        assert out[:n, i].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
+def test_first_failed_row_is_raised_after_earlier_rows_finish(integrator):
+    # row 1 turns nan at interval 5, row 2 already at interval 2: row 1's
+    # error is raised, as when the rows run alone in turn
+    fail_at = (None, 5, 2)
+
+    def f(k, t, y):
+        dy = -y.copy()
+        for i, k_fail in enumerate(fail_at):
+            if k == k_fail:
+                dy[i] = np.nan
+        return dy
+
+    with pytest.raises(DivergenceError) as err:
+        _integrators.integrate_intervals(f, np.ones((3, 2)), 8, 0.002, integrator)
+    with pytest.raises(DivergenceError) as alone:
+        _integrators.integrate_intervals(lambda k, t, y: -y if k != 5 else y * np.nan,
+                                         np.ones(2), 8, 0.002, integrator)
+    assert (str(err.value), err.value.time) == (str(alone.value), alone.value.time)
+    assert err.value.time == pytest.approx(6 * 0.002)
+
+
+def test_stacked_rows_warn_once_each_up_to_the_first_failure():
+    # rows 0 and 2 are stiff; row 1 is not, and fails, so row 2 would never run
+    def f(k, t, y):
+        dy = -1e6 * y
+        dy[1] = -y[1] if k != 2 else np.nan
+        return dy
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError):
+            _integrators.integrate_intervals(f, np.ones((3, 1)), 5, 0.002, "adaptive")
+    assert len(caught) == 1
+    assert str(caught[0].message).endswith("dynamics may be stiff")

@@ -54,6 +54,14 @@ class TestRunPipeline:
             Phase.CONTACT, Phase.PARTIAL_CONTACT, Phase.FLIGHT,
         )
 
+    def test_one_input_map_per_fit(self, three_phase_bundle, monkeypatch):
+        dataset, _ = three_phase_bundle
+        calls = []
+        real = pipeline.input_map
+        monkeypatch.setattr(pipeline, "input_map", lambda params: calls.append(1) or real(params))
+        model = run_pipeline(dataset, TrainingConfig(latent_dim=2))
+        assert len(model.phases) == 3 and len(calls) == 1
+
     def test_frozen_weight_ledger(self, clean_bundle):
         model, snaps = clean_bundle.model, clean_bundle.snapshots
         # encoder unchanged from stage 1 onward

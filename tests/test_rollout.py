@@ -5,20 +5,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from jumprom import _integrators
-from jumprom.autoencoder import AutoencoderParams, decode, encode
+from jumprom import _integrators, autoencoder
+from jumprom.autoencoder import AutoencoderParams, decode, encode, input_map
 from jumprom.errors import DivergenceError, MissingPhaseError, ValidationError
 from jumprom.pipeline import MultiPhaseModel
 from jumprom.rollout import (
     RolloutConfig,
+    _times_own,
     integrate,
     rollout_full,
+    rollout_jumps,
     rollout_with_reset,
 )
 from jumprom.sindy import FunctionLibrarySpec, PhaseModel, SparseCoefficients
-from jumprom.synthetic import affine_coefficients
-from jumprom.trajectory_data import Phase, Trajectory
+from jumprom.synthetic import affine_coefficients, generate, three_phase_spec, two_phase_spec
+from jumprom.trajectory_data import Phase, Trajectory, process_dataset
 
 D = 18
 LINEAR = FunctionLibrarySpec(
@@ -277,3 +281,107 @@ class TestResets:
         model, traj = self._noisy_recording()
         with pytest.raises(ValidationError):
             rollout_with_reset(model, traj, RolloutConfig(integrator="fixed_rk4"))
+
+
+@given(p=st.integers(1, 261), l=st.integers(1, 18), n=st.integers(1, 13),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_matmul_with_own_coefficients_matches_per_row(p, l, n, seed):
+    # a lockstep rollout relies on this to give each row its own bits
+    rng = np.random.default_rng(seed)
+    rows, Xi = rng.normal(size=(n, p)), rng.normal(size=(n, p, l))
+    for row, own, got in zip(rows, Xi, _times_own(rows, Xi)):
+        assert got.tobytes() == (row @ own).tobytes()
+
+
+def _assert_same_as_alone(model, jumps, config):
+    results = rollout_jumps(model, jumps, config)
+    modes = ("full", "reset") if config.reset_interval else ("full",)
+    assert [(idx, mode) for idx, mode, _ in results] == [
+        (idx, mode) for idx, _ in jumps for mode in modes]
+    trajs = dict(jumps)
+    for idx, mode, res in results:
+        alone = (rollout_full if mode == "full" else rollout_with_reset)(model, trajs[idx], config)
+        for field in ("timestamps", "latent_pred", "q_pred", "q_true"):
+            assert getattr(res, field).tobytes() == getattr(alone, field).tobytes(), field
+        assert res.phase_schedule == alone.phase_schedule
+        assert res.reset_indices == alone.reset_indices
+
+
+@pytest.fixture(scope="module")
+def mixed_jumps():
+    """Jumps of both presets on one lift, of different lengths and phase
+    schedules, and the truth that covers all their phases."""
+    jumps = []
+    for spec in (two_phase_spec(n_jumps=2, split_counts=(1, 0, 1)),
+                 three_phase_spec(n_jumps=2, lift_seed=3, split_counts=(1, 0, 1))):
+        dataset, truth = generate(spec)
+        jumps += process_dataset(dataset).jumps
+    return truth, list(enumerate(jumps))
+
+
+class TestRolloutJumps:
+    @pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
+    @pytest.mark.parametrize("reset_interval", [0, 50])
+    def test_mixed_schedules_match_per_jump_rollouts(self, mixed_jumps, integrator,
+                                                     reset_interval):
+        truth, jumps = mixed_jumps
+        assert len({traj.n_samples for _, traj in jumps}) == 2
+        _assert_same_as_alone(truth, jumps, RolloutConfig(integrator=integrator,
+                                                          reset_interval=reset_interval))
+
+    def test_phases_of_different_libraries(self):
+        # at each step some rows are in contact (driven library) and some in
+        # flight (linear library)
+        l = 2
+        model = replace(_damped_driven_model(), phases=(
+            _damped_driven_model().phases[0],
+            PhaseModel(Phase.FLIGHT, SparseCoefficients(
+                affine_coefficients(LINEAR, l, constant=(0.0, -9.81)), 0.0, LINEAR))))
+        traj = _recorded_from_model(_damped_driven_model(), n=300)
+        contact = np.zeros((300, 4))
+        contact[:150] = 1.0
+        jumps = [(0, replace(traj, contact=contact)),
+                 (1, _first(replace(traj, contact=1.0 - contact), 250)),
+                 (2, traj)]
+        _assert_same_as_alone(model, jumps, RolloutConfig(step_rate=500, reset_interval=40))
+
+    def test_one_input_map_per_call(self, mixed_jumps, monkeypatch):
+        truth, jumps = mixed_jumps
+        calls = []
+        monkeypatch.setattr(autoencoder, "input_map",
+                            lambda params: calls.append(1) or input_map(params))
+        rollout_jumps(truth, jumps, RolloutConfig(reset_interval=50))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
+    def test_first_failure_in_jump_order_is_raised(self, integrator):
+        # xi'' = xi^2 blows up sooner from a larger start: jump 1 fails
+        # first in time, yet jump 0's error is the one raised
+        library = FunctionLibrarySpec(poly_degree=2, include_sin_states=False,
+                                      include_sin_velocities=False, include_inputs=False)
+        Xi = np.zeros((library.term_count(1), 1))
+        Xi[library.term_names(1).index("xi_1^2")] = 1.0
+        model = _model({Phase.FLIGHT: Xi}, library)
+        traj = _recorded_from_model(_damped_driven_model(), n=200)
+        jumps = []
+        for idx, start in ((0, 100.0), (1, 1e4)):
+            q = traj.q.copy()
+            q[0, 0] = start
+            jumps.append((idx, replace(traj, q=q, dq=np.zeros_like(q),
+                                       contact=np.zeros_like(traj.contact))))
+        config = RolloutConfig(step_rate=500, integrator=integrator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            errors = []
+            for jump in (jumps, jumps[:1], jumps[1:]):
+                with pytest.raises(DivergenceError) as err:
+                    rollout_jumps(model, jump, config)
+                errors.append((str(err.value), err.value.time))
+        assert errors[0] == errors[1]
+        assert errors[2][1] < errors[1][1]
+
+
+def _first(traj, n):
+    """The first n samples of a recording."""
+    return Trajectory(timestamps=traj.timestamps[:n], q=traj.q[:n], dq=traj.dq[:n],
+                      tau=traj.tau[:n], contact=traj.contact[:n], ddq=None, u=traj.u[:n])
