@@ -16,7 +16,6 @@ from .autoencoder import (
     recon_loss,
     reconstruct,
     train_autoencoder,
-    transform_input,
 )
 from .pipeline import (
     MultiPhaseModel,

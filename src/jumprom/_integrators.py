@@ -86,12 +86,12 @@ def _initial_step(fun, t0, y0, f0, interval, direction):
     in scalars, as scipy makes them; ``fun`` is evaluated once on the stack.
     """
     scale = ATOL + np.abs(y0) * RTOL
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval)
-                   for a, b in zip(d0, d1)])
-    f1 = fun(t0 + h0 * direction, y0 + (h0 * direction)[:, None] * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d0 = _rms(y0 / scale).tolist()
+    d1 = _rms(f0 / scale).tolist()
+    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval) for a, b in zip(d0, d1)]
+    h0_array = np.array(h0)
+    f1 = fun(t0 + h0_array * direction, y0 + (h0_array * direction)[:, None] * f0)
+    d2 = (_rms((f1 - f0) / scale) / h0_array).tolist()
     h1 = [max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15 else (0.01 / max(b, c)) ** (1 / 5)
           for h, b, c in zip(h0, d1, d2)]
     return [min(100 * h, g, interval) for h, g in zip(h0, h1)]
@@ -203,16 +203,15 @@ def _rk45(fun, t0, y, h, rows):
     control = {}
     for i in rows:
         row_nfev[i] = 2
-        if np.isnan(h_abs[i]):
+        if math.isnan(h_abs[i]):
             failures[i] = DivergenceError(
                 f"state became non-finite at t={t_end:.4f}s: the right-hand side is nan at "
                 f"t={t:.4f}s", t_end)
         else:
-            control[i] = _step_control(t, t_end, float(h_abs[i]), direction)
+            control[i] = _step_control(t, t_end, h_abs[i], direction)
             times[i], steps[i] = next(control[i])
     K = np.empty((n_rows, 7, n))
     KT = K.transpose(0, 2, 1)   # each row's stages as columns
-    accepted = np.zeros((n_rows, 1), dtype=bool)
     while control:
         step = steps[:, None]
         # the times of stages 1-5; the last, at c = 1, is also the end time
@@ -224,9 +223,11 @@ def _rk45(fun, t0, y, h, rows):
         f_new = K[:, -1] = fun(stage_t[-1], y_new)
         scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
         error_norm = _rms((KT @ _E) * step / scale).tolist()
+        accepted = []
         for i in list(control):
             row_nfev[i] += 6
-            accepted[i] = error_norm[i] < 1
+            if error_norm[i] < 1:
+                accepted.append(i)
             try:
                 times[i], steps[i] = control[i].send(error_norm[i])
                 continue
@@ -236,12 +237,13 @@ def _rk45(fun, t0, y, h, rows):
                 failures[i] = e
             del control[i]
             steps[i] = 0.0
-        if accepted.all():
+        if len(accepted) == n_rows:
             y, f_cur = y_new, f_new
-        else:
-            y = np.where(accepted, y_new, y)
-            f_cur = np.where(accepted, f_new, f_cur)
-        accepted[:] = False
+        elif accepted:
+            moved = np.zeros((n_rows, 1), dtype=bool)
+            moved[accepted] = True
+            y = np.where(moved, y_new, y)
+            f_cur = np.where(moved, f_new, f_cur)
     return y, sum(row_nfev), row_nfev, failures
 
 
@@ -274,6 +276,16 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
     if integrator not in INTEGRATORS:
         raise ValidationError(f"unknown integrator {integrator!r}")
     y = np.array(y0, dtype=float)
+    if y.ndim == 1 and integrator == "adaptive":   # one state is a stack of one row
+        def one_row(k, t, y):
+            return np.asarray(f(k, t[0], y[0]), dtype=float)[None]
+
+        def reset_row(k, y):
+            state = reset(k, y[0])
+            return None if state is None else state[None]
+
+        return integrate_intervals(one_row, y[None], n_samples, h, integrator,
+                                   reset=reset_row if reset else None)[:, 0]
     n_rows = len(y) if y.ndim == 2 else 1
     ends = np.broadcast_to(n_samples, (n_rows,))
     drops = set(ends.tolist())       # the samples after which a row is done
@@ -294,11 +306,6 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
             row_nfev, errors = [0] * n_rows, [None] * n_rows
             if integrator == "fixed_rk4":
                 y = rk4_interval(functools.partial(f, k), t, y, h, substeps)
-            elif y.ndim == 1:
-                try:
-                    y, row_nfev[0] = adaptive_interval(functools.partial(f, k), t, y, h)
-                except DivergenceError as e:
-                    errors[0] = e
             else:
                 y, _, row_nfev, errors = adaptive_interval(functools.partial(f, k), t, y, h, live)
             if any(errors) or max(row_nfev) > STIFF_NFEV_PER_INTERVAL or not np.isfinite(y).all():

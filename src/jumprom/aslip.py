@@ -73,18 +73,20 @@ def aslip_accel(state, params, u=None):
     if state.phase is Phase.FLIGHT:
         return gravity
     u = np.zeros(3) if u is None else np.asarray(u, dtype=float)
-    return _contact_accel(np.asarray(state.b, dtype=float), np.asarray(state.foot, dtype=float),
-                          u, params.k_s, params.m, params.rest_length, gravity)
+    return _contact_accel(np.asarray(state.b, dtype=float)[None],
+                          np.asarray(state.foot, dtype=float)[None], u[None],
+                          params.k_s, params.m, params.rest_length, gravity)[0]
 
 
 def _contact_accel(b, foot, u, k_s, m, rest_length, gravity):
-    """The contact branch of ``aslip_accel``, on float 3-vectors and scalars."""
+    """The contact branch of ``aslip_accel`` for a stack of states: b, foot
+    and u are (N, 3) float arrays.  Each row gets the bits of the one-state
+    formula, its leg length being ``np.linalg.norm`` of its leg."""
     leg = b - foot
-    length = float(np.linalg.norm(leg))
-    if length == 0.0:
+    length = np.sqrt(np.vecdot(leg, leg))[:, None]
+    if not length.all():
         raise ValidationError("CoM coincides with the stance foot (zero leg length)")
-    spring = k_s * abs(rest_length - length) / m * (leg / length)
-    return spring + gravity + u
+    return k_s * np.abs(rest_length - length) / m * (leg / length) + gravity + u
 
 
 def _per_step(name, values, horizon):
@@ -104,8 +106,8 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     label at index k); u_of_t: (>= horizon, 3) driving accelerations held
     constant per interval, or None.  foot_positions: (>= horizon, 3) stance
     foot per step, defaulting to the initial state's foot throughout; a
-    driving array of another shape raises ValidationError.
-    Runs on the shared interval driver, ``_integrators.integrate_intervals``.
+    driving array of another shape raises ValidationError.  The one-CoM
+    case of ``simulate_aslip_stack``.
 
     Returns (b, db): two (horizon, 3) arrays sampled at dt.  Raises
     DivergenceError when the state leaves the finite range; warns once
@@ -122,21 +124,56 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     else:
         foot_positions = _per_step("foot_positions", foot_positions, horizon)
 
-    stance = [ph in (Phase.CONTACT, Phase.PARTIAL_CONTACT) for ph in schedule]
+    y0 = np.concatenate([np.asarray(initial_state.b, dtype=float),
+                         np.asarray(initial_state.db, dtype=float)])
+    ((b, db),) = simulate_aslip_stack(params, [(y0, u_of_t, foot_positions, schedule[:horizon])],
+                                      dt, integrator=integrator, rk4_substeps=rk4_substeps)
+    return b, db
+
+
+def simulate_aslip_stack(params, systems, dt, *, integrator="adaptive", rk4_substeps=1):
+    """Integrate several aSLIP CoMs at one sample step as one stack.
+
+    systems: per CoM (y0, u_of_t, foot_positions, schedule): its initial
+    (b, db) as one (6,) array, then its driving accelerations and stance
+    feet, (>= n, 3) float arrays, and its n phase labels, n being its
+    horizon.  One right-hand-side call evaluates every CoM, and each
+    (b, db) pair returned, (n, 3) arrays, is the one ``simulate_aslip``
+    gives alone.  An error is raised as ``_integrators.integrate_intervals``
+    raises it: the first failing CoM's, in order.
+    """
+    ends = [len(schedule) for *_, schedule in systems]
+    # past its horizon a CoM is carried in flight
+    stance = np.zeros((max(ends), len(systems)), dtype=bool)
+    feet, drive = np.zeros((2,) + stance.shape + (3,))
+    for i, (_, u_of_t, foot_positions, schedule) in enumerate(systems):
+        n = ends[i]
+        stance[:n, i] = [ph in (Phase.CONTACT, Phase.PARTIAL_CONTACT) for ph in schedule]
+        drive[:n, i], feet[:n, i] = u_of_t[:n], foot_positions[:n]
+    # per interval, the CoMs in stance (a slice when all are) and their feet and drives
+    plans = []
+    for k, column in enumerate(stance):
+        rows = slice(None) if column.all() else np.flatnonzero(column)
+        plans.append((rows, feet[k, rows], drive[k, rows]) if column.any() else None)
     gravity = np.array([0.0, 0.0, -params.g])
+    flight = np.tile(gravity, (len(systems), 1))
     k_s, m, rest_length = params.k_s, params.m, params.rest_length
 
     def rhs(k, t, y):
-        if not stance[k]:
-            return np.concatenate([y[3:], gravity])
-        return np.concatenate([y[3:], _contact_accel(y[:3], foot_positions[k], u_of_t[k],
-                                                     k_s, m, rest_length, gravity)])
+        accel = flight
+        if plans[k] is not None:
+            rows, foot, u = plans[k]
+            contact = _contact_accel(y[rows, :3], foot, u, k_s, m, rest_length, gravity)
+            if isinstance(rows, slice):
+                accel = contact
+            else:
+                accel = flight.copy()
+                accel[rows] = contact
+        return np.concatenate([y[:, 3:], accel], axis=1)
 
-    y0 = np.concatenate([np.asarray(initial_state.b, dtype=float),
-                         np.asarray(initial_state.db, dtype=float)])
-    out = _integrators.integrate_intervals(rhs, y0, horizon, dt, integrator,
-                                           substeps=rk4_substeps)
-    return out[:, :3], out[:, 3:]
+    y0 = np.stack([y0 for y0, *_ in systems])
+    out = _integrators.integrate_intervals(rhs, y0, ends, dt, integrator, substeps=rk4_substeps)
+    return [(out[:n, i, :3], out[:n, i, 3:]) for i, n in enumerate(ends)]
 
 
 def aslip_inputs_from_trajectory(traj):

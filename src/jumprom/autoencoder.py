@@ -83,11 +83,13 @@ def decode(params, z, order=0):
 
 
 def input_map(params, rcond=1e-10):
-    """The (d, l) matrix pinv(W_enc)^T that carries inputs into latent space,
-    as ``u @ input_map(params)``.
+    """The (d, l) matrix pinv(W_enc)^T that carries configuration-space
+    inputs into latent space, as nu = ``u @ input_map(params)``.
 
-    Raises RankDeficientEncoderError when the smallest singular value of
-    W_enc falls below ``rcond`` times the largest.  Callers that carry many
+    For a square invertible encoder this is exactly W_enc^{-T} u, which
+    preserves the power pairing nu . (W_enc dq) = u . dq.  Raises
+    RankDeficientEncoderError when the smallest singular value of W_enc
+    falls below ``rcond`` times the largest.  Callers that carry many
     inputs compute it once.
     """
     U_svd, s, Vt = np.linalg.svd(params.W_enc, full_matrices=False)
@@ -97,18 +99,6 @@ def input_map(params, rcond=1e-10):
             float(s[-1]),
         )
     return Vt.T @ ((1.0 / s)[:, None] * U_svd.T)
-
-
-def transform_input(params, u, rcond=1e-10):
-    """Carry a configuration-space input into latent space.
-
-    Computes nu = pinv(W_enc)^T u (``input_map``).  For a square invertible
-    encoder this is exactly W_enc^{-T} u, which preserves the power pairing
-    nu . (W_enc dq) = u . dq.  Raises RankDeficientEncoderError when the
-    smallest singular value of W_enc falls below ``rcond`` times the
-    largest.
-    """
-    return np.asarray(u, dtype=float) @ input_map(params, rcond)
 
 
 def reconstruct(params, q):

@@ -23,6 +23,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from . import __about__, _integrators, aslip, pipeline, rollout, synthetic
 from .errors import JumpromError, ValidationError
 from .pipeline import TrainingConfig, config_from_dict
 from .sindy import print_symbolic
-from .trajectory_data import (MANIFEST_NAME, Phase, _cache_path, _read_manifest, format_row,
+from .trajectory_data import (MANIFEST_NAME, _cache_path, _read_manifest, format_row,
                               load_dataset, load_split, process_dataset, process_jump, sample_step)
 
 OUT_ROOT_ENV = "JUMPROM_OUT_ROOT"
@@ -280,14 +281,13 @@ def cmd_baseline(args):
     base = slice(meta.m, meta.m + 3)   # base position in q, base velocity in dq
 
     # every rollout runs before any file is written, so a failing one leaves no partial table
-    aslip_rows = []
     try:
-        for _, jump in test_jumps:
-            aslip_rows.append(_aslip_result(params, jump, base, config.integrator))
-    except JumpromError:
+        aslip_rows = _aslip_results(params, test_jumps, base, config.integrator)
+    except JumpromError as error:
+        failed, error = _first_aslip_failure(params, test_jumps, base, config.integrator, error)
         if model is not None:   # the learned rollout of an earlier jump fails first
-            rollout.rollout_jumps(model, test_jumps[:len(aslip_rows)], config)
-        raise
+            rollout.rollout_jumps(model, test_jumps[:failed], config)
+        raise error from None
     learned = rollout.rollout_jumps(model, test_jumps, config) if model is not None else []
     compared = []
     for i, (idx, jump) in enumerate(test_jumps):
@@ -304,23 +304,36 @@ def cmd_baseline(args):
     return 0
 
 
-def _aslip_result(params, jump, base, integrator):
-    """The aSLIP rollout of one jump's base position, driven by its recorded
-    contacts, feet and forces."""
-    dt = sample_step(jump.timestamps)
-    schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
-    base_true = jump.q[:, base]
-    state0 = aslip.AslipState(
-        b=base_true[0].copy(),
-        db=jump.dq[0, base].copy(),
-        foot=feet[0],
-        phase=Phase.CONTACT if schedule[0] is not Phase.FLIGHT else Phase.FLIGHT,
-    )
-    b_pred, _ = aslip.simulate_aslip(
-        params, state0, force_sum / params.m, schedule, jump.n_samples, dt,
-        integrator=integrator, foot_positions=feet,
-    )
-    return _base_result(jump.timestamps, b_pred, base_true, schedule)
+def _aslip_results(params, jumps, base, integrator):
+    """The aSLIP rollouts of the jumps' base positions, driven by their
+    recorded contacts, feet and forces.  Jumps with the same sample step
+    are stepped as one stack."""
+    stacks, inputs = {}, []
+    for i, (_, jump) in enumerate(jumps):
+        schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
+        y0 = np.concatenate([jump.q[0, base], jump.dq[0, base]])
+        inputs.append((y0, force_sum / params.m, feet, schedule))
+        stacks.setdefault(sample_step(jump.timestamps), []).append(i)
+    b_pred = {}
+    for dt, rows in stacks.items():
+        stepped = aslip.simulate_aslip_stack(params, [inputs[i] for i in rows], dt,
+                                             integrator=integrator)
+        b_pred.update((i, b) for i, (b, _) in zip(rows, stepped))
+    return [_base_result(jump.timestamps, b_pred[i], jump.q[:, base], inputs[i][3])
+            for i, (_, jump) in enumerate(jumps)]
+
+
+def _first_aslip_failure(params, jumps, base, integrator, error):
+    """The index of the first jump whose aSLIP rollout fails when run alone,
+    and its error; (len(jumps), error) when none does."""
+    with warnings.catch_warnings():   # the stacked run has issued its warnings
+        warnings.simplefilter("ignore")
+        for i, jump in enumerate(jumps):
+            try:
+                _aslip_results(params, [jump], base, integrator)
+            except JumpromError as e:
+                return i, e
+    return len(jumps), error
 
 
 def _base_result(timestamps, pred, true, schedule):

@@ -4,14 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumprom import _integrators
 from jumprom.aslip import (
     AslipParams,
     AslipState,
+    _contact_accel,
     aslip_accel,
     aslip_inputs_from_trajectory,
     simulate_aslip,
+    simulate_aslip_stack,
 )
 from jumprom.errors import DivergenceError, ValidationError
 from jumprom.trajectory_data import Phase, Trajectory
@@ -209,6 +213,58 @@ class TestSimulate:
                 simulate_aslip(stiff, _state([0.0, 0.0, 0.27]), None, (Phase.CONTACT,) * 4, 4,
                                1.0 / 500.0)
             assert [str(w.message).endswith("dynamics may be stiff") for w in caught] == [True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-6, 2))
+def test_stacked_contact_accel_has_the_one_state_bits(n_rows, seed, log_scale):
+    # each row of the stacked kernel equals the one-state formula, its leg
+    # length taken as the float of np.linalg.norm
+    rng = np.random.default_rng(seed)
+    b, foot, u = rng.normal(scale=10.0 ** log_scale, size=(3, n_rows, 3))
+    gravity = np.array([0.0, 0.0, -9.81])
+    got = _contact_accel(b, foot, u, 2500.0, 12.0, 0.3, gravity)
+    for i in range(n_rows):
+        leg = b[i] - foot[i]
+        length = float(np.linalg.norm(leg))
+        expected = 2500.0 * abs(0.3 - length) / 12.0 * (leg / length) + gravity + u[i]
+        assert got[i].tobytes() == expected.tobytes()
+
+
+def test_stacked_zero_leg_rejected():
+    b = np.array([[0.0, 0.0, 0.3], [0.1, 0.2, 0.0]])
+    with pytest.raises(ValidationError, match="zero leg"):
+        _contact_accel(b, np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.0]]), np.zeros((2, 3)),
+                       1000.0, 10.0, 0.3, np.zeros(3))
+
+
+@pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
+def test_stack_rows_are_simulate_aslip_alone(integrator):
+    # CoMs of different horizons and schedules (flight, contact, partial
+    # contact, all stance, all flight) stepped together: each row has the
+    # bits it has alone
+    rng = np.random.default_rng(3)
+    dt = 1.0 / 500.0
+    schedules = [
+        tuple(Phase.FLIGHT if k % 20 < 5 else
+              (Phase.PARTIAL_CONTACT if k % 3 else Phase.CONTACT) for k in range(60)),
+        (Phase.CONTACT,) * 25,
+        (Phase.FLIGHT,) * 40,
+        (Phase.CONTACT,) * 10 + (Phase.FLIGHT,) * 35,
+    ]
+    systems = []
+    for schedule in schedules:
+        n = len(schedule)
+        y0 = np.concatenate([[0.0, 0.0, 0.27], rng.normal(scale=0.2, size=3)])
+        systems.append((y0, rng.normal(size=(n + 3, 3)), rng.normal(scale=0.05, size=(n, 3)),
+                        schedule))
+    stacked = simulate_aslip_stack(PARAMS, systems, dt, integrator=integrator)
+    for (y0, u, feet, schedule), (b, db) in zip(systems, stacked):
+        state = _state(y0[:3], db=y0[3:])
+        b_alone, db_alone = simulate_aslip(PARAMS, state, u, schedule, len(schedule), dt,
+                                           integrator=integrator, foot_positions=feet)
+        assert b.shape == (len(schedule), 3)
+        assert b.tobytes() == b_alone.tobytes() and db.tobytes() == db_alone.tobytes()
 
 
 class TestInputsFromTrajectory:

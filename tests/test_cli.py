@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import jumprom
-from jumprom import cli, pipeline, rollout, synthetic, trajectory_data
+from jumprom import aslip, cli, pipeline, rollout, synthetic, trajectory_data
 from jumprom.cli import FLAGS, KEYS, _write_series, build_parser, main
 from jumprom.errors import DatasetLoadError, DivergenceError, NonUniformTimestepError
 from jumprom.rollout import RolloutConfig, RolloutResult, rollout_full
@@ -825,34 +825,51 @@ class TestBaseline:
                 expected = rollout_full(model, dataset.jumps[int(jump)], config).rmse[m:m + 3]
                 assert [float(x) for x in rmse] == expected.tolist()
 
+    @pytest.mark.parametrize("learned_failing, expected", [(0, "learned"), (1, "aSLIP")])
     @pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
     def test_errors_are_reported_in_jump_order(self, gen_dir, trained_dir, tmp_path, capsys,
-                                               monkeypatch, integrator):
-        # the aSLIP rollout of the second test jump fails and the learned one
-        # of the first does: the first jump's error is reported, as when each
-        # jump's two rollouts ran in turn
-        aslip_result, rollout_jumps = cli._aslip_result, rollout.rollout_jumps
-        done = []
+                                               monkeypatch, integrator, learned_failing,
+                                               expected):
+        # the aSLIP rollout of the second test jump fails, in the stack and
+        # alone, and so does the learned one of the first or of the second
+        # jump: the error reported is the first in the order aSLIP 0,
+        # learned 0, aSLIP 1, learned 1, as when each jump ran in turn
+        aslip_results, rollout_jumps = cli._aslip_results, rollout.rollout_jumps
+        indices = [idx for idx, _ in cli._load_test_jumps(gen_dir)[1]]
 
-        def failing_aslip(*args):
-            if done:
+        def failing_aslip(params, jumps, base, integrator):
+            if indices[1] in (idx for idx, _ in jumps):
                 raise DivergenceError("aSLIP failed", 0.1)
-            done.append(1)
-            return aslip_result(*args)
+            return aslip_results(params, jumps, base, integrator)
 
         def failing_learned(model, jumps, config):
-            if jumps:
+            if indices[learned_failing] in (idx for idx, _ in jumps):
                 raise DivergenceError("learned failed", 0.2)
             return rollout_jumps(model, jumps, config)
 
-        monkeypatch.setattr(cli, "_aslip_result", failing_aslip)
+        monkeypatch.setattr(cli, "_aslip_results", failing_aslip)
         monkeypatch.setattr(rollout, "rollout_jumps", failing_learned)
         out = tmp_path / "baseline"
         assert main(["baseline", "--dataset", str(gen_dir), "--model",
                      str(trained_dir / "model.txt"), "--out", str(out),
                      "--integrator", integrator]) == 1
-        assert "ERROR E_BLOWUP: learned failed" in capsys.readouterr().err
+        assert f"ERROR E_BLOWUP: {expected} failed" in capsys.readouterr().err
         assert not (out / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
+    def test_aslip_rows_are_the_jumps_alone(self, gen_dir, integrator):
+        # jumps of two sample steps form two stacks; each result is the
+        # jump's own, run alone
+        meta, jumps = cli._load_test_jumps(gen_dir)
+        idx, jump = jumps[0]
+        slower = replace(jump, timestamps=jump.timestamps * (1 + 2**-40))
+        jumps = [jumps[0], (idx + 100, slower), *jumps[1:]]
+        base, params = slice(meta.m, meta.m + 3), aslip.AslipParams()
+        together = cli._aslip_results(params, jumps, base, integrator)
+        for jump, result in zip(jumps, together):
+            (alone,) = cli._aslip_results(params, [jump], base, integrator)
+            assert result.q_pred.tobytes() == alone.q_pred.tobytes()
+        assert together[0].q_pred.tobytes() != together[1].q_pred.tobytes()
 
     def test_manifest_records_model(self, gen_dir, trained_dir, tmp_path):
         model_path = str(trained_dir / "model.txt")

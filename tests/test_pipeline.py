@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jumprom import pipeline, synthetic
-from jumprom.autoencoder import AutoencoderParams, encode, transform_input
+from jumprom.autoencoder import AutoencoderParams, encode, input_map
 from jumprom.errors import (
     JumpromError,
     ModelFormatError,
@@ -140,7 +140,7 @@ def _sliced_phase_data(params, jumps, phase, trim):
                 q, dq, ddq, u = (getattr(jump, name)[seg.start + trim : seg.end - trim + 1]
                                  for name in ("q", "dq", "ddq", "u"))
                 for name, part in zip(parts, (encode(params, q, 0), encode(params, dq, 1),
-                                              transform_input(params, u),
+                                              u @ input_map(params),
                                               encode(params, ddq, 2), ddq)):
                     parts[name].append(part)
     return LatentPhaseData(**{name: np.concatenate(part) for name, part in parts.items()})
