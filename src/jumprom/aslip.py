@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrators
-from .errors import ValidationError, is_finite_real
+from .errors import ValidationError, is_finite_real, is_integer
 from .trajectory_data import Phase, segment_phases
 
 
@@ -105,14 +105,17 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     contact_schedule: length-``horizon`` phase labels (interval k uses the
     label at index k); u_of_t: (>= horizon, 3) driving accelerations held
     constant per interval, or None.  foot_positions: (>= horizon, 3) stance
-    foot per step, defaulting to the initial state's foot throughout; a
-    driving array of another shape raises ValidationError.  The one-CoM
-    case of ``simulate_aslip_stack``.
+    foot per step, defaulting to the initial state's foot throughout.  A
+    horizon that is not an integer >= 1, or a driving array of another
+    shape, raises ValidationError.  The one-CoM case of
+    ``simulate_aslip_stack``.
 
     Returns (b, db): two (horizon, 3) arrays sampled at dt.  Raises
     DivergenceError when the state leaves the finite range; warns once
     when an adaptive interval looks stiff.
     """
+    if not (is_integer(horizon) and horizon >= 1):
+        raise ValidationError(f"horizon must be an integer >= 1, got {horizon!r}")
     schedule = tuple(contact_schedule)
     if len(schedule) < horizon:
         raise ValidationError(

@@ -358,15 +358,16 @@ def cmd_finetune(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# Each command's function and help, and whether its ``--model`` is required
-# (None: it takes no model).  Every command but gen reads a dataset.
+# Each command's help, and whether its ``--model`` is required (None: it
+# takes no model).  Every command but gen reads a dataset.  ``main`` runs
+# command ``name`` as this module's ``cmd_<name>``, looked up when it runs.
 _COMMANDS = {
-    "gen": (cmd_gen, "generate a synthetic dataset", None),
-    "train": (cmd_train, "run the three-stage training pipeline", None),
-    "scan": (cmd_scan, "model-selection scan over latent dimensions", None),
-    "eval": (cmd_eval, "roll out a model against recorded test jumps", True),
-    "baseline": (cmd_baseline, "compare against the actuated-SLIP baseline", False),
-    "finetune": (cmd_finetune, "fine-tune an existing model on a new dataset", True),
+    "gen": ("generate a synthetic dataset", None),
+    "train": ("run the three-stage training pipeline", None),
+    "scan": ("model-selection scan over latent dimensions", None),
+    "eval": ("roll out a model against recorded test jumps", True),
+    "baseline": ("compare against the actuated-SLIP baseline", False),
+    "finetune": ("fine-tune an existing model on a new dataset", True),
 }
 
 
@@ -377,9 +378,8 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__about__.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help, model) in _COMMANDS.items():
+    for name, (help, model) in _COMMANDS.items():
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; a flag given overrides its key")
         p.add_argument("--out", help=f"output directory (default: ${OUT_ROOT_ENV}/<command>)")
         if name != "gen":
@@ -402,7 +402,7 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except JumpromError as e:
         print(f"ERROR {e.code}: {e}", file=sys.stderr)
         return 1

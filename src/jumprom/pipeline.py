@@ -18,6 +18,8 @@ process or in a worker pool.
 ``serialize_model`` and ``parse_model`` share one autoencoder layout,
 ``_autoencoder_layout``, and the reader takes every line through one field
 reader, ``_field``, which reports a malformed value with its byte offset.
+A model has one candidate library, which every phase carries and every
+phase block of its file repeats.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def config_from_dict(payload):
 
 @dataclass(frozen=True)
 class MultiPhaseModel:
-    """Shared autoencoder plus one sparse dynamics model per phase."""
+    """Shared autoencoder plus one sparse dynamics model per phase, every
+    phase over the model's one candidate library."""
 
     autoencoder: AutoencoderParams
     phases: tuple[PhaseModel, ...]
@@ -161,6 +164,14 @@ class MultiPhaseModel:
         labels = [pm.phase for pm in self.phases]
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate phase models")
+        libraries = [pm.coefficients.library for pm in self.phases]
+        if len(set(libraries)) != 1 or None in libraries:
+            raise ValidationError(f"a model's phases must all carry one library, found {libraries}")
+
+    @property
+    def library(self):
+        """The candidate library of every phase."""
+        return self.phases[0].coefficients.library
 
     def phase_model(self, phase):
         for pm in self.phases:
@@ -441,13 +452,8 @@ def write_selection_report(report, path):
 
 def fine_tune_config(model, config):
     """The config that fine-tuning ``model`` runs: ``config`` with the
-    model's latent dimension and library, whatever ``config`` says of them.
-    A model whose phases use different libraries cannot be fine-tuned."""
-    libraries = {pm.coefficients.library for pm in model.phases}
-    if len(libraries) != 1:
-        raise ValidationError(f"fine-tuning needs one library across the model's phases, "
-                              f"found {len(libraries)}")
-    return replace(config, latent_dim=model.autoencoder.latent_dim, library=libraries.pop())
+    model's latent dimension and library, whatever ``config`` says of them."""
+    return replace(config, latent_dim=model.autoencoder.latent_dim, library=model.library)
 
 
 def fine_tune(model, dataset, config):
@@ -594,11 +600,22 @@ def _read_matrix(lines, name, rows, cols):
     return np.array([_field(lines, None, _row, cols) for _ in range(rows)]).reshape(rows, cols)
 
 
+def _library(text, first):
+    """The library of a phase, which must equal ``first``, the first phase's
+    (None for the first phase itself)."""
+    lib = FunctionLibrarySpec(**_json_object(text))
+    if first is not None and lib != first:
+        raise ValueError(f"differs from the first phase's library, {first}")
+    return lib
+
+
 def _phase_or_end(line, seen):
     """The phase of a ``phase <name>`` line, which must not be in ``seen``;
     None for the closing ``end``."""
     head, _, name = line.partition(" ")
     if head == "end":
+        if not seen:
+            raise ValueError("a model needs at least one phase")
         return None
     if head != "phase":
         raise ValueError(f"expected 'phase' or 'end', found {head!r}")
@@ -612,8 +629,9 @@ def parse_model(text):
     """Read the text ``serialize_model`` writes.
 
     Every line goes through ``_field``, so a malformed one raises
-    ModelFormatError at its byte offset; a format version other than
-    MODEL_FORMAT_VERSION raises UnsupportedModelVersionError.
+    ModelFormatError at its byte offset, as do a file without a phase and a
+    ``library`` line that differs from the first phase's; a format version
+    other than MODEL_FORMAT_VERSION raises UnsupportedModelVersionError.
     """
     lines = _lines(text)
     version = _field(lines, _MODEL_MAGIC, str.strip)
@@ -625,10 +643,10 @@ def parse_model(text):
          for name, rows, cols in _autoencoder_layout(l, d)}
     ae = AutoencoderParams(W_enc=m["W_enc"], b_enc=m["b_enc"][0], W_dec=m["W_dec"],
                            b_dec=m["b_dec"][0])
-    phase_models, seen = [], set()
+    phase_models, seen, first = [], set(), None
     while (phase := _field(lines, None, _phase_or_end, seen)) is not None:
         seen.add(phase)
-        lib = _field(lines, "library", lambda text: FunctionLibrarySpec(**_json_object(text)))
+        lib = first = _field(lines, "library", _library, first)
         threshold = _field(lines, "threshold", _threshold)
         terms = lib.term_names(l)
         _field(lines, "terms", _words, terms)

@@ -100,32 +100,17 @@ def _reset_indices(n_steps, interval):
 
 
 def _stage_plans(model, phases):
-    """Per interval, the right-hand side's groups for the stack's phases
-    (T, N): one (library, rows, Xi) per distinct library, Xi (rows, p, l)
-    holding each row's own coefficients, or the (p, l) Xi of a stack of one
-    row.  Intervals with the same phases share one plan."""
-    coefficients = [pm.coefficients for pm in model.phases]
-    libraries = list(dict.fromkeys(c.library for c in coefficients))
+    """Per interval, the coefficients of the stack's phases (T, N): Xi
+    (N, p, l) holding each row's own, or the (p, l) Xi of a stack of one
+    row.  Intervals with the same phases share one Xi."""
+    Xis = [pm.coefficients.Xi for pm in model.phases]
     plans, cache = [], {}
     for column in phases:
         key = column.tobytes()
         if key not in cache:
-            groups = []
-            for library in libraries:
-                rows = [i for i, j in enumerate(column) if coefficients[j].library == library]
-                if rows:
-                    Xi = np.stack([coefficients[column[i]].Xi for i in rows])
-                    groups.append((library, rows, Xi[0] if len(column) == 1 else Xi))
-            cache[key] = groups
+            cache[key] = Xis[column[0]] if len(column) == 1 else np.stack([Xis[j] for j in column])
         plans.append(cache[key])
     return plans
-
-
-def _times_own(terms, Xi):
-    """Library rows times their coefficients: one row (p,) times Xi (p, l),
-    or rows (N, p) each times its own Xi (N, p, l).  The stacked matmul
-    gives each row the bits of its own row @ Xi."""
-    return terms @ Xi if terms.ndim == 1 else (terms[:, None, :] @ Xi)[:, 0, :]
 
 
 def _integrate_rows(model, rows, config):
@@ -133,8 +118,8 @@ def _integrate_rows(model, rows, config):
 
     rows: per rollout (start (2l,), inputs (n, l), phase indices (n,),
     reset states (n, 2l) or None).  Each row has its own horizon, inputs,
-    phase schedule and resets; one library call per distinct library
-    evaluates every row per stage.  A single rollout steps as a plain (2l,)
+    phase schedule and resets; one library call and one ``np.vecmat``
+    evaluate every row per stage.  A single rollout steps as a plain (2l,)
     state, without the stack's row axis.  Returns each row's (n, 2l) states.
     """
     l = model.autoencoder.latent_dim
@@ -152,15 +137,8 @@ def _integrate_rows(model, rows, config):
 
     def rhs(k, t, state):
         xi, dxi = state[..., :l], state[..., l:]
-        groups = plans[k]
-        if len(groups) == 1:   # one library for every row
-            library, _, Xi = groups[0]
-            accel = _times_own(build_library_row(library, xi, dxi, nu[k]), Xi)
-        else:
-            accel = np.empty_like(xi)
-            for library, members, Xi in groups:
-                accel[members] = _times_own(
-                    build_library_row(library, xi[members], dxi[members], nu[k, members]), Xi)
+        # vecmat gives each row the bits of its own row @ Xi
+        accel = np.vecmat(build_library_row(model.library, xi, dxi, nu[k]), plans[k])
         return np.concatenate([dxi, accel], axis=-1)
 
     resets = {i: (_reset_indices(ends[i], config.reset_interval), states)
@@ -227,13 +205,16 @@ def _check_horizon(traj, config):
 
 def _prepare(model, traj, config, horizon, input_map):
     """A rollout's horizon, latent inputs and phase schedule; input_map()
-    gives the model's (d, l) input map."""
+    gives the model's (d, l) input map.  horizon: an integer >= 1, cut to
+    the recording's length, or None for the whole recording."""
     if traj.u is None:
         raise ValidationError("trajectory has no input columns u; preprocess the dataset first")
     d = model.autoencoder.full_dim
     if traj.q.shape[1] != d:
         raise ValidationError(
             f"model dimension {d} does not match the trajectory ({traj.q.shape[1]})")
+    if horizon is not None and not (is_integer(horizon) and horizon >= 1):
+        raise ValidationError(f"horizon must be an integer >= 1, got {horizon!r}")
     n = traj.n_samples if horizon is None else min(horizon, traj.n_samples)
     if n < 1:
         raise ValidationError("empty rollout horizon")

@@ -364,8 +364,8 @@ def _simulate_jumps(spec, truth, rng):
     def rhs(k, t, y):
         c = coeffs[phase_of[k]]
         rows = build_library_row(c.library, y[:, :l], y[:, l:], inputs(k, t))
-        # the stacked matmul gives each jump the bits of its own row @ Xi
-        accel = (rows[:, None, :] @ c.Xi)[:, 0, :]
+        # vecmat gives each jump the bits of its own row @ Xi
+        accel = np.vecmat(rows, c.Xi)
         return np.concatenate([y[:, l:], accel], axis=1)
 
     states = _integrators.integrate_intervals(rhs, y0, starts[-1], spec.dt, "fixed_rk4",

@@ -190,6 +190,15 @@ class TestSimulate:
             simulate_aslip(PARAMS, _state([0.0, 0.0, 0.27]), u, (Phase.CONTACT,) * 10, 10,
                            1.0 / 500.0, integrator="fixed_rk4", foot_positions=feet)
 
+    @pytest.mark.parametrize("driven", [True, False], ids=["inputs_and_feet", "no_inputs"])
+    @pytest.mark.parametrize("horizon", [-3, 0, 2.5, True])
+    def test_horizon_must_be_a_positive_integer(self, horizon, driven):
+        u, feet = (np.zeros((10, 3)), np.zeros((10, 3))) if driven else (None, None)
+        message = f"horizon must be an integer >= 1, got {horizon!r}"
+        with pytest.raises(ValidationError, match=message):
+            simulate_aslip(PARAMS, _state([0.0, 0.0, 0.27]), u, (Phase.CONTACT,) * 10, horizon,
+                           1.0 / 500.0, integrator="fixed_rk4", foot_positions=feet)
+
     def test_divergence_raises(self):
         # k_s = 1e9 puts the contact oscillation far outside RK4's stability region
         stiff = AslipParams(k_s=1e9, m=10.0, l0=np.array([0.0, 0.0, 0.3]))

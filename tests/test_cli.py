@@ -57,6 +57,14 @@ class TestGen:
         assert (gen_dir / "run_manifest.json").exists()
         assert len(list(gen_dir.glob("jump_*.csv"))) == 6
 
+    def test_main_runs_the_command_function_of_the_module(self, tmp_path, monkeypatch):
+        # looked up when main runs, so a wrapped cmd_gen (a tracer's, say) is the one run
+        calls = []
+        monkeypatch.setattr(cli, "cmd_gen", lambda args: calls.append(args.out) or 0)
+        assert main(["gen", "--out", str(tmp_path)]) == 0
+        assert calls == [str(tmp_path)]
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_preset_fails(self, tmp_path, capsys):
         code = main(["gen", "--preset", "two_phase", "--out", str(tmp_path / "x")])
         assert code == 0

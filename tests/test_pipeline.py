@@ -193,6 +193,34 @@ class TestSelection:
             model_selection_scan(clean_bundle.dataset, l_values, seeds, TrainingConfig())
 
 
+def _phases(*libraries, l=2):
+    """One zero-coefficient phase model per library, in PHASE_ORDER."""
+    return tuple(PhaseModel(phase, SparseCoefficients(
+        np.zeros((FunctionLibrarySpec().term_count(l), l)), 0.0, library))
+        for phase, library in zip(pipeline.PHASE_ORDER, libraries))
+
+
+class TestMultiPhaseModel:
+    def _build(self, phases):
+        ae = AutoencoderParams(W_enc=np.eye(2, 4), b_enc=np.zeros(2), W_dec=np.eye(4, 2),
+                               b_dec=np.zeros(4))
+        return MultiPhaseModel(autoencoder=ae, phases=phases, provenance={})
+
+    def test_library_is_the_phases_one(self):
+        lib = FunctionLibrarySpec()
+        assert self._build(_phases(lib, FunctionLibrarySpec())).library is lib
+
+    def test_phases_of_different_libraries(self):
+        with pytest.raises(ValidationError, match="must all carry one library"):
+            self._build(_phases(FunctionLibrarySpec(), FunctionLibrarySpec(poly_degree=1)))
+
+    @pytest.mark.parametrize("libraries", [(None,), (FunctionLibrarySpec(), None), ()],
+                             ids=["none", "one_phase_without", "no_phases"])
+    def test_phases_without_library(self, libraries):
+        with pytest.raises(ValidationError, match="must all carry one library"):
+            self._build(_phases(*libraries))
+
+
 def _small_model_text():
     """A two-phase model at l = 2, d = 4 with random weights, serialized."""
     rng = np.random.default_rng(0)
@@ -248,27 +276,46 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError):
             parse_model(text.replace('"poly_degree": 2', f'"poly_degree": {degree}', 1))
 
+    def test_second_library_is_format_error(self, tmp_path):
+        # the flight block names another library: the error points at its library line
+        text = _SMALL_MODEL_TEXT
+        at = text.index("\nlibrary ", text.index("\nphase flight")) + 1
+        path = tmp_path / "model.txt"
+        path.write_text(text[:at] + text[at:].replace('"include_inputs": true',
+                                                      '"include_inputs": false', 1))
+        with pytest.raises(ModelFormatError, match="differs from the first phase's library") as err:
+            load_model(path)
+        assert err.value.byte_offset == at
+
+    def test_no_phase_is_format_error(self):
+        text = _SMALL_MODEL_TEXT
+        at = text.index("\nphase ") + 1
+        with pytest.raises(ModelFormatError, match="at least one phase") as err:
+            parse_model(text[:at] + "end\n")
+        assert err.value.byte_offset == at
+
     def test_garbage_rejected(self):
         with pytest.raises(ModelFormatError):
             parse_model("definitely not a model\n")
 
     @given(st.data())
     def test_round_trip_property(self, data):
-        # random library flags, l and sparsity; Xi may hold -0.0, kept bit for bit
+        # random library flags (one library per model), l and sparsity; Xi may
+        # hold -0.0, kept bit for bit
         draw = data.draw
         l = draw(st.integers(1, 3))
         d = draw(st.integers(l, l + 3))
         weights = lambda shape: draw(arrays(np.float64, shape, elements=st.floats(-10, 10)))
         ae = AutoencoderParams(W_enc=weights((l, d)), b_enc=weights((l,)),
                                W_dec=weights((d, l)), b_dec=weights((d,)))
+        flags = draw(st.tuples(*[st.booleans()] * 4))
+        degree = draw(st.integers(0, 2))
+        assume(degree > 0 or any(flags))
+        lib = FunctionLibrarySpec(degree, *flags)
+        shape = (lib.term_count(l), l)
         phases = []
         for phase in draw(st.lists(st.sampled_from(list(Phase)), min_size=1, max_size=3,
                                    unique=True)):
-            flags = draw(st.tuples(*[st.booleans()] * 4))
-            degree = draw(st.integers(0, 2))
-            assume(degree > 0 or any(flags))
-            lib = FunctionLibrarySpec(degree, *flags)
-            shape = (lib.term_count(l), l)
             values = draw(arrays(np.float64, shape,
                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
             keep = draw(arrays(np.bool_, shape))
@@ -440,11 +487,10 @@ class TestFineTune:
             fine_tune(clean_bundle.model, clean_bundle.dataset, config)
 
     def test_phases_of_different_libraries_rejected(self, clean_bundle):
+        # such a parent cannot be built, so fine-tuning never meets one
         contact, flight = clean_bundle.model.phases
         linear = FunctionLibrarySpec(poly_degree=1)
         flight = PhaseModel(flight.phase, SparseCoefficients(
             np.zeros((linear.term_count(2), 2)), 0.1, linear))
-        parent = replace(clean_bundle.model, phases=(contact, flight))
-        with pytest.raises(ValidationError, match="one library across the model's phases, "
-                                                  "found 2"):
-            fine_tune(parent, clean_bundle.dataset, TrainingConfig())
+        with pytest.raises(ValidationError, match="must all carry one library"):
+            replace(clean_bundle.model, phases=(contact, flight))

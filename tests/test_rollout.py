@@ -1,5 +1,6 @@
 """Latent integration, rollouts against recordings, resets, comparisons."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from jumprom.errors import DivergenceError, MissingPhaseError, ValidationError
 from jumprom.pipeline import MultiPhaseModel
 from jumprom.rollout import (
     RolloutConfig,
-    _times_own,
     integrate,
     rollout_full,
     rollout_jumps,
@@ -206,6 +206,15 @@ class TestRollouts:
         assert res.q_pred.shape[0] == 1
         assert np.all(res.rmse < 1e-9)
 
+    @pytest.mark.parametrize("horizon", [2.5, True, 0, -3, "3"])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        model = _damped_driven_model()
+        traj = _recorded_from_model(model)
+        message = f"horizon must be an integer >= 1, got {horizon!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            rollout_full(model, traj, RolloutConfig(step_rate=500, integrator="fixed_rk4"),
+                         horizon=horizon)
+
     def test_missing_inputs_precondition(self):
         model = _damped_driven_model()
         traj = _recorded_from_model(model)
@@ -286,11 +295,16 @@ class TestResets:
 @given(p=st.integers(1, 261), l=st.integers(1, 18), n=st.integers(1, 13),
        seed=st.integers(0, 2**32 - 1))
 def test_stacked_matmul_with_own_coefficients_matches_per_row(p, l, n, seed):
-    # a lockstep rollout relies on this to give each row its own bits
+    # a rollout's right-hand side relies on this to give each row its own
+    # bits: one row (p,), rows (n, p) with their own Xi (n, p, l), or rows
+    # sharing one Xi (p, l)
     rng = np.random.default_rng(seed)
     rows, Xi = rng.normal(size=(n, p)), rng.normal(size=(n, p, l))
-    for row, own, got in zip(rows, Xi, _times_own(rows, Xi)):
+    assert np.vecmat(rows[0], Xi[0]).tobytes() == (rows[0] @ Xi[0]).tobytes()
+    for row, own, got in zip(rows, Xi, np.vecmat(rows, Xi)):
         assert got.tobytes() == (row @ own).tobytes()
+    for row, got in zip(rows, np.vecmat(rows, Xi[0])):
+        assert got.tobytes() == (row @ Xi[0]).tobytes()
 
 
 def _assert_same_as_alone(model, jumps, config):
@@ -329,22 +343,6 @@ class TestRolloutJumps:
         _assert_same_as_alone(truth, jumps, RolloutConfig(integrator=integrator,
                                                           reset_interval=reset_interval))
 
-    def test_phases_of_different_libraries(self):
-        # at each step some rows are in contact (driven library) and some in
-        # flight (linear library)
-        l = 2
-        model = replace(_damped_driven_model(), phases=(
-            _damped_driven_model().phases[0],
-            PhaseModel(Phase.FLIGHT, SparseCoefficients(
-                affine_coefficients(LINEAR, l, constant=(0.0, -9.81)), 0.0, LINEAR))))
-        traj = _recorded_from_model(_damped_driven_model(), n=300)
-        contact = np.zeros((300, 4))
-        contact[:150] = 1.0
-        jumps = [(0, replace(traj, contact=contact)),
-                 (1, _first(replace(traj, contact=1.0 - contact), 250)),
-                 (2, traj)]
-        _assert_same_as_alone(model, jumps, RolloutConfig(step_rate=500, reset_interval=40))
-
     def test_one_input_map_per_call(self, mixed_jumps, monkeypatch):
         truth, jumps = mixed_jumps
         calls = []
@@ -379,9 +377,3 @@ class TestRolloutJumps:
                 errors.append((str(err.value), err.value.time))
         assert errors[0] == errors[1]
         assert errors[2][1] < errors[1][1]
-
-
-def _first(traj, n):
-    """The first n samples of a recording."""
-    return Trajectory(timestamps=traj.timestamps[:n], q=traj.q[:n], dq=traj.dq[:n],
-                      tau=traj.tau[:n], contact=traj.contact[:n], ddq=None, u=traj.u[:n])

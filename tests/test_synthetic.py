@@ -247,7 +247,7 @@ def test_stacked_matmul_matches_per_row(p, l, n, seed):
     # plain rows @ Xi and einsum do not give it on every BLAS
     rng = np.random.default_rng(seed)
     rows, Xi = rng.normal(size=(n, p)), rng.normal(size=(p, l))
-    stacked = (rows[:, None, :] @ Xi)[:, 0, :]
+    stacked = np.vecmat(rows, Xi)
     for row, got in zip(rows, stacked):
         assert np.array_equal(got, row @ Xi)
 
