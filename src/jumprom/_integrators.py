@@ -5,12 +5,12 @@ Two modes: an adaptive embedded Runge-Kutta pair for accuracy (an in-house
 RK45 with scipy's step rule: the Dormand-Prince 5(4) tableau, initial step,
 error norm and step-size control of ``scipy.integrate.RK45``, so its steps
 and results are bit-identical to ``solve_ivp``'s), and a classic fixed-step
-RK4 for bit-reproducible runs.  Both step one state or a stack of
-independent systems in lockstep, one right-hand-side call for all rows per
-stage; under RK45 each row keeps its own time and step size, so it takes
-exactly the steps it takes alone.  ``integrate_intervals`` advances one
-output interval at a time so callers can switch dynamics and hold inputs
-constant between samples.
+RK4 for bit-reproducible runs.  Both step a stack (N, n) of independent
+systems in lockstep, one right-hand-side call for all rows per stage; a
+single system is a stack of one row.  Under RK45 each row keeps its own
+time and step size, so it takes exactly the steps it takes alone.
+``integrate_intervals`` advances one output interval at a time so callers
+can switch dynamics and hold inputs constant between samples.
 """
 
 from __future__ import annotations
@@ -137,54 +137,34 @@ def _step_control(t, t_end, h_abs, direction):
         t = t_new
 
 
+# rows that are not stepped may hold any values
+@np.errstate(over="ignore", invalid="ignore")
 def adaptive_interval(f, t0, y0, h, live=None):
-    """Adaptive embedded RK at RTOL/ATOL over one interval.
+    """Adaptive embedded RK at RTOL/ATOL over one interval, for a stack y0
+    (N, n) of independent systems.
 
-    y0 is one state (n,) or a stack (N, n) of independent systems.  For one
-    state, f(t, y) is its right-hand side and the result is (y_end, nfev):
-    the steps, end state and evaluation count are those of
-    ``scipy.integrate.solve_ivp(f, (t0, t0 + h), y0, method="RK45")``.  It
-    raises DivergenceError at the time the solver stopped when it cannot
-    reach t0 + h (its step size fell below the spacing of floats), and at
-    t0 + h, as fixed-step RK4 does, when the first step size is nan (a nan
-    right-hand side at t0 from a nonzero state), where scipy's stepper
-    loops forever.
+    f(t, y) gets all N rows with each row's own time t (N,), so one call
+    evaluates every row per stage.  Each row takes the steps, end state and
+    evaluation count of ``scipy.integrate.solve_ivp(fi, (t0, t0 + h),
+    y0[i], method="RK45")`` on its own right-hand side fi: it keeps its own
+    time, step size, rejections and initial step.  A row that is done or
+    failed is still evaluated with the others, and its results are
+    discarded.  ``live`` (N,) bools, default all, selects the rows to step;
+    the others keep their state and count nothing.
 
-    A stack steps every row at once: f(t, y) gets all N rows with each
-    row's own time t (N,), so one call evaluates every row per stage.  Each
-    row keeps its own time, step size, rejections and initial step, and so
-    takes exactly the steps, end state and count it takes alone.  A row
-    that is done or failed is still evaluated with the others, and its
-    results are discarded.  ``live`` (N,) bools, default all, selects the
-    rows to step; the others keep their state and count nothing.  The
-    result is (y_end, nfev, row_nfev, failures): nfev is the Python int sum
-    of row_nfev, the count of each row, and failures holds, per row, None
-    or the DivergenceError the row raises alone.
+    The result is (y_end, nfev, row_nfev, failures): nfev is the Python int
+    sum of row_nfev, the count of each row, and failures holds, per row,
+    None or its DivergenceError.  A row fails at the time the solver
+    stopped when it cannot reach t0 + h (its step size fell below the
+    spacing of floats), and at t0 + h, as fixed-step RK4 does, when its
+    first step size is nan (a nan right-hand side at t0 from a nonzero
+    state), where scipy's stepper loops forever.  Raises ValueError when y0
+    is not a stack or a stepped row is not finite.
     """
     y = np.asarray(y0, dtype=float)
-    if y.ndim == 1:
-        def fun(t, y):
-            return np.asarray(f(t[0], y[0]), dtype=float)[None]
-
-        y_end, nfev, _, failures = _rk45(fun, t0, y[None], h, [0])
-        if failures[0] is not None:
-            raise failures[0]
-        return y_end[0], nfev
     if y.ndim != 2:
-        raise ValueError("`y0` must be one state (n,) or a stack (N, n).")
-
-    def fun(t, y):
-        return np.asarray(f(t, y), dtype=float)
-
-    # rows that are not stepped may hold any values
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _rk45(fun, t0, y, h, list(range(len(y))) if live is None else
-                     np.flatnonzero(live).tolist())
-
-
-def _rk45(fun, t0, y, h, rows):
-    """The stacked Dormand-Prince stepper of ``adaptive_interval``, stepping
-    the rows listed in ``rows``."""
+        raise ValueError("`y0` must be a stack (N, n) of states.")
+    rows = range(len(y)) if live is None else np.flatnonzero(live).tolist()
     if not np.isfinite(y[rows]).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
     n_rows, n = y.shape
@@ -192,13 +172,13 @@ def _rk45(fun, t0, y, h, rows):
     failures = [None] * n_rows
     t, t_end = float(t0), float(t0 + h)
     times = np.full(n_rows, t)
-    f_cur = fun(times, y)
+    f_cur = f(times, y)
     if n == 0 or t == t_end:
         for i in rows:
             row_nfev[i] = 1
         return y, sum(row_nfev), row_nfev, failures
     direction = 1.0 if t_end > t else -1.0
-    h_abs = _initial_step(fun, t, y, f_cur, abs(t_end - t), direction)
+    h_abs = _initial_step(f, t, y, f_cur, abs(t_end - t), direction)
     steps = np.zeros(n_rows)
     control = {}
     for i in rows:
@@ -218,9 +198,9 @@ def _rk45(fun, t0, y, h, rows):
         stage_t = times + np.multiply.outer(_C[1:], steps)
         K[:, 0] = f_cur
         for s, a in _STAGES:
-            K[:, s] = fun(stage_t[s - 1], y + (KT[:, :, :s] @ a) * step)
+            K[:, s] = f(stage_t[s - 1], y + (KT[:, :, :s] @ a) * step)
         y_new = y + step * (KT[:, :, :-1] @ _B)
-        f_new = K[:, -1] = fun(stage_t[-1], y_new)
+        f_new = K[:, -1] = f(stage_t[-1], y_new)
         scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
         error_norm = _rms((KT @ _E) * step / scale).tolist()
         accepted = []
@@ -255,14 +235,14 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
     the in-house RK45 with scipy's step rule, at RTOL/ATOL).  reset(k, y),
     when given, returns None or the state that replaces y at sample k.
 
-    y0 is one state (n,), or a stack (N, n) of independent systems stepped
-    in lockstep, for which n_samples may give each row its own count.  The
-    result is then (max count, N, n); a row's states past its own count are
-    unspecified.  f is called on the whole stack, with the interval's start
-    t under fixed_rk4 and each row's own time t (N,) under adaptive; rows
-    that are done or failed are carried along and their derivatives
-    discarded, so f must accept every row at every interval below the
-    largest count.
+    y0 is a stack (N, n) of independent systems stepped in lockstep, and
+    n_samples one count for all rows or a count (N,) per row.  The result is
+    (max count, N, n); a row's states past its own count are unspecified.
+    f is called on the whole stack, with the interval's start t under
+    fixed_rk4 and each row's own time t (N,) under adaptive; rows that are
+    done or failed are carried along and their derivatives discarded, so f
+    must accept every row at every interval below the largest count.
+    Raises ValueError when y0 is not a stack.
 
     A row fails at its first non-finite state or failed adaptive interval:
     it stops, and so do the rows after it, as if each row ran alone in turn.
@@ -276,17 +256,9 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
     if integrator not in INTEGRATORS:
         raise ValidationError(f"unknown integrator {integrator!r}")
     y = np.array(y0, dtype=float)
-    if y.ndim == 1 and integrator == "adaptive":   # one state is a stack of one row
-        def one_row(k, t, y):
-            return np.asarray(f(k, t[0], y[0]), dtype=float)[None]
-
-        def reset_row(k, y):
-            state = reset(k, y[0])
-            return None if state is None else state[None]
-
-        return integrate_intervals(one_row, y[None], n_samples, h, integrator,
-                                   reset=reset_row if reset else None)[:, 0]
-    n_rows = len(y) if y.ndim == 2 else 1
+    if y.ndim != 2:
+        raise ValueError("`y0` must be a stack (N, n) of states.")
+    n_rows = len(y)
     ends = np.broadcast_to(n_samples, (n_rows,))
     drops = set(ends.tolist())       # the samples after which a row is done
     out = np.empty((int(ends.max()),) + y.shape)
@@ -309,7 +281,7 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
             else:
                 y, _, row_nfev, errors = adaptive_interval(functools.partial(f, k), t, y, h, live)
             if any(errors) or max(row_nfev) > STIFF_NFEV_PER_INTERVAL or not np.isfinite(y).all():
-                finite = np.isfinite(y.reshape(n_rows, -1)).all(axis=1)
+                finite = np.isfinite(y).all(axis=1)
                 for i in np.flatnonzero(live):
                     if errors[i] is None and not finite[i]:
                         errors[i] = DivergenceError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrators
-from .errors import ValidationError, is_finite_real, is_integer
+from .errors import ValidationError, finite_array, is_finite_real, is_integer
 from .trajectory_data import Phase, segment_phases
 
 
@@ -36,10 +36,7 @@ class AslipParams:
             if not is_finite_real(value) or value <= 0:
                 raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        l0 = np.asarray(self.l0)
-        if l0.shape != (3,) or l0.dtype.kind not in "iuf" or not np.all(np.isfinite(l0)):
-            raise ValidationError(f"l0 must be a finite 3-vector, got {self.l0!r}")
-        object.__setattr__(self, "l0", l0.astype(float))
+        object.__setattr__(self, "l0", finite_array("l0", self.l0, (3,)))
         if float(np.linalg.norm(self.l0)) <= 0:
             raise ValidationError("rest length must be nonzero")
 

@@ -2,11 +2,13 @@
 
 Every error carries a short machine-parsable ``code`` so the CLI can emit
 one-line diagnostics of the form ``ERROR <code>: <message>``.  The typed
-records check their fields with the two predicates at the end.
+records check their fields with the checks at the end.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class JumpromError(Exception):
@@ -104,3 +106,15 @@ def is_finite_real(value):
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def finite_array(name, value, shape):
+    """value as a float array; ValidationError naming ``name`` unless it is
+    an array of the given shape of finite numbers."""
+    try:
+        array = np.asarray(value)
+    except ValueError:   # a ragged sequence
+        array = np.empty(0)
+    if array.shape != shape or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ValidationError(f"{name} must be finite numbers of shape {shape}")
+    return array.astype(float)

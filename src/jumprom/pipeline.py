@@ -224,9 +224,11 @@ class SelectionReport:
 
 
 def selection_loss(decoder_error, active_count, selection_lambda):
-    """AIC-style score: 2 * error + 2 * lambda * ln(active count)."""
-    with np.errstate(divide="ignore"):
-        return float(2.0 * decoder_error + 2.0 * selection_lambda * np.log(active_count))
+    """AIC-style score: 2 * error + 2 * lambda * ln(active count), for at
+    least one active term (ln(0) would rank a model without dynamics best)."""
+    if active_count < 1:
+        raise ValidationError(f"the selection loss needs an active term, got {active_count!r}")
+    return float(2.0 * decoder_error + 2.0 * selection_lambda * np.log(active_count))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +401,7 @@ def _scan_seed(dataset, l_values, config, seed):
         model = run_pipeline(cell_dataset, replace(config, latent_dim=l, seed=seed))
         e_dec = decoder_test_error(model, cell_dataset)
         active = total_active(model)
-        if active == 0:   # ln(0): the loss would rank a model without dynamics best
+        if active == 0:   # selection_loss rejects it too; this names the cell and threshold
             raise ValidationError(
                 f"scan cell l={l} seed={seed} has no active term, so its selection loss "
                 f"is undefined; lower stlsq_threshold ({config.stlsq_threshold:g})")

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _integrators, autoencoder
 from .autoencoder import decode, encode
-from .errors import (JumpromError, MissingPhaseError, ValidationError, is_finite_real,
-                     is_integer)
+from .errors import (JumpromError, MissingPhaseError, ValidationError, finite_array,
+                     is_finite_real, is_integer)
 from .sindy import build_library_row
 from .trajectory_data import Phase, sample_step, segment_phases
 
@@ -34,6 +34,7 @@ class RolloutConfig:
     step_rate: output sampling rate in Hz.  reset_interval: steps between
     re-encodings of the recorded state (0 disables resets).  integrator:
     "adaptive" (embedded RK pair) or "fixed_rk4" (bit-reproducible).
+    rk4_substeps: RK4 steps per output interval under fixed_rk4.
     """
 
     step_rate: float = 500.0
@@ -119,8 +120,9 @@ def _integrate_rows(model, rows, config):
     rows: per rollout (start (2l,), inputs (n, l), phase indices (n,),
     reset states (n, 2l) or None).  Each row has its own horizon, inputs,
     phase schedule and resets; one library call and one ``np.vecmat``
-    evaluate every row per stage.  A single rollout steps as a plain (2l,)
-    state, without the stack's row axis.  Returns each row's (n, 2l) states.
+    evaluate every row per stage on the (N, 2l) stack, except that a lone
+    rollout's row is evaluated as a plain, cheaper (2l,) state.  Returns
+    each row's (n, 2l) states.
     """
     l = model.autoencoder.latent_dim
     ends = [len(phases) for _, _, phases, _ in rows]
@@ -131,15 +133,16 @@ def _integrate_rows(model, rows, config):
         nu[:ends[i], i] = inputs
         phases[:ends[i], i] = indices
     plans = _stage_plans(model, phases)
-    y0 = np.stack([start for start, _, _, _ in rows])
-    if len(rows) == 1:   # a plain state takes integrate_intervals' cheaper one-system path
-        y0, nu = y0[0], nu[:, 0]
+    lone = len(rows) == 1
+    nu = nu[:, 0] if lone else nu
 
-    def rhs(k, t, state):
+    def rhs(k, t, y):
+        state = y[0] if lone else y
         xi, dxi = state[..., :l], state[..., l:]
         # vecmat gives each row the bits of its own row @ Xi
         accel = np.vecmat(build_library_row(model.library, xi, dxi, nu[k]), plans[k])
-        return np.concatenate([dxi, accel], axis=-1)
+        dy = np.concatenate([dxi, accel], axis=-1)
+        return dy[None] if lone else dy
 
     resets = {i: (_reset_indices(ends[i], config.reset_interval), states)
               for i, (_, _, _, states) in enumerate(rows) if states is not None}
@@ -149,13 +152,12 @@ def _integrate_rows(model, rows, config):
         if not due:
             return None
         y = y.copy()
-        y.reshape(len(rows), -1)[due] = [resets[i][1][k] for i in due]
+        y[due] = [resets[i][1][k] for i in due]
         return y
 
     out = _integrators.integrate_intervals(
-        rhs, y0, ends, 1.0 / config.step_rate, config.integrator,
-        substeps=config.rk4_substeps, reset=reset if resets else None)
-    out = out.reshape(len(out), len(rows), -1)
+        rhs, np.stack([start for start, _, _, _ in rows]), ends, 1.0 / config.step_rate,
+        config.integrator, substeps=config.rk4_substeps, reset=reset if resets else None)
     return [np.ascontiguousarray(out[:n, i]) for i, n in enumerate(ends)]
 
 
@@ -171,9 +173,11 @@ def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=Non
     state with at every config.reset_interval-th step.
 
     Returns a (T, 2l) array of latent states at 1/step_rate spacing, row 0
-    being the initial condition.  Raises DivergenceError when the state
-    leaves the finite range and MissingPhaseError for unscheduled phases;
-    warns once when an adaptive interval looks stiff.
+    being the initial condition.  Raises ValidationError naming xi0, dxi0
+    or reset_states unless each is finite numbers of shape (l,) or (T, 2l),
+    DivergenceError when the state leaves the finite range and
+    MissingPhaseError for unscheduled phases; warns once when an adaptive
+    interval looks stiff.
     """
     schedule = tuple(phase_schedule)
     n_steps = len(schedule)
@@ -181,8 +185,9 @@ def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=Non
         raise ValidationError("empty phase schedule")
     phases = _phase_indices(model, schedule)
     l = model.autoencoder.latent_dim
-    xi0 = np.asarray(xi0, dtype=float).reshape(l)
-    dxi0 = np.asarray(dxi0, dtype=float).reshape(l)
+    xi0, dxi0 = finite_array("xi0", xi0, (l,)), finite_array("dxi0", dxi0, (l,))
+    if reset_states is not None:
+        reset_states = finite_array("reset_states", reset_states, (n_steps, 2 * l))
     if nu_seq is None:
         nu_seq = np.zeros((n_steps, l))
     else:

@@ -416,10 +416,13 @@ def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
     gram: (p, p) Theta^T Theta of an (n, p) design matrix Theta; R: (p, l)
     Theta^T target; M: (l, l) symmetric coupling of the coefficient
     columns.  Theta itself is not read, so the caller need not hold it.
-    Elimination is strict: entries with |coef| < threshold are dropped,
-    entries exactly at the threshold are kept.  Stops when the support is
-    stable or after max_iters refits.  Each refit solves the system
-    restricted to its support S, with E the eliminated entries:
+    After each fit, the entries with |coef| < threshold leave the support
+    (entries exactly at the threshold stay) and the support is refit.  It
+    stops when a fit drops no entry, or after the first fit and max_iters
+    refits; in that second case the result is the last refit, which can
+    hold entries under the threshold, as in Brunton et al.'s
+    ``sparsifyDynamics``.  Each fit solves the system restricted to its
+    support S, with E the eliminated entries:
 
     - |S| > |E| (every full-support refit among them): the bordered solve
       of ``_DecoupledSystem``, on the decoupled Cholesky factors computed
@@ -491,9 +494,10 @@ def stlsq(theta, targets, threshold=0.1, ridge=1e-9, max_iters=20, init_support=
 
     theta: (N, p) design matrix; targets: (N,) or (N, l).  The target
     columns are uncoupled (M = I): the joint system is block diagonal.
-    threshold=0 degenerates to the dense ridge solution.  Columns whose
-    support empties out are returned as all-zero with a warning
-    (constant-zero dynamics).
+    threshold=0 degenerates to the dense ridge solution.  When max_iters
+    runs out, the result is the last refit, and may keep entries under the
+    threshold (see ``_stlsq``).  Columns whose support empties out are
+    returned as all-zero with a warning (constant-zero dynamics).
     """
     theta = np.asarray(theta, dtype=float)
     targets = np.asarray(targets, dtype=float)

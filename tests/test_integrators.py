@@ -11,6 +11,8 @@ from scipy.integrate import RK45, solve_ivp
 from jumprom import _integrators
 from jumprom.errors import DivergenceError
 
+from helpers import integrate_alone
+
 # interval lengths: the 500 Hz sample spacing, a longer one, a backward
 # one and an empty one
 INTERVALS = st.sampled_from([0.002, 0.01, -0.002, 0.0])
@@ -22,25 +24,48 @@ def _reference(f, t0, y0, h):
                      rtol=_integrators.RTOL, atol=_integrators.ATOL)
 
 
-def _assert_same_as_reference(f, t0, y0, h):
-    """The same end state and evaluation count, or the same failure.
+def _stacked(fs):
+    return lambda t, y: np.stack([f(ti, yi) for f, ti, yi in zip(fs, t, y)])
+
+
+def _assert_rows_match_reference(fs, t0, y0, h, live=None):
+    """Each stepped row of the stack y0, with its own right-hand side in
+    fs, has solve_ivp's end state and evaluation count, or fails where and
+    as solve_ivp stops; rows not live keep their state and count nothing.
+    Returns solve_ivp's result for each row, None for rows not live.
 
     Overflow is silenced as ``integrate_intervals`` silences it: unstable
     systems may overflow before either side gives up.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = _reference(f, t0, y0, h)
-        if ref.status != 0:
-            with pytest.raises(DivergenceError) as err:
-                _integrators.adaptive_interval(f, t0, y0, h)
-            assert err.value.time == float(ref.t[-1])
-            assert str(err.value) == (
-                f"adaptive integrator stopped at t={ref.t[-1]:.4f}s: {ref.message}")
-            return ref
-        y_end, nfev = _integrators.adaptive_interval(f, t0, y0, h)
-    assert y_end.tobytes() == ref.y[:, -1].tobytes()
-    assert nfev == ref.nfev
-    return ref
+        y_end, nfev, row_nfev, failures = _integrators.adaptive_interval(
+            _stacked(fs), t0, y0, h, live)
+        assert type(nfev) is int and nfev == sum(row_nfev)
+        refs = []
+        for i, f in enumerate(fs):
+            if live is not None and not live[i]:
+                assert y_end[i].tobytes() == y0[i].tobytes()
+                assert row_nfev[i] == 0 and failures[i] is None
+                refs.append(None)
+                continue
+            ref = _reference(f, t0, y0[i], h)
+            refs.append(ref)
+            if ref.status != 0:
+                assert isinstance(failures[i], DivergenceError)
+                assert failures[i].time == float(ref.t[-1])
+                assert str(failures[i]) == (
+                    f"adaptive integrator stopped at t={ref.t[-1]:.4f}s: {ref.message}")
+            else:
+                assert failures[i] is None
+                assert y_end[i].tobytes() == ref.y[:, -1].tobytes()
+                assert row_nfev[i] == ref.nfev
+    return refs
+
+
+def _assert_same_as_reference(f, t0, y0, h):
+    """One system, as a stack of one row, against solve_ivp; returns
+    solve_ivp's result."""
+    return _assert_rows_match_reference([f], t0, y0[None], h)[0]
 
 
 def _linear_system(n, log_rate, seed):
@@ -99,10 +124,10 @@ def test_blow_up_stops_where_solve_ivp_stops():
 def test_nan_rhs_at_interval_start_diverges_at_interval_end(integrator):
     # the adaptive first step size is nan here, where solve_ivp never returns
     def f(k, t, y):
-        return np.array([y[1], np.nan])
+        return np.column_stack([y[:, 1], np.full(len(y), np.nan)])
 
     with pytest.raises(DivergenceError) as err:
-        _integrators.integrate_intervals(f, np.array([1.0, 1.0]), 3, 0.002, integrator)
+        _integrators.integrate_intervals(f, np.array([[1.0, 1.0]]), 3, 0.002, integrator)
     assert err.value.time == 0.002
 
 
@@ -115,7 +140,7 @@ def test_nan_rhs_from_zero_state_stops_where_solve_ivp_stops():
 
 
 # A stack of independent systems: each row takes the steps, end state and
-# evaluation count it takes alone, or fails as it fails alone.
+# evaluation count solve_ivp takes on it alone, or fails where it stops.
 
 def _row(kind, n, seed):
     """One row's right-hand side and start: a linear system, easy or stiff
@@ -124,31 +149,6 @@ def _row(kind, n, seed):
     if kind == "blowup":
         return (lambda t, y: y * y), np.full(n, 1e3 + seed % 1000)
     return _linear_system(n, {"easy": 1.0, "stiff": 4.0}[kind], seed)
-
-
-def _stacked(fs):
-    return lambda t, y: np.stack([f(ti, yi) for f, ti, yi in zip(fs, t, y)])
-
-
-def _assert_rows_run_alone(fs, t0, y0, h, live=None):
-    with np.errstate(over="ignore", invalid="ignore"):
-        y_end, nfev, row_nfev, failures = _integrators.adaptive_interval(
-            _stacked(fs), t0, y0, h, live)
-        assert type(nfev) is int and nfev == sum(row_nfev)
-        for i, f in enumerate(fs):
-            if live is not None and not live[i]:
-                assert y_end[i].tobytes() == y0[i].tobytes()
-                assert row_nfev[i] == 0 and failures[i] is None
-                continue
-            try:
-                alone, count = _integrators.adaptive_interval(f, t0, y0[i], h)
-            except DivergenceError as e:
-                assert (str(failures[i]), failures[i].time) == (str(e), e.time)
-            else:
-                assert failures[i] is None
-                assert y_end[i].tobytes() == alone.tobytes()
-                assert row_nfev[i] == count
-    return failures
 
 
 @given(n=st.integers(1, 36), n_rows=st.integers(1, 13), seed=st.integers(0, 2**32 - 1))
@@ -176,23 +176,23 @@ def test_stacked_stage_sums_and_norms_match_one_row(n, n_rows, seed):
        seed=st.integers(0, 2**32 - 1), t0=STARTS, h=INTERVALS)
 def test_stacked_rows_match_one_row_runs(n, kinds, seed, t0, h):
     rows = [_row(kind, n, seed + i) for i, kind in enumerate(kinds)]
-    _assert_rows_run_alone([f for f, _ in rows], t0, np.stack([y for _, y in rows]), h)
+    _assert_rows_match_reference([f for f, _ in rows], t0, np.stack([y for _, y in rows]), h)
 
 
 def test_stiff_and_diverging_rows_beside_easy_rows():
     kinds = ["easy", "stiff", "easy", "blowup", "easy"]
     rows = [_row(kind, 3, i) for i, kind in enumerate(kinds)]
-    failures = _assert_rows_run_alone([f for f, _ in rows], 0.0,
-                                      np.stack([y for _, y in rows]), 0.002)
-    assert [e is not None for e in failures] == [kind == "blowup" for kind in kinds]
-    stiff = _reference(rows[1][0], 0.0, rows[1][1], 0.002)
+    refs = _assert_rows_match_reference([f for f, _ in rows], 0.0,
+                                        np.stack([y for _, y in rows]), 0.002)
+    assert [ref.status != 0 for ref in refs] == [kind == "blowup" for kind in kinds]
+    stiff = refs[1]
     assert (stiff.nfev - 2) // 6 > stiff.t.size - 1   # it rejected steps
 
 
 def test_rows_not_live_keep_their_state_and_count_nothing():
     rows = [_row(kind, 2, i) for i, kind in enumerate(["easy", "stiff", "easy"])]
-    _assert_rows_run_alone([f for f, _ in rows], 0.0, np.stack([y for _, y in rows]), 0.002,
-                           live=np.array([True, False, True]))
+    _assert_rows_match_reference([f for f, _ in rows], 0.0, np.stack([y for _, y in rows]),
+                                 0.002, live=np.array([True, False, True]))
 
 
 def _driven_row(i):
@@ -207,7 +207,8 @@ def _driven_stack(k, t, y):
 
 @pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
 def test_stacked_intervals_match_one_row_runs(integrator):
-    # each row with its own horizon and resets
+    # each row with its own horizon and resets, against the row stepped
+    # alone by rk4_interval or solve_ivp
     y0 = np.array([[1.0, -0.5], [0.3, 2.0], [-1.0, 0.25]])
     ends = [5, 9, 7]
     resets = {1: {3: np.array([0.5, 0.5])}, 2: {2: np.array([4.0, -4.0]), 6: np.zeros(2)}}
@@ -223,9 +224,8 @@ def test_stacked_intervals_match_one_row_runs(integrator):
                                            substeps=2, reset=reset)
     assert out.shape == (9, 3, 2)
     for i, n in enumerate(ends):
-        alone = _integrators.integrate_intervals(
-            _driven_row(i), y0[i], n, 0.002, integrator, substeps=2,
-            reset=lambda k, y, i=i: resets.get(i, {}).get(k))
+        alone = integrate_alone(_driven_row(i), y0[i], n, 0.002, integrator, substeps=2,
+                                reset=lambda k, i=i: resets.get(i, {}).get(k))
         assert out[:n, i].tobytes() == alone.tobytes()
 
 
@@ -244,11 +244,11 @@ def test_first_failed_row_is_raised_after_earlier_rows_finish(integrator):
 
     with pytest.raises(DivergenceError) as err:
         _integrators.integrate_intervals(f, np.ones((3, 2)), 8, 0.002, integrator)
-    with pytest.raises(DivergenceError) as alone:
-        _integrators.integrate_intervals(lambda k, t, y: -y if k != 5 else y * np.nan,
-                                         np.ones(2), 8, 0.002, integrator)
-    assert (str(err.value), err.value.time) == (str(alone.value), alone.value.time)
-    assert err.value.time == pytest.approx(6 * 0.002)
+    # row 1's nan derivative over interval 5 gives a non-finite end state
+    # under fixed_rk4 and a nan first step under adaptive
+    cause = "" if integrator == "fixed_rk4" else ": the right-hand side is nan at t=0.0100s"
+    assert str(err.value) == "state became non-finite at t=0.0120s" + cause
+    assert err.value.time == 5 * 0.002 + 0.002
 
 
 def test_stacked_rows_warn_once_each_up_to_the_first_failure():
@@ -264,3 +264,13 @@ def test_stacked_rows_warn_once_each_up_to_the_first_failure():
             _integrators.integrate_intervals(f, np.ones((3, 1)), 5, 0.002, "adaptive")
     assert len(caught) == 1
     assert str(caught[0].message).endswith("dynamics may be stiff")
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (1, 1, 2)], ids=["scalar", "one_state", "3d"])
+def test_only_a_stack_is_stepped(shape):
+    y0 = np.ones(shape)
+    with pytest.raises(ValueError, match=r"must be a stack \(N, n\)"):
+        _integrators.adaptive_interval(lambda t, y: -y, 0.0, y0, 0.002)
+    for integrator in _integrators.INTEGRATORS:
+        with pytest.raises(ValueError, match=r"must be a stack \(N, n\)"):
+            _integrators.integrate_intervals(lambda k, t, y: -y, y0, 3, 0.002, integrator)

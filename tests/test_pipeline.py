@@ -156,6 +156,11 @@ class TestSelection:
     def test_single_active_term_has_zero_complexity(self):
         assert selection_loss(0.5, 1, 0.001) == 1.0
 
+    @pytest.mark.parametrize("active_count", [0, -1])
+    def test_model_without_active_term_rejected(self, active_count):
+        with pytest.raises(ValidationError, match="needs an active term"):
+            selection_loss(0.5, active_count, 0.001)
+
     def test_monotone_in_both_arguments(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

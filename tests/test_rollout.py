@@ -128,11 +128,26 @@ class TestIntegrate:
                 integrate(model, [1.0], [0.0], None, (Phase.FLIGHT,) * 600,
                           RolloutConfig(integrator="fixed_rk4"))
 
+    @pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
+    @pytest.mark.parametrize("arg,value", [
+        ("xi0", [0.0, 0.0, 0.0]), ("xi0", [np.nan, 0.0]), ("xi0", ["1", "2"]),
+        ("dxi0", [0.0]), ("dxi0", [np.inf, 0.0]), ("dxi0", [[0.0], [0.0, 1.0]]),
+        ("reset_states", np.zeros((20, 5))), ("reset_states", np.zeros((8, 4))),
+        ("reset_states", np.full((20, 4), np.nan))])
+    def test_inputs_validated(self, arg, value, integrator):
+        model = _model({Phase.FLIGHT: np.zeros((LINEAR.term_count(2), 2))}, LINEAR, l=2)
+        args = {"xi0": [1.0, 0.0], "dxi0": [0.0, 0.0], "reset_states": np.zeros((20, 4))}
+        args[arg] = value
+        with pytest.raises(ValidationError, match=rf"^{arg} must be finite numbers of shape"):
+            integrate(model, args["xi0"], args["dxi0"], None, (Phase.FLIGHT,) * 20,
+                      RolloutConfig(integrator=integrator, reset_interval=5),
+                      reset_states=args["reset_states"])
+
     def test_failed_adaptive_interval_raises(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1, inside the second interval;
         # RK45 stops there instead of reaching t = 1.2
         with pytest.raises(DivergenceError, match="adaptive integrator stopped") as err:
-            _integrators.integrate_intervals(lambda k, t, y: y * y, np.array([1.0]), 3, 0.6,
+            _integrators.integrate_intervals(lambda k, t, y: y * y, np.array([[1.0]]), 3, 0.6,
                                              "adaptive")
         assert err.value.time == pytest.approx(1.0, abs=1e-6)
 

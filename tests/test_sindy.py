@@ -347,7 +347,8 @@ def _normal_equations(theta, target):
 
 def _kron_stlsq(theta, target, M, threshold, ridge, max_iters, init_support):
     """Reference STLSQ on the explicit Kronecker system: form kron(M, Gram)
-    whole and slice the support out of it on every refit."""
+    whole and slice the support out of it on every refit.  As in
+    ``_stlsq``, a run that exhausts max_iters returns its last refit."""
     p, l = theta.shape[1], target.shape[1]
     H = np.kron(M, theta.T @ theta)
     rhs = (theta.T @ target).flatten(order="F")
