@@ -245,6 +245,7 @@ def cmd_scan(args):
     report_path = out / "report.csv"
     pipeline.write_selection_report(report, report_path)
     manifest.add_output(report_path)
+    manifest.record["workers"] = min(args.parallel, len(report.rows))   # a row per cell
     manifest.finish(resolved_config=pipeline.config_to_dict(config), seeds=seeds)
     for l, mean, std in report.aggregates():
         print(f"l={l}: L_mod = {mean:.6f} +/- {std:.6f}")
@@ -371,6 +372,18 @@ _COMMANDS = {
 }
 
 
+def usable_cpus():
+    """The CPUs this process may run on; a scan's default worker count.
+    1 where processes cannot fork, since a spawned worker would pickle the
+    dataset to start."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity (macOS)
+        return os.cpu_count() or 1
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jumprom",
@@ -392,9 +405,10 @@ def build_parser():
                 flag, settings = FLAGS[key]
                 p.add_argument(flag, **settings)
     sub.choices["scan"].add_argument(
-        "--parallel", type=int, default=1,
-        help="worker processes, at most one per seed; the report is the same "
-             "as a serial scan's (default: 1)")
+        "--parallel", type=int, default=usable_cpus(),
+        help="processes that run the scan's cells, this one included, at most one per "
+             "cell; the report is the same for any count, and 1 scans in this process "
+             "alone (default: the usable CPUs)")
     return parser
 
 

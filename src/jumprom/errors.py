@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error carries a short machine-parsable ``code`` so the CLI can emit
-one-line diagnostics of the form ``ERROR <code>: <message>``.  The typed
-records check their fields with the checks at the end.
+one-line diagnostics of the form ``ERROR <code>: <message>``.  Every error
+pickles whole, so a scan worker can hand its error to the parent.  The
+typed records check their fields with the checks at the end.
 """
 
 import math
@@ -13,6 +14,17 @@ import numpy as np
 
 class JumpromError(Exception):
     code = "E_RUNTIME"
+
+    def __reduce__(self):
+        # rebuilt without __init__, whose arguments differ from subclass to subclass
+        return _rebuild_error, (type(self), self.args, self.__dict__)
+
+
+def _rebuild_error(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.args = args
+    error.__dict__.update(state)
+    return error
 
 
 class ValidationError(JumpromError):

@@ -13,8 +13,9 @@ their autoencoder once into the parent's latent coordinates and
 warm-starts stage 3 from the parent's supports.  The
 model selection scan repeats the pipeline over latent dimensions and
 seeds and scores each cell with an AIC-style combination of test
-reconstruction error and symbolic complexity; one loop runs its seeds, in
-process or in a worker pool.
+reconstruction error and symbolic complexity; one loop deals its cells
+into stripes, runs the first in process and the others, if any, in a
+worker pool.
 ``serialize_model`` and ``parse_model`` share one autoencoder layout,
 ``_autoencoder_layout``, and the reader takes every line through one field
 reader, ``_field``, which reports a malformed value with its byte offset.
@@ -303,7 +304,10 @@ def _fit_stages(dataset, config, parent=None):
         slices = [(jump, slice(seg.start + trim, seg.end + 1 - trim)) for jump, seg in in_phase
                   if len(seg) > 2 * trim]
         if not slices:
-            raise ValidationError(f"no data for phase {phase}")
+            longest = max(len(seg) for _, seg in in_phase)
+            raise ValidationError(
+                f"no data for phase {phase}: its longest train segment has {longest} samples "
+                f"and boundary_trim={trim} removes {trim} from each end")
         try:
             if nu_map is None:   # one SVD per fit, where the first segment needed it
                 nu_map = input_map(ae)
@@ -393,28 +397,50 @@ def _scan_axis(values, what, low, high=None):
     return values
 
 
-def _scan_seed(dataset, l_values, config, seed):
-    """Rows of one scan seed: the split reshuffled with it, then a cell per latent dim."""
+def _scan_cell(dataset, config, cell):
+    """The row of one scan cell (l, seed): the split reshuffled with the
+    seed, then the pipeline at latent dim l."""
+    l, seed = cell
     cell_dataset = split_dataset(dataset, dataset.split_counts(), seed=seed)
+    model = run_pipeline(cell_dataset, replace(config, latent_dim=l, seed=seed))
+    e_dec = decoder_test_error(model, cell_dataset)
+    active = total_active(model)
+    if active == 0:   # selection_loss rejects it too; this names the cell and threshold
+        raise ValidationError(
+            f"scan cell l={l} seed={seed} has no active term, so its selection loss "
+            f"is undefined; lower stlsq_threshold ({config.stlsq_threshold:g})")
+    row = SelectionRow(
+        latent_dim=l,
+        seed=seed,
+        decoder_error=e_dec,
+        active_count=active,
+        selection_loss=selection_loss(e_dec, active, config.selection_lambda),
+    )
+    log.info("scan l=%d seed=%d: E_dec=%.3e |Xi|=%d L_mod=%.6f",
+             l, seed, e_dec, active, row.selection_loss)
+    return row
+
+
+_worker_scan_cell = None   # a scan worker's cell function, set once as the worker starts
+
+
+def _init_scan_worker(scan_cell):
+    global _worker_scan_cell
+    _worker_scan_cell = scan_cell
+
+
+def _scan_stripe(cells, scan_cell=None):
+    """Rows of ``cells``, run in order up to the first that fails:
+    (rows, None), or (rows, (cell, error)).  A worker runs its own
+    ``_worker_scan_cell``."""
+    scan_cell = scan_cell or _worker_scan_cell
     rows = []
-    for l in sorted(l_values):
-        model = run_pipeline(cell_dataset, replace(config, latent_dim=l, seed=seed))
-        e_dec = decoder_test_error(model, cell_dataset)
-        active = total_active(model)
-        if active == 0:   # selection_loss rejects it too; this names the cell and threshold
-            raise ValidationError(
-                f"scan cell l={l} seed={seed} has no active term, so its selection loss "
-                f"is undefined; lower stlsq_threshold ({config.stlsq_threshold:g})")
-        rows.append(SelectionRow(
-            latent_dim=l,
-            seed=seed,
-            decoder_error=e_dec,
-            active_count=active,
-            selection_loss=selection_loss(e_dec, active, config.selection_lambda),
-        ))
-        log.info("scan l=%d seed=%d: E_dec=%.3e |Xi|=%d L_mod=%.6f",
-                 l, seed, e_dec, active, rows[-1].selection_loss)
-    return rows
+    for cell in cells:
+        try:
+            rows.append(scan_cell(cell))
+        except JumpromError as e:
+            return rows, (cell, e)
+    return rows, None
 
 
 def model_selection_scan(dataset, l_values, seeds, config, workers=1):
@@ -423,24 +449,42 @@ def model_selection_scan(dataset, l_values, seeds, config, workers=1):
     Latent dims are integers in [1, m+6] and seeds integers >= 0; neither
     list may be empty.  Each seed reruns the whole pipeline on a
     train/val/test assignment reshuffled with that seed (same counts), so
-    seeds perturb an otherwise deterministic procedure.  Each seed is one
-    task, run in this process, or with ``workers`` > 1 in a pool of at most
-    one process per seed; the rows are the same either way.  Returns rows
+    seeds perturb an otherwise deterministic procedure.  The cells are
+    sorted by latent dim, largest (costliest) first, and dealt round-robin
+    into ``workers`` stripes (at most one per cell).  This process runs
+    the first stripe; with ``workers`` > 1 a pool of ``workers`` - 1
+    processes runs the others, and each worker takes the dataset once as
+    it starts (inherited, under fork) while only cells and rows cross its
+    queue.  A stripe runs its cells in the serial order, seeds in order
+    and then latent dims ascending, up to its first failure, and the
+    failure first in that order is raised, so the rows, and the error of
+    a failing scan, are the same for any worker count.  Returns rows
     sorted by latent dim then seed.
     """
     l_values = _scan_axis(l_values, "latent dimensions", 1, dataset.meta.m + 6)
     seeds = _scan_axis(seeds, "seeds", 0)
-    dataset = _ensure_processed(dataset)
-    scan_seed = partial(_scan_seed, dataset, l_values, config)
-    workers = min(workers, len(seeds))
-    if workers > 1:
+    scan_cell = partial(_scan_cell, _ensure_processed(dataset), config)
+    cells = [(l, seed) for seed in seeds for l in sorted(l_values)]   # the serial order
+    order = {cell: i for i, cell in enumerate(cells)}
+    costliest_first = sorted(cells, key=lambda cell: -cell[0])
+    workers = min(workers, len(cells))
+    stripes = [sorted(costliest_first[k::workers], key=order.get) for k in range(workers)]
+    if workers == 1:
+        results = [_scan_stripe(stripes[0], scan_cell)]
+    else:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan_seed, seeds))
-    else:
-        parts = map(scan_seed, seeds)
-    rows = sorted((row for part in parts for row in part), key=lambda r: (r.latent_dim, r.seed))
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        with ProcessPoolExecutor(max_workers=workers - 1,
+                                 mp_context=multiprocessing.get_context("fork" if fork else None),
+                                 initializer=_init_scan_worker, initargs=(scan_cell,)) as pool:
+            others = [pool.submit(_scan_stripe, stripe) for stripe in stripes[1:]]
+            results = [_scan_stripe(stripes[0], scan_cell)] + [f.result() for f in others]
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: order[failure[0]])[1]
+    rows = sorted((row for part, _ in results for row in part), key=lambda r: (r.latent_dim, r.seed))
     return SelectionReport(rows=tuple(rows), selection_lambda=config.selection_lambda)
 
 

@@ -4,6 +4,8 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import shlex
 import shutil
@@ -19,7 +21,8 @@ import pytest
 import jumprom
 from jumprom import aslip, cli, pipeline, rollout, synthetic, trajectory_data
 from jumprom.cli import FLAGS, KEYS, _write_series, build_parser, main
-from jumprom.errors import DatasetLoadError, DivergenceError, NonUniformTimestepError
+from jumprom.errors import (DatasetLoadError, DivergenceError, NonUniformTimestepError,
+                            PipelineStepError, ValidationError)
 from jumprom.rollout import RolloutConfig, RolloutResult, rollout_full
 from jumprom.sindy import FunctionLibrarySpec
 from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_dataset,
@@ -249,12 +252,27 @@ class TestScan:
             assert code == 0
         assert (serial / "report.csv").read_bytes() == (parallel / "report.csv").read_bytes()
 
-    def test_at_most_one_worker_per_seed(self, gen_dir, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("l_values, seeds, workers", [
+        ("1,2,3", "0", "4"),     # more workers than cells
+        ("1,2,3", "0,1", "2"),   # stripes of 3 cells, each with every l
+    ])
+    def test_uneven_stripes_match_serial(self, gen_dir, tmp_path, l_values, seeds, workers):
+        reports = []
+        for parallel in ("1", workers):
+            out = tmp_path / parallel
+            assert main(["scan", "--dataset", str(gen_dir), "--out", str(out),
+                         "--l-values", l_values, "--seeds", seeds, "--parallel", parallel]) == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_one_worker_per_cell(self, gen_dir, tmp_path, monkeypatch):
         pools = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 pools.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -262,16 +280,61 @@ class TestScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        for workers, seeds, expected in (("8", "0,1", [2]), ("4", "0", [])):
+        monkeypatch.setattr(pipeline, "_worker_scan_cell", None)   # the fake worker sets it
+        for workers, l_values, seeds, expected in (
+                ("8", "1", "0,1", [1]),      # two cells: this process and one worker
+                ("4", "1", "0", []),         # a single cell runs in process, with no pool
+                ("1", "1,2", "0,1", []),     # --parallel 1 scans in process
+                ("3", "1,2", "0,1", [2])):   # N workers: this process and a pool of N - 1
             pools.clear()
-            code = main(["scan", "--dataset", str(gen_dir), "--out", str(tmp_path / seeds),
-                         "--l-values", "1", "--seeds", seeds, "--parallel", workers])
+            out = tmp_path / f"{workers}-{seeds}"
+            code = main(["scan", "--dataset", str(gen_dir), "--out", str(out),
+                         "--l-values", l_values, "--seeds", seeds, "--parallel", workers])
             assert code == 0
-            assert pools == expected  # a single worker runs in process, with no pool
+            assert pools == expected
+
+    def test_manifest_records_the_workers_used(self, gen_dir, tmp_path):
+        for workers, used in (("1", 1), ("8", 2)):   # at most one per cell
+            out = tmp_path / workers
+            assert main(["scan", "--dataset", str(gen_dir), "--out", str(out),
+                         "--l-values", "1,2", "--seeds", "0", "--parallel", workers]) == 0
+            assert json.loads((out / "run_manifest.json").read_text())["workers"] == used
+
+    def test_default_workers_are_the_usable_cpus(self):
+        args = build_parser().parse_args(["scan", "--dataset", "data"])
+        assert args.parallel == cli.usable_cpus() >= 1
+        if hasattr(os, "sched_getaffinity"):
+            assert args.parallel == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("workers", ["1", "2", "4"])
+    def test_first_failure_in_serial_order_raised(self, gen_dir, tmp_path, capsys, monkeypatch,
+                                                  workers):
+        # cells (l, seed) in serial order: (1,0) (2,0) (1,1) (2,1) (1,2) (2,2).  (1,0) and
+        # (2,0) fail; with 2 or 4 workers (2,0) is in this process's stripe and (1,0) in a
+        # worker's, which inherits the stub by fork
+        run_pipeline = pipeline.run_pipeline
+
+        def failing(dataset, config):
+            if (config.latent_dim, config.seed) in ((1, 0), (2, 0)):
+                raise PipelineStepError(3, ValidationError(
+                    f"stub failure at l={config.latent_dim} seed={config.seed}"))
+            return run_pipeline(dataset, config)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", failing)
+        out = tmp_path / "scan"
+        code = main(["scan", "--dataset", str(gen_dir), "--out", str(out),
+                     "--l-values", "1,2", "--seeds", "0,1,2", "--parallel", workers])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "ERROR E_PIPELINE: pipeline step 3 failed: stub failure at l=1 seed=0\n")
+        assert not (out / "report.csv").exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_parallel_below_one_rejected(self, gen_dir, tmp_path, capsys, workers):

@@ -1,6 +1,7 @@
 """Sequential training, model selection, fine-tuning, and the model format."""
 
 import math
+import pickle
 import re
 import warnings
 from dataclasses import fields, replace
@@ -11,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from jumprom import pipeline, synthetic
+from jumprom import errors, pipeline, synthetic
 from jumprom.autoencoder import AutoencoderParams, encode, input_map
 from jumprom.errors import (
     JumpromError,
@@ -125,8 +126,11 @@ class TestRunPipeline:
                       for seg in segment_phases(jump.contact)[1]
                       if seg.phase is Phase.PARTIAL_CONTACT)
         # trimming (n + 1) // 2 samples off both ends leaves nothing of an n-sample segment
-        config = TrainingConfig(latent_dim=2, boundary_trim=(longest + 1) // 2)
-        with pytest.raises(ValidationError, match="no data for phase partial_contact"):
+        trim = (longest + 1) // 2
+        config = TrainingConfig(latent_dim=2, boundary_trim=trim)
+        message = (f"no data for phase partial_contact: its longest train segment has "
+                   f"{longest} samples and boundary_trim={trim} removes {trim} from each end$")
+        with pytest.raises(ValidationError, match=message):
             run_pipeline(dataset, config)
 
 
@@ -182,6 +186,26 @@ class TestSelection:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "l,seed,E_dec,active_count,L_mod"
         assert len(lines) == 5
+
+    def test_scan_rows_same_for_any_worker_count(self, clean_bundle):
+        reports = [model_selection_scan(clean_bundle.dataset, [1, 2, 3], [0, 1],
+                                        TrainingConfig(), workers=workers)
+                   for workers in (1, 2, 6)]
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("error", [
+        ValidationError("bad input"),
+        PipelineStepError(2, errors.RankDeficientEncoderError("rank 1 < 2", 1e-14)),
+        ModelFormatError("expected 'end'", 17),
+        UnsupportedModelVersionError("9", 1),
+        errors.MissingPhaseError("flight"),
+        errors.DivergenceError("state is not finite", 0.25)])
+    def test_errors_pickle_whole(self, error):
+        # a scan worker hands its cell's error to this process by pickle
+        copy = pickle.loads(pickle.dumps(error))
+        assert (type(copy), str(copy), copy.code, copy.args) == (
+            type(error), str(error), error.code, error.args)
+        assert repr(vars(copy)) == repr(vars(error))
 
     def test_scan_rejects_oversized_dims(self, clean_bundle):
         with pytest.raises(ValidationError):
