@@ -10,7 +10,8 @@ systems in lockstep, one right-hand-side call for all rows per stage; a
 single system is a stack of one row.  Under RK45 each row keeps its own
 time and step size, so it takes exactly the steps it takes alone.
 ``integrate_intervals`` advances one output interval at a time so callers
-can switch dynamics and hold inputs constant between samples.
+can switch dynamics and hold inputs constant between samples; a row that
+fails stops there, and the others step on.
 """
 
 from __future__ import annotations
@@ -237,21 +238,21 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
 
     y0 is a stack (N, n) of independent systems stepped in lockstep, and
     n_samples one count for all rows or a count (N,) per row.  The result is
-    (max count, N, n); a row's states past its own count are unspecified.
-    f is called on the whole stack, with the interval's start t under
-    fixed_rk4 and each row's own time t (N,) under adaptive; rows that are
-    done or failed are carried along and their derivatives discarded, so f
-    must accept every row at every interval below the largest count.
-    Raises ValueError when y0 is not a stack.
+    (states, errors): states (max count, N, n), errors one entry per row,
+    None or its DivergenceError.  A row fails at its first non-finite state
+    or failed adaptive interval and stops there; the other rows step on.  A
+    row's states past its own count, or past the end of the interval where
+    it failed, are unspecified.  f is called on the whole stack, with the
+    interval's start t under fixed_rk4 and each row's own time t (N,) under
+    adaptive; rows that are done or failed are carried along and their
+    derivatives discarded, so f must accept every row at every interval
+    below the largest count.  Raises ValueError when y0 is not a stack.
 
-    A row fails at its first non-finite state or failed adaptive interval:
-    it stops, and so do the rows after it, as if each row ran alone in turn.
-    When the stack is done, the first failed row's DivergenceError is
-    raised.  Before that each row warns once, in row order, when an
-    adaptive interval needed more than STIFF_NFEV_PER_INTERVAL evaluations.
-    numpy's overflow and invalid-value warnings are silenced while stepping:
-    a non-finite stage always reaches the interval's end state, where the
-    check above reports it.
+    Each row warns once, in row order, when an adaptive interval before
+    its end needed more than STIFF_NFEV_PER_INTERVAL evaluations, as it
+    does when run alone.  numpy's overflow and invalid-value warnings are
+    silenced while stepping: a non-finite stage always reaches the
+    interval's end state, where the check above reports it.
     """
     if integrator not in INTEGRATORS:
         raise ValidationError(f"unknown integrator {integrator!r}")
@@ -264,7 +265,7 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
     out = np.empty((int(ends.max()),) + y.shape)
     live = np.ones(n_rows, dtype=bool)
     notes = [None] * n_rows          # each row's stiffness warning
-    failed, failure = n_rows, None   # the first failed row and its error
+    errors = [None] * n_rows
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(out)):
             if reset is not None and (state := reset(k, y)) is not None:
@@ -275,29 +276,26 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
                 if not live.any():
                     break
             t = k * h
-            row_nfev, errors = [0] * n_rows, [None] * n_rows
+            row_nfev, failures = [0] * n_rows, [None] * n_rows
             if integrator == "fixed_rk4":
                 y = rk4_interval(functools.partial(f, k), t, y, h, substeps)
             else:
-                y, _, row_nfev, errors = adaptive_interval(functools.partial(f, k), t, y, h, live)
-            if any(errors) or max(row_nfev) > STIFF_NFEV_PER_INTERVAL or not np.isfinite(y).all():
+                y, _, row_nfev, failures = adaptive_interval(functools.partial(f, k), t, y, h, live)
+            if any(failures) or max(row_nfev) > STIFF_NFEV_PER_INTERVAL or not np.isfinite(y).all():
                 finite = np.isfinite(y).all(axis=1)
                 for i in np.flatnonzero(live):
-                    if errors[i] is None and not finite[i]:
-                        errors[i] = DivergenceError(
+                    if failures[i] is None and not finite[i]:
+                        failures[i] = DivergenceError(
                             f"state became non-finite at t={t + h:.4f}s", t + h)
-                    if errors[i] is not None:
-                        failed, failure = i, errors[i]
-                        live[i:] = False
-                        break
-                    if notes[i] is None and row_nfev[i] > STIFF_NFEV_PER_INTERVAL:
+                    if failures[i] is not None:
+                        errors[i] = failures[i]
+                        live[i] = False
+                    elif notes[i] is None and row_nfev[i] > STIFF_NFEV_PER_INTERVAL:
                         notes[i] = (f"adaptive integrator needed {row_nfev[i]} evaluations in "
                                     f"one output interval near t={t:.4f}s; dynamics may be stiff")
                 if not live.any():
                     break
-    for note in notes[:failed + 1]:
+    for note in notes:
         if note is not None:
             warnings.warn(note, stacklevel=3)
-    if failure is not None:
-        raise failure
-    return out
+    return out, errors

@@ -4,7 +4,8 @@ Point-mass CoM on a massless spring leg: in flight the CoM is ballistic;
 in contact the spring pushes the CoM away from the stance foot with a
 force proportional to the scalar leg compression, plus gravity and an
 additive per-unit-mass actuation.  Used as the comparison baseline for
-base-position trajectory prediction.
+base-position trajectory prediction.  Many CoMs step as one stack, and
+each gets its own outcome, its trajectory or its error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrators
-from .errors import ValidationError, finite_array, is_finite_real, is_integer
+from .errors import ValidationError, finite_array, is_finite_real, is_integer, result_or_raise
 from .trajectory_data import Phase, segment_phases
 
 
@@ -126,9 +127,9 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
 
     y0 = np.concatenate([np.asarray(initial_state.b, dtype=float),
                          np.asarray(initial_state.db, dtype=float)])
-    ((b, db),) = simulate_aslip_stack(params, [(y0, u_of_t, foot_positions, schedule[:horizon])],
+    (outcome,) = simulate_aslip_stack(params, [(y0, u_of_t, foot_positions, schedule[:horizon])],
                                       dt, integrator=integrator, rk4_substeps=rk4_substeps)
-    return b, db
+    return result_or_raise(outcome)
 
 
 def simulate_aslip_stack(params, systems, dt, *, integrator="adaptive", rk4_substeps=1):
@@ -137,10 +138,10 @@ def simulate_aslip_stack(params, systems, dt, *, integrator="adaptive", rk4_subs
     systems: per CoM (y0, u_of_t, foot_positions, schedule): its initial
     (b, db) as one (6,) array, then its driving accelerations and stance
     feet, (>= n, 3) float arrays, and its n phase labels, n being its
-    horizon.  One right-hand-side call evaluates every CoM, and each
-    (b, db) pair returned, (n, 3) arrays, is the one ``simulate_aslip``
-    gives alone.  An error is raised as ``_integrators.integrate_intervals``
-    raises it: the first failing CoM's, in order.
+    horizon.  One right-hand-side call evaluates every CoM.  Returns each
+    CoM's outcome, as ``simulate_aslip`` gives it alone: its (b, db) pair
+    of (n, 3) arrays, or the DivergenceError at which it stopped.  A CoM
+    that fails stops no other.
     """
     ends = [len(schedule) for *_, schedule in systems]
     # past its horizon a CoM is carried in flight
@@ -172,8 +173,10 @@ def simulate_aslip_stack(params, systems, dt, *, integrator="adaptive", rk4_subs
         return np.concatenate([y[:, 3:], accel], axis=1)
 
     y0 = np.stack([y0 for y0, *_ in systems])
-    out = _integrators.integrate_intervals(rhs, y0, ends, dt, integrator, substeps=rk4_substeps)
-    return [(out[:n, i, :3], out[:n, i, 3:]) for i, n in enumerate(ends)]
+    out, errors = _integrators.integrate_intervals(rhs, y0, ends, dt, integrator,
+                                                   substeps=rk4_substeps)
+    return [error or (out[:n, i, :3], out[:n, i, 3:])
+            for i, (n, error) in enumerate(zip(ends, errors))]
 
 
 def aslip_inputs_from_trajectory(traj):

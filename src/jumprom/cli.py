@@ -11,19 +11,22 @@ synthetic presets), which check them and default each unset key.  Each run
 writes exactly one ``run_manifest.json`` next to its outputs recording the
 resolved config, seeds, input/output paths, artifact hashes, and
 wall-clock timings.  Outputs are plain delimited text plus the structured
-model format, so results diff cleanly under version control.
+model format, so results diff cleanly under version control.  ``eval`` and
+``baseline`` write the rows of every rollout that finishes and list the
+others in ``failures.csv``; the first failure is then raised, so the run
+still ends with its ``ERROR`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
 import os
 import sys
 import time
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -176,19 +179,33 @@ def _write_series(path, result):
             fh.write(format_row(row) + "\n")
 
 
-def _write_results(out, manifest, table, header, series_prefix, results, columns):
-    """Write each (jump, label, RolloutResult) of ``results`` as a series file
-    and as one row ``jump,label,columns(result)`` of the table."""
-    table_path = out / table
+def _write_results(out, manifest, table, header, series_prefix, outcomes, columns):
+    """Write each (jump, label, outcome) of ``outcomes``: a RolloutResult as
+    a series file and a row ``jump,label,columns(result)`` of the table, a
+    JumpromError as a row ``jump,label,code,time,message`` of failures.csv,
+    written only when one failed.  Returns the first failure, or None."""
+    table_path, failures = out / table, []
     with open(table_path, "w") as fh:
         fh.write(header + "\n")
-        for idx, label, result in results:
+        for idx, label, result in outcomes:
+            if isinstance(result, JumpromError):
+                failures.append((idx, label, result))
+                continue
             series_path = out / f"{series_prefix}_{idx:03d}_{label}.csv"
             _write_series(series_path, result)
             manifest.add_output(series_path)
             fh.write(f"{idx},{label}," + format_row(columns(result)) + "\n")
     manifest.add_output(table_path)
-    return table_path
+    if not failures:
+        return None
+    with open(out / "failures.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(",")[:2] + ["code", "time", "message"])
+        for idx, label, error in failures:
+            time = getattr(error, "time", None)   # an error without one leaves it empty
+            writer.writerow([idx, label, error.code, "" if time is None else float(time), error])
+    manifest.add_output(out / "failures.csv")
+    return failures[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +276,15 @@ def cmd_eval(args):
     model = pipeline.load_model(args.model)
     meta, test_jumps = _load_test_jumps(args.dataset)
     config = rollout.RolloutConfig(step_rate=1.0 / meta.dt, **settings)
-
-    # every rollout runs before any file is written, so a failing one leaves no partial table
-    results = rollout.rollout_jumps(model, test_jumps, config)
-
-    _write_results(out, manifest, "metrics.csv", "jump,mode,mean_rmse", "rollout", results,
-                   lambda r: [r.rmse.mean()])
+    outcomes = rollout.rollout_jumps(model, test_jumps, config)
+    failure = _write_results(out, manifest, "metrics.csv", "jump,mode,mean_rmse", "rollout",
+                             outcomes, lambda r: [r.rmse.mean()])
     manifest.finish()
-    for idx, mode, r in results:
-        print(f"jump {idx} [{mode}]: mean RMSE {float(r.rmse.mean()):.6g}")
+    for idx, mode, r in outcomes:
+        if not isinstance(r, JumpromError):
+            print(f"jump {idx} [{mode}]: mean RMSE {float(r.rmse.mean()):.6g}")
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -281,60 +298,43 @@ def cmd_baseline(args):
     config = rollout.RolloutConfig(step_rate=1.0 / meta.dt, **settings)
     base = slice(meta.m, meta.m + 3)   # base position in q, base velocity in dq
 
-    # every rollout runs before any file is written, so a failing one leaves no partial table
-    try:
-        aslip_rows = _aslip_results(params, test_jumps, base, config.integrator)
-    except JumpromError as error:
-        failed, error = _first_aslip_failure(params, test_jumps, base, config.integrator, error)
-        if model is not None:   # the learned rollout of an earlier jump fails first
-            rollout.rollout_jumps(model, test_jumps[:failed], config)
-        raise error from None
+    aslip_rows = _aslip_results(params, test_jumps, base, config.integrator)
     learned = rollout.rollout_jumps(model, test_jumps, config) if model is not None else []
     compared = []
-    for i, (idx, jump) in enumerate(test_jumps):
+    for i, (idx, _) in enumerate(test_jumps):
         compared.append((idx, "aslip", aslip_rows[i]))
         if learned:
-            compared.append((idx, "learned", _base_result(
-                jump.timestamps, learned[i][2].q_pred[:, base], jump.q[:, base],
-                aslip_rows[i].phase_schedule)))
+            r = learned[i][2]
+            compared.append((idx, "learned", r if isinstance(r, JumpromError) else _base_result(
+                r.timestamps, r.q_pred[:, base], r.q_true[:, base], r.phase_schedule)))
 
-    table_path = _write_results(out, manifest, "comparison.csv", "jump,model,rmse_x,rmse_y,rmse_z",
-                                "baseline", compared, lambda r: r.rmse)
+    failure = _write_results(out, manifest, "comparison.csv", "jump,model,rmse_x,rmse_y,rmse_z",
+                             "baseline", compared, lambda r: r.rmse)
     manifest.finish()
-    print(f"comparison written to {table_path}")
+    print(f"comparison written to {out / 'comparison.csv'}")
+    if failure is not None:
+        raise failure
     return 0
 
 
 def _aslip_results(params, jumps, base, integrator):
-    """The aSLIP rollouts of the jumps' base positions, driven by their
-    recorded contacts, feet and forces.  Jumps with the same sample step
-    are stepped as one stack."""
+    """The outcome of each jump's aSLIP rollout of its base position,
+    driven by its recorded contacts, feet and forces: a RolloutResult, or
+    the DivergenceError at which it stopped.  Jumps with the same sample
+    step are stepped as one stack."""
     stacks, inputs = {}, []
     for i, (_, jump) in enumerate(jumps):
         schedule, feet, force_sum = aslip.aslip_inputs_from_trajectory(jump)
         y0 = np.concatenate([jump.q[0, base], jump.dq[0, base]])
         inputs.append((y0, force_sum / params.m, feet, schedule))
         stacks.setdefault(sample_step(jump.timestamps), []).append(i)
-    b_pred = {}
+    stepped = {}
     for dt, rows in stacks.items():
-        stepped = aslip.simulate_aslip_stack(params, [inputs[i] for i in rows], dt,
-                                             integrator=integrator)
-        b_pred.update((i, b) for i, (b, _) in zip(rows, stepped))
-    return [_base_result(jump.timestamps, b_pred[i], jump.q[:, base], inputs[i][3])
+        stepped.update(zip(rows, aslip.simulate_aslip_stack(params, [inputs[i] for i in rows], dt,
+                                                            integrator=integrator)))
+    return [stepped[i] if isinstance(stepped[i], JumpromError) else
+            _base_result(jump.timestamps, stepped[i][0], jump.q[:, base], inputs[i][3])
             for i, (_, jump) in enumerate(jumps)]
-
-
-def _first_aslip_failure(params, jumps, base, integrator, error):
-    """The index of the first jump whose aSLIP rollout fails when run alone,
-    and its error; (len(jumps), error) when none does."""
-    with warnings.catch_warnings():   # the stacked run has issued its warnings
-        warnings.simplefilter("ignore")
-        for i, jump in enumerate(jumps):
-            try:
-                _aslip_results(params, [jump], base, integrator)
-            except JumpromError as e:
-                return i, e
-    return len(jumps), error
 
 
 def _base_result(timestamps, pred, true, schedule):
@@ -374,8 +374,7 @@ _COMMANDS = {
 
 def usable_cpus():
     """The CPUs this process may run on; a scan's default worker count.
-    1 where processes cannot fork, since a spawned worker would pickle the
-    dataset to start."""
+    1 where processes cannot fork, since a scan's workers are forks."""
     if not hasattr(os, "fork"):
         return 1
     try:

@@ -105,6 +105,13 @@ class DivergenceError(JumpromError):
         self.time = time
 
 
+def result_or_raise(outcome):
+    """``outcome``, unless it is a JumpromError, which is raised."""
+    if isinstance(outcome, JumpromError):
+        raise outcome
+    return outcome
+
+
 def is_integer(value):
     """True for an integer that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)

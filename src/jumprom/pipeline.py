@@ -14,8 +14,8 @@ warm-starts stage 3 from the parent's supports.  The
 model selection scan repeats the pipeline over latent dimensions and
 seeds and scores each cell with an AIC-style combination of test
 reconstruction error and symbolic complexity; one loop deals its cells
-into stripes, runs the first in process and the others, if any, in a
-worker pool.
+into stripes, runs the first in process and the others, if any, in
+forked children.
 ``serialize_model`` and ``parse_model`` share one autoencoder layout,
 ``_autoencoder_layout``, and the reader takes every line through one field
 reader, ``_field``, which reports a malformed value with its byte offset.
@@ -30,6 +30,9 @@ import io
 import json
 import logging
 import math
+import os
+import pickle
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -421,19 +424,9 @@ def _scan_cell(dataset, config, cell):
     return row
 
 
-_worker_scan_cell = None   # a scan worker's cell function, set once as the worker starts
-
-
-def _init_scan_worker(scan_cell):
-    global _worker_scan_cell
-    _worker_scan_cell = scan_cell
-
-
-def _scan_stripe(cells, scan_cell=None):
+def _scan_stripe(cells, scan_cell):
     """Rows of ``cells``, run in order up to the first that fails:
-    (rows, None), or (rows, (cell, error)).  A worker runs its own
-    ``_worker_scan_cell``."""
-    scan_cell = scan_cell or _worker_scan_cell
+    (rows, None), or (rows, (cell, error))."""
     rows = []
     for cell in cells:
         try:
@@ -441,6 +434,31 @@ def _scan_stripe(cells, scan_cell=None):
         except JumpromError as e:
             return rows, (cell, e)
     return rows, None
+
+
+def _fork_stripe(cells, scan_cell):
+    """Run ``_scan_stripe`` in a forked child, which pickles its result, or
+    the exception it raised, into a pipe and exits; returns the child's pid
+    and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        try:
+            result = _scan_stripe(cells, scan_cell)
+        except BaseException as e:
+            result = e
+        try:
+            payload = pickle.dumps(result)
+        except Exception as e:
+            payload = pickle.dumps(RuntimeError(f"a scan worker raised {result!r}, which "
+                                                f"cannot be pickled: {e}"))
+        with open(write, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
 
 
 def model_selection_scan(dataset, l_values, seeds, config, workers=1):
@@ -451,15 +469,15 @@ def model_selection_scan(dataset, l_values, seeds, config, workers=1):
     train/val/test assignment reshuffled with that seed (same counts), so
     seeds perturb an otherwise deterministic procedure.  The cells are
     sorted by latent dim, largest (costliest) first, and dealt round-robin
-    into ``workers`` stripes (at most one per cell).  This process runs
-    the first stripe; with ``workers`` > 1 a pool of ``workers`` - 1
-    processes runs the others, and each worker takes the dataset once as
-    it starts (inherited, under fork) while only cells and rows cross its
-    queue.  A stripe runs its cells in the serial order, seeds in order
-    and then latent dims ascending, up to its first failure, and the
-    failure first in that order is raised, so the rows, and the error of
-    a failing scan, are the same for any worker count.  Returns rows
-    sorted by latent dim then seed.
+    into ``workers`` stripes (at most one per cell, one without os.fork).
+    This process runs the first stripe and ``workers`` - 1 forked children,
+    which inherit the dataset, the others; each child pipes back its rows
+    and failure, or any other exception, raised here once all have ended.
+    A stripe runs its cells in the serial order, seeds in order and then
+    latent dims ascending, up to its first failure, and the failure first
+    in that order is raised, so the rows, and the error of a failing scan,
+    are the same for any worker count.  Returns rows sorted by latent dim
+    then seed.
     """
     l_values = _scan_axis(l_values, "latent dimensions", 1, dataset.meta.m + 6)
     seeds = _scan_axis(seeds, "seeds", 0)
@@ -467,20 +485,26 @@ def model_selection_scan(dataset, l_values, seeds, config, workers=1):
     cells = [(l, seed) for seed in seeds for l in sorted(l_values)]   # the serial order
     order = {cell: i for i, cell in enumerate(cells)}
     costliest_first = sorted(cells, key=lambda cell: -cell[0])
-    workers = min(workers, len(cells))
+    workers = min(workers, len(cells)) if hasattr(os, "fork") else 1
     stripes = [sorted(costliest_first[k::workers], key=order.get) for k in range(workers)]
-    if workers == 1:
+    sys.stdout.flush()   # else each child would write out this process's buffered text again
+    sys.stderr.flush()
+    children, ended = [], []
+    try:
+        for stripe in stripes[1:]:
+            children.append(_fork_stripe(stripe, scan_cell))
         results = [_scan_stripe(stripes[0], scan_cell)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        with ProcessPoolExecutor(max_workers=workers - 1,
-                                 mp_context=multiprocessing.get_context("fork" if fork else None),
-                                 initializer=_init_scan_worker, initargs=(scan_cell,)) as pool:
-            others = [pool.submit(_scan_stripe, stripe) for stripe in stripes[1:]]
-            results = [_scan_stripe(stripes[0], scan_cell)] + [f.result() for f in others]
+    finally:
+        for pid, read in children:
+            with open(read, "rb") as fh:
+                ended.append((pid, fh.read(), os.waitpid(pid, 0)[1]))
+    for pid, payload, status in ended:
+        if not payload:
+            raise RuntimeError(f"scan worker {pid} exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} without a result")
+        results.append(pickle.loads(payload))
+        if isinstance(results[-1], BaseException):
+            raise results[-1]
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: order[failure[0]])[1]

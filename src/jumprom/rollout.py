@@ -8,8 +8,8 @@ per-dimension RMSE against the recording.  The periodic-reset mode
 re-encodes the recorded state every fixed number of steps to bound error
 accumulation, emulating medium-horizon prediction inside a planning loop.
 ``rollout_jumps`` rolls out many jumps; under the adaptive integrator their
-rollouts step together as one stack, and each gives the result it gives
-alone.
+rollouts step together as one stack, and each gives the outcome, result
+or error, it gives alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import _integrators, autoencoder
 from .autoencoder import decode, encode
 from .errors import (JumpromError, MissingPhaseError, ValidationError, finite_array,
-                     is_finite_real, is_integer)
+                     is_finite_real, is_integer, result_or_raise)
 from .sindy import build_library_row
 from .trajectory_data import Phase, sample_step, segment_phases
 
@@ -122,7 +122,7 @@ def _integrate_rows(model, rows, config):
     phase schedule and resets; one library call and one ``np.vecmat``
     evaluate every row per stage on the (N, 2l) stack, except that a lone
     rollout's row is evaluated as a plain, cheaper (2l,) state.  Returns
-    each row's (n, 2l) states.
+    each row's outcome: its (n, 2l) states, or its DivergenceError.
     """
     l = model.autoencoder.latent_dim
     ends = [len(phases) for _, _, phases, _ in rows]
@@ -155,10 +155,11 @@ def _integrate_rows(model, rows, config):
         y[due] = [resets[i][1][k] for i in due]
         return y
 
-    out = _integrators.integrate_intervals(
+    out, errors = _integrators.integrate_intervals(
         rhs, np.stack([start for start, _, _, _ in rows]), ends, 1.0 / config.step_rate,
         config.integrator, substeps=config.rk4_substeps, reset=reset if resets else None)
-    return [np.ascontiguousarray(out[:n, i]) for i, n in enumerate(ends)]
+    return [error or np.ascontiguousarray(out[:n, i])
+            for i, (n, error) in enumerate(zip(ends, errors))]
 
 
 def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=None):
@@ -194,8 +195,8 @@ def integrate(model, xi0, dxi0, nu_seq, phase_schedule, config, reset_states=Non
         nu_seq = np.asarray(nu_seq, dtype=float)
         if nu_seq.shape != (n_steps, l):
             raise ValidationError(f"inputs must have shape {(n_steps, l)}, got {nu_seq.shape}")
-    start = np.concatenate([xi0, dxi0])
-    return _integrate_rows(model, [(start, nu_seq, phases, reset_states)], config)[0]
+    rows = [(np.concatenate([xi0, dxi0]), nu_seq, phases, reset_states)]
+    return result_or_raise(_integrate_rows(model, rows, config)[0])
 
 
 def _check_horizon(traj, config):
@@ -231,39 +232,37 @@ def _prepare(model, traj, config, horizon, input_map):
 
 
 def _rollout_rows(model, rows, config, horizon=None):
-    """The rollouts of rows [(traj, with_resets)], integrated as one stack.
+    """The outcome, RolloutResult or JumpromError, of each rollout of rows
+    [(traj, with_resets)], integrated as one stack.
 
-    Each row is the rollout ``rollout_full`` (with_resets False) or
-    ``rollout_with_reset`` gives alone.  The model's input map is computed
-    once.  The rows are prepared in turn up to the first that cannot be;
-    the error raised is the first in row order, as if each ran in turn.
+    Each is the one ``rollout_full`` (with_resets False) or
+    ``rollout_with_reset`` gives alone; a row that cannot be prepared takes
+    that error and stays out of the stack.  The input map is computed once.
     """
     ae = model.autoencoder
     input_map = functools.cache(functools.partial(autoencoder.input_map, ae))
-    stack, done, failure = [], [], None
-    for traj, with_resets in rows:
+    outcomes, stack, done = [None] * len(rows), [], []
+    for j, (traj, with_resets) in enumerate(rows):
         try:
             n, nu, schedule = _prepare(model, traj, config, horizon, input_map)
             phases = _phase_indices(model, schedule)
         except JumpromError as e:
-            failure = e
-            break
+            outcomes[j] = e
+            continue
         if with_resets:
             states = np.concatenate([encode(ae, traj.q[:n], 0), encode(ae, traj.dq[:n], 1)], axis=1)
             stack.append((states[0], nu, phases, states))
         else:
             start = np.concatenate([encode(ae, traj.q[0], 0), encode(ae, traj.dq[0], 1)])
             stack.append((start, nu, phases, None))
-        done.append((traj, n, schedule,
+        done.append((j, traj, n, schedule,
                      _reset_indices(n, config.reset_interval) if with_resets else ()))
-    latents = _integrate_rows(model, stack, config) if stack else []
-    if failure is not None:
-        raise failure
-    return [_finish(model, traj, latent, schedule, resets, n)
-            for (traj, n, schedule, resets), latent in zip(done, latents)]
+    for (j, *row), latent in zip(done, _integrate_rows(model, stack, config) if stack else []):
+        outcomes[j] = latent if isinstance(latent, JumpromError) else _finish(model, *row, latent)
+    return outcomes
 
 
-def _finish(model, traj, latent, schedule, reset_indices, n):
+def _finish(model, traj, n, schedule, reset_indices, latent):
     ae = model.autoencoder
     l = ae.latent_dim
     return RolloutResult(
@@ -278,7 +277,7 @@ def _finish(model, traj, latent, schedule, reset_indices, n):
 
 def rollout_full(model, traj, config, horizon=None):
     """Encode the initial recorded state once and integrate the whole horizon."""
-    return _rollout_rows(model, [(traj, False)], config, horizon)[0]
+    return result_or_raise(_rollout_rows(model, [(traj, False)], config, horizon)[0])
 
 
 def rollout_with_reset(model, traj, config, horizon=None):
@@ -290,25 +289,29 @@ def rollout_with_reset(model, traj, config, horizon=None):
     """
     if config.reset_interval <= 0:
         raise ValidationError("rollout_with_reset needs reset_interval > 0")
-    return _rollout_rows(model, [(traj, True)], config, horizon)[0]
+    return result_or_raise(_rollout_rows(model, [(traj, True)], config, horizon)[0])
 
 
 def rollout_jumps(model, jumps, config):
     """Every rollout of the (index, traj) pairs ``jumps``, in jump order.
 
-    Returns (index, mode, RolloutResult) triples: mode "full", then "reset"
-    when config.reset_interval > 0.  Each result is the one
-    ``rollout_full`` or ``rollout_with_reset`` gives, and the error raised
-    is the first in this order.  Under the adaptive integrator all rollouts
-    step together as one stack.
+    Returns (index, mode, outcome) triples: mode "full", then "reset"
+    when config.reset_interval > 0.  Each outcome is the RolloutResult or
+    JumpromError ``rollout_full`` or ``rollout_with_reset`` gives alone.
+    Under the adaptive integrator all rollouts step together as one stack.
     """
     modes = ("full", "reset") if config.reset_interval > 0 else ("full",)
     rows = [(idx, mode, traj) for idx, traj in jumps for mode in modes]
     if config.integrator == "fixed_rk4":
         # one rollout per call: the benchmark's traced check counts one library call per
         # right-hand-side evaluation of each fixed_rk4 rollout (ROADMAP items 1 and 5)
-        results = [(rollout_full if mode == "full" else rollout_with_reset)(model, traj, config)
-                   for _, mode, traj in rows]
+        outcomes = []
+        for _, mode, traj in rows:
+            try:
+                outcomes.append((rollout_full if mode == "full" else rollout_with_reset)(
+                    model, traj, config))
+            except JumpromError as e:
+                outcomes.append(e)
     else:
-        results = _rollout_rows(model, [(traj, mode == "reset") for _, mode, traj in rows], config)
-    return [(idx, mode, result) for (idx, mode, _), result in zip(rows, results)]
+        outcomes = _rollout_rows(model, [(traj, mode == "reset") for _, mode, traj in rows], config)
+    return [(idx, mode, outcome) for (idx, mode, _), outcome in zip(rows, outcomes)]

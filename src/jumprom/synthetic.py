@@ -335,7 +335,7 @@ def _simulate_jumps(spec, truth, rng):
     for each driven phase, foot layout.  All jumps share the knot times, so
     each driven phase has one not-a-knot cubic spline (``_CubicSpline``)
     over the stacked knots.  Returns (n_jumps, T, l) states, velocities and
-    inputs, and the foot layouts.
+    inputs, and the foot layouts; raises the first failed jump's error.
     """
     l, n = truth.autoencoder.latent_dim, spec.n_jumps
     starts = np.cumsum([0] + [steps for _, steps in spec.phase_durations])
@@ -368,10 +368,12 @@ def _simulate_jumps(spec, truth, rng):
         accel = np.vecmat(rows, c.Xi)
         return np.concatenate([y[:, l:], accel], axis=1)
 
-    states = _integrators.integrate_intervals(rhs, y0, starts[-1], spec.dt, "fixed_rk4",
-                                              substeps=2).swapaxes(0, 1)
+    states, errors = _integrators.integrate_intervals(rhs, y0, starts[-1], spec.dt, "fixed_rk4",
+                                                      substeps=2)
+    if any(errors):   # the truth must not blow up
+        raise next(filter(None, errors))
     nu = np.stack([inputs(k, k * spec.dt) for k in range(starts[-1])], axis=1)
-    return states[..., :l], states[..., l:], nu, layouts
+    return states[..., :l].swapaxes(0, 1), states[..., l:].swapaxes(0, 1), nu, layouts
 
 
 def generate(spec, out_dir=None):

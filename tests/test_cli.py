@@ -1,10 +1,9 @@
 """End-to-end command-line workflows in temporary directories."""
 
 import argparse
-import concurrent.futures
+import csv
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import shlex
@@ -30,6 +29,11 @@ from jumprom.trajectory_data import (Dataset, DatasetMeta, Trajectory, load_data
 from helpers import set_cell
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -264,40 +268,56 @@ class TestScan:
                          "--l-values", l_values, "--seeds", seeds, "--parallel", parallel]) == 0
             reports.append((out / "report.csv").read_bytes())
         assert reports[0] == reports[1]
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
 
     def test_at_most_one_worker_per_cell(self, gen_dir, tmp_path, monkeypatch):
-        pools = []
+        forks, fork = [], os.fork
 
-        class InProcessPool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                pools.append(max_workers)
-                initializer(*initargs)
+        def counted_fork():
+            forks.append(1)
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(pipeline, "_worker_scan_cell", None)   # the fake worker sets it
+        monkeypatch.setattr(os, "fork", counted_fork)
         for workers, l_values, seeds, expected in (
-                ("8", "1", "0,1", [1]),      # two cells: this process and one worker
-                ("4", "1", "0", []),         # a single cell runs in process, with no pool
-                ("1", "1,2", "0,1", []),     # --parallel 1 scans in process
-                ("3", "1,2", "0,1", [2])):   # N workers: this process and a pool of N - 1
-            pools.clear()
+                ("8", "1", "0,1", 1),      # two cells: this process and one worker
+                ("4", "1", "0", 0),        # a single cell runs in process, with no fork
+                ("1", "1,2", "0,1", 0),    # --parallel 1 scans in process
+                ("3", "1,2", "0,1", 2)):   # N workers: this process and N - 1 forks
+            forks.clear()
             out = tmp_path / f"{workers}-{seeds}"
             code = main(["scan", "--dataset", str(gen_dir), "--out", str(out),
                          "--l-values", l_values, "--seeds", seeds, "--parallel", workers])
             assert code == 0
-            assert pools == expected
+            assert len(forks) == expected
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fail, raised", [
+        ("raise", "stub bug at l=1$"),
+        ("unpicklable", r"a scan worker raised Unpicklable\('stub bug at l=1'\), which cannot "
+                        "be pickled"),
+        ("exit", r"scan worker \d+ exited with status 3 without a result$")],
+        ids=["raise", "unpicklable", "exit"])
+    def test_worker_exception_is_raised_here(self, gen_dir, tmp_path, monkeypatch, fail, raised):
+        # cells (1,0) and (2,0) on 2 workers: the worker runs (1,0), which
+        # fails other than by a JumpromError, and this process (2,0)
+        class Unpicklable(Exception):   # a local class, which pickle cannot find
+            pass
+
+        run_pipeline = pipeline.run_pipeline
+
+        def failing(dataset, config):
+            if config.latent_dim == 1:
+                if fail == "exit":
+                    os._exit(3)
+                raise (RuntimeError if fail == "raise" else Unpicklable)("stub bug at l=1")
+            return run_pipeline(dataset, config)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", failing)
+        with pytest.raises(RuntimeError, match=f"^{raised}"):
+            main(["scan", "--dataset", str(gen_dir), "--out", str(tmp_path / "scan"),
+                  "--l-values", "1,2", "--seeds", "0", "--parallel", "2"])
+        assert not (tmp_path / "scan" / "report.csv").exists()
+        _assert_no_child_left()
 
     def test_manifest_records_the_workers_used(self, gen_dir, tmp_path):
         for workers, used in (("1", 1), ("8", 2)):   # at most one per cell
@@ -334,7 +354,7 @@ class TestScan:
         assert capsys.readouterr().err == (
             "ERROR E_PIPELINE: pipeline step 3 failed: stub failure at l=1 seed=0\n")
         assert not (out / "report.csv").exists()
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_parallel_below_one_rejected(self, gen_dir, tmp_path, capsys, workers):
@@ -370,6 +390,7 @@ class TestEval:
             "--out", str(out), "--integrator", "fixed_rk4", "--reset-interval", "50",
         ])
         assert code == 0
+        assert not (out / "failures.csv").exists()
         series = sorted(out.glob("rollout_*.csv"))
         assert len(series) == 4  # 2 test jumps x (full, reset)
         header = series[0].read_text().split("\n", 1)[0].split(",")
@@ -409,12 +430,20 @@ class TestEval:
         assert "E_PHASE" in err and "flight" in err
 
     def test_failed_rollout_leaves_no_metrics(self, gen_dir, trained_dir, tmp_path):
+        # every rollout fails: the table keeps only its header, and
+        # failures.csv lists each rollout, with no time for E_PHASE
         path = _save_without_flight(trained_dir / "model.txt", tmp_path / "crippled.txt")
         out = tmp_path / "out"
         code = main(["eval", "--dataset", str(gen_dir), "--model", str(path), "--out", str(out),
                      "--integrator", "fixed_rk4", "--reset-interval", "50"])
         assert code == 1
-        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in out.iterdir()) == ["failures.csv", "metrics.csv",
+                                                         "run_manifest.json"]
+        assert (out / "metrics.csv").read_text() == "jump,mode,mean_rmse\n"
+        rows = list(csv.reader((out / "failures.csv").open()))
+        indices = [idx for idx, _ in cli._load_test_jumps(gen_dir)[1]]
+        assert [row[:4] for row in rows] == [["jump", "mode", "code", "time"]] + [
+            [str(idx), mode, "E_PHASE", ""] for idx in indices for mode in ("full", "reset")]
 
     def test_eval_reproducible(self, gen_dir, trained_dir, tmp_path):
         outs = []
@@ -541,8 +570,8 @@ def test_ground_truth_is_a_model(gen_dir, tmp_path, command):
 
 
 def test_cli_import_loads_no_scipy():
-    # no command needs scipy (see below), and a scan starts a process pool
-    # only when it runs one
+    # no command needs scipy (see below), and nothing loads multiprocessing:
+    # a scan forks its workers itself
     src = str(Path(jumprom.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import jumprom.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
@@ -882,6 +911,7 @@ class TestBaseline:
             "--integrator", "fixed_rk4",
         ])
         assert code == 0
+        assert not (out / "failures.csv").exists()
         lines = (out / "comparison.csv").read_text().strip().split("\n")
         assert lines[0] == "jump,model,rmse_x,rmse_y,rmse_z"
         assert len(lines) == 1 + 2 * 2  # 2 test jumps x (aslip, learned)
@@ -901,22 +931,23 @@ class TestBaseline:
     def test_errors_are_reported_in_jump_order(self, gen_dir, trained_dir, tmp_path, capsys,
                                                monkeypatch, integrator, learned_failing,
                                                expected):
-        # the aSLIP rollout of the second test jump fails, in the stack and
-        # alone, and so does the learned one of the first or of the second
-        # jump: the error reported is the first in the order aSLIP 0,
-        # learned 0, aSLIP 1, learned 1, as when each jump ran in turn
+        # the aSLIP rollout of the second test jump fails, and so does the
+        # learned one of the first or of the second jump: failures.csv lists
+        # both and the table every other row, each in the order aSLIP 0,
+        # learned 0, aSLIP 1, learned 1, and the error reported is the first
         aslip_results, rollout_jumps = cli._aslip_results, rollout.rollout_jumps
         indices = [idx for idx, _ in cli._load_test_jumps(gen_dir)[1]]
+        failed = {(indices[1], "aslip"): "aSLIP", (indices[learned_failing], "learned"): "learned"}
 
         def failing_aslip(params, jumps, base, integrator):
-            if indices[1] in (idx for idx, _ in jumps):
-                raise DivergenceError("aSLIP failed", 0.1)
-            return aslip_results(params, jumps, base, integrator)
+            return [DivergenceError("aSLIP failed", 0.1) if (idx, "aslip") in failed else outcome
+                    for (idx, _), outcome in zip(jumps, aslip_results(params, jumps, base,
+                                                                      integrator))]
 
         def failing_learned(model, jumps, config):
-            if indices[learned_failing] in (idx for idx, _ in jumps):
-                raise DivergenceError("learned failed", 0.2)
-            return rollout_jumps(model, jumps, config)
+            return [(idx, mode, DivergenceError("learned failed", 0.2)
+                     if (idx, "learned") in failed else outcome)
+                    for idx, mode, outcome in rollout_jumps(model, jumps, config)]
 
         monkeypatch.setattr(cli, "_aslip_results", failing_aslip)
         monkeypatch.setattr(rollout, "rollout_jumps", failing_learned)
@@ -924,8 +955,16 @@ class TestBaseline:
         assert main(["baseline", "--dataset", str(gen_dir), "--model",
                      str(trained_dir / "model.txt"), "--out", str(out),
                      "--integrator", integrator]) == 1
-        assert f"ERROR E_BLOWUP: {expected} failed" in capsys.readouterr().err
-        assert not (out / "comparison.csv").exists()
+        assert capsys.readouterr().err == f"ERROR E_BLOWUP: {expected} failed\n"
+        order = [(idx, model) for idx in indices for model in ("aslip", "learned")]
+        times = {"aSLIP": 0.1, "learned": 0.2}
+        assert (out / "failures.csv").read_text().splitlines() == [
+            "jump,model,code,time,message"] + [
+            f"{idx},{model},E_BLOWUP,{times[failed[idx, model]]},{failed[idx, model]} failed"
+            for idx, model in order if (idx, model) in failed]
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert [tuple(row.split(",")[:2]) for row in rows] == [
+            (str(idx), model) for idx, model in order if (idx, model) not in failed]
 
     @pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
     def test_aslip_rows_are_the_jumps_alone(self, gen_dir, integrator):
@@ -989,16 +1028,23 @@ class TestBaseline:
                          "--out", str(out), "--integrator", integrator])
         assert code == 1
         assert "ERROR E_BLOWUP" in capsys.readouterr().err
-        assert not (out / "comparison.csv").exists()
+        assert (out / "comparison.csv").read_text() == "jump,model,rmse_x,rmse_y,rmse_z\n"
 
     def test_divergence_leaves_no_table(self, gen_dir, tmp_path):
+        # every aSLIP rollout blows up: the table keeps only its header, and
+        # failures.csv lists each rollout
         config = tmp_path / "stiff.json"
         config.write_text(json.dumps({"k_s": 1e9}))
         out = tmp_path / "baseline"
         code = main(["baseline", "--dataset", str(gen_dir), "--config", str(config),
                      "--out", str(out), "--integrator", "fixed_rk4"])
         assert code == 1
-        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "failures.csv",
+                                                         "run_manifest.json"]
+        assert (out / "comparison.csv").read_text() == "jump,model,rmse_x,rmse_y,rmse_z\n"
+        rows = list(csv.reader((out / "failures.csv").open()))[1:]
+        indices = [idx for idx, _ in cli._load_test_jumps(gen_dir)[1]]
+        assert [row[:3] for row in rows] == [[str(idx), "aslip", "E_BLOWUP"] for idx in indices]
 
     @pytest.mark.parametrize("payload", [
         {"k_s": "a"}, {"l0": "x"}, {"k_s": None}, {"l0": [0, 0.3]}, {"l0": [0, 0, "0.3"]},
@@ -1029,6 +1075,86 @@ def _save_without_flight(model_path, path):
     )
     pipeline.save_model(crippled, path)
     return path
+
+
+@pytest.fixture(scope="module")
+def failing_model(gen_dir, tmp_path_factory):
+    """The truth of ``gen_dir`` with dxi_1' = 30 dxi_1^2 added in flight: the
+    full rollout of each test jump blows up, the second's sooner, and each
+    rollout with resets every 50 steps finishes."""
+    truth = pipeline.load_model(gen_dir / synthetic.GROUND_TRUTH_NAME)
+    phases = []
+    for pm in truth.phases:
+        Xi = pm.coefficients.Xi.copy()
+        if pm.phase.value == "flight":
+            Xi[truth.library.term_names(2).index("dxi_1^2"), 0] += 30.0
+        phases.append(replace(pm, coefficients=replace(pm.coefficients, Xi=Xi)))
+    path = tmp_path_factory.mktemp("failing") / "model.txt"
+    pipeline.save_model(replace(truth, phases=tuple(phases)), path)
+    return path
+
+
+@pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
+class TestFailingRollouts:
+    """eval and baseline write every rollout that finishes, list the others
+    in failures.csv, and exit 1 with the first failure's ERROR line."""
+
+    def _alone(self, gen_dir, failing_model, integrator):
+        """Each test jump's full and reset rollouts, each run alone."""
+        meta, jumps = cli._load_test_jumps(gen_dir)
+        model = pipeline.load_model(failing_model)
+        config = RolloutConfig(step_rate=1.0 / meta.dt, integrator=integrator, reset_interval=50)
+        full = []
+        for _, jump in jumps:
+            with pytest.raises(DivergenceError) as err:
+                rollout_full(model, jump, config)
+            full.append(err.value)
+        assert full[1].time < full[0].time
+        return meta, jumps, full, [rollout.rollout_with_reset(model, jump, config)
+                                   for _, jump in jumps]
+
+    def _check_failures(self, out, label, rows):
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        digest = hashlib.sha256((out / "failures.csv").read_bytes()).hexdigest()
+        assert manifest["outputs"]["failures.csv"] == digest
+        assert list(csv.reader((out / "failures.csv").open())) == [
+            ["jump", label, "code", "time", "message"]] + [
+            [str(idx), model, error.code, repr(error.time), str(error)]
+            for idx, model, error in rows]
+
+    def test_eval(self, gen_dir, failing_model, tmp_path, capsys, integrator):
+        _, jumps, full, reset = self._alone(gen_dir, failing_model, integrator)
+        out = tmp_path / "eval"
+        assert main(["eval", "--dataset", str(gen_dir), "--model", str(failing_model),
+                     "--out", str(out), "--integrator", integrator,
+                     "--reset-interval", "50"]) == 1
+        # the first failure in jump order, not in time
+        assert capsys.readouterr().err == f"ERROR E_BLOWUP: {full[0]}\n"
+        assert (out / "metrics.csv").read_text().splitlines() == ["jump,mode,mean_rmse"] + [
+            f"{idx},reset," + trajectory_data.format_row([r.rmse.mean()])
+            for (idx, _), r in zip(jumps, reset)]
+        assert sorted(p.name for p in out.glob("rollout_*.csv")) == [
+            f"rollout_{idx:03d}_reset.csv" for idx, _ in jumps]
+        for (idx, _), r in zip(jumps, reset):
+            expected = tmp_path / "alone.csv"
+            _write_series(expected, r)
+            assert (out / f"rollout_{idx:03d}_reset.csv").read_bytes() == expected.read_bytes()
+        self._check_failures(out, "mode", [(idx, "full", e) for (idx, _), e in zip(jumps, full)])
+
+    def test_baseline(self, gen_dir, failing_model, tmp_path, capsys, integrator):
+        meta, jumps, full, _ = self._alone(gen_dir, failing_model, integrator)
+        out = tmp_path / "baseline"
+        assert main(["baseline", "--dataset", str(gen_dir), "--model", str(failing_model),
+                     "--out", str(out), "--integrator", integrator]) == 1
+        assert capsys.readouterr().err == f"ERROR E_BLOWUP: {full[0]}\n"
+        base = slice(meta.m, meta.m + 3)
+        aslip_rows = cli._aslip_results(aslip.AslipParams(), jumps, base, integrator)
+        assert (out / "comparison.csv").read_text().splitlines() == [
+            "jump,model,rmse_x,rmse_y,rmse_z"] + [
+            f"{idx},aslip," + trajectory_data.format_row(r.rmse)
+            for (idx, _), r in zip(jumps, aslip_rows)]
+        self._check_failures(out, "model",
+                             [(idx, "learned", e) for (idx, _), e in zip(jumps, full)])
 
 
 @pytest.fixture(scope="module")

@@ -126,9 +126,9 @@ def test_nan_rhs_at_interval_start_diverges_at_interval_end(integrator):
     def f(k, t, y):
         return np.column_stack([y[:, 1], np.full(len(y), np.nan)])
 
-    with pytest.raises(DivergenceError) as err:
-        _integrators.integrate_intervals(f, np.array([[1.0, 1.0]]), 3, 0.002, integrator)
-    assert err.value.time == 0.002
+    _, (error,) = _integrators.integrate_intervals(f, np.array([[1.0, 1.0]]), 3, 0.002, integrator)
+    assert isinstance(error, DivergenceError)
+    assert error.time == 0.002
 
 
 def test_nan_rhs_from_zero_state_stops_where_solve_ivp_stops():
@@ -220,50 +220,96 @@ def test_stacked_intervals_match_one_row_runs(integrator):
             y[due] = [resets[i][k] for i in due]
             return y
 
-    out = _integrators.integrate_intervals(_driven_stack, y0, ends, 0.002, integrator,
-                                           substeps=2, reset=reset)
+    out, errors = _integrators.integrate_intervals(_driven_stack, y0, ends, 0.002, integrator,
+                                                   substeps=2, reset=reset)
     assert out.shape == (9, 3, 2)
+    assert errors == [None] * 3
     for i, n in enumerate(ends):
         alone = integrate_alone(_driven_row(i), y0[i], n, 0.002, integrator, substeps=2,
                                 reset=lambda k, i=i: resets.get(i, {}).get(k))
         assert out[:n, i].tobytes() == alone.tobytes()
 
 
+def _failing_rows(fail_at, rows):
+    """The right-hand side of ``rows``, a list of row numbers: row i follows
+    y' = -(i + 1) y + t, and its derivative is nan over interval fail_at[i]
+    (never for None)."""
+    rates = -1.0 - np.array(rows, dtype=float)
+
+    def f(k, t, y):
+        dy = rates[:, None] * y + np.reshape(t, (-1, 1))
+        dy[[j for j, i in enumerate(rows) if fail_at[i] == k]] = np.nan
+        return dy
+
+    return f
+
+
 @pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
-def test_first_failed_row_is_raised_after_earlier_rows_finish(integrator):
-    # row 1 turns nan at interval 5, row 2 already at interval 2: row 1's
-    # error is raised, as when the rows run alone in turn
+def test_each_failed_row_keeps_its_own_error(integrator):
+    # row 1 turns nan at interval 5 and row 2 already at interval 2: each
+    # fails at its own interval, and row 0 runs to its end
     fail_at = (None, 5, 2)
+    y0 = np.ones((3, 2))
+    out, errors = _integrators.integrate_intervals(_failing_rows(fail_at, [0, 1, 2]), y0, 8, 0.002,
+                                                   integrator)
+    assert errors[0] is None
+    alone = integrate_alone(lambda k, t, y: -1.0 * y + t, y0[0], 8, 0.002, integrator)
+    assert out[:, 0].tobytes() == alone.tobytes()
+    # a nan derivative over interval k gives a non-finite end state under
+    # fixed_rk4 and a nan first step under adaptive
+    for i in (1, 2):
+        k = fail_at[i]
+        cause = ("" if integrator == "fixed_rk4" else
+                 f": the right-hand side is nan at t={k * 0.002:.4f}s")
+        assert str(errors[i]) == f"state became non-finite at t={k * 0.002 + 0.002:.4f}s" + cause
+        assert errors[i].time == k * 0.002 + 0.002
 
-    def f(k, t, y):
-        dy = -y.copy()
-        for i, k_fail in enumerate(fail_at):
-            if k == k_fail:
-                dy[i] = np.nan
-        return dy
 
-    with pytest.raises(DivergenceError) as err:
-        _integrators.integrate_intervals(f, np.ones((3, 2)), 8, 0.002, integrator)
-    # row 1's nan derivative over interval 5 gives a non-finite end state
-    # under fixed_rk4 and a nan first step under adaptive
-    cause = "" if integrator == "fixed_rk4" else ": the right-hand side is nan at t=0.0100s"
-    assert str(err.value) == "state became non-finite at t=0.0120s" + cause
-    assert err.value.time == 5 * 0.002 + 0.002
+@settings(max_examples=40, deadline=None)
+@given(fail_at=st.lists(st.one_of(st.none(), st.integers(0, 9)), min_size=1, max_size=5),
+       integrator=st.sampled_from(_integrators.INTEGRATORS))
+def test_each_row_fails_as_it_does_alone(fail_at, integrator):
+    # each row turns nan at its own interval, past its end or never: its
+    # states up to the interval where it fails, and its error, are those
+    # of the row run alone
+    rows = list(range(len(fail_at)))
+    y0 = np.array([[1.0 + i, 0.5 - i] for i in rows])
+    out, errors = _integrators.integrate_intervals(_failing_rows(fail_at, rows), y0, 8, 0.002,
+                                                   integrator)
+    for i in rows:
+        alone, (error,) = _integrators.integrate_intervals(_failing_rows(fail_at, [i]), y0[i:i + 1],
+                                                           8, 0.002, integrator)
+        end = 8 if fail_at[i] is None else min(8, fail_at[i] + 1)
+        assert out[:end, i].tobytes() == alone[:end, 0].tobytes()
+        if error is None:
+            assert errors[i] is None
+        else:
+            assert (str(errors[i]), errors[i].time) == (str(error), error.time)
+        assert (error is None) == (fail_at[i] is None or fail_at[i] >= 7)
 
 
-def test_stacked_rows_warn_once_each_up_to_the_first_failure():
-    # rows 0 and 2 are stiff; row 1 is not, and fails, so row 2 would never run
-    def f(k, t, y):
-        dy = -1e6 * y
-        dy[1] = -y[1] if k != 2 else np.nan
-        return dy
+def test_stacked_rows_warn_once_each_in_row_order():
+    # rows 0, 2 and 3 are stiff, each at its own rate, and rows 1 and 2
+    # fail: each stiff row warns once, row 2 too, as each row does alone
+    rates, fail_at = (-1e6, -1.0, -2e6, -4e6), (None, 2, 3, None)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(DivergenceError):
-            _integrators.integrate_intervals(f, np.ones((3, 1)), 5, 0.002, "adaptive")
-    assert len(caught) == 1
-    assert str(caught[0].message).endswith("dynamics may be stiff")
+    def warned(rows):
+        def f(k, t, y):
+            dy = np.array([rates[i] for i in rows])[:, None] * y
+            dy[[j for j, i in enumerate(rows) if fail_at[i] == k]] = np.nan
+            return dy
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, errors = _integrators.integrate_intervals(f, np.ones((len(rows), 1)), 5, 0.002,
+                                                         "adaptive")
+        assert [e is not None for e in errors] == [fail_at[i] is not None for i in rows]
+        return [str(w.message) for w in caught]
+
+    alone = [message for i in range(4) for message in warned([i])]
+    assert len(alone) == 3
+    assert all(message.endswith("dynamics may be stiff") for message in alone)
+    assert warned([0, 1, 2, 3]) == alone
 
 
 @pytest.mark.parametrize("shape", [(), (2,), (1, 1, 2)], ids=["scalar", "one_state", "3d"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from jumprom import _integrators, autoencoder
 from jumprom.autoencoder import AutoencoderParams, decode, encode, input_map
-from jumprom.errors import DivergenceError, MissingPhaseError, ValidationError
+from jumprom.errors import DivergenceError, JumpromError, MissingPhaseError, ValidationError
 from jumprom.pipeline import MultiPhaseModel
 from jumprom.rollout import (
     RolloutConfig,
@@ -30,6 +30,9 @@ LINEAR = FunctionLibrarySpec(
 )
 DRIVEN = FunctionLibrarySpec(
     poly_degree=1, include_sin_states=False, include_sin_velocities=False, include_inputs=True
+)
+QUADRATIC = FunctionLibrarySpec(
+    poly_degree=2, include_sin_states=False, include_sin_velocities=False, include_inputs=False
 )
 
 
@@ -144,11 +147,17 @@ class TestIntegrate:
                       reset_states=args["reset_states"])
 
     def test_failed_adaptive_interval_raises(self):
-        # y' = y^2 from y(0) = 1 blows up at t = 1, inside the second interval;
-        # RK45 stops there instead of reaching t = 1.2
-        with pytest.raises(DivergenceError, match="adaptive integrator stopped") as err:
-            _integrators.integrate_intervals(lambda k, t, y: y * y, np.array([[1.0]]), 3, 0.6,
-                                             "adaptive")
+        # dxi' = dxi^2 from dxi(0) = 1 blows up at t = 1, inside the second
+        # interval; RK45 stops there instead of reaching t = 1.2, and the
+        # thousands of evaluations it spent there warn of no stiffness
+        Xi = np.zeros((QUADRATIC.term_count(1), 1))
+        Xi[QUADRATIC.term_names(1).index("dxi_1^2")] = 1.0
+        model = _model({Phase.FLIGHT: Xi}, QUADRATIC)
+        with warnings.catch_warnings(), pytest.raises(DivergenceError,
+                                                      match="adaptive integrator stopped") as err:
+            warnings.simplefilter("error")
+            integrate(model, [0.0], [1.0], None, (Phase.FLIGHT,) * 3,
+                      RolloutConfig(step_rate=1 / 0.6, integrator="adaptive"))
         assert err.value.time == pytest.approx(1.0, abs=1e-6)
 
     def test_stiff_warns_once_per_call(self):
@@ -323,17 +332,32 @@ def test_stacked_matmul_with_own_coefficients_matches_per_row(p, l, n, seed):
 
 
 def _assert_same_as_alone(model, jumps, config):
-    results = rollout_jumps(model, jumps, config)
-    modes = ("full", "reset") if config.reset_interval else ("full",)
-    assert [(idx, mode) for idx, mode, _ in results] == [
-        (idx, mode) for idx, _ in jumps for mode in modes]
-    trajs = dict(jumps)
-    for idx, mode, res in results:
-        alone = (rollout_full if mode == "full" else rollout_with_reset)(model, trajs[idx], config)
-        for field in ("timestamps", "latent_pred", "q_pred", "q_true"):
-            assert getattr(res, field).tobytes() == getattr(alone, field).tobytes(), field
-        assert res.phase_schedule == alone.phase_schedule
-        assert res.reset_indices == alone.reset_indices
+    """Each outcome of ``rollout_jumps`` is the rollout's alone, bit for bit:
+    its result, or its error's type, message and time.  Returns the
+    outcomes."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "adaptive integrator needed")   # blown-up rollouts
+        outcomes = rollout_jumps(model, jumps, config)
+        modes = ("full", "reset") if config.reset_interval else ("full",)
+        assert [(idx, mode) for idx, mode, _ in outcomes] == [
+            (idx, mode) for idx, _ in jumps for mode in modes]
+        trajs = dict(jumps)
+        for idx, mode, res in outcomes:
+            try:
+                alone = (rollout_full if mode == "full" else rollout_with_reset)(
+                    model, trajs[idx], config)
+            except JumpromError as e:
+                alone = e
+            assert type(res) is type(alone)
+            if isinstance(alone, JumpromError):
+                assert str(res) == str(alone)
+                assert getattr(res, "time", None) == getattr(alone, "time", None)
+                continue
+            for field in ("timestamps", "latent_pred", "q_pred", "q_true"):
+                assert getattr(res, field).tobytes() == getattr(alone, field).tobytes(), field
+            assert res.phase_schedule == alone.phase_schedule
+            assert res.reset_indices == alone.reset_indices
+    return outcomes
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +370,20 @@ def mixed_jumps():
         dataset, truth = generate(spec)
         jumps += process_dataset(dataset).jumps
     return truth, list(enumerate(jumps))
+
+
+def _failing_truth(truth, drop=None):
+    """The truth with dxi_1' = 3 dxi_1^2 added in flight, which blows up the
+    full rollouts of jumps 0 and 2 of ``mixed_jumps`` and none of their
+    resets, and without the phase ``drop``."""
+    phases = []
+    for pm in truth.phases:
+        Xi = pm.coefficients.Xi.copy()
+        if pm.phase is Phase.FLIGHT:
+            Xi[truth.library.term_names(2).index("dxi_1^2"), 0] += 3.0
+        if pm.phase is not drop:
+            phases.append(PhaseModel(pm.phase, replace(pm.coefficients, Xi=Xi)))
+    return MultiPhaseModel(autoencoder=truth.autoencoder, phases=tuple(phases), provenance={})
 
 
 class TestRolloutJumps:
@@ -367,14 +405,23 @@ class TestRolloutJumps:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
-    def test_first_failure_in_jump_order_is_raised(self, integrator):
+    @pytest.mark.parametrize("drop, expected", [
+        (None, ["E_BLOWUP", "ok", "ok", "ok", "E_BLOWUP", "ok", "ok", "ok"]),
+        # the three_phase jumps 2 and 3 have partial contact
+        (Phase.PARTIAL_CONTACT, ["E_BLOWUP", "ok", "ok", "ok"] + ["E_PHASE"] * 4)])
+    def test_failed_rollouts_stop_no_other(self, mixed_jumps, integrator, drop, expected):
+        truth, jumps = mixed_jumps
+        outcomes = _assert_same_as_alone(_failing_truth(truth, drop), jumps,
+                                         RolloutConfig(integrator=integrator, reset_interval=50))
+        assert [getattr(outcome, "code", "ok") for _, _, outcome in outcomes] == expected
+
+    @pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
+    def test_each_rollout_keeps_its_own_failure(self, integrator):
         # xi'' = xi^2 blows up sooner from a larger start: jump 1 fails
-        # first in time, yet jump 0's error is the one raised
-        library = FunctionLibrarySpec(poly_degree=2, include_sin_states=False,
-                                      include_sin_velocities=False, include_inputs=False)
-        Xi = np.zeros((library.term_count(1), 1))
-        Xi[library.term_names(1).index("xi_1^2")] = 1.0
-        model = _model({Phase.FLIGHT: Xi}, library)
+        # first in time, and each jump keeps the error it has alone
+        Xi = np.zeros((QUADRATIC.term_count(1), 1))
+        Xi[QUADRATIC.term_names(1).index("xi_1^2")] = 1.0
+        model = _model({Phase.FLIGHT: Xi}, QUADRATIC)
         traj = _recorded_from_model(_damped_driven_model(), n=200)
         jumps = []
         for idx, start in ((0, 100.0), (1, 1e4)):
@@ -382,13 +429,8 @@ class TestRolloutJumps:
             q[0, 0] = start
             jumps.append((idx, replace(traj, q=q, dq=np.zeros_like(q),
                                        contact=np.zeros_like(traj.contact))))
-        config = RolloutConfig(step_rate=500, integrator=integrator)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            errors = []
-            for jump in (jumps, jumps[:1], jumps[1:]):
-                with pytest.raises(DivergenceError) as err:
-                    rollout_jumps(model, jump, config)
-                errors.append((str(err.value), err.value.time))
-        assert errors[0] == errors[1]
-        assert errors[2][1] < errors[1][1]
+        outcomes = _assert_same_as_alone(model, jumps, RolloutConfig(step_rate=500,
+                                                                     integrator=integrator))
+        errors = [outcome for _, _, outcome in outcomes]
+        assert all(isinstance(error, DivergenceError) for error in errors)
+        assert errors[1].time < errors[0].time
