@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_number
 
 INTEGRATORS = ("adaptive", "fixed_rk4")
 
@@ -160,11 +160,14 @@ def adaptive_interval(f, t0, y0, h, live=None):
     spacing of floats), and at t0 + h, as fixed-step RK4 does, when its
     first step size is nan (a nan right-hand side at t0 from a nonzero
     state), where scipy's stepper loops forever.  Raises ValueError when y0
-    is not a stack or a stepped row is not finite.
+    is not a stack, a stepped row is not finite or h is not finite; h may
+    be 0 or negative.
     """
     y = np.asarray(y0, dtype=float)
     if y.ndim != 2:
         raise ValueError("`y0` must be a stack (N, n) of states.")
+    if not math.isfinite(h):
+        raise ValueError("The interval length `h` must be finite.")
     rows = range(len(y)) if live is None else np.flatnonzero(live).tolist()
     if not np.isfinite(y[rows]).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
@@ -246,7 +249,8 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
     interval's start t under fixed_rk4 and each row's own time t (N,) under
     adaptive; rows that are done or failed are carried along and their
     derivatives discarded, so f must accept every row at every interval
-    below the largest count.  Raises ValueError when y0 is not a stack.
+    below the largest count.  Raises ValidationError when h is not a finite
+    number > 0 and ValueError when y0 is not a stack.
 
     Each row warns once, in row order, when an adaptive interval before
     its end needed more than STIFF_NFEV_PER_INTERVAL evaluations, as it
@@ -256,6 +260,7 @@ def integrate_intervals(f, y0, n_samples, h, integrator, *, substeps=1, reset=No
     """
     if integrator not in INTEGRATORS:
         raise ValidationError(f"unknown integrator {integrator!r}")
+    check_number("sample step", h, "float", "> 0")
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise ValueError("`y0` must be a stack (N, n) of states.")

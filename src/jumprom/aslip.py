@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrators
-from .errors import ValidationError, finite_array, is_finite_real, is_integer, result_or_raise
+from .errors import ValidationError, check_fields, check_number, finite_array, result_or_raise
 from .trajectory_data import Phase, segment_phases
 
 
@@ -30,13 +30,12 @@ class AslipParams:
     m: float = 12.0
     l0: np.ndarray = (0.0, 0.0, 0.3)
     g: float = 9.81
+    BOUNDS = {"k_s": "> 0", "m": "> 0", "g": "> 0"}
 
     def __post_init__(self):
+        check_fields(self, self.BOUNDS)
         for name in ("k_s", "m", "g"):
-            value = getattr(self, name)
-            if not is_finite_real(value) or value <= 0:
-                raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "l0", finite_array("l0", self.l0, (3,)))
         if float(np.linalg.norm(self.l0)) <= 0:
             raise ValidationError("rest length must be nonzero")
@@ -104,16 +103,15 @@ def simulate_aslip(params, initial_state, u_of_t, contact_schedule, horizon, dt,
     label at index k); u_of_t: (>= horizon, 3) driving accelerations held
     constant per interval, or None.  foot_positions: (>= horizon, 3) stance
     foot per step, defaulting to the initial state's foot throughout.  A
-    horizon that is not an integer >= 1, or a driving array of another
-    shape, raises ValidationError.  The one-CoM case of
-    ``simulate_aslip_stack``.
+    horizon that is not an integer >= 1, a step dt that is not a finite
+    number > 0, or a driving array of another shape, raises
+    ValidationError.  The one-CoM case of ``simulate_aslip_stack``.
 
     Returns (b, db): two (horizon, 3) arrays sampled at dt.  Raises
     DivergenceError when the state leaves the finite range; warns once
     when an adaptive interval looks stiff.
     """
-    if not (is_integer(horizon) and horizon >= 1):
-        raise ValidationError(f"horizon must be an integer >= 1, got {horizon!r}")
+    check_number("horizon", horizon, "int", ">= 1")
     schedule = tuple(contact_schedule)
     if len(schedule) < horizon:
         raise ValidationError(
@@ -141,7 +139,8 @@ def simulate_aslip_stack(params, systems, dt, *, integrator="adaptive", rk4_subs
     horizon.  One right-hand-side call evaluates every CoM.  Returns each
     CoM's outcome, as ``simulate_aslip`` gives it alone: its (b, db) pair
     of (n, 3) arrays, or the DivergenceError at which it stopped.  A CoM
-    that fails stops no other.
+    that fails stops no other.  A step dt that is not a finite number > 0
+    raises ValidationError.
     """
     ends = [len(schedule) for *_, schedule in systems]
     # past its horizon a CoM is carried in flight

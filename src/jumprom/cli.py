@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __about__, _integrators, aslip, pipeline, rollout, synthetic
-from .errors import JumpromError, ValidationError
+from .errors import JumpromError, ValidationError, check_number
 from .pipeline import TrainingConfig, config_from_dict
 from .sindy import print_symbolic
 from .trajectory_data import (MANIFEST_NAME, _cache_path, _read_manifest, format_row,
@@ -183,28 +183,32 @@ def _write_results(out, manifest, table, header, series_prefix, outcomes, column
     """Write each (jump, label, outcome) of ``outcomes``: a RolloutResult as
     a series file and a row ``jump,label,columns(result)`` of the table, a
     JumpromError as a row ``jump,label,code,time,message`` of failures.csv,
-    written only when one failed.  Returns the first failure, or None."""
-    table_path, failures = out / table, []
+    written only when one failed.  The series file of a failed rollout and
+    a failures.csv that an earlier run left in ``out`` are removed.
+    Returns the first failure, or None."""
+    table_path, failures_path, failures = out / table, out / "failures.csv", []
     with open(table_path, "w") as fh:
         fh.write(header + "\n")
         for idx, label, result in outcomes:
+            series_path = out / f"{series_prefix}_{idx:03d}_{label}.csv"
             if isinstance(result, JumpromError):
                 failures.append((idx, label, result))
+                series_path.unlink(missing_ok=True)
                 continue
-            series_path = out / f"{series_prefix}_{idx:03d}_{label}.csv"
             _write_series(series_path, result)
             manifest.add_output(series_path)
             fh.write(f"{idx},{label}," + format_row(columns(result)) + "\n")
     manifest.add_output(table_path)
     if not failures:
+        failures_path.unlink(missing_ok=True)
         return None
-    with open(out / "failures.csv", "w", newline="") as fh:
+    with open(failures_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header.split(",")[:2] + ["code", "time", "message"])
         for idx, label, error in failures:
             time = getattr(error, "time", None)   # an error without one leaves it empty
             writer.writerow([idx, label, error.code, "" if time is None else float(time), error])
-    manifest.add_output(out / "failures.csv")
+    manifest.add_output(failures_path)
     return failures[0][2]
 
 
@@ -249,8 +253,7 @@ def cmd_train(args):
 
 
 def cmd_scan(args):
-    if args.parallel < 1:
-        raise ValidationError(f"--parallel must be >= 1, got {args.parallel}")
+    check_number("--parallel", args.parallel, "int", ">= 1")
     settings = _settings(args)
     l_values = settings.pop("l_values", [1, 2, 3, 4, 5, 6, 7, 8])
     seeds = settings.pop("seeds", [0, 1, 2, 3, 4])
@@ -262,7 +265,7 @@ def cmd_scan(args):
     report_path = out / "report.csv"
     pipeline.write_selection_report(report, report_path)
     manifest.add_output(report_path)
-    manifest.record["workers"] = min(args.parallel, len(report.rows))   # a row per cell
+    manifest.record["workers"] = report.workers
     manifest.finish(resolved_config=pipeline.config_to_dict(config), seeds=seeds)
     for l, mean, std in report.aggregates():
         print(f"l={l}: L_mod = {mean:.6f} +/- {std:.6f}")

@@ -2,12 +2,14 @@
 
 Every error carries a short machine-parsable ``code`` so the CLI can emit
 one-line diagnostics of the form ``ERROR <code>: <message>``.  Every error
-pickles whole, so a scan worker can hand its error to the parent.  The
-typed records check their fields with the checks at the end.
+pickles whole, so a scan worker can hand its error to the parent.  Every
+numeric setting is checked by ``check_number``, and a typed record's int,
+float and bool fields by ``check_fields`` against the record's ``BOUNDS``.
 """
 
 import math
 import numbers
+from dataclasses import fields
 
 import numpy as np
 
@@ -125,6 +127,28 @@ def is_finite_real(value):
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+_KINDS = {"int": ("an integer", is_integer), "float": ("a finite number", is_finite_real),
+          "bool": ("true or false", lambda value: isinstance(value, bool))}
+
+
+def check_number(name, value, kind, bound=""):
+    """Raise ValidationError("<name> must be <an integer | a finite number |
+    true or false>[ >= b | > b], got <value>") unless ``value`` is of
+    ``kind`` ("int", "float" or "bool") and meets ``bound``, "" for none."""
+    wording, of_kind = _KINDS[kind]
+    op, limit = bound.split() if bound else (">=", "-inf")
+    if not (of_kind(value) and (value >= float(limit) if op == ">=" else value > float(limit))):
+        raise ValidationError(f"{name} must be {wording} {bound}".rstrip() + f", got {value!r}")
+
+
+def check_fields(record, bounds):
+    """``check_number`` on each field of the dataclass ``record`` annotated
+    "int", "float" or "bool", with the bound ``bounds`` gives its name."""
+    for f in fields(record):
+        if f.type in _KINDS:
+            check_number(f.name, getattr(record, f.name), f.type, bounds.get(f.name, ""))
 
 
 def finite_array(name, value, shape):

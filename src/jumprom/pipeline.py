@@ -55,7 +55,7 @@ from .errors import (
     PipelineStepError,
     UnsupportedModelVersionError,
     ValidationError,
-    is_finite_real,
+    check_fields,
     is_integer,
 )
 from .sindy import (
@@ -100,6 +100,10 @@ class TrainingConfig:
     boundary_trim: int = 2
     seed_phase: Phase = Phase.CONTACT
     selection_lambda: float = 0.001
+    # stage 3 solves only ridge-regularized systems, so stlsq_ridge > 0
+    BOUNDS = {"latent_dim": ">= 1", "decoder_ridge": ">= 0", "stlsq_threshold": ">= 0",
+              "stlsq_ridge": "> 0", "stlsq_max_iters": ">= 0", "latent_accel_weight": ">= 0",
+              "decoded_accel_weight": ">= 0", "boundary_trim": ">= 0", "selection_lambda": ">= 0"}
 
     def __post_init__(self):
         try:
@@ -114,24 +118,7 @@ class TrainingConfig:
             object.__setattr__(self, "seed_phase", Phase(self.seed_phase))
         except (TypeError, ValueError) as e:
             raise ValidationError(f"invalid seed_phase in config: {e}") from e
-        for f in fields(self):  # f.type is the annotation string (postponed annotations)
-            value = getattr(self, f.name)
-            if f.type == "int" and not is_integer(value):
-                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not is_finite_real(value):
-                raise ValidationError(f"{f.name} must be a finite real number, got {value!r}")
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValidationError(f"{f.name} must be true or false, got {value!r}")
-        if self.latent_dim < 1:
-            raise ValidationError("latent_dim must be >= 1")
-        for name in ("stlsq_threshold", "stlsq_max_iters", "decoder_ridge",
-                     "selection_lambda", "boundary_trim", "latent_accel_weight",
-                     "decoded_accel_weight"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if self.stlsq_ridge <= 0:
-            raise ValidationError(f"stlsq_ridge must be > 0, got {self.stlsq_ridge!r}: "
-                                  "stage 3 solves only ridge-regularized systems")
+        check_fields(self, self.BOUNDS)
         if self.latent_accel_weight == 0 and self.decoded_accel_weight == 0:
             raise ValidationError("latent_accel_weight and decoded_accel_weight are both 0: "
                                   "stage 3 would fit no residual")
@@ -207,10 +194,12 @@ class SelectionRow:
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """Scan rows (sorted by latent dim, then seed) plus per-dim aggregates."""
+    """Scan rows (sorted by latent dim, then seed) plus per-dim aggregates,
+    and the number of processes that ran them, which no comparison reads."""
 
     rows: tuple[SelectionRow, ...]
     selection_lambda: float
+    workers: int = field(compare=False)
 
     def aggregates(self):
         """(latent_dim, mean, std) of the selection loss per latent dim."""
@@ -476,8 +465,8 @@ def model_selection_scan(dataset, l_values, seeds, config, workers=1):
     A stripe runs its cells in the serial order, seeds in order and then
     latent dims ascending, up to its first failure, and the failure first
     in that order is raised, so the rows, and the error of a failing scan,
-    are the same for any worker count.  Returns rows sorted by latent dim
-    then seed.
+    are the same for any worker count.  Returns the rows, sorted by latent
+    dim then seed, and the number of processes that ran them.
     """
     l_values = _scan_axis(l_values, "latent dimensions", 1, dataset.meta.m + 6)
     seeds = _scan_axis(seeds, "seeds", 0)
@@ -509,7 +498,8 @@ def model_selection_scan(dataset, l_values, seeds, config, workers=1):
     if failures:
         raise min(failures, key=lambda failure: order[failure[0]])[1]
     rows = sorted((row for part, _ in results for row in part), key=lambda r: (r.latent_dim, r.seed))
-    return SelectionReport(rows=tuple(rows), selection_lambda=config.selection_lambda)
+    return SelectionReport(rows=tuple(rows), selection_lambda=config.selection_lambda,
+                           workers=workers)
 
 
 def write_selection_report(report, path):

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _integrators, autoencoder
 from .autoencoder import decode, encode
-from .errors import (JumpromError, MissingPhaseError, ValidationError, finite_array,
-                     is_finite_real, is_integer, result_or_raise)
+from .errors import (JumpromError, MissingPhaseError, ValidationError, check_fields,
+                     check_number, finite_array, result_or_raise)
 from .sindy import build_library_row
 from .trajectory_data import Phase, sample_step, segment_phases
 
@@ -41,18 +41,12 @@ class RolloutConfig:
     reset_interval: int = 0
     integrator: str = "adaptive"
     rk4_substeps: int = 1
+    BOUNDS = {"step_rate": "> 0", "reset_interval": ">= 0", "rk4_substeps": ">= 1"}
 
     def __post_init__(self):
-        if not is_finite_real(self.step_rate) or self.step_rate <= 0:
-            raise ValidationError(f"step_rate must be a finite number > 0, got {self.step_rate!r}")
-        if not is_integer(self.reset_interval) or self.reset_interval < 0:
-            raise ValidationError(
-                f"reset_interval must be an integer >= 0, got {self.reset_interval!r}")
+        check_fields(self, self.BOUNDS)
         if self.integrator not in _integrators.INTEGRATORS:
             raise ValidationError(f"unknown integrator {self.integrator!r}")
-        if not is_integer(self.rk4_substeps) or self.rk4_substeps < 1:
-            raise ValidationError(
-                f"rk4_substeps must be an integer >= 1, got {self.rk4_substeps!r}")
 
 
 @dataclass(frozen=True)
@@ -219,8 +213,8 @@ def _prepare(model, traj, config, horizon, input_map):
     if traj.q.shape[1] != d:
         raise ValidationError(
             f"model dimension {d} does not match the trajectory ({traj.q.shape[1]})")
-    if horizon is not None and not (is_integer(horizon) and horizon >= 1):
-        raise ValidationError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if horizon is not None:
+        check_number("horizon", horizon, "int", ">= 1")
     n = traj.n_samples if horizon is None else min(horizon, traj.n_samples)
     if n < 1:
         raise ValidationError("empty rollout horizon")

@@ -35,11 +35,11 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, check_fields, check_number
 from .trajectory_data import Phase
 
 XI = "ξ"                 # latent symbol for pretty printing
@@ -66,13 +66,10 @@ class FunctionLibrarySpec:
     include_sin_states: bool = True
     include_sin_velocities: bool = True
     include_inputs: bool = True
+    BOUNDS = {"poly_degree": ">= 0"}
 
     def __post_init__(self):
-        if not is_integer(self.poly_degree) or self.poly_degree < 0:
-            raise ValidationError(f"poly_degree must be an integer >= 0, got {self.poly_degree!r}")
-        for f in fields(self):  # f.type is the annotation string (postponed annotations)
-            if f.type == "bool" and not isinstance(value := getattr(self, f.name), bool):
-                raise ValidationError(f"{f.name} must be true or false, got {value!r}")
+        check_fields(self, self.BOUNDS)
         if not (
             self.include_constant
             or self.poly_degree >= 1
@@ -442,10 +439,8 @@ def _stlsq(gram, R, n, M, threshold, ridge, max_iters, init_support=None):
     Columns whose support empties out are returned as all-zero with a
     warning (constant-zero dynamics).
     """
-    if threshold < 0:
-        raise ValidationError(f"threshold must be >= 0, got {threshold}")
-    if not ridge > 0:
-        raise ValidationError(f"ridge must be > 0, got {ridge}")
+    check_number("threshold", threshold, "float", ">= 0")
+    check_number("ridge", ridge, "float", "> 0")
     p, l = R.shape
     if n < p:
         warnings.warn(

@@ -31,6 +31,7 @@ coefficients in any trained encoder basis.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import _integrators
 from .autoencoder import AutoencoderParams, decode
-from .errors import ValidationError, is_finite_real, is_integer
+from .errors import ValidationError, check_fields, is_integer
 from .pipeline import MultiPhaseModel, load_model, save_model
 from .sindy import FunctionLibrarySpec, PhaseModel, SparseCoefficients, build_library_row
 from .trajectory_data import (
@@ -103,17 +104,13 @@ class SyntheticSpec:
     lift_seed: int
     n_jumps: int = 20
     dt: float = 0.002
-    noise_sigma: float = 0.0
+    noise_sigma: float | Mapping[str, float] = 0.0   # one for q, dq and tau, or one each
+    BOUNDS = {"lift_seed": ">= 0", "n_jumps": ">= 1", "dt": "> 0"}
 
     def __post_init__(self):
-        if not is_integer(self.n_jumps) or self.n_jumps < 1:
-            raise ValidationError(f"n_jumps must be an integer >= 1, got {self.n_jumps!r}")
+        check_fields(self, self.BOUNDS)
         check_split_counts(self.split_counts, self.n_jumps)
         _sigma_map(self.noise_sigma)
-        if not is_finite_real(self.dt) or self.dt <= 0:
-            raise ValidationError(f"dt must be a finite number > 0, got {self.dt!r}")
-        if not is_integer(self.lift_seed) or self.lift_seed < 0:
-            raise ValidationError(f"lift_seed must be an integer >= 0, got {self.lift_seed!r}")
 
 
 _AFFINE_BLOCKS = ("constant", "linear state", "linear velocity", "input")

@@ -1,5 +1,6 @@
 """Actuated-SLIP baseline: acceleration formulas, simulation, energy."""
 
+import re
 import warnings
 
 import numpy as np
@@ -198,6 +199,18 @@ class TestSimulate:
         with pytest.raises(ValidationError, match=message):
             simulate_aslip(PARAMS, _state([0.0, 0.0, 0.27]), u, (Phase.CONTACT,) * 10, horizon,
                            1.0 / 500.0, integrator="fixed_rk4", foot_positions=feet)
+
+    @pytest.mark.parametrize("integrator", ["fixed_rk4", "adaptive"])
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.002])
+    def test_step_must_be_a_finite_positive_number(self, dt, integrator):
+        message = re.escape(f"sample step must be a finite number > 0, got {dt!r}")
+        with pytest.raises(ValidationError, match=message):
+            simulate_aslip(PARAMS, _state([0.0, 0.0, 0.27]), None, (Phase.CONTACT,) * 10, 10, dt,
+                           integrator=integrator)
+        system = (np.array([0.0, 0.0, 0.27, 0.0, 0.0, 0.0]), np.zeros((10, 3)), np.zeros((10, 3)),
+                  (Phase.CONTACT,) * 10)
+        with pytest.raises(ValidationError, match=message):
+            simulate_aslip_stack(PARAMS, [system], dt, integrator=integrator)
 
     def test_divergence_raises(self):
         # k_s = 1e9 puts the contact oscillation far outside RK4's stability region

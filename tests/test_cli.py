@@ -326,6 +326,19 @@ class TestScan:
                          "--l-values", "1,2", "--seeds", "0", "--parallel", workers]) == 0
             assert json.loads((out / "run_manifest.json").read_text())["workers"] == used
 
+    def test_manifest_records_one_worker_where_processes_cannot_fork(self, gen_dir, tmp_path,
+                                                                     monkeypatch):
+        serial = tmp_path / "serial"
+        assert main(["scan", "--dataset", str(gen_dir), "--out", str(serial),
+                     "--l-values", "1,2", "--seeds", "0,1", "--parallel", "1"]) == 0
+        monkeypatch.delattr(os, "fork")   # a fork would now raise AttributeError
+        out = tmp_path / "no_fork"
+        assert main(["scan", "--dataset", str(gen_dir), "--out", str(out),
+                     "--l-values", "1,2", "--seeds", "0,1", "--parallel", "3"]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["workers"] == 1
+        assert (out / "report.csv").read_bytes() == (serial / "report.csv").read_bytes()
+        _assert_no_child_left()
+
     def test_default_workers_are_the_usable_cpus(self):
         args = build_parser().parse_args(["scan", "--dataset", "data"])
         assert args.parallel == cli.usable_cpus() >= 1
@@ -361,7 +374,7 @@ class TestScan:
         code = main(["scan", "--dataset", str(gen_dir), "--out", str(tmp_path / "scan"),
                      "--l-values", "1", "--seeds", "0", "--parallel", workers])
         assert code == 1
-        assert "ERROR E_VALIDATE: --parallel must be >= 1" in capsys.readouterr().err
+        assert "ERROR E_VALIDATE: --parallel must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_empty_seed_list_rejected(self, gen_dir, tmp_path, capsys, workers):
@@ -1155,6 +1168,24 @@ class TestFailingRollouts:
             for (idx, _), r in zip(jumps, aslip_rows)]
         self._check_failures(out, "model",
                              [(idx, "learned", e) for (idx, _), e in zip(jumps, full)])
+
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    @pytest.mark.parametrize("failing_first", [True, False], ids=["failing_first", "clean_first"])
+    def test_a_rerun_leaves_no_stale_output(self, gen_dir, trained_dir, failing_model, tmp_path,
+                                            command, failing_first, integrator):
+        # the failing set fails every full rollout, the clean set none; run
+        # one after the other into one directory, the last run's files are
+        # exactly those its manifest lists
+        out = tmp_path / command
+        models = [(failing_model, 1), (trained_dir / "model.txt", 0)]
+        for model, code in models if failing_first else models[::-1]:
+            assert main([command, "--dataset", str(gen_dir), "--model", str(model),
+                         "--out", str(out), "--integrator", integrator]
+                        + (["--reset-interval", "50"] if command == "eval" else [])) == code
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["run_manifest.json", *manifest["outputs"]])
+        assert (out / "failures.csv").exists() == (not failing_first)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """The in-house RK45 interval stepper against scipy's solve_ivp, bit for bit."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 
 from jumprom import _integrators
-from jumprom.errors import DivergenceError
+from jumprom.errors import DivergenceError, ValidationError
 
 from helpers import integrate_alone
 
@@ -320,3 +322,18 @@ def test_only_a_stack_is_stepped(shape):
     for integrator in _integrators.INTEGRATORS:
         with pytest.raises(ValueError, match=r"must be a stack \(N, n\)"):
             _integrators.integrate_intervals(lambda k, t, y: -y, y0, 3, 0.002, integrator)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.002])
+@pytest.mark.parametrize("integrator", _integrators.INTEGRATORS)
+def test_sample_step_must_be_a_finite_positive_number(integrator, h):
+    message = f"sample step must be a finite number > 0, got {h!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        _integrators.integrate_intervals(lambda k, t, y: -y, np.ones((1, 2)), 3, h, integrator)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_adaptive_interval_needs_a_finite_length(h):
+    # backward and empty intervals are stepped (see INTERVALS); a non-finite one is not
+    with pytest.raises(ValueError, match="`h` must be finite"):
+        _integrators.adaptive_interval(lambda t, y: -y, 0.0, np.ones((1, 2)), h)

@@ -387,8 +387,8 @@ class TestModelFormat:
             config_from_dict(payload)
 
     @pytest.mark.parametrize("weights, message", [
-        ({"latent_accel_weight": -1.0}, "latent_accel_weight must be >= 0"),
-        ({"decoded_accel_weight": -0.5}, "decoded_accel_weight must be >= 0"),
+        ({"latent_accel_weight": -1.0}, "latent_accel_weight must be a finite number >= 0"),
+        ({"decoded_accel_weight": -0.5}, "decoded_accel_weight must be a finite number >= 0"),
         ({"latent_accel_weight": 0.0, "decoded_accel_weight": 0.0},
          "latent_accel_weight and decoded_accel_weight are both 0")])
     def test_residual_weights_validated(self, weights, message):

@@ -846,18 +846,33 @@ class TestFitPhaseModel:
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_negative_threshold_rejected(self, weight):
         params = _orthonormal_autoencoder()
-        with pytest.raises(ValidationError, match="threshold must be >= 0"):
+        with pytest.raises(ValidationError, match="threshold must be a finite number >= 0"):
             fit_phase_model(params, DEFAULT, [_phase_samples(params, n=50)], threshold=-0.5,
                             decoded_weight=weight)
 
     @pytest.mark.parametrize("ridge", [0.0, -1e-9, float("nan")])
     def test_ridge_must_be_positive(self, ridge):
         params = _orthonormal_autoencoder()
-        with pytest.raises(ValidationError, match="ridge must be > 0"):
+        with pytest.raises(ValidationError, match="ridge must be a finite number > 0"):
             fit_phase_model(params, DEFAULT, [_phase_samples(params, n=50)], ridge=ridge)
         theta, target = _oscillator_samples()
-        with pytest.raises(ValidationError, match="ridge must be > 0"):
+        with pytest.raises(ValidationError, match="ridge must be a finite number > 0"):
             stlsq(theta, target, ridge=ridge)
+
+    @pytest.mark.parametrize("threshold, ridge, message", [
+        (math.nan, 1e-9, "threshold must be a finite number >= 0, got nan"),
+        (math.inf, 1e-9, "threshold must be a finite number >= 0, got inf"),
+        (0.1, math.inf, "ridge must be a finite number > 0, got inf")])
+    def test_threshold_and_ridge_must_be_finite(self, threshold, ridge, message):
+        # a nan threshold was recorded as "threshold nan"; an infinite one, or
+        # an infinite ridge, zeroed every coefficient
+        params = _orthonormal_autoencoder()
+        with pytest.raises(ValidationError, match=message):
+            fit_phase_model(params, DEFAULT, [_phase_samples(params, n=50)], threshold=threshold,
+                            ridge=ridge)
+        theta, target = _oscillator_samples()
+        with pytest.raises(ValidationError, match=message):
+            stlsq(theta, target, threshold=threshold, ridge=ridge)
 
     def test_empty_phase_errors(self):
         params = _orthonormal_autoencoder()
